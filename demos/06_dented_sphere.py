@@ -4,7 +4,7 @@ Dents of geodesic radius 1/kappa at ~kappa^2 packed points each remove
 a cubic-order amount of total mean curvature; the removal grows
 linearly in kappa while the perturbation size stays fixed.
 
-Run:  python3 demos/06_dented_sphere.py        (~1 minute)
+Run:  python3 demos/06_dented_sphere.py        (~10 seconds)
 """
 
 import math

@@ -67,6 +67,11 @@ def _load_any_domain(path, resolution):
     return qio.load_domain(path, resolution=resolution)
 
 
+def _given(value, default):
+    """value unless the option was omitted (None); 0 counts as given."""
+    return default if value is None else value
+
+
 def cmd_functionals(args) -> int:
     tol = _tolerances(args.tolerance)
     K = _load_any_domain(args.domain, args.resolution)
@@ -114,35 +119,35 @@ def cmd_verify(args) -> int:
     count = args.count
     if lemma == "grad-normal":
         result = suites.gradient_normal_suite(
-            count=count or 100, eps=args.eps or 0.1, seed=args.seed,
-            resolution=args.resolution or 32)
+            count=_given(count, 100), eps=_given(args.eps, 0.1), seed=args.seed,
+            resolution=_given(args.resolution, 32))
     elif lemma == "freq-split":
         result = suites.frequency_split_suite(
-            count=count or 300, seed=args.seed, lam=args.lambda_cut,
-            resolution=args.resolution or 32)
+            count=_given(count, 300), seed=args.seed, lam=args.lambda_cut,
+            resolution=_given(args.resolution, 32))
     elif lemma == "eigen-interp":
         result = suites.eigen_interpolation_suite(
-            count=count or 1000, seed=args.seed,
-            resolution=args.resolution or 32)
+            count=_given(count, 1000), seed=args.seed,
+            resolution=_given(args.resolution, 32))
     elif lemma == "radial-identity":
         result = suites.radial_identity_suite()
     elif lemma == "pole":
-        result = suites.pole_bound_suite(seed=args.seed, count=count or 20,
-                                         eps=args.eps or 0.05)
+        result = suites.pole_bound_suite(seed=args.seed, count=_given(count, 20),
+                                         eps=_given(args.eps, 0.05))
     elif lemma == "curvature-routes":
         result = suites.route_agreement_suite(
-            count=count or 100, eps=args.eps or 0.3, seed=args.seed,
-            resolution=args.resolution or 64,
+            count=_given(count, 100), eps=_given(args.eps, 0.3), seed=args.seed,
+            resolution=_given(args.resolution, 64),
             tolerance=tol.mean_curvature_agree)
     elif lemma == "nuclear":
         result = suites.nuclear_deficit_suite(
-            count=count or 200, eps=args.eps or 0.05, seed=args.seed)
+            count=_given(count, 200), eps=_given(args.eps, 0.05), seed=args.seed)
     elif lemma == "axial":
         result = suites.axial_deficit_suite(
-            count=count or 200, eps=args.eps or 0.05, seed=args.seed)
+            count=_given(count, 200), eps=_given(args.eps, 0.05), seed=args.seed)
     else:
         result = suites.stability_suite(
-            count=count or 200, eps=args.eps or 0.05, seed=args.seed)
+            count=_given(count, 200), eps=_given(args.eps, 0.05), seed=args.seed)
     _emit(Path(args.out), f"verify_{lemma}", result, args.format, vars(args))
     status = "PASS" if result["passed"] else "FAIL"
     print(f"{lemma}: {status}  {json.dumps(result['summary'], default=str)}")
@@ -286,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", default=None, help="comma list of kappa values")
     p.add_argument("--kappa-max", type=float, default=1e5)
     p.add_argument("--mesh", action="store_true")
-    p.set_defaults(func=cmd_counterexample, eps=0.3)
+    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("conjecture", parents=[common],
                        help="search for extremals of the gradient-energy ratio")

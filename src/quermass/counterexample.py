@@ -7,12 +7,23 @@ least 2/kappa.  Each dent contributes a cubic-order negative amount
 ~ eps^3 / kappa to the total mean curvature while the number of dents
 grows like kappa^{n-1}, so the total crosses any negative threshold for
 kappa large.
+
+The dent centers on S^2 are a thinned spherical Fibonacci lattice: for
+the index offset m the height gap and the azimuth step are fixed, so an
+exact certificate over offsets finds every pair closer than 2/kappa in
+O(N log kappa) time and O(N) memory, with no KD-tree (Keinert et al.,
+Spherical Fibonacci Mapping, ACM TOG 34(6), 2015).  On S^{n-1}, n >= 4,
+seeded dart throwing runs in batches that accept the same points in the
+same order as one-by-one throwing.  Both give exactly the points of the
+earlier KD-tree thinning and sequential loop.  Packings and dense-grid
+checks whose memory would exceed memory_budget() fail fast.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,6 +36,42 @@ from quermass.grids import build_grid, sphere_area
 # minimal pairwise distance of the N-point Fibonacci lattice is
 # FIB_MIN_DIST/sqrt(N) (measured, stable to 4 digits across N)
 FIB_MIN_DIST = 3.0921
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+# Packings and dense-grid checks refuse to start (MemoryBudgetError) when
+# their estimated working set exceeds MEMORY_FRACTION of the machine's
+# physical memory (memory_budget()); on 8 GB that admits the kappa = 5120
+# lattice (62.6M points) and the kappa = 320 grid check.
+MEMORY_FRACTION = 0.75
+# peak bytes per lattice point of pack_points(3, kappa) and per node of
+# total_mean_curvature_grid, measured (72 and 97-121) and rounded up; per
+# coordinate of the 4 * target points dart throwing may accept: its
+# buffer, their KD-tree, a batch and the returned copy, with room
+_BYTES_PER_LATTICE_POINT = 80
+_BYTES_PER_GRID_NODE = 128
+_BYTES_PER_DART_COORDINATE = 48
+
+
+class MemoryBudgetError(ValueError):
+    """A packing or grid check would need more memory than memory_budget()."""
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def memory_budget() -> int:
+    """Bytes a packing or grid check may use: MEMORY_FRACTION of RAM."""
+    return int(MEMORY_FRACTION * _physical_memory())
+
+
+def _check_budget(what: str, items: int, unit: str, nbytes: int) -> None:
+    budget = memory_budget()
+    if nbytes > budget:
+        raise MemoryBudgetError(
+            f"{what} needs {items:,} {unit}, about {nbytes / 2**30:.1f} GiB, "
+            f"above the {budget / 2**30:.1f} GiB budget ({MEMORY_FRACTION:g} "
+            f"of physical memory, quermass.counterexample.MEMORY_FRACTION)")
 
 
 # -- the radial dent profile -----------------------------------------------------
@@ -156,7 +203,7 @@ class PackedPoints:
 def fibonacci_sphere(count: int) -> np.ndarray:
     i = np.arange(count)
     z = 1.0 - (2.0 * i + 1.0) / count
-    phi = 2.0 * math.pi * i / ((1.0 + math.sqrt(5.0)) / 2.0)
+    phi = 2.0 * math.pi * i / GOLDEN
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([z, r * np.cos(phi), r * np.sin(phi)], axis=1)
 
@@ -168,56 +215,171 @@ def _verified_min_distance(points: np.ndarray) -> float:
     return float(d[:, 1].min())
 
 
+def _close_pairs(points: np.ndarray, reach: float):
+    """All pairs i < j of points = fibonacci_sphere(N) closer than reach.
+
+    Returns (i, j, d2), d2 being the squared distance summed over the
+    coordinates in order, as a KD-tree sums it.  For j = i + m the
+    height gap is 2m/N and the azimuth step is 2 pi m / GOLDEN whatever
+    i is, so |p_i - p_j|^2 >= (2m/N)^2 + 4 rho^2 sin^2(step/2) with
+    rho = min(r_i, r_j).  Hence only offsets m < reach N / 2 can hold a
+    close pair, and for each only the i with an end in one of the polar
+    caps r < R_m, where R_m follows from the bound: two contiguous index
+    ranges.  Exact distances are evaluated on those ranges, one offset
+    at a time.  The bound is padded for the rounding of the computed
+    angles and radii, so no pair closer than reach is skipped.
+    """
+    N = len(points)
+    z, x, y = points[:, 0], points[:, 1], points[:, 2]
+    bound = reach * (1.0 + 1e-6)
+    m = np.arange(1, min(N - 1, int(bound * N / 2.0) + 1) + 1)
+    turns = m / GOLDEN
+    step = 2.0 * math.pi * np.abs(turns - np.rint(turns))
+    # the computed phi_i = 2 pi i / GOLDEN < 4 N are off by a few ulps
+    step = np.maximum(step - (1e-14 * N + 1e-12), 0.0)
+    room = bound**2 - (2.0 * m / N) ** 2
+    with np.errstate(divide="ignore"):
+        cap_r2 = np.minimum(room / (4.0 * np.sin(0.5 * step) ** 2), 1.0)
+    # indices i with r_i < R lie in i < N (1 - sqrt(1 - R^2)) / 2
+    caps = np.ceil(0.5 * N * cap_r2 / (1.0 + np.sqrt(1.0 - cap_r2))) + 2
+    caps = np.where(room > 0.0, np.where(cap_r2 < 1.0, caps, N), 0).astype(int)
+    limit = reach * reach
+    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+    for off, cap in zip(m.tolist(), caps.tolist()):
+        last = N - off            # i runs over [0, last)
+        if cap == 0:
+            continue
+        if 2 * cap >= last:
+            ranges = ((0, last),)
+        else:
+            ranges = ((0, cap), (last - cap, last))
+        for a, b in ranges:
+            t = z[a + off:b + off] - z[a:b]
+            d2 = t * t
+            np.subtract(x[a + off:b + off], x[a:b], out=t)
+            d2 += t * t
+            np.subtract(y[a + off:b + off], y[a:b], out=t)
+            d2 += t * t
+            hit = np.flatnonzero(d2 < limit)
+            if hit.size:
+                found.append((hit + a, hit + (a + off), d2[hit]))
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _thinned_fibonacci(count: int, min_d: float):
+    """fibonacci_sphere(count) without the later point of each pair closer
+    than min_d, and the exact minimal distance of what remains.
+
+    Deleting points creates no new pair, so one pass over the close pairs
+    of the full lattice thins it completely.  The minimal distance comes
+    from the same evaluated pairs; when none of them survives, the reach
+    doubles until it covers all pairs.  Returns None below two points.
+    """
+    pts = fibonacci_sphere(count)
+    cut = min_d * (1.0 - 1e-12)
+    reach = 1.05 * min_d
+    i, j, d2 = _close_pairs(pts, reach)
+    keep = np.ones(count, dtype=bool)
+    keep[j[d2 <= cut * cut]] = False
+    if np.count_nonzero(keep) < 2:
+        return None
+    both = keep[i] & keep[j]
+    while not both.any():
+        reach *= 2.0
+        i, j, d2 = _close_pairs(pts, reach)
+        both = keep[i] & keep[j]
+    points = pts if keep.all() else pts[keep]
+    return points, float(np.sqrt(d2[both].min()))
+
+
+def _dart_throwing(n: int, min_d: float, target: int, seed: int) -> np.ndarray:
+    """Seeded random sequential packing on S^{n-1}, in batches.
+
+    Accepts exactly the points, in the same order, of the sequential
+    rule: per attempt draw rng.standard_normal(n), divide by its norm,
+    and keep it when every accepted point is at distance >= min_d; stop
+    after 200 * target attempts or at 4 * target points.  A batch of
+    draws is one standard_normal((b, n)) call (the same stream), divided
+    by sqrt(q @ q), which rounds like np.linalg.norm.  Each batch is
+    filtered against the accepted points with one KD-tree query, and its
+    own conflicts are resolved in draw order; a distance within 1e-9 of
+    min_d is decided by the sequential rule's own expression.
+    """
+    rng = np.random.default_rng(seed)
+    cap = 4 * target
+    attempts_left = 200 * target
+    accepted = np.empty((cap, n))
+    count = 0
+    lo, hi = min_d * (1.0 - 1e-9), min_d * (1.0 + 1e-9)
+    while attempts_left > 0 and count < cap:
+        size = min(attempts_left, max(64, count))  # grows with the packing
+        attempts_left -= size
+        q = rng.standard_normal((size, n))
+        q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+        if count:
+            near, _ = cKDTree(accepted[:count]).query(q, distance_upper_bound=hi)
+        else:
+            near = np.full(size, np.inf)
+        live = np.flatnonzero(near >= lo)
+        cand = q[live]
+        unsure = near[live] <= hi
+        pairs = cKDTree(cand).query_pairs(hi, output_type="ndarray")
+        gaps = np.linalg.norm(cand[pairs[:, 0]] - cand[pairs[:, 1]], axis=1)
+        order = np.argsort(pairs[:, 1], kind="stable")
+        pairs, gaps = pairs[order], gaps[order]
+        # pairs[starts[v]:starts[v + 1]] are those of v with an earlier u
+        starts = np.searchsorted(pairs[:, 1], np.arange(len(live) + 1))
+        keep = np.ones(len(live), dtype=bool)
+        for v in np.flatnonzero((np.diff(starts) > 0) | unsure).tolist():
+            s = slice(starts[v], starts[v + 1])
+            close = gaps[s][keep[pairs[s, 0]]]
+            if np.any(close < lo):
+                keep[v] = False
+            elif unsure[v] or np.any(close <= hi):
+                prior = np.concatenate([accepted[:count], cand[:v][keep[:v]]])
+                keep[v] = np.min(np.linalg.norm(prior - cand[v], axis=1)) >= min_d
+        new = cand[keep][:cap - count]
+        accepted[count:count + len(new)] = new
+        count += len(new)
+    return accepted[:count].copy()
+
+
 def pack_points(n: int, kappa: float, seed: int = 0) -> PackedPoints:
     """Centers with pairwise Euclidean distance >= 2/kappa.
 
-    n = 3 uses the Fibonacci lattice sized from its measured minimal
-    distance, then verifies every pair; other dimensions use seeded
-    random sequential packing.  The count is whatever the packer
-    achieves and is reported, never assumed.
+    n = 3 thins the Fibonacci lattice sized from its measured minimal
+    distance: an exact certificate over index offsets (_close_pairs)
+    finds every pair closer than 2/kappa in O(N log kappa) time and O(N)
+    memory, drops the later point of each, and gives the exact minimal
+    distance of the rest.  Other dimensions use seeded random sequential
+    packing, run in order-preserving batches (_dart_throwing).  Both
+    return exactly the points of the former KD-tree thinning and one-by-
+    one dart throwing; below two points the result is an antipodal pair.
+    The count is whatever the packer achieves and is reported, never
+    assumed.  Raises MemoryBudgetError, before allocating, when the
+    packing would need more than memory_budget().
     """
     min_d = 2.0 / kappa
-
-    def antipodal():
-        pts = np.zeros((2, n))
-        pts[0, 0], pts[1, 0] = 1.0, -1.0
-        return PackedPoints(n, kappa, pts, 2.0)
-
+    what = f"pack_points({n}, {kappa:g})"
     if n == 3:
         count = max(2, int((FIB_MIN_DIST * kappa / 2.0) ** 2 * 0.999))
-        pts = fibonacci_sphere(count)
-        for _ in range(8):
-            tree = cKDTree(pts)
-            bad = tree.query_pairs(r=min_d * (1.0 - 1e-12), output_type="ndarray")
-            if len(bad) == 0:
-                break
-            pts = np.delete(pts, np.unique(bad[:, 1]), axis=0)
-        else:
-            raise RuntimeError("could not thin the lattice to the distance bound")
-        if len(pts) < 2:
-            return antipodal()
-        return PackedPoints(n, kappa, pts, _verified_min_distance(pts))
-
-    rng = np.random.default_rng(seed)
-    target = max(2, int(2.0 * kappa ** (n - 1)))
-    accepted = []
-    attempts_left = 200 * target
-    while attempts_left > 0 and len(accepted) < 4 * target:
-        attempts_left -= 1
-        p = rng.standard_normal(n)
-        p /= np.linalg.norm(p)
-        if accepted:
-            arr = np.asarray(accepted)
-            if np.min(np.linalg.norm(arr - p, axis=1)) < min_d:
-                continue
-        accepted.append(p)
-    if len(accepted) < 2:
-        return antipodal()
-    pts = np.asarray(accepted)
-    d_exact = _verified_min_distance(pts)
-    if d_exact < min_d:
-        raise AssertionError("random packer produced a violating pair")
-    return PackedPoints(n, kappa, pts, d_exact)
+        _check_budget(what, count, "points", count * _BYTES_PER_LATTICE_POINT)
+        packed = _thinned_fibonacci(count, min_d)
+        if packed is not None:
+            return PackedPoints(n, kappa, *packed)
+    else:
+        target = max(2, int(2.0 * kappa ** (n - 1)))
+        _check_budget(what, 4 * target, "points",
+                      4 * target * n * _BYTES_PER_DART_COORDINATE)
+        pts = _dart_throwing(n, min_d, target, seed)
+        if len(pts) >= 2:
+            d_exact = _verified_min_distance(pts)
+            if d_exact < min_d:
+                raise AssertionError("random packer produced a violating pair")
+            return PackedPoints(n, kappa, pts, d_exact)
+    pts = np.zeros((2, n))
+    pts[0, 0], pts[1, 0] = 1.0, -1.0
+    return PackedPoints(n, kappa, pts, 2.0)
 
 
 # -- flat radial cubic-term identity ----------------------------------------------
@@ -342,13 +504,20 @@ def total_mean_curvature_zonal(domain: DentedSphere) -> float:
 
 def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = None,
                               chunk: int = 400_000) -> float:
-    """Independent check on a dense 2-D grid (n = 3)."""
+    """Independent check on a dense 2-D grid (n = 3).
+
+    Raises MemoryBudgetError, before building the grid, when its nodes
+    would need more than memory_budget().
+    """
     if domain.n != 3:
         raise ValueError("the full-grid route is built for n = 3")
     if resolution is None:
         # ~13 polar nodes per dent radius; even multiples of kappa can beat
         # against the dent lattice and inflate the quadrature error
         resolution = max(256, int(math.ceil(13 * domain.kappa)))
+    nodes = 2 * resolution * resolution
+    _check_budget(f"the dense-grid check at resolution {resolution}", nodes,
+                  "nodes", nodes * _BYTES_PER_GRID_NODE)
     grid = build_grid(3, resolution)
     K = domain.on_grid(grid)
     return K.integrated_mean_curvature(chunk=chunk)
@@ -410,19 +579,26 @@ def find_negative_mean_curvature(n: int, eps: float, threshold: float = -1.0,
                                  packing_cache: dict | None = None) -> dict:
     """Double kappa until the total mean curvature drops below the threshold.
 
-    Never silent: returns found=False with the full history when the cap
-    is reached.
+    Never silent: returns found=False with the full history and the
+    reason when kappa_max is passed or the next packing would exceed
+    memory_budget() (the history then ends at the last kappa within it).
     """
     history = []
     kappa = float(kappa_start)
+    reason = f"kappa exceeds kappa_max = {kappa_max:g}"
     while kappa <= kappa_max:
-        rec = total_mean_curvature(n, eps, kappa, seed, method="zonal",
-                                   packing_cache=packing_cache)
+        try:
+            rec = total_mean_curvature(n, eps, kappa, seed, method="zonal",
+                                       packing_cache=packing_cache)
+        except MemoryBudgetError as exc:
+            reason = str(exc)
+            break
         history.append(rec)
         if rec["int_H_zonal"] < threshold:
             return {"found": True, "kappa_star": kappa,
-                    "int_H": rec["int_H_zonal"], "history": history}
+                    "int_H": rec["int_H_zonal"], "history": history,
+                    "reason": None}
         kappa *= 2.0
     return {"found": False, "kappa_star": None,
             "int_H": history[-1]["int_H_zonal"] if history else None,
-            "history": history}
+            "history": history, "reason": reason}

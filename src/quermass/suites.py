@@ -287,7 +287,8 @@ def negative_total_curvature_suite(eps: float = 0.3, threshold: float = -1.0,
              "c1_norm": r["c1_norm"]}
             for r in out["history"]]
     return {"rows": rows, "columns": DENT_EXTRA_COLUMNS, "passed": out["found"],
-            "summary": {"kappa_star": out["kappa_star"], "int_H": out["int_H"]}}
+            "summary": {"kappa_star": out["kappa_star"], "int_H": out["int_H"],
+                        "reason": out["reason"]}}
 
 
 # -- conjecture harness -------------------------------------------------------------------

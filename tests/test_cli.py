@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quermass import fields, io as qio
-from quermass.cli import main
+from quermass import fields, io as qio, suites
+from quermass.cli import build_parser, main
 from quermass.fields import ScalarField
 from quermass.grids import build_grid
 from quermass.stardomain import StarDomain
@@ -131,3 +131,29 @@ def test_verify_second_alias(tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert (out / "verify_eigen-interp.csv").exists()
+
+
+def test_eps_default_is_per_subcommand(monkeypatch, tmp_path):
+    # counterexample's own default (0.3) must not leak into the --eps that
+    # all subcommands share
+    assert build_parser().parse_args(["verify", "grad-normal"]).eps is None
+    seen = []
+
+    def fake_suite(**kwargs):
+        seen.append(kwargs)
+        return {"rows": [{"x": 1}], "columns": ["x"], "passed": True,
+                "summary": {}}
+
+    monkeypatch.setattr(suites, "gradient_normal_suite", fake_suite)
+    assert main(["verify", "grad-normal", "--out", str(tmp_path / "a")]) == 0
+    assert main(["verify", "grad-normal", "--eps", "0", "--count", "0",
+                 "--resolution", "0", "--out", str(tmp_path / "b")]) == 0
+    assert (seen[0]["eps"], seen[0]["count"], seen[0]["resolution"]) == (0.1, 100, 32)
+    assert (seen[1]["eps"], seen[1]["count"], seen[1]["resolution"]) == (0.0, 0, 0)
+
+
+def test_counterexample_over_budget_exits_2(tmp_path, capsys):
+    code = main(["counterexample", "--kappa", "1e5", "--eps", "0.3",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err

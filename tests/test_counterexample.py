@@ -1,15 +1,24 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
+from quermass import counterexample as cx
 from quermass.axisym import AxialProfile, axial_functionals
 from quermass.counterexample import (
+    FIB_MIN_DIST,
+    MemoryBudgetError,
     PackedPoints,
+    _thinned_fibonacci,
     affine_fit,
     build_counterexample,
+    fibonacci_sphere,
     find_negative_mean_curvature,
     make_bump,
     pack_points,
@@ -20,6 +29,53 @@ from quermass.counterexample import (
     total_mean_curvature_zonal,
 )
 from quermass.grids import build_grid, sphere_area
+
+
+# -- reference packers: the KD-tree thinning and the one-by-one dart
+# throwing that pack_points must reproduce exactly
+
+
+def _reference_thinning(count, min_d):
+    pts = fibonacci_sphere(count)
+    for _ in range(8):
+        tree = cKDTree(pts)
+        bad = tree.query_pairs(r=min_d * (1.0 - 1e-12), output_type="ndarray")
+        if len(bad) == 0:
+            break
+        pts = np.delete(pts, np.unique(bad[:, 1]), axis=0)
+    else:
+        raise RuntimeError("could not thin the lattice to the distance bound")
+    if len(pts) < 2:
+        return None
+    d, _ = cKDTree(pts).query(pts, k=2, workers=-1)
+    return pts, float(d[:, 1].min())
+
+
+def _reference_darts(n, kappa, seed):
+    min_d = 2.0 / kappa
+    rng = np.random.default_rng(seed)
+    target = max(2, int(2.0 * kappa ** (n - 1)))
+    accepted = []
+    attempts_left = 200 * target
+    while attempts_left > 0 and len(accepted) < 4 * target:
+        attempts_left -= 1
+        p = rng.standard_normal(n)
+        p /= np.linalg.norm(p)
+        if accepted:
+            arr = np.asarray(accepted)
+            if np.min(np.linalg.norm(arr - p, axis=1)) < min_d:
+                continue
+        accepted.append(p)
+    return np.asarray(accepted)
+
+
+def _lattice_count(kappa):
+    return max(2, int((FIB_MIN_DIST * kappa / 2.0) ** 2 * 0.999))
+
+
+def _is_antipodal(packed):
+    return (packed.count == 2 and packed.min_distance == 2.0
+            and packed.points[0, 0] == 1.0 and packed.points[1, 0] == -1.0)
 
 
 def test_bump_box_constraints():
@@ -52,6 +108,123 @@ def test_pack_points_small_kappa():
         packed = pack_points(n, 1.0, seed=1)
         assert packed.count >= 2
         assert packed.min_distance >= 2.0
+
+
+@pytest.mark.parametrize("kappa", [1.0, 10.0, 20.0, 40.0, 80.0])
+def test_lattice_certificate_matches_kdtree(kappa):
+    packed = pack_points(3, kappa)
+    ref = _reference_thinning(_lattice_count(kappa), 2.0 / kappa)
+    if ref is None:
+        assert _is_antipodal(packed)
+    else:
+        assert np.array_equal(packed.points, ref[0])
+        assert packed.min_distance == ref[1]
+
+
+@pytest.mark.parametrize("kappa", [3.3, 10.0, 20.0, 40.0, 80.0])
+def test_oversized_lattice_loses_the_same_points(kappa):
+    # 20% more points than the lattice holds at spacing 2/kappa, so the
+    # certificate must find and drop many close pairs
+    count = int(1.2 * _lattice_count(kappa))
+    ref_pts, ref_min = _reference_thinning(count, 2.0 / kappa)
+    pts, d_min = _thinned_fibonacci(count, 2.0 / kappa)
+    assert len(pts) < 0.9 * count
+    assert np.array_equal(pts, ref_pts)
+    assert d_min == ref_min
+
+
+def _brute_force_min_distance(pts):
+    best = np.inf
+    for i in range(len(pts) - 1):
+        d = pts[i + 1:] - pts[i]
+        best = min(best, float(np.min(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+                                      + d[:, 2] * d[:, 2])))
+    return math.sqrt(best)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=1.0, max_value=60.0))
+def test_certified_minimum_is_the_brute_force_minimum(kappa):
+    packed = pack_points(3, kappa)
+    assert packed.min_distance >= 2.0 / kappa
+    assert packed.min_distance == _brute_force_min_distance(packed.points)
+
+
+@pytest.mark.parametrize("n,kappa,seed", [
+    (4, 4.0, 0), (4, 4.0, 1), (4, 4.0, 2), (4, 4.0, 3), (4, 4.0, 4),
+    (4, 6.0, 3), (5, 2.0, 3), (4, 1.0, 0),
+])
+def test_batched_darts_match_sequential_loop(n, kappa, seed):
+    packed = pack_points(n, kappa, seed)
+    ref = _reference_darts(n, kappa, seed)
+    if len(ref) < 2:
+        assert _is_antipodal(packed)
+    else:
+        assert np.array_equal(packed.points, ref)
+
+
+def test_batched_darts_reach_kappa_10_in_four_dimensions():
+    # the sequential loop needs minutes here; its result has 1593 points
+    packed = pack_points(4, 10.0)
+    assert packed.count == 1593
+    assert packed.min_distance >= 0.2
+
+
+def test_pack_points_fails_fast_over_budget():
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(MemoryBudgetError, match="budget"):
+            pack_points(3, 1e5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1e6
+    with pytest.raises(MemoryBudgetError):
+        pack_points(4, 1e5)
+    domain = build_counterexample(3, 0.3, 20.0)
+    with pytest.raises(MemoryBudgetError, match="nodes"):
+        total_mean_curvature_grid(domain, resolution=100_000)
+
+
+class _PastBudget(Exception):
+    pass
+
+
+def _raise_past_budget(*args, **kwargs):
+    raise _PastBudget
+
+
+def test_budget_follows_physical_memory(monkeypatch):
+    # on 8 GiB the kappa = 5120 lattice (62.6M points, ~4.7 GiB) and the
+    # kappa = 320 grid check (34.6M nodes, ~4.1 GiB) are let through to
+    # the allocation, which is stubbed out; on 4 GiB both are refused
+    domain = build_counterexample(3, 0.3, 320.0)
+    monkeypatch.setattr(cx, "fibonacci_sphere", _raise_past_budget)
+    monkeypatch.setattr(cx, "build_grid", _raise_past_budget)
+    monkeypatch.setattr(cx, "_physical_memory", lambda: 8 * 2**30)
+    assert cx.memory_budget() == 6 * 2**30
+    with pytest.raises(_PastBudget):
+        pack_points(3, 5120.0)
+    with pytest.raises(_PastBudget):
+        total_mean_curvature_grid(domain)
+    monkeypatch.setattr(cx, "_physical_memory", lambda: 4 * 2**30)
+    with pytest.raises(MemoryBudgetError, match="62,596,850 points"):
+        pack_points(3, 5120.0)
+    with pytest.raises(MemoryBudgetError, match="34,611,200 nodes"):
+        total_mean_curvature_grid(domain)
+
+
+def test_search_stops_at_the_last_kappa_within_budget(monkeypatch):
+    # a budget that admits the kappa = 80 lattice (15282 points) but not 160
+    monkeypatch.setattr(cx, "_physical_memory",
+                        lambda: 20_000 * cx._BYTES_PER_LATTICE_POINT
+                        / cx.MEMORY_FRACTION)
+    out = find_negative_mean_curvature(3, 0.3, kappa_start=20.0)
+    assert not out["found"]
+    assert [r["kappa"] for r in out["history"]] == [20.0, 40.0, 80.0]
+    assert "budget" in out["reason"]
 
 
 def test_pack_scaling():
