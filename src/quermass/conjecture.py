@@ -40,23 +40,36 @@ class ConjectureCandidate:
 
 
 class _Backend:
-    """Shared interface: coefficient vectors <-> node data on a quadrature set."""
+    """Shared interface: coefficient vectors <-> node data on a quadrature set.
+
+    A backend supplies ascent_fields, the three node fields of one
+    ascent step from a single pass over the stacked pair [c, -lam c];
+    the single-field accessors read from it.
+    """
+
+    def ascent_fields(self, c):
+        """(lap u, |grad u|^2, grad(lap u) . grad u) at the nodes."""
+        raise NotImplementedError
 
     def laplacian_values(self, c):
-        raise NotImplementedError
+        return self.ascent_fields(c)[0]
 
     def grad2_values(self, c):
-        raise NotImplementedError
+        return self.ascent_fields(c)[1]
 
     def graddelta_dot_grad(self, c):
-        raise NotImplementedError
+        return self.ascent_fields(c)[2]
+
+    def constraint_max(self, c):
+        """max lap(u) over the constraint's evaluation set."""
+        return float(np.max(self.laplacian_values(c)))
 
     def project(self, values):
-        """<values, basis_b> for every b (discrete analysis)."""
+        """<values, basis_b> for every b (discrete analysis); values (..., N)."""
         raise NotImplementedError
 
     def integrate(self, values):
-        raise NotImplementedError
+        return float(np.sum(self.weights * values))
 
     def grad_inf(self, c):
         raise NotImplementedError
@@ -75,33 +88,20 @@ class FullSphereBackend(_Backend):
         self.n = 3
         self.L = L
         self.grid = build_grid(3, resolution)
+        self.weights = self.grid.weights
+        self.sin_theta, _ = fields.node_angles(self.grid)
         self.eigenvalues = harmonics.degree_of_index(L) * (
             harmonics.degree_of_index(L) + 1.0)
         self.num_coeffs = harmonics.coeff_count(L)
 
-    def _field(self, c):
-        return fields.synthesize(c, self.grid)
-
-    def laplacian_values(self, c):
-        return harmonics.sh_synthesize(self.grid, -self.eigenvalues * c)
-
-    def _grad_frame(self, c):
-        return fields.grad_frame(self._field(c))
-
-    def grad2_values(self, c):
-        g = self._grad_frame(c)
-        return np.einsum("ik,ik->i", g, g)
-
-    def graddelta_dot_grad(self, c):
-        g = self._grad_frame(c)
-        gd = fields.grad_frame(self._field(-self.eigenvalues * c))
-        return np.einsum("ik,ik->i", g, gd)
+    def ascent_fields(self, c):
+        u, u_t, u_p = harmonics.sh_chart_derivatives(
+            self.grid, np.stack([c, -self.eigenvalues * c]), second=False)
+        g_p = u_p / self.sin_theta
+        return u[1], u_t[0] * u_t[0] + g_p[0] * g_p[0], u_t[0] * u_t[1] + g_p[0] * g_p[1]
 
     def project(self, values):
         return harmonics.sh_analyze(self.grid, values, self.L)
-
-    def integrate(self, values):
-        return float(np.sum(self.grid.weights * values))
 
     def grad_inf(self, c):
         return float(np.max(np.sqrt(self.grad2_values(c))))
@@ -118,32 +118,23 @@ class CircleBackend(_Backend):
         self.n = 2
         self.L = L
         self.grid = build_grid(2, resolution)
+        self.weights = self.grid.weights
         m = np.arange(2 * L + 1)
         l = (m + 1) // 2
         self.eigenvalues = (l * l).astype(float)
         self.num_coeffs = 2 * L + 1
 
-    def laplacian_values(self, c):
-        return fields.synthesize(-self.eigenvalues * c, self.grid).values
-
-    def _grad_values(self, c):
-        return fields.grad_frame(fields.synthesize(c, self.grid))[:, 0]
-
-    def grad2_values(self, c):
-        return self._grad_values(c) ** 2
-
-    def graddelta_dot_grad(self, c):
-        return self._grad_values(c) * self._grad_values(-self.eigenvalues * c)
+    def ascent_fields(self, c):
+        pair = np.stack([c, -self.eigenvalues * c])
+        g = fields.fourier_synthesize(self.grid, pair, dphi=1)
+        lap = fields.fourier_synthesize(self.grid, pair[1])
+        return lap, g[0] * g[0], g[0] * g[1]
 
     def project(self, values):
-        return fields.analyze(
-            fields.ScalarField(self.grid, values), self.L).coeffs
-
-    def integrate(self, values):
-        return float(np.sum(self.grid.weights * values))
+        return fields.fourier_analyze(self.grid, values, self.L)
 
     def grad_inf(self, c):
-        return float(np.max(np.abs(self._grad_values(c))))
+        return float(np.max(np.abs(fields.fourier_synthesize(self.grid, c, dphi=1))))
 
 
 class ZonalBackend(_Backend):
@@ -174,18 +165,17 @@ class ZonalBackend(_Backend):
         self.Z_theta_dense = -np.sqrt(np.maximum(0.0, 1 - td * td))[None, :] \
             * self.basis.values(td, derivative=1)
 
+    def ascent_fields(self, c):
+        pair = np.stack([c, -self.eigenvalues * c])
+        g = pair @ self.Z_theta
+        return pair[1] @ self.Z, g[0] * g[0], g[0] * g[1]
+
     def laplacian_values(self, c, dense: bool = False):
         Z = self.Z_dense if dense else self.Z
         return (-self.eigenvalues * c) @ Z
 
-    def grad2_values(self, c):
-        return (c @ self.Z_theta) ** 2
-
-    def graddelta_dot_grad(self, c):
-        return (c @ self.Z_theta) * ((-self.eigenvalues * c) @ self.Z_theta)
-
     def project(self, values):
-        return self.area_factor * (self.Z @ (self.w * values))
+        return self.area_factor * ((self.w * values) @ self.Z.T)
 
     def integrate(self, values):
         return self.area_factor * float(np.sum(self.w * values))
@@ -225,9 +215,7 @@ def ratio(backend: _Backend, c: np.ndarray) -> float:
 
 def feasibility(backend: _Backend, c: np.ndarray) -> float:
     """1 - max lap(u); nonnegative for admissible candidates."""
-    if isinstance(backend, ZonalBackend):
-        return 1.0 - backend.constraint_max(c)
-    return 1.0 - float(np.max(backend.laplacian_values(c)))
+    return 1.0 - backend.constraint_max(c)
 
 
 def trivial_bound_margin(backend: _Backend, c: np.ndarray) -> float:
@@ -253,8 +241,7 @@ def mean_laplacian(backend: _Backend, c: np.ndarray) -> float:
 
 
 def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
-    lap = backend.laplacian_values(c)
-    g2 = backend.grad2_values(c)
+    lap, g2, gdg = backend.ascent_fields(c)
     den = backend.integrate(g2)
     num = backend.integrate(lap * g2)
     hinge = np.maximum(lap - 1.0, 0.0)
@@ -263,10 +250,11 @@ def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
 
     lam = backend.eigenvalues
     # dN/dc_b = -lam_b <Y_b, |grad u|^2> - 2 <Y_b, grad(lap u).grad u + lap(u)^2>
-    gN = (-lam * backend.project(g2)
-          - 2.0 * backend.project(backend.graddelta_dot_grad(c) + lap * lap))
-    gD = -2.0 * backend.project(lap)
-    gP = -2.0 * lam * backend.project(hinge)
+    p_g2, p_mixed, p_lap, p_hinge = backend.project(
+        np.stack([g2, gdg + lap * lap, lap, hinge]))
+    gN = -lam * p_g2 - 2.0 * p_mixed
+    gD = -2.0 * p_lap
+    gP = -2.0 * lam * p_hinge
     grad = (gN * den - num * gD) / den**2 - mu * gP
     return value, grad
 

@@ -531,13 +531,14 @@ def total_mean_curvature(n: int, eps: float, kappa: float, seed: int = 0,
 
     method "zonal" uses the exact per-dent decomposition; "both" adds
     the dense-grid evaluation (n = 3) and reports their relative gap.
-    packing_cache maps kappa to PackedPoints: packings depend only on
-    kappa, so sweeps over eps can share the expensive part.
+    packing_cache maps (n, kappa, seed) to PackedPoints: packings do not
+    depend on eps, so sweeps over eps can share the expensive part.
     """
     if centers is None and packing_cache is not None:
-        if kappa not in packing_cache:
-            packing_cache[kappa] = pack_points(n, kappa, seed)
-        centers = packing_cache[kappa]
+        key = (n, kappa, seed)
+        if key not in packing_cache:
+            packing_cache[key] = pack_points(n, kappa, seed)
+        centers = packing_cache[key]
     domain = build_counterexample(n, eps, kappa, seed, centers=centers)
     out = {
         "n": n, "eps": eps, "kappa": kappa,

@@ -68,32 +68,33 @@ def node_angles(grid: SphericalGrid) -> tuple:
 
 # -- transforms --------------------------------------------------------------
 
-def _circle_synth(grid, coeffs, dphi=0):
-    K = coeffs.shape[0]
-    L = (K - 1) // 2
+def fourier_synthesize(grid, coeffs: np.ndarray, dphi: int = 0) -> np.ndarray:
+    """n = 2: node values (or the dphi-th derivative) of (..., 2L+1) coefficients."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    L = (coeffs.shape[-1] - 1) // 2
     m_phi = grid.num_nodes
-    F = np.zeros(m_phi // 2 + 1, dtype=complex)
-    c0 = coeffs[0] / math.sqrt(2.0 * math.pi)
+    F = np.zeros(coeffs.shape[:-1] + (m_phi // 2 + 1,), dtype=complex)
+    if dphi == 0:
+        F[..., 0] = coeffs[..., 0] / math.sqrt(2.0 * math.pi) * m_phi
+    m = np.arange(1, L + 1)
     sq = 1.0 / math.sqrt(math.pi)
-    F[0] = c0 * m_phi if dphi == 0 else 0.0
-    for m in range(1, L + 1):
-        pc, ps = coeffs[2 * m - 1] * sq, coeffs[2 * m] * sq
-        if dphi == 1:
-            pc, ps = m * ps, -m * pc
-        elif dphi == 2:
-            pc, ps = -(m * m) * pc, -(m * m) * ps
-        F[m] = (pc - 1j * ps) * (m_phi / 2.0)
-    return np.fft.irfft(F, n=m_phi)
+    pc, ps = coeffs[..., 1::2] * sq, coeffs[..., 2::2] * sq
+    if dphi == 1:
+        pc, ps = m * ps, -m * pc
+    elif dphi == 2:
+        pc, ps = -(m * m) * pc, -(m * m) * ps
+    F[..., 1:L + 1] = (pc - 1j * ps) * (m_phi / 2.0)
+    return np.fft.irfft(F, n=m_phi, axis=-1)
 
 
-def _circle_analyze(grid, values, L):
+def fourier_analyze(grid, values: np.ndarray, L: int) -> np.ndarray:
+    """n = 2: (..., 2L+1) Fourier coefficients of (..., N) node values."""
     m_phi = grid.num_nodes
-    A = np.fft.rfft(values)
-    coeffs = np.zeros(2 * L + 1)
-    coeffs[0] = A[0].real / m_phi * math.sqrt(2.0 * math.pi)
-    for m in range(1, L + 1):
-        coeffs[2 * m - 1] = 2.0 * A[m].real / m_phi * math.sqrt(math.pi)
-        coeffs[2 * m] = -2.0 * A[m].imag / m_phi * math.sqrt(math.pi)
+    A = np.fft.rfft(values, axis=-1)[..., :L + 1]
+    coeffs = np.empty(A.shape[:-1] + (2 * L + 1,))
+    coeffs[..., 0] = A[..., 0].real / m_phi * math.sqrt(2.0 * math.pi)
+    coeffs[..., 1::2] = 2.0 * A[..., 1:].real / m_phi * math.sqrt(math.pi)
+    coeffs[..., 2::2] = -2.0 * A[..., 1:].imag / m_phi * math.sqrt(math.pi)
     return coeffs
 
 
@@ -107,7 +108,7 @@ def analyze(f: ScalarField, L: int | None = None) -> ScalarField:
     if grid.n == 3:
         coeffs = harmonics.sh_analyze(grid, f.values, L)
     elif grid.n == 2:
-        coeffs = _circle_analyze(grid, f.values, L)
+        coeffs = fourier_analyze(grid, f.values, L)
     else:
         raise ValueError(
             "spectral analysis on the full grid is implemented for n in {2, 3}; "
@@ -124,7 +125,7 @@ def synthesize(coeffs: np.ndarray, grid: SphericalGrid) -> ScalarField:
         values = harmonics.sh_synthesize(grid, coeffs)
         L = int(round(math.sqrt(coeffs.shape[0]))) - 1
     elif grid.n == 2:
-        values = _circle_synth(grid, coeffs)
+        values = fourier_synthesize(grid, coeffs)
         L = (coeffs.shape[0] - 1) // 2
     else:
         raise ValueError("synthesis on the full grid requires n in {2, 3}")
@@ -160,17 +161,11 @@ def _chart_derivatives_spectral(f: ScalarField, second: bool):
     grid = f.grid
     c = f.coeffs
     if grid.n == 3:
-        d = {}
-        d["t"] = harmonics.sh_synthesize(grid, c, 1, 0)
-        d["p"] = harmonics.sh_synthesize(grid, c, 0, 1)
-        if second:
-            d["tt"] = harmonics.sh_synthesize(grid, c, 2, 0)
-            d["tp"] = harmonics.sh_synthesize(grid, c, 1, 1)
-            d["pp"] = harmonics.sh_synthesize(grid, c, 0, 2)
-        return d
-    d = {"p": _circle_synth(grid, c, 1)}
+        keys = ("u", "t", "p", "tt", "tp", "pp")
+        return dict(zip(keys, harmonics.sh_chart_derivatives(grid, c, second)))
+    d = {"p": fourier_synthesize(grid, c, 1)}
     if second:
-        d["pp"] = _circle_synth(grid, c, 2)
+        d["pp"] = fourier_synthesize(grid, c, 2)
     return d
 
 

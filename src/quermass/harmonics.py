@@ -65,39 +65,41 @@ def legendre_tables(L: int, t: np.ndarray, derivatives: int = 2):
     Normalization: 2*pi * integral of Q_{l,m}^2 dt = 1, so that the real
     basis built below is orthonormal on S^2.
 
+    One pass over the degree l fills row l of every table, vectorized over
+    m <= l; temporaries stay one row in size, so the peak memory is the
+    three tables themselves.
+
     Requires |t| < 1 (the Gauss nodes exclude the poles).
     """
     t = np.asarray(t, dtype=float)
     s = np.sqrt(1.0 - t * t)
-    nt = t.shape[0]
-    Q = np.zeros((L + 1, L + 1, nt))
-    Q[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
-    for m in range(1, L + 1):
-        Q[m, m] = Q[m - 1, m - 1] * s * math.sqrt((2 * m + 1) / (2.0 * m))
-    for m in range(L):
-        Q[m + 1, m] = Q[m, m] * t * math.sqrt(2 * m + 3.0)
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            a_prev = math.sqrt((4.0 * (l - 1) ** 2 - 1.0) / ((l - 1) ** 2 - m * m))
-            Q[l, m] = a * (t * Q[l - 1, m] - Q[l - 2, m] / a_prev)
-    if derivatives == 0:
-        return Q, None, None
-
-    dQ = np.zeros_like(Q)
-    for m in range(L + 1):
-        for l in range(m, L + 1):
-            b = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > m else 0.0
-            low = Q[l - 1, m] if l > m else 0.0
-            dQ[l, m] = (l * t * Q[l, m] - b * low) / s
-    if derivatives == 1:
-        return Q, dQ, None
-
-    # second derivative from the associated Legendre ODE
-    d2Q = np.zeros_like(Q)
     cot = t / s
-    for m in range(L + 1):
-        for l in range(m, L + 1):
-            d2Q[l, m] = -cot * dQ[l, m] - (l * (l + 1.0) - m * m / (s * s)) * Q[l, m]
+    Q = np.zeros((L + 1, L + 1, t.shape[0]))
+    dQ = np.zeros_like(Q) if derivatives >= 1 else None
+    d2Q = np.zeros_like(Q) if derivatives >= 2 else None
+    Q[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    for l in range(L + 1):
+        if l >= 1:
+            Q[l, l] = Q[l - 1, l - 1] * s * math.sqrt((2 * l + 1) / (2.0 * l))
+            Q[l, l - 1] = Q[l - 1, l - 1] * t * math.sqrt(2 * (l - 1) + 3.0)
+        if l >= 2:
+            m = np.arange(l - 1)
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+            a_prev = np.sqrt((4.0 * (l - 1) ** 2 - 1.0) / ((l - 1) ** 2 - m * m))[:, None]
+            Q[l, :l - 1] = a * (t * Q[l - 1, :l - 1] - Q[l - 2, :l - 1] / a_prev)
+        if dQ is None:
+            continue
+        m = np.arange(l + 1)
+        row = Q[l, :l + 1]
+        # b Q[l-1, m] for m < l; the m = l term is exactly 0.0 * 0.0
+        b = np.zeros(l + 1)
+        b[:l] = np.sqrt((l * l - m[:l] * m[:l]) * (2.0 * l + 1.0) / (2.0 * l - 1.0))
+        low = Q[l - 1, :l + 1] if l else np.zeros_like(row)
+        dQ[l, :l + 1] = (l * t * row - b[:, None] * low) / s
+        if d2Q is not None:
+            # second derivative from the associated Legendre ODE
+            d2Q[l, :l + 1] = (-cot * dQ[l, :l + 1]
+                              - (l * (l + 1.0) - (m * m)[:, None] / (s * s)) * row)
     return Q, dQ, d2Q
 
 
@@ -121,25 +123,28 @@ def flat_index(l: int, m_index: int) -> int:
     return l * l + m_index
 
 
-def _m_slices(L: int):
-    """Per-order gather indices into the flat coefficient vector.
+def _order_layout(L: int) -> np.ndarray:
+    """Flat coefficient index at each (m, l, cos/sin) slot.
 
-    For each m: (cos indices over l = max(m,1*)..L, sin indices); m = 0
-    has only the "cos" list (the zonal line).
+    The (L+1, L+1, 2) array pairs with the table view Q.transpose(1, 0, 2)
+    = (m, l, theta).  Slots without a coefficient (l < m, and the sine of
+    m = 0) hold (L+1)^2, the index of an appended zero.
     """
-    cos_idx, sin_idx = [], []
-    for m in range(L + 1):
-        if m == 0:
-            cos_idx.append(np.array([l * l for l in range(L + 1)]))
-            sin_idx.append(None)
-        else:
-            cos_idx.append(np.array([l * l + 2 * m - 1 for l in range(m, L + 1)]))
-            sin_idx.append(np.array([l * l + 2 * m for l in range(m, L + 1)]))
-    return cos_idx, sin_idx
+    K = coeff_count(L)
+    m = np.arange(L + 1)[:, None]
+    l = np.arange(L + 1)[None, :]
+    cos = np.where(l >= m, l * l + np.maximum(2 * m - 1, 0), K)
+    sin = np.where((l >= m) & (m > 0), l * l + 2 * m, K)
+    return np.stack([cos, sin], axis=-1)
 
 
 def sh_tables_for_grid(grid, L: int):
-    """Legendre tables at the grid's polar nodes, cached on the grid."""
+    """Legendre tables and transform constants at the grid, cached on it.
+
+    "gather" maps the flat coefficients (plus an appended zero) to the
+    (m, l, cos/sin) slots of the batched matmul, "scatter" maps those
+    slots back to the flat order.
+    """
     if grid.n != 3:
         raise ValueError("full spherical-harmonic stack is built for n = 3 only")
     if L > grid.max_degree:
@@ -148,9 +153,21 @@ def sh_tables_for_grid(grid, L: int):
         )
 
     def build():
-        t = grid.axis_nodes[0]
-        Q, dQ, d2Q = legendre_tables(L, t)
-        return {"tables": (Q, dQ, d2Q), "slices": _m_slices(L)}
+        Q, dQ, d2Q = legendre_tables(L, grid.axis_nodes[0])
+        slots = _order_layout(L).ravel()
+        scatter = np.empty(coeff_count(L), dtype=int)
+        used = slots < coeff_count(L)
+        scatter[slots[used]] = np.flatnonzero(used)
+        m = np.arange(L + 1)
+        m_phi = len(grid.angles[1])
+        # synthesis: Fourier amplitude of a unit (cos, sin) pair is sqrt2 m_phi / 2
+        synth_scale = np.where(m == 0, m_phi, _SQRT2 * m_phi / 2.0)
+        # analysis: (cos, sin) coefficient from Re, -Im of the rfft, times the
+        # polar weights
+        an_scale = np.where(m == 0, 2.0 * math.pi, 2.0 * _SQRT2 * math.pi) / m_phi
+        return {"tables": (Q, dQ, d2Q), "gather": slots, "scatter": scatter,
+                "synth_scale": synth_scale, "i_m": 1j * m,
+                "an_weights": an_scale[:, None] * grid.axis_weights[0][None, :]}
 
     return grid.cache(("sh", L), build)
 
@@ -158,63 +175,107 @@ def sh_tables_for_grid(grid, L: int):
 _SQRT2 = math.sqrt(2.0)
 
 
-def sh_synthesize(grid, coeffs: np.ndarray, dtheta: int = 0, dphi: int = 0) -> np.ndarray:
-    """Evaluate a coefficient vector (or its chart derivative) at grid nodes.
+def _coeff_shape(coeffs: np.ndarray) -> tuple:
+    """(batch shape, L) of a (..., (L+1)^2) coefficient array."""
+    K = coeffs.shape[-1]
+    L = int(round(math.sqrt(K))) - 1
+    if coeff_count(L) != K:
+        raise ValueError("coefficient vector length is not a perfect square")
+    return coeffs.shape[:-1], L
 
-    dtheta in {0,1,2} selects the Legendre table; dphi in {0,1,2} applies
-    the d/dphi action on the (cos, sin) pairs.  Returns (N,) node values.
+
+def _order_sums(data, coeffs: np.ndarray, tables) -> list:
+    """Per-order Legendre sums, one batched matmul per table.
+
+    coeffs is (B, K); returns, for each table T, the (m, B, theta)
+    complex array of scaled (pc - i ps), with pc, ps the sums over l of
+    the cos and sin coefficients of order m times T[l, m].
+    """
+    B = coeffs.shape[0]
+    padded = np.concatenate([coeffs, np.zeros((B, 1))], axis=1)
+    L1 = data["tables"][0].shape[0]
+    P = padded.T[data["gather"]].reshape(L1, L1, 2 * B)   # (m, l, cos/sin x B)
+    P = P.transpose(0, 2, 1)                                # (m, 2B, l)
+    out = []
+    for T in tables:
+        S = np.matmul(P, T.transpose(1, 0, 2))             # (m, 2B, theta)
+        z = S[:, :B] - 1j * S[:, B:]
+        z *= data["synth_scale"][:, None, None]
+        out.append(z)
+    return out
+
+
+def _to_nodes(grid, spectra) -> np.ndarray:
+    """(F, m, B, theta) order spectra -> (F, B, N) node values, one irfft."""
+    F, L1, B, n_theta = spectra.shape
+    m_phi = len(grid.angles[1])
+    full = np.zeros((F, B, n_theta, m_phi // 2 + 1), dtype=complex)
+    full[..., :L1] = spectra.transpose(0, 2, 3, 1)
+    return np.fft.irfft(full, n=m_phi, axis=-1).reshape(F, B, -1)
+
+
+def sh_synthesize(grid, coeffs: np.ndarray, dtheta: int = 0, dphi: int = 0) -> np.ndarray:
+    """Evaluate coefficients (or one chart derivative) at the grid nodes.
+
+    coeffs is (K,) or (..., K) with K = (L+1)^2; dtheta in {0,1,2}
+    selects the Legendre table, dphi in {0,1,2} multiplies order m by
+    (i m)^dphi.  Returns (N,) or (..., N) node values.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    L = int(round(math.sqrt(coeffs.shape[0]))) - 1
-    if coeff_count(L) != coeffs.shape[0]:
-        raise ValueError("coefficient vector length is not a perfect square")
+    batch, L = _coeff_shape(coeffs)
     data = sh_tables_for_grid(grid, L)
-    Q = data["tables"][dtheta]
-    cos_idx, sin_idx = data["slices"]
-    n_theta = len(grid.axis_nodes[0])
-    m_phi = len(grid.angles[1])
+    (z,) = _order_sums(data, coeffs.reshape(-1, coeffs.shape[-1]),
+                       [data["tables"][dtheta]])
+    if dphi:
+        z *= (data["i_m"] ** dphi)[:, None, None]
+    return _to_nodes(grid, z[None])[0].reshape(batch + (-1,))
 
-    F = np.zeros((n_theta, m_phi // 2 + 1), dtype=complex)
-    for m in range(L + 1):
-        table = Q[m:, m, :]  # (L+1-m, n_theta)
-        pc = coeffs[cos_idx[m]] @ table
-        ps = coeffs[sin_idx[m]] @ table if m > 0 else np.zeros(n_theta)
-        if m > 0:
-            pc, ps = _SQRT2 * pc, _SQRT2 * ps
-        if dphi == 1:
-            pc, ps = m * ps, -m * pc
-        elif dphi == 2:
-            pc, ps = -(m * m) * pc, -(m * m) * ps
-        if m == 0:
-            F[:, 0] = pc * m_phi
-        else:
-            F[:, m] = (pc - 1j * ps) * (m_phi / 2.0)
-    values = np.fft.irfft(F, n=m_phi, axis=1)
-    return values.ravel()
+
+def sh_chart_derivatives(grid, coeffs: np.ndarray, second: bool) -> np.ndarray:
+    """Node values and chart derivatives of coefficients, from one pass.
+
+    Returns the stacked (u, u_theta, u_phi) -- plus (u_thetatheta,
+    u_thetaphi, u_phiphi) when second -- shaped (3 or 6, ..., N) for
+    coeffs of shape (..., K): one contraction per Legendre table and one
+    stacked irfft.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    batch, L = _coeff_shape(coeffs)
+    data = sh_tables_for_grid(grid, L)
+    Q, dQ, d2Q = data["tables"]
+    im = data["i_m"][:, None, None]
+    flat = coeffs.reshape(-1, coeffs.shape[-1])
+    if second:
+        z0, z1, z2 = _order_sums(data, flat, [Q, dQ, d2Q])
+        spectra = np.stack([z0, z1, im * z0, z2, im * z1, (im * im) * z0])
+    else:
+        z0, z1 = _order_sums(data, flat, [Q, dQ])
+        spectra = np.stack([z0, z1, im * z0])
+    out = _to_nodes(grid, spectra)
+    return out.reshape((out.shape[0],) + batch + (-1,))
 
 
 def sh_analyze(grid, values: np.ndarray, L: int) -> np.ndarray:
-    """Forward transform: flat coefficient vector from node values."""
+    """Forward transform: flat coefficients from node values.
+
+    values is (N,) or (..., N); returns (K,) or (..., K).
+    """
     data = sh_tables_for_grid(grid, L)
     Q = data["tables"][0]
-    cos_idx, sin_idx = data["slices"]
+    values = np.asarray(values, dtype=float)
+    batch = values.shape[:-1]
     n_theta = len(grid.axis_nodes[0])
     m_phi = len(grid.angles[1])
-    w = grid.axis_weights[0]
-
-    A = np.fft.rfft(np.asarray(values, dtype=float).reshape(n_theta, m_phi), axis=1)
-    coeffs = np.zeros(coeff_count(L))
-    for m in range(L + 1):
-        table = Q[m:, m, :]  # (L+1-m, n_theta)
-        if m == 0:
-            a0 = A[:, 0].real / m_phi
-            coeffs[cos_idx[0]] = 2.0 * math.pi * (table @ (w * a0))
-        else:
-            am = 2.0 * A[:, m].real / m_phi
-            bm = -2.0 * A[:, m].imag / m_phi
-            coeffs[cos_idx[m]] = math.pi * _SQRT2 * (table @ (w * am))
-            coeffs[sin_idx[m]] = math.pi * _SQRT2 * (table @ (w * bm))
-    return coeffs
+    A = np.fft.rfft(values.reshape(-1, n_theta, m_phi), axis=-1)[..., :L + 1]
+    B = A.shape[0]
+    G = np.empty((L + 1, n_theta, 2 * B))                 # (m, theta, cos/sin x B)
+    At = A.transpose(2, 1, 0)
+    w = data["an_weights"][:, :, None]
+    np.multiply(w, At.real, out=G[:, :, :B])
+    np.multiply(w, -At.imag, out=G[:, :, B:])
+    R = np.matmul(Q.transpose(1, 0, 2), G)               # (m, l, 2B)
+    coeffs = R.reshape(-1, B)[data["scatter"]]           # (K, B)
+    return coeffs.T.reshape(batch + (-1,))
 
 
 def sh_values_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -223,22 +284,18 @@ def sh_values_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     Used for off-grid needs (rotating a profile, re-centering a domain).
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    L = int(round(math.sqrt(coeffs.shape[0]))) - 1
+    _, L = _coeff_shape(coeffs)
     pts = np.asarray(points, dtype=float)
-    t = np.clip(pts[:, 0], -1.0, 1.0)
     phi = np.arctan2(pts[:, 2], pts[:, 1])
     # guard the poles: Legendre recurrences divide by sin(theta) only in
     # derivative tables, values are safe, but keep |t| slightly inside.
-    t = np.clip(t, -1.0 + 1e-15, 1.0 - 1e-15)
+    t = np.clip(pts[:, 0], -1.0 + 1e-15, 1.0 - 1e-15)
     Q, _, _ = legendre_tables(L, t, derivatives=0)
-    cos_idx, sin_idx = _m_slices(L)
-    out = coeffs[cos_idx[0]] @ Q[:, 0, :]
-    for m in range(1, L + 1):
-        table = Q[m:, m, :]
-        pc = coeffs[cos_idx[m]] @ table
-        ps = coeffs[sin_idx[m]] @ table
-        out = out + _SQRT2 * (pc * np.cos(m * phi) + ps * np.sin(m * phi))
-    return out
+    P = np.append(coeffs, 0.0)[_order_layout(L)]          # (m, l, cos/sin)
+    S = np.matmul(P.transpose(0, 2, 1), Q.transpose(1, 0, 2))   # (m, cos/sin, point)
+    m = np.arange(L + 1)[:, None]
+    scale = np.where(m == 0, 1.0, _SQRT2)
+    return np.sum(scale * (S[:, 0] * np.cos(m * phi) + S[:, 1] * np.sin(m * phi)), axis=0)
 
 
 # ---------------------------------------------------------------------------

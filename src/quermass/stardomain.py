@@ -79,6 +79,7 @@ class StarDomain:
         self._eps = {}
         self._normals = None
         self._points = None
+        self._radial = None
 
     # -- basic functionals -----------------------------------------------------
 
@@ -212,16 +213,24 @@ class StarDomain:
 
     # -- normal-deviation size ----------------------------------------------------
 
+    def _radial_products(self) -> tuple:
+        """(nu . y, |y|^2) per boundary point y, fixed for the domain."""
+        if self._radial is None:
+            y, nu = self.boundary_points(), self.normal_field()
+            self._radial = (np.einsum("ij,ij->i", nu, y), np.einsum("ij,ij->i", y, y))
+        return self._radial
+
     def deviation_values(self, center) -> np.ndarray:
         """|nu(y) - (y - center)/|y - center|| per node.
 
-        Both vectors are unit, so |nu - r| = sqrt(2 - 2 nu.r).
+        Both vectors are unit, so |nu - r| = sqrt(2 - 2 nu.r), and
+        nu.r = (nu.y - nu.c) / sqrt(|y|^2 - 2 y.c + |c|^2) needs only two
+        (N, n) x (n,) products per center.
         """
-        y = self.boundary_points()
-        nu = self.normal_field()
-        rel = y - np.asarray(center, dtype=float)
-        rel /= np.sqrt(np.einsum("ij,ij->i", rel, rel))[:, None]
-        dot = np.einsum("ij,ij->i", nu, rel)
+        c = np.asarray(center, dtype=float)
+        nu_y, y2 = self._radial_products()
+        dot = (nu_y - self.normal_field() @ c) / np.sqrt(
+            y2 - 2.0 * (self.boundary_points() @ c) + c @ c)
         return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dot))
 
     def eps_size(self, optimize_center: bool = True):
@@ -308,8 +317,10 @@ class StarDomain:
     def translated(self, shift: np.ndarray) -> "StarDomain":
         """Domain K - shift, re-parametrized as a radial graph.
 
-        Solves |t z + shift| = 1 + u(direction) per node direction z by a
-        damped Newton iteration; requires an off-grid evaluable profile.
+        Solves |t z + shift| = 1 + u(direction) per node direction z by the
+        undamped fixed-point iteration t <- t - (|t z + shift| - rho), with
+        rho the radius in the current direction (at most 60 steps, until the
+        residual is below 1e-14); requires an off-grid evaluable profile.
         """
         shift = np.asarray(shift, dtype=float)
         rho = self._radius_evaluator()
@@ -371,33 +382,3 @@ def _scaled_provider(provider, a, b):
         provider.support,
         offset=a * provider.offset + b,
     )
-
-
-# -- module-level operation aliases ------------------------------------------
-
-def volume(K: StarDomain) -> float:
-    return K.volume()
-
-
-def perimeter(K: StarDomain) -> float:
-    return K.perimeter()
-
-
-def normal_field(K: StarDomain) -> np.ndarray:
-    return K.normal_field()
-
-
-def curvatures(K: StarDomain) -> CurvatureBundle:
-    return K.curvatures()
-
-
-def curvature_integrals(K: StarDomain) -> Functionals:
-    return K.curvature_integrals()
-
-
-def eps_size(K: StarDomain) -> float:
-    return K.eps_size()[0]
-
-
-def gradient_normal_check(K: StarDomain) -> dict:
-    return K.gradient_normal_report()

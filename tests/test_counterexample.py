@@ -335,6 +335,20 @@ def test_threshold_kappa_monotone_in_eps():
     assert out_deep["kappa_star"] <= out_shallow["kappa_star"]
 
 
+def test_packing_cache_is_keyed_by_dimension_kappa_and_seed():
+    # one dict shared across dimensions and seeds hands every call its own
+    # packing, never one cached for another n or seed at the same kappa
+    cache = {}
+    for n in (3, 4):
+        for seed in (0, 1):
+            rec = total_mean_curvature(n, 0.3, 4.0, seed=seed, packing_cache=cache)
+            fresh = pack_points(n, 4.0, seed)
+            assert np.array_equal(cache[(n, 4.0, seed)].points, fresh.points)
+            assert rec["count"] == fresh.count
+    assert sorted(cache) == [(3, 4.0, 0), (3, 4.0, 1), (4, 4.0, 0), (4, 4.0, 1)]
+    assert not np.array_equal(cache[(4, 4.0, 0)].points, cache[(4, 4.0, 1)].points)
+
+
 def test_per_dent_additivity_on_grid():
     # node partition: total = (n-1)*(outside area) + sum of per-dent parts,
     # exactly as computed; the inside part matches q times the 1-D cap value

@@ -3,6 +3,7 @@ import os
 from quermass import suites
 from quermass.config import thread_count
 from quermass.reporting import csv_bytes
+from quermass.stardomain import ResolutionWarning
 
 
 def test_thread_cap_env(monkeypatch):
@@ -24,3 +25,22 @@ def test_parallel_map_is_deterministic(monkeypatch):
     monkeypatch.setenv("QUERMASS_THREADS", "2")
     threaded = run()
     assert serial == threaded
+
+
+def test_route_suite_threads_match_serial(monkeypatch):
+    # the suite silences its ResolutionWarning in the calling thread, so
+    # the pooled run neither warns nor differs from the serial one
+    import warnings
+
+    def run():
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = suites.route_agreement_suite(count=4, eps=0.3, seed=7,
+                                               resolution=16, L=6)
+        assert not [w for w in seen if w.category is ResolutionWarning]
+        return csv_bytes(out["rows"], out["columns"])
+
+    monkeypatch.setenv("QUERMASS_THREADS", "1")
+    serial = run()
+    monkeypatch.setenv("QUERMASS_THREADS", "2")
+    assert run() == serial
