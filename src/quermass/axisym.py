@@ -15,11 +15,10 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import roots_jacobi
 
 from quermass import geometry
 from quermass.config import DEFAULT_TOLERANCES, Tolerances
-from quermass.grids import sphere_area
+from quermass.grids import jacobi_rule, sphere_area
 from quermass.harmonics import ZonalBasis
 from quermass.reporting import DeficitReport
 from quermass.stardomain import Functionals
@@ -36,7 +35,7 @@ def coarea_integral(f, n: int, resolution: int = 512) -> float:
     f is a callable of theta; the sin^{n-2} coarea weight and the
     |S^{n-2}| equatorial factor are applied here.
     """
-    t, w = roots_jacobi(resolution, (n - 3) / 2.0, (n - 3) / 2.0)
+    t, w = jacobi_rule(resolution, (n - 3) / 2.0)
     theta = np.arccos(t)
     return float(sphere_area(n - 1) * np.sum(w * f(theta)))
 
@@ -53,7 +52,7 @@ class AxialProfile:
         self.support = float(support)
         self.breakpoints = tuple(breakpoints)
         self.tol = tol
-        t, w = roots_jacobi(resolution, (n - 3) / 2.0, (n - 3) / 2.0)
+        t, w = jacobi_rule(resolution, (n - 3) / 2.0)
         self.t, self.w = t, w
         self.theta = np.arccos(t)
         self._basis = None
@@ -367,47 +366,62 @@ class AxialDomain:
 
     # -- planar deviation geometry -------------------------------------------------
 
-    def _deviation(self, offset: float, theta, V, Vd):
-        """|nu - radial direction from (offset, 0, ...)| pointwise on theta."""
+    def _deviation_geometry(self, theta):
+        """(V, V', nu1, nu2, a1, p2) on theta: everything but the offset.
+
+        In the 2-D section x = (cos th, sin th) the normal is
+        nu = (x - v e_theta)/sqrt(1 + v^2) with v = V'/(1+V), and the
+        boundary point is (a1, p2) = (1+V) x.
+        """
+        V = self.profile.value(theta)
+        Vd = self.profile.slope(theta)
         opu = 1.0 + V
         v = Vd / opu
         s = np.sqrt(1.0 + v * v)
-        # 2-D section: x = (cos th, sin th), e_theta = (-sin th, cos th)
-        nu1 = (np.cos(theta) + v * np.sin(theta)) / s
-        nu2 = (np.sin(theta) - v * np.cos(theta)) / s
-        p1 = opu * np.cos(theta) - offset
-        p2 = opu * np.sin(theta)
+        cos, sin = np.cos(theta), np.sin(theta)
+        nu1 = (cos + v * sin) / s
+        nu2 = (sin - v * cos) / s
+        return V, Vd, nu1, nu2, opu * cos, opu * sin
+
+    @staticmethod
+    def _deviation_at(geom, offset: float) -> np.ndarray:
+        """|nu - radial direction from (offset, 0, ...)| pointwise."""
+        _, _, nu1, nu2, a1, p2 = geom
+        p1 = a1 - offset
         norm = np.hypot(p1, p2)
         return np.hypot(nu1 - p1 / norm, nu2 - p2 / norm)
 
     def eps_size(self, optimize_center: bool = True):
+        """Smallest sup-norm normal deviation over centers on the axis.
+
+        Returns (value, center); bounded Brent search for the axial
+        offset within 0.3 of the barycenter, on 4096 polar angles.
+        """
         if optimize_center in self._eps:
             return self._eps[optimize_center]
-        theta = np.linspace(0.0, math.pi, 4096)
-        V = self.profile.value(theta)
-        Vd = self.profile.slope(theta)
+        geom = self._deviation_geometry(np.linspace(0.0, math.pi, 4096))
 
         def objective(b):
-            return float(np.max(self._deviation(b, theta, V, Vd)))
+            return float(np.max(self._deviation_at(geom, b)))
 
         seed = self.barycenter()[0]
+        best_b, best = seed, objective(seed)
         if optimize_center:
             res = minimize_scalar(objective, bounds=(seed - 0.3, seed + 0.3),
                                   method="bounded", options={"xatol": 1e-11})
-            best_b = res.x if res.fun < objective(seed) else seed
-        else:
-            best_b = seed
+            if res.fun < best:
+                best_b, best = res.x, res.fun
         center = np.zeros(self.n)
         center[0] = best_b
-        self._eps[optimize_center] = (objective(best_b), center)
+        self._eps[optimize_center] = (best, center)
         return self._eps[optimize_center]
 
     def deviation_mean_square(self, center) -> float:
         """Average square normal deviation over the boundary."""
         theta, w = self.profile.quadrature_rule()
-        V = self.profile.value(theta)
-        Vd = self.profile.slope(theta)
-        dev = self._deviation(np.asarray(center).ravel()[0], theta, V, Vd)
+        geom = self._deviation_geometry(theta)
+        V, Vd = geom[:2]
+        dev = self._deviation_at(geom, np.asarray(center).ravel()[0])
         J = geometry.area_jacobian(V, Vd * Vd, self.n)
         return float(np.sum(w * J * dev**2) / np.sum(w * J))
 

@@ -14,10 +14,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import gammaln
 
 from quermass import fields, harmonics
-from quermass.grids import build_grid, sphere_area
+from quermass.grids import build_grid, jacobi_rule, sphere_area
 from quermass.harmonics import ZonalBasis, multiplicity
 
 
@@ -148,7 +148,7 @@ class ZonalBackend(_Backend):
         self.n = n
         self.L = L
         self.basis = ZonalBasis(n, L)
-        t, w = roots_jacobi(resolution, (n - 3) / 2.0, (n - 3) / 2.0)
+        t, w = jacobi_rule(resolution, (n - 3) / 2.0)
         self.t, self.w = t, w
         self.area_factor = sphere_area(n - 1)
         self.theta = np.arccos(t)

@@ -135,19 +135,6 @@ def almost_sharp_margin(K, delta: float, seed=None) -> DeficitReport:
     return _deficit(K, "almost_sharp", delta=delta, seed=seed)
 
 
-def deviation_mean_square(K, center) -> float:
-    """Average squared deviation of the normal from the radial direction."""
-    if hasattr(K, "deviation_mean_square"):
-        return K.deviation_mean_square(center)
-    dev = K.deviation_values(center)
-    from quermass import geometry
-    prof = K.profile
-    g = fields.grad_frame(prof)
-    grad2 = np.einsum("ik,ik->i", g, g)
-    J = geometry.area_jacobian(prof.values, grad2, K.n)
-    return quadrature(dev**2 * J, K.grid) / quadrature(J, K.grid)
-
-
 def stability_ratio(K) -> float:
     """Volumetric deficit divided by the mean-square normal deviation.
 
@@ -157,7 +144,7 @@ def stability_ratio(K) -> float:
     if K.n < 4:
         raise ValueError("the stability comparison is stated for n >= 4")
     eps, center = K.eps_size()
-    den = deviation_mean_square(K, center)
+    den = K.deviation_mean_square(center)
     if den < 1e-14:
         return math.inf
     return volumetric_minkowski_deficit(K).margin / den
@@ -217,8 +204,11 @@ def random_domain(n: int, target_eps: float, seed: int, L: int = 8,
 
     n = 3 draws a full band-limited profile (per-degree variance l^-4)
     unless zonal is requested; n >= 4 always draws a zonal profile,
-    where the general-dimension content of the theory lives.
+    where the general-dimension content of the theory lives.  A target
+    of 0 gives the ball; a negative one is refused.
     """
+    if not (math.isfinite(target_eps) and target_eps >= 0):
+        raise ValueError(f"target_eps must be finite and >= 0, got {target_eps}")
     rng = np.random.default_rng(seed)
     safe_amp = min(0.3, 2.0 * target_eps)
     if n == 3 and not zonal:

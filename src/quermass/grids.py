@@ -13,6 +13,7 @@ Convention: the polar axis is e_1, i.e. x_1 = cos(theta_1).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -22,6 +23,19 @@ from scipy.special import roots_jacobi
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1} in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+
+
+@functools.lru_cache(maxsize=64)
+def jacobi_rule(resolution: int, alpha: float) -> tuple:
+    """Gauss-Jacobi nodes and weights for the weight (1-t^2)^alpha.
+
+    Equal to roots_jacobi(resolution, alpha, alpha), built once per
+    (resolution, alpha) and shared, so both arrays are read-only.
+    """
+    t, w = roots_jacobi(resolution, alpha, alpha)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 def ball_volume(n: int) -> float:
@@ -120,7 +134,7 @@ def build_grid(n: int, resolution: int) -> SphericalGrid:
     t_axes, w_axes = [], []
     for k in range(1, n - 1):
         alpha = (n - 2 - k) / 2.0
-        t, w = roots_jacobi(resolution, alpha, alpha)
+        t, w = jacobi_rule(resolution, alpha)
         t_axes.append(t)
         w_axes.append(w)
     m_phi = 2 * resolution

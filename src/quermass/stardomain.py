@@ -233,6 +233,14 @@ class StarDomain:
             y2 - 2.0 * (self.boundary_points() @ c) + c @ c)
         return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dot))
 
+    def deviation_mean_square(self, center) -> float:
+        """Average square normal deviation over the boundary."""
+        dev = self.deviation_values(center)
+        grad_fr = fields.grad_frame(self.profile)
+        grad2 = np.einsum("ik,ik->i", grad_fr, grad_fr)
+        J = geometry.area_jacobian(self.profile.values, grad2, self.n)
+        return quadrature(dev**2 * J, self.grid) / quadrature(J, self.grid)
+
     def eps_size(self, optimize_center: bool = True):
         """Smallest sup-norm normal deviation over choices of the center.
 

@@ -26,6 +26,20 @@ CUBIC_COLUMNS = ["lemma", "n", "seed", "eps_scale", "lhs", "rhs",
                  "slack_scale", "margin", "ratio"]
 
 
+def _require_count(count: int, minimum: int = 1) -> None:
+    """Refuse a count that would leave the suite with no job to run."""
+    if count < minimum:
+        raise ValueError(f"count {count} leaves no job; this check needs "
+                         f"a count of at least {minimum}")
+
+
+def _jobs(count: int, ns) -> list:
+    """count // len(ns) seeds per dimension, as (n, i) pairs."""
+    _require_count(count, len(ns))
+    per_n = count // len(ns)
+    return [(n, i) for n in ns for i in range(per_n)]
+
+
 def _pmap(fn, items):
     workers = thread_count()
     if workers <= 1:
@@ -40,6 +54,7 @@ def _pmap(fn, items):
 def route_agreement_suite(count: int = 100, eps: float = 0.3, seed: int = 2024,
                           resolution: int = 64, L: int = 6,
                           tolerance: float = 1e-7) -> dict:
+    _require_count(count)
     grid = build_grid(3, resolution)
 
     def one(i):
@@ -68,6 +83,7 @@ def route_agreement_suite(count: int = 100, eps: float = 0.3, seed: int = 2024,
 
 def gradient_normal_suite(count: int = 100, eps: float = 0.1, seed: int = 3001,
                           resolution: int = 32) -> dict:
+    _require_count(count)
     grid = build_grid(3, resolution)
 
     def one(i):
@@ -94,9 +110,8 @@ def eigen_interpolation_suite(count: int = 1000, ns=(3, 4),
                               eps_scale: float = 0.1, seed: int = 4001,
                               resolution: int = 32, L: int = 12,
                               tolerance: float = 1e-7) -> dict:
+    jobs = _jobs(count, ns)
     grid = build_grid(3, resolution)
-    per_n = count // len(ns)
-    jobs = [(n, i) for n in ns for i in range(per_n)]
 
     def one(job):
         n, i = job
@@ -119,6 +134,7 @@ def eigen_interpolation_suite(count: int = 1000, ns=(3, 4),
 def frequency_split_suite(count: int = 300, eps_levels=(0.04, 0.02, 0.01),
                           seed: int = 5001, n: int = 3, lam: float | None = None,
                           resolution: int = 32, L: int = 12) -> dict:
+    _require_count(count)
     rows, summaries = [], {}
     passed = True
     for name, pair in (("unit_g", cubic.mean_curvature_pair(n)),
@@ -204,9 +220,8 @@ def pole_bound_suite(n: int = 3, seed: int = 6001, count: int = 20,
 def nuclear_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7001,
                           ns=(3, 4), resolution: int = 32,
                           tolerance: float = 1e-8) -> dict:
+    jobs = _jobs(count, ns)
     grid = build_grid(3, resolution)
-    per_n = count // len(ns)
-    jobs = [(n, i) for n in ns for i in range(per_n)]
 
     def one(job):
         n, i = job
@@ -221,8 +236,7 @@ def nuclear_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7001,
 
 def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
                         ns=(3, 4, 5), tolerance: float = 1e-8) -> dict:
-    per_n = count // len(ns)
-    jobs = [(n, i) for n in ns for i in range(per_n)]
+    jobs = _jobs(count, ns)
 
     def one(job):
         n, i = job
@@ -236,6 +250,8 @@ def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
 
 def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
                     n: int = 4, tolerance: float = 1e-8) -> dict:
+    _require_count(count)
+
     def one(i):
         K = deficits.random_domain(n, eps, seed=seed + i)
         rep = deficits.volumetric_minkowski_deficit(K, seed=seed + i)

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize_scalar
+from scipy.special import roots_jacobi
 
-from quermass import axisym, fields
+from quermass import axisym, fields, geometry
 from quermass.axisym import AxialDomain, AxialProfile
-from quermass.grids import build_grid, sphere_area
+from quermass.conjecture import ZonalBackend
+from quermass.counterexample import make_bump
+from quermass.grids import build_grid, jacobi_rule, sphere_area
 from quermass.harmonics import ZonalBasis
 from quermass.stardomain import StarDomain
 
@@ -192,3 +197,97 @@ def test_zonal_eigenfunction_relation():
         lam = l * (l + n - 2.0)
         resid = rec["laplacian"] + lam * rec["V"]
         assert np.max(np.abs(resid)) < 1e-8 * lam * np.max(np.abs(rec["V"]))
+
+
+# -- exactness oracles for the zonal center optimizer ------------------------------
+
+
+def old_deviation(offset, theta, V, Vd):
+    """The deviation as first written: all geometry recomputed per offset."""
+    opu = 1.0 + V
+    v = Vd / opu
+    s = np.sqrt(1.0 + v * v)
+    nu1 = (np.cos(theta) + v * np.sin(theta)) / s
+    nu2 = (np.sin(theta) - v * np.cos(theta)) / s
+    p1 = opu * np.cos(theta) - offset
+    p2 = opu * np.sin(theta)
+    norm = np.hypot(p1, p2)
+    return np.hypot(nu1 - p1 / norm, nu2 - p2 / norm)
+
+
+def old_eps_size(K, optimize_center):
+    theta = np.linspace(0.0, math.pi, 4096)
+    V, Vd = K.profile.value(theta), K.profile.slope(theta)
+
+    def objective(b):
+        return float(np.max(old_deviation(b, theta, V, Vd)))
+
+    seed = K.barycenter()[0]
+    if optimize_center:
+        res = minimize_scalar(objective, bounds=(seed - 0.3, seed + 0.3),
+                              method="bounded", options={"xatol": 1e-11})
+        best_b = res.x if res.fun < objective(seed) else seed
+    else:
+        best_b = seed
+    return objective(best_b), best_b
+
+
+def old_deviation_mean_square(K, offset):
+    theta, w = K.profile.quadrature_rule()
+    V, Vd = K.profile.value(theta), K.profile.slope(theta)
+    dev = old_deviation(offset, theta, V, Vd)
+    J = geometry.area_jacobian(V, Vd * Vd, K.n)
+    return float(np.sum(w * J * dev**2) / np.sum(w * J))
+
+
+def assert_matches_oracle(K):
+    for optimize in (True, False):
+        eps, center = K.eps_size(optimize)
+        eps_old, b_old = old_eps_size(K, optimize)
+        assert eps == eps_old
+        assert center[0] == b_old and not np.any(center[1:])
+        for offset in (center[0], center[0] + 0.01):
+            assert (K.deviation_mean_square([offset] + [0.0] * (K.n - 1))
+                    == old_deviation_mean_square(K, offset))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]), seed=st.integers(0, 2**32 - 1),
+       amp=st.floats(0.01, 0.2))
+def test_zonal_eps_size_is_bit_identical_to_the_oracle(n, seed, amp):
+    assert_matches_oracle(AxialDomain(random_zonal(n, seed, amp=amp, L=8)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_dent_eps_size_is_bit_identical_to_the_oracle(n):
+    bump = make_bump(20.0, 0.3)
+    dent = AxialProfile.from_callables(
+        n, bump.depth, bump.slope, bump.slope_derivative,
+        support=bump.radius, breakpoints=bump.breakpoints)
+    K = AxialDomain(dent)
+    assert_matches_oracle(K)
+    assert_matches_oracle(K.scaled(1.1))
+
+
+@pytest.mark.parametrize("resolution, alpha", [(16, 0.0), (64, 0.5), (256, 1.0),
+                                               (512, 0.5), (7, 1.5)])
+def test_jacobi_rule_is_the_cached_read_only_gauss_jacobi_rule(resolution, alpha):
+    t, w = jacobi_rule(resolution, alpha)
+    t_ref, w_ref = roots_jacobi(resolution, alpha, alpha)
+    assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+    again = jacobi_rule(resolution, alpha)
+    assert again[0] is t and again[1] is w
+    for arr in (t, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_every_zonal_rule_comes_from_jacobi_rule():
+    t, w = jacobi_rule(256, 0.5)
+    prof = random_zonal(4, 3)
+    assert prof.t is t and prof.w is w
+    backend = ZonalBackend(4, 12, resolution=256)
+    assert backend.t is t and backend.w is w
+    grid = build_grid(4, 16)
+    assert grid.axis_nodes[0] is jacobi_rule(16, 0.5)[0]
+    assert grid.axis_weights[1] is jacobi_rule(16, 0.0)[1]

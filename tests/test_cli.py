@@ -157,3 +157,20 @@ def test_counterexample_over_budget_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, count, minimum", [
+    ("axial", 2, 3), ("nuclear", 0, 2), ("stability", 0, 1), ("eigen-interp", 1, 2),
+    ("curvature-routes", 0, 1), ("grad-normal", 0, 1), ("freq-split", 0, 1)])
+def test_verify_count_leaving_no_job_exits_2(check, count, minimum, tmp_path, capsys):
+    code = main(["verify", check, "--count", str(count), "--eps", "0.05",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"at least {minimum}" in capsys.readouterr().err
+
+
+def test_verify_negative_eps_exits_2(tmp_path, capsys):
+    code = main(["verify", "stability", "--count", "2", "--eps", "-0.1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "target_eps" in capsys.readouterr().err

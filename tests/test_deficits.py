@@ -213,3 +213,12 @@ def test_random_domain_targets_eps(grid):
         eps, _ = K.eps_size()
         assert eps <= 0.05 * 1.02
         assert eps >= 0.02
+
+
+def test_random_domain_rejects_negative_target_and_gives_the_ball_at_zero(grid):
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_eps"):
+            deficits.random_domain(4, bad, seed=1)
+    assert not np.any(deficits.random_domain(3, 0.0, seed=1, grid=grid).profile.values)
+    K = deficits.random_domain(4, 0.0, seed=1)
+    assert not np.any(K.profile.coeffs) and K.eps_size()[0] < 1e-15

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quermass import fields, harmonics
+from quermass import fields, geometry, harmonics
 from quermass.fields import ScalarField
 from quermass.grids import build_grid, quadrature
 from quermass.stardomain import StarDomain, fields_affine
@@ -207,3 +207,15 @@ def test_rejects_non_star_shaped(grid):
     vals = np.full(grid.num_nodes, -1.5)
     with pytest.raises(ValueError):
         StarDomain(ScalarField(grid, vals))
+
+
+def test_deviation_mean_square_is_the_jacobian_weighted_mean(grid):
+    f = translated_ball_profile(grid, 0.1)
+    K = StarDomain(f)
+    for center in (np.zeros(3), np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.02, -0.03])):
+        dev = K.deviation_values(center)
+        g = fields.grad_frame(f)
+        J = geometry.area_jacobian(f.values, np.einsum("ik,ik->i", g, g), 3)
+        assert K.deviation_mean_square(center) == (quadrature(dev**2 * J, grid)
+                                                   / quadrature(J, grid))
+    assert K.deviation_mean_square(np.array([0.1, 0.0, 0.0])) < 1e-12
