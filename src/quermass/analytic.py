@@ -13,15 +13,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
+from quermass.geometry import POLE_SIN, zonal_laplacian
 from quermass.grids import SphericalGrid, tangent_frames
-
-
-def _safe_cot_slope(fd_val, fdd_val, d):
-    """fd(d) * cot(d) with the pole limits fdd(0) and fdd(pi)."""
-    s = np.sin(d)
-    out = np.where(s > 1e-8, fd_val * np.cos(d) / np.where(s > 1e-8, s, 1.0),
-                   fdd_val)
-    return out
 
 
 class GeodesicRadialField:
@@ -72,8 +65,7 @@ class GeodesicRadialField:
         fv = np.where(inside, self.f(dd), 0.0)
         fdv = np.where(inside, self.fd(dd), 0.0)
         fddv = np.where(inside, self.fdd(dd), 0.0)
-        cot_slope = np.where(inside, _safe_cot_slope(fdv, fddv, dd), 0.0)
-        lap = fddv + (n - 2.0) * cot_slope
+        _, lap = zonal_laplacian(fdv, fddv, dd, n)
         return self.offset + fv, fdv**2, lap, fddv * fdv**2
 
     def phi_gradient_dot_grad(self, points: np.ndarray, n: int) -> np.ndarray:
@@ -98,7 +90,8 @@ class GeodesicRadialField:
         s = np.sin(d)
         tau = (dots[:, None] * points - centers)
         with np.errstate(invalid="ignore", divide="ignore"):
-            tau = np.where(s[:, None] > 1e-12, tau / np.where(s > 1e-12, s, 1.0)[:, None], 0.0)
+            tau = np.where(s[:, None] > POLE_SIN,
+                           tau / np.where(s > POLE_SIN, s, 1.0)[:, None], 0.0)
         return tau
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
@@ -124,9 +117,9 @@ class GeodesicRadialField:
         dd = np.where(inside, d, 0.0)
         fdv = np.where(inside, self.fd(dd), 0.0)
         fddv = np.where(inside, self.fdd(dd), 0.0)
-        cot_slope = np.where(inside, _safe_cot_slope(fdv, fddv, dd), 0.0)
+        n = points.shape[1]
+        cot_slope, _ = zonal_laplacian(fdv, fddv, dd, n)
         tau = self._tangent_direction(points, centers, dots, d)
-        npts, n = points.shape
         tt = tau[:, :, None] * tau[:, None, :]
         P = np.eye(n)[None] - points[:, :, None] * points[:, None, :]
         return fddv[:, None, None] * tt + cot_slope[:, None, None] * (P - tt)

@@ -18,15 +18,10 @@ from scipy.optimize import minimize_scalar
 
 from quermass import geometry
 from quermass.config import DEFAULT_TOLERANCES, Tolerances
-from quermass.grids import jacobi_rule, sphere_area
+from quermass.grids import jacobi_rule, panel_rule, sphere_area
 from quermass.harmonics import ZonalBasis
 from quermass.reporting import DeficitReport
 from quermass.stardomain import Functionals
-
-
-def _leggauss_panel(a: float, b: float, order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
 
 
 def coarea_integral(f, n: int, resolution: int = 512) -> float:
@@ -148,31 +143,21 @@ class AxialProfile:
         """(theta, weights) with coarea and |S^{n-2}| factors included.
 
         Coefficient profiles use the global Gauss-Jacobi rule; compactly
-        supported analytic profiles get panel rules aligned with their
-        breakpoints plus a smooth far panel.
+        supported analytic profiles get 16-point panel rules, eight panels
+        between consecutive breakpoints, plus two 48-point far panels.
         """
         area = sphere_area(self.n - 1)
         feature_edges = sorted(b for b in {self.support, *self.breakpoints}
                                if b < math.pi - 1e-12)
         if self.callables is None or not feature_edges:
             return self.theta, area * self.w
-        pts, wts = [], []
-        edges = [0.0, *feature_edges]
-        for a, b in zip(edges[:-1], edges[1:]):
-            sub = np.linspace(a, b, 9)
-            for aa, bb in zip(sub[:-1], sub[1:]):
-                x, w = _leggauss_panel(aa, bb, 16)
-                pts.append(x)
-                wts.append(w)
-        tail0 = edges[-1]
-        for a, b in ((tail0, min(2 * tail0, math.pi)),
-                     (min(2 * tail0, math.pi), math.pi)):
-            if b > a + 1e-15:
-                x, w = _leggauss_panel(a, b, 48)
-                pts.append(x)
-                wts.append(w)
-        theta = np.concatenate(pts)
-        w = np.concatenate(wts) * np.sin(theta) ** (self.n - 2) * area
+        tail0 = feature_edges[-1]
+        mid = min(2 * tail0, math.pi)
+        far_edges = (tail0, mid, math.pi) if math.pi > mid + 1e-15 else (tail0, mid)
+        near_t, near_w = panel_rule((0.0, *feature_edges), 16, 8)
+        far_t, far_w = panel_rule(far_edges, 48, 1)
+        theta = np.concatenate([near_t, far_t])
+        w = np.concatenate([near_w, far_w]) * np.sin(theta) ** (self.n - 2) * area
         return theta, w
 
 
@@ -181,10 +166,7 @@ def _pointwise_curvature(profile: AxialProfile, theta: np.ndarray):
     V = profile.value(theta)
     Vd = profile.slope(theta)
     Vdd = profile.curvature_slope(theta)
-    s = np.sin(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot_term = np.where(s > 1e-12, Vd * np.cos(theta) / np.where(s > 1e-12, s, 1.0), Vdd)
-    lap = Vdd + (n - 2.0) * cot_term
+    cot_term, lap = geometry.zonal_laplacian(Vd, Vdd, theta, n)
     grad2 = Vd * Vd
     cubic = Vdd * grad2
     H = geometry.mean_curvature_from_scalars(V, grad2, lap, cubic, n)
@@ -209,20 +191,30 @@ def axial_curvature(profile: AxialProfile, theta=None) -> dict:
     }
 
 
-def _shape_eigen(profile: AxialProfile, theta: np.ndarray):
-    """Principal curvatures along theta via the shared shape-operator kernel."""
+def zonal_frames(profile: AxialProfile, theta: np.ndarray):
+    """(V, gradient frame, Hessian frame, H) of the profile along theta.
+
+    In the orthonormal frame (e_theta, then n-2 directions along the
+    parallel) the gradient is (V', 0, ...) and the covariant Hessian is
+    diag(V'', V' cot(theta), ...).
+    """
     n = profile.n
-    V, Vd, Vdd, cot_term, lap, grad2, cubic, H = _pointwise_curvature(profile, theta)
+    V, Vd, Vdd, cot_term, *_, H = _pointwise_curvature(profile, theta)
     m = theta.shape[0]
-    grad_fr = np.zeros((m, n - 1))
-    grad_fr[:, 0] = Vd
+    grad = np.zeros((m, n - 1))
+    grad[:, 0] = Vd
     hess = np.zeros((m, n - 1, n - 1))
     hess[:, 0, 0] = Vdd
     for k in range(1, n - 1):
         hess[:, k, k] = cot_term
-    S = geometry.shape_operator_frame(V, grad_fr, hess)
-    eigs = np.linalg.eigvalsh(S)
-    return V, Vd, eigs, H
+    return V, grad, hess, H
+
+
+def _shape_eigen(profile: AxialProfile, theta: np.ndarray):
+    """Principal curvatures along theta via the shared shape-operator kernel."""
+    V, grad, hess, H = zonal_frames(profile, theta)
+    eigs = np.linalg.eigvalsh(geometry.shape_operator_frame(V, grad, hess))
+    return V, grad[:, 0], eigs, H
 
 
 def axial_functionals(profile: AxialProfile) -> Functionals:
@@ -416,6 +408,13 @@ class AxialDomain:
         self._eps[optimize_center] = (best, center)
         return self._eps[optimize_center]
 
+    def profile_quadratics(self) -> tuple[float, float, float]:
+        """(int V, int V^2, int |grad V|^2) over the sphere."""
+        theta, w = self.profile.quadrature_rule()
+        V, Vd = self.profile.value(theta), self.profile.slope(theta)
+        return (float(np.sum(w * V)), float(np.sum(w * V * V)),
+                float(np.sum(w * Vd * Vd)))
+
     def deviation_mean_square(self, center) -> float:
         """Average square normal deviation over the boundary."""
         theta, w = self.profile.quadrature_rule()
@@ -434,24 +433,10 @@ class AxialDomain:
             coeffs[0] += (s - 1.0) * math.sqrt(sphere_area(self.n))
             newp = AxialProfile(self.n, coeffs=coeffs, resolution=prof.resolution)
         else:
-            f, fd, fdd = prof.callables
-            sup = prof.support
-
-            def guard(fn, outside=0.0):
-                def wrapped(x):
-                    x = np.asarray(x, dtype=float)
-                    inside = x < sup
-                    out = np.full_like(x, outside)
-                    if inside.any():
-                        out[inside] = fn(x[inside])
-                    return out
-                return wrapped
-
-            gf, gfd, gfdd = guard(f), guard(fd), guard(fdd)
             newp = AxialProfile.from_callables(
-                self.n, lambda x: s * gf(x) + (s - 1.0),
-                lambda x: s * gfd(x), lambda x: s * gfdd(x),
-                support=math.pi, breakpoints=prof.breakpoints + (sup,),
+                self.n, lambda x: s * prof.value(x) + (s - 1.0),
+                lambda x: s * prof.slope(x), lambda x: s * prof.curvature_slope(x),
+                support=math.pi, breakpoints=prof.breakpoints + (prof.support,),
                 resolution=prof.resolution)
         return AxialDomain(newp, tol=self.tol)
 

@@ -30,8 +30,9 @@ from scipy.spatial import cKDTree
 
 from quermass import geometry
 from quermass.analytic import GeodesicRadialField
+from quermass.axisym import AxialProfile, _pointwise_curvature
 from quermass.fields import ScalarField
-from quermass.grids import build_grid, sphere_area
+from quermass.grids import build_grid, panel_rule, sphere_area
 
 # minimal pairwise distance of the N-point Fibonacci lattice is
 # FIB_MIN_DIST/sqrt(N) (measured, stable to 4 digits across N)
@@ -116,6 +117,12 @@ class BumpProfile:
     def breakpoints(self) -> tuple:
         r = self.radius
         return (r / 8.0, 7.0 * r / 8.0, r)
+
+    def axial_profile(self, n: int) -> AxialProfile:
+        """One dent as a zonal profile about the pole of S^{n-1}."""
+        return AxialProfile.from_callables(
+            n, self.depth, self.slope, self.slope_derivative,
+            support=self.radius, breakpoints=self.breakpoints)
 
     def slope(self, r):
         r = np.asarray(r, dtype=float)
@@ -385,15 +392,9 @@ def pack_points(n: int, kappa: float, seed: int = 0) -> PackedPoints:
 # -- flat radial cubic-term identity ----------------------------------------------
 
 
-def _panel_rule(edges, order: int = 24, subdivisions: int = 8):
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        grid = np.linspace(a, b, subdivisions + 1)
-        for aa, bb in zip(grid[:-1], grid[1:]):
-            xs.append(0.5 * (aa + bb) + 0.5 * (bb - aa) * gx)
-            ws.append(0.5 * (bb - aa) * gw)
-    return np.concatenate(xs), np.concatenate(ws)
+def _dent_rule(bump: BumpProfile):
+    """24-point Gauss-Legendre panels, eight between consecutive breakpoints."""
+    return panel_rule((0.0, *bump.breakpoints), 24, 8)
 
 
 def radial_cubic_identity_check(bump: BumpProfile, n: int, a_fn=None,
@@ -406,7 +407,7 @@ def radial_cubic_identity_check(bump: BumpProfile, n: int, a_fn=None,
     are equal exactly (pure integration by parts).
     """
     area = sphere_area(n - 1)
-    r, w = _panel_rule((0.0, *bump.breakpoints))
+    r, w = _dent_rule(bump)
     f, fd, fdd = bump.depth(r), bump.slope(r), bump.slope_derivative(r)
     av = np.ones_like(r) if a_fn is None else a_fn(f, fd**2)
     lhs = area * float(np.sum(w * av * fdd * fd**2 * r ** (n - 2)))
@@ -481,16 +482,17 @@ def build_counterexample(n: int, eps: float, kappa: float, seed: int = 0,
 
 
 def _cap_contributions(bump: BumpProfile, n: int) -> tuple[float, float]:
-    """(integral of H over one dented cap, cap area on the sphere)."""
-    theta, w = _panel_rule((0.0, *bump.breakpoints))
-    V, Vd, Vdd = bump.depth(theta), bump.slope(theta), bump.slope_derivative(theta)
-    s = np.sin(theta)
-    cot_term = np.where(s > 1e-300, Vd * np.cos(theta) / s, 0.0)
-    lap = Vdd + (n - 2.0) * cot_term
-    H = geometry.mean_curvature_from_scalars(V, Vd**2, lap, Vdd * Vd**2, n)
-    J = geometry.area_jacobian(V, Vd**2, n)
-    area = sphere_area(n - 1)
-    coarea = w * s ** (n - 2) * area
+    """(integral of H over one dented cap, cap area on the sphere).
+
+    The dent's zonal profile goes through the axisymmetric pointwise
+    curvature on the dent panel rule.  The rule covers the cap only, so
+    the per-dent excess over (n-1) times the cap area keeps its relative
+    precision; a whole-sphere integral minus (n-1)|S^{n-1}| loses it.
+    """
+    theta, w = _dent_rule(bump)
+    V, Vd, *_, H = _pointwise_curvature(bump.axial_profile(n), theta)
+    J = geometry.area_jacobian(V, Vd * Vd, n)
+    coarea = w * np.sin(theta) ** (n - 2) * sphere_area(n - 1)
     return float(np.sum(coarea * H * J)), float(np.sum(coarea))
 
 

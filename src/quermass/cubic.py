@@ -112,7 +112,7 @@ class FieldData:
 
 
 def _field_data(u, lam: float | None = None) -> FieldData:
-    from quermass.axisym import AxialProfile
+    from quermass.axisym import AxialProfile, zonal_frames
     if isinstance(u, ScalarField):
         data = FieldData(
             n=u.grid.n,
@@ -130,17 +130,7 @@ def _field_data(u, lam: float | None = None) -> FieldData:
     if isinstance(u, AxialProfile):
         n = u.n
         theta, w = u.quadrature_rule()
-        V, Vd, Vdd = u.value(theta), u.slope(theta), u.curvature_slope(theta)
-        s = np.sin(theta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot_term = np.where(s > 1e-12, Vd * np.cos(theta) / np.where(s > 1e-12, s, 1.0), Vdd)
-        m = theta.shape[0]
-        grad = np.zeros((m, n - 1))
-        grad[:, 0] = Vd
-        hess = np.zeros((m, n - 1, n - 1))
-        hess[:, 0, 0] = Vdd
-        for k in range(1, n - 1):
-            hess[:, k, k] = cot_term
+        V, grad, hess, _ = zonal_frames(u, theta)
         data = FieldData(n=n, u=V, grad=grad, hess=hess, weights=w)
         if lam is not None:
             if u.coeffs is None:

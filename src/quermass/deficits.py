@@ -18,7 +18,7 @@ import numpy as np
 
 from quermass import fields
 from quermass.config import DEFAULT_TOLERANCES
-from quermass.grids import ball_volume, build_grid, quadrature, sphere_area
+from quermass.grids import ball_volume, build_grid, sphere_area
 from quermass.reporting import DeficitReport
 from quermass.stardomain import StarDomain, fields_affine
 
@@ -35,21 +35,6 @@ def ball_volumetric_constant(n: int) -> float:
 def barycenter(K) -> np.ndarray:
     """Centroid of the solid domain."""
     return K.barycenter()
-
-
-def profile_quadratics(K) -> tuple[float, float, float]:
-    """(int u, int u^2, int |grad u|^2) of the domain's profile."""
-    prof = K.profile
-    if isinstance(K, StarDomain):
-        g = fields.grad_frame(prof)
-        grad2 = np.einsum("ik,ik->i", g, g)
-        return (quadrature(prof.values, K.grid),
-                quadrature(prof.values**2, K.grid),
-                quadrature(grad2, K.grid))
-    theta, w = prof.quadrature_rule()
-    V, Vd = prof.value(theta), prof.slope(theta)
-    return (float(np.sum(w * V)), float(np.sum(w * V * V)),
-            float(np.sum(w * Vd * Vd)))
 
 
 def normalize(K, mode: str = "volume", tol=DEFAULT_TOLERANCES):
@@ -85,7 +70,7 @@ def perimeter_constraint_residual(K) -> dict:
     perimeter normalization:
     int u + (n-2)/2 int u^2 + 1/(2(n-1)) int |grad u|^2 ~ 0."""
     n = K.n
-    mu, mu2, mg2 = profile_quadratics(K)
+    mu, mu2, mg2 = K.profile_quadratics()
     residual = mu + 0.5 * (n - 2) * mu2 + mg2 / (2.0 * (n - 1))
     return {"residual": residual, "quadratic_scale": mu2 + mg2}
 
@@ -93,7 +78,7 @@ def perimeter_constraint_residual(K) -> dict:
 def volume_constraint_residual(K) -> dict:
     """Residual of int u + (n-1)/2 int u^2 ~ 0 after volume normalization."""
     n = K.n
-    mu, mu2, mg2 = profile_quadratics(K)
+    mu, mu2, mg2 = K.profile_quadratics()
     return {"residual": mu + 0.5 * (n - 1) * mu2, "quadratic_scale": mu2 + mg2}
 
 
@@ -160,7 +145,7 @@ def perimeter_expansion_deficit(K, tol=DEFAULT_TOLERANCES) -> dict:
     n = K.n
     Kn = normalize(K, "volume", tol=tol)
     exact = Kn.perimeter() - sphere_area(n)
-    _, mu2, mg2 = profile_quadratics(Kn)
+    _, mu2, mg2 = Kn.profile_quadratics()
     model = 0.5 * mg2 - 0.5 * (n - 1) * mu2
     return {"exact": exact, "model": model, "residual": exact - model,
             "quadratic_scale": mu2 + mg2}

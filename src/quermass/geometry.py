@@ -10,6 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
+# Below this sin(theta) the zonal term V' cot(theta) takes its pole limit V''.
+POLE_SIN = 1e-12
+
+
+def zonal_laplacian(Vd, Vdd, theta, n: int):
+    """(V' cot(theta), V'' + (n-2) V' cot(theta)) of a zonal profile V.
+
+    theta is the polar angle (or the geodesic distance to the center) in
+    [0, pi].  V' vanishes at a smooth pole, so V' cot(theta) tends to V''
+    at theta = 0 and theta = pi; that limit is used where sin(theta) is
+    at most POLE_SIN.
+    """
+    s = np.sin(theta)
+    away = s > POLE_SIN
+    cot_term = np.where(away, Vd * np.cos(theta) / np.where(away, s, 1.0), Vdd)
+    return cot_term, Vdd + (n - 2.0) * cot_term
+
 
 def radial_slope(u: np.ndarray, grad2: np.ndarray) -> np.ndarray:
     """|v|^2 with v = grad(u)/(1+u), from |grad u|^2."""

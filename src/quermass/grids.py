@@ -38,6 +38,23 @@ def jacobi_rule(resolution: int, alpha: float) -> tuple:
     return t, w
 
 
+def panel_rule(edges, order: int, subdivisions: int) -> tuple:
+    """Composite Gauss-Legendre rule on the panels between edges.
+
+    Each interval [edges[i], edges[i+1]] is cut into subdivisions equal
+    panels carrying order Gauss-Legendre points each; returns the nodes
+    and weights in increasing order.
+    """
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(a, b, subdivisions + 1)
+        for aa, bb in zip(cuts[:-1], cuts[1:]):
+            xs.append(0.5 * (aa + bb) + 0.5 * (bb - aa) * gx)
+            ws.append(0.5 * (bb - aa) * gw)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
 def ball_volume(n: int) -> float:
     """Lebesgue measure of the unit ball in R^n."""
     return sphere_area(n) / n

@@ -233,6 +233,15 @@ class StarDomain:
             y2 - 2.0 * (self.boundary_points() @ c) + c @ c)
         return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dot))
 
+    def profile_quadratics(self) -> tuple[float, float, float]:
+        """(int u, int u^2, int |grad u|^2) over the sphere."""
+        prof = self.profile
+        g = fields.grad_frame(prof)
+        grad2 = np.einsum("ik,ik->i", g, g)
+        return (quadrature(prof.values, self.grid),
+                quadrature(prof.values**2, self.grid),
+                quadrature(grad2, self.grid))
+
     def deviation_mean_square(self, center) -> float:
         """Average square normal deviation over the boundary."""
         dev = self.deviation_values(center)

@@ -206,10 +206,7 @@ def pole_bound_suite(n: int = 3, seed: int = 6001, count: int = 20,
         K = deficits.random_domain(n if n > 3 else 4, eps, seed=seed + i)
         record(K.profile, "random", seed + i)
     bump = counterexample.make_bump(20.0, 0.3)
-    dent = AxialProfile.from_callables(
-        n, bump.depth, bump.slope, bump.slope_derivative,
-        support=bump.radius, breakpoints=bump.breakpoints)
-    record(dent, "dent", 0)
+    record(bump.axial_profile(n), "dent", 0)
     return {"rows": rows, "columns": CUBIC_COLUMNS, "passed": passed,
             "summary": {"worst_margin": min(r["margin"] for r in rows)}}
 

@@ -87,7 +87,7 @@ def test_criterion_4_mean_curvature_expansion_halving(grid32):
         K = _quadratic_mode_domain(grid32, eps)
         F = K.curvature_integrals(check_routes=False)
         u = K.profile
-        mu, mu2, mg2 = deficits.profile_quadratics(K)
+        mu, mu2, mg2 = K.profile_quadratics()
         cub = cubic.cubic_term(u, pair.f)
         predicted = 2.0 * mu + 0.0 * mu2 + 1.0 * mg2 + cub
         residuals[eps] = abs(F.int_H - 8 * math.pi - predicted)

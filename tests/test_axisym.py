@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
 from quermass import axisym, fields, geometry
+from quermass.analytic import zonal_field
 from quermass.axisym import AxialDomain, AxialProfile
 from quermass.conjecture import ZonalBackend
 from quermass.counterexample import make_bump
@@ -116,6 +117,34 @@ def test_pole_slope_vanishes():
     prof = random_zonal(3, 21, amp=0.2, L=12)
     assert abs(prof.slope(np.array([0.0]))[0]) < 1e-10
     assert abs(prof.slope(np.array([math.pi]))[0]) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]),
+       raw=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                    min_size=2, max_size=13))
+def test_zonal_laplacian_at_and_near_the_poles(n, raw):
+    # Gauss nodes avoid the poles, so this is the only check of the pole
+    # limit: V' cot(theta) -> V'' gives lap V = (n-1) V'' there
+    basis = ZonalBasis(n, len(raw) - 1)
+    peak = np.abs(basis.values(np.array([1.0]))[:, 0])   # max over t of |Z_l|
+    c = np.array(raw)
+    assume(np.sum(np.abs(c[1:]) * peak[1:]) > 1e-3)
+    c *= 0.5 / np.sum(np.abs(c) * peak)                  # |V| <= 1/2
+    prof = AxialProfile.from_zonal_coeffs(n, c, resolution=64)
+    theta = np.array([0.0, 1e-13, 1e-7, 1.0, math.pi - 1e-7, math.pi])
+    oracle = -(c * basis.eigenvalues) @ basis.values(np.cos(theta))
+    tol = 1e-13 * np.sum(np.abs(c) * basis.eigenvalues * peak)
+
+    lap = axisym.axial_curvature(prof, theta)["laplacian"]
+    assert np.max(np.abs(lap - oracle)) <= tol
+
+    ends = [0, 3, 5]
+    points = np.zeros((3, n))
+    points[:, 0], points[:, 1] = np.cos(theta[ends]), np.sin(theta[ends])
+    field = zonal_field(prof.value, prof.slope, prof.curvature_slope, n=n)
+    lap = field.scalar_invariants(points, n)[2]
+    assert np.max(np.abs(lap - oracle[ends])) <= tol
 
 
 def test_pole_gradient_bound_sphere_and_mean_convex():
@@ -261,10 +290,7 @@ def test_zonal_eps_size_is_bit_identical_to_the_oracle(n, seed, amp):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_dent_eps_size_is_bit_identical_to_the_oracle(n):
     bump = make_bump(20.0, 0.3)
-    dent = AxialProfile.from_callables(
-        n, bump.depth, bump.slope, bump.slope_derivative,
-        support=bump.radius, breakpoints=bump.breakpoints)
-    K = AxialDomain(dent)
+    K = AxialDomain(bump.axial_profile(n))
     assert_matches_oracle(K)
     assert_matches_oracle(K.scaled(1.1))
 

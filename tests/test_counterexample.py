@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from quermass import counterexample as cx
-from quermass.axisym import AxialProfile, axial_functionals
+from quermass import counterexample as cx, geometry
+from quermass.axisym import axial_functionals
 from quermass.counterexample import (
     FIB_MIN_DIST,
     MemoryBudgetError,
@@ -28,7 +28,7 @@ from quermass.counterexample import (
     total_mean_curvature_grid,
     total_mean_curvature_zonal,
 )
-from quermass.grids import build_grid, sphere_area
+from quermass.grids import build_grid, panel_rule, sphere_area
 
 
 # -- reference packers: the KD-tree thinning and the one-by-one dart
@@ -91,8 +91,7 @@ def test_bump_integral_against_adaptive_quadrature():
     n = 3
     val, err = quad(lambda r: bump.slope(np.array([r]))[0] ** 2 * r ** (n - 3),
                     0.0, bump.radius, limit=200)
-    from quermass.counterexample import _panel_rule
-    r, w = _panel_rule((0.0, *bump.breakpoints))
+    r, w = panel_rule((0.0, *bump.breakpoints), 24, 8)
     mine = float(np.sum(w * bump.slope(r) ** 2 * r ** (n - 3)))
     assert abs(mine - val) < 1e-10
 
@@ -268,10 +267,7 @@ def test_single_dent_matches_axial_lift():
     domain = build_counterexample(n, eps, kappa, centers=centers)
     zonal = total_mean_curvature_zonal(domain)
 
-    prof = AxialProfile.from_callables(
-        n, bump.depth, bump.slope, bump.slope_derivative,
-        support=bump.radius, breakpoints=bump.breakpoints)
-    axial = axial_functionals(prof).int_H
+    axial = axial_functionals(bump.axial_profile(n)).int_H
     assert_allclose(zonal, axial, rtol=1e-8)
 
     grid_val = total_mean_curvature_grid(domain, resolution=320)
@@ -349,10 +345,34 @@ def test_packing_cache_is_keyed_by_dimension_kappa_and_seed():
     assert not np.array_equal(cache[(4, 4.0, 0)].points, cache[(4, 4.0, 1)].points)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kappa", [10.0, 160.0, 2560.0])
+@pytest.mark.parametrize("eps", [0.1, 0.45])
+def test_cap_excess_against_adaptive_quadrature(n, kappa, eps):
+    # the per-dent excess int_cap (H J - (n-1)) is tiny next to (n-1)|S^{n-1}|
+    # (1e-14 relative at n = 5, kappa = 2560), so it must be integrated over
+    # the cap alone: a whole-sphere integral minus (n-1)|S^{n-1}| loses it
+    bump = make_bump(kappa, eps)
+
+    def excess(th):
+        th = np.array([th])
+        f, fd, fdd = bump.depth(th), bump.slope(th), bump.slope_derivative(th)
+        lap = fdd + (n - 2) * fd * np.cos(th) / np.sin(th)
+        H = geometry.mean_curvature_from_scalars(f, fd * fd, lap, fdd * fd * fd, n)
+        J = geometry.area_jacobian(f, fd * fd, n)
+        return float(((H * J - (n - 1)) * np.sin(th) ** (n - 2))[0])
+
+    edges = (0.0, *bump.breakpoints)
+    want = sphere_area(n - 1) * sum(
+        quad(excess, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:]))
+    cap_h, cap_area = cx._cap_contributions(bump, n)
+    assert abs(cap_h - (n - 1) * cap_area - want) <= 1e-10 * abs(want)
+
+
 def test_per_dent_additivity_on_grid():
     # node partition: total = (n-1)*(outside area) + sum of per-dent parts,
     # exactly as computed; the inside part matches q times the 1-D cap value
-    import quermass.geometry as geometry
     kappa, eps, n = 20.0, 0.3, 3
     domain = build_counterexample(n, eps, kappa)
     grid = build_grid(3, 576)
