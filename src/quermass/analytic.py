@@ -6,6 +6,13 @@ Hessians come from the closed radial formulas, so fields with very
 small support (far beyond any spectral truncation) are differentiated
 exactly.  Distances use the nearest center only, which is valid because
 supports are disjoint.
+
+The radial formulas are evaluated only at the members of the supports;
+every other point gets the value of the profile's constant offset and
+no slope.  Members of a grid come from grid_members: on the n = 3
+Gauss-Legendre x equiangular grid the nodes near each center are read
+off its latitude bands, with no search; other grids and arbitrary
+points go through a KD-tree over the centers.
 """
 
 from __future__ import annotations
@@ -15,6 +22,17 @@ from scipy.spatial import cKDTree
 
 from quermass.geometry import POLE_SIN, zonal_laplacian
 from quermass.grids import SphericalGrid, tangent_frames
+
+# nodes per block when a per-grid method walks the whole grid
+_GRID_BLOCK = 200_000
+# below this sin(theta_i) sin(theta_c) the phi-window of row i about a
+# center has no usable precision; the whole row is taken instead
+_BAND_MIN_SIN2 = 1e-7
+
+
+def _ranges(first, count):
+    """Concatenation of the integer ranges first[i] + arange(count[i])."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 class GeodesicRadialField:
@@ -36,13 +54,7 @@ class GeodesicRadialField:
 
     def geodesic_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance to the nearest center."""
-        points = np.asarray(points, dtype=float)
-        if self._tree is None:
-            dots = points @ self.centers[0]
-        else:
-            _, idx = self._tree.query(points, k=1)
-            dots = np.einsum("ij,ij->i", points, self.centers[idx])
-        return np.arccos(np.clip(dots, -1.0, 1.0))
+        return self._nearest(np.asarray(points, dtype=float))[2]
 
     def _nearest(self, points):
         if self._tree is None:
@@ -54,36 +66,114 @@ class GeodesicRadialField:
         d = np.arccos(np.clip(dots, -1.0, 1.0))
         return centers, dots, d
 
-    # -- scalar fast path -----------------------------------------------------
+    def _point_members(self, points):
+        """(index, centers, dots, d) of the points inside a support."""
+        centers, dots, d = self._nearest(points)
+        idx = np.flatnonzero(d < self.support)
+        return idx, centers[idx], dots[idx], d[idx]
 
-    def scalar_invariants(self, points: np.ndarray, n: int):
-        """(u, |grad u|^2, lap u, grad^2 u[grad u, grad u]) at points."""
-        points = np.asarray(points, dtype=float)
-        _, _, d = self._nearest(points)
-        inside = d < self.support
-        dd = np.where(inside, d, 0.0)
-        fv = np.where(inside, self.f(dd), 0.0)
-        fdv = np.where(inside, self.fd(dd), 0.0)
-        fddv = np.where(inside, self.fdd(dd), 0.0)
-        _, lap = zonal_laplacian(fdv, fddv, dd, n)
-        return self.offset + fv, fdv**2, lap, fddv * fdv**2
+    def grid_members(self, grid: SphericalGrid, block: int):
+        """Members of the supports among the grid nodes, block by block.
 
-    def phi_gradient_dot_grad(self, points: np.ndarray, n: int) -> np.ndarray:
-        """grad(phi) . grad(u) for phi = (1+|v|^2)^{-1/2}, analytically."""
-        points = np.asarray(points, dtype=float)
-        _, _, d = self._nearest(points)
-        inside = d < self.support
-        dd = np.where(inside, d, 0.0)
-        fv = np.where(inside, self.f(dd), 0.0)
-        fdv = np.where(inside, self.fd(dd), 0.0)
-        fddv = np.where(inside, self.fdd(dd), 0.0)
-        opu = 1.0 + self.offset + fv
-        v = fdv / opu
-        vprime = (fddv * opu - fdv**2) / opu**2
-        phi_prime = -(1.0 + v**2) ** (-1.5) * v * vprime
-        return phi_prime * fdv
+        Yields (start, stop, index, center, dots, d) for the node blocks
+        [start, stop) of length block, in order: index holds the global
+        indices of the block's nodes at geodesic distance d < support
+        from a center, center the row of that center in self.centers and
+        dots its dot product with the node.  The distances are those of
+        the KD-tree route, bit for bit.  On the n = 3 tensor grid the
+        candidates come from latitude bands (_band_candidates), in
+        O(members) work; other grids query the KD-tree.
+        """
+        N = grid.num_nodes
+        bands = self._latitude_bands(grid) if grid.n == 3 else None
+        for start in range(0, N, block):
+            stop = min(start + block, N)
+            yield (start, stop) + self._block_members(grid, bands, start, stop)
 
-    # -- full tensor data ------------------------------------------------------
+    def _block_members(self, grid, bands, start, stop):
+        """(index, center, dots, d) of grid_members for the nodes [start, stop)."""
+        if bands is None:
+            node = np.arange(start, stop)
+            center = (np.zeros(len(node), dtype=np.int64) if self._tree is None
+                      else self._tree.query(grid.nodes[start:stop], k=1)[1])
+        else:
+            node, center = self._band_candidates(grid, bands, start, stop)
+        dots = np.einsum("ij,ij->i", grid.nodes[node], self.centers[center])
+        d = np.arccos(np.clip(dots, -1.0, 1.0))
+        inside = np.flatnonzero(d < self.support)
+        return node[inside], center[inside], dots[inside], d[inside]
+
+    def _latitude_bands(self, grid: SphericalGrid):
+        """Centers in row order, with the rows [first, last) each may reach.
+
+        Rows run in decreasing theta.  A node within geodesic distance r
+        of the center has |theta_i - theta_c| < r; the row range holds
+        those rows and one more on each side.
+        """
+        theta = grid.angles[0]
+        c = self.centers
+        theta_c = np.arccos(np.clip(c[:, 0], -1.0, 1.0))
+        order = np.argsort(-theta_c, kind="stable")
+        theta_c = theta_c[order]
+        r = min(self.support, np.pi)
+        neg = -theta
+        first = np.maximum(np.searchsorted(neg, -(theta_c + r), "right") - 1, 0)
+        last = np.minimum(np.searchsorted(neg, -(theta_c - r), "left") + 1, len(theta))
+        phi_c = np.arctan2(c[order, 2], c[order, 1])
+        return order, theta_c, phi_c, first, last
+
+    def _band_candidates(self, grid, bands, start, stop):
+        """(node, center) candidate pairs for the nodes [start, stop).
+
+        Row i of center c holds the nodes within r in the phi-window of
+        half-width arccos((cos r - cos theta_i cos theta_c) /
+        (sin theta_i sin theta_c)) about phi_c.  The window is padded by
+        one node on each side, wrapped mod 2 res, and widened to the
+        whole row where it covers it, where the row or the center is so
+        close to a pole that the window loses its precision, and where
+        the cap covers the row.  Each node appears at most once per
+        center, so disjoint supports give no node twice among members.
+        """
+        order, theta_c, phi_c, first, last = bands
+        m = len(grid.angles[1])
+        row0, row1 = start // m, (stop - 1) // m + 1
+        # centers in row order reaching a row of [row0, row1)
+        lo = np.searchsorted(last, row0, "right")
+        hi = np.searchsorted(first, row1, "left")
+        rows_from = np.maximum(first[lo:hi], row0)
+        nrows = np.minimum(last[lo:hi], row1) - rows_from
+        pair = np.repeat(np.arange(lo, hi), nrows)
+        row = _ranges(rows_from, nrows)
+
+        t = grid.axis_nodes[0][row]
+        s = np.sin(grid.angles[0][row])
+        den = s * np.sin(theta_c[pair])
+        near_pole = den < _BAND_MIN_SIN2
+        a = ((np.cos(min(self.support, np.pi)) - t * np.cos(theta_c[pair]))
+             / np.where(near_pole, 1.0, den))
+        w = np.arccos(np.clip(a, -1.0, 1.0))
+        step = 2.0 * np.pi / m
+        j_lo = np.ceil((phi_c[pair] - w) / step).astype(np.int64) - 1
+        count = np.floor((phi_c[pair] + w) / step).astype(np.int64) + 2 - j_lo
+        whole = near_pole | (a <= -1.0) | (count >= m)
+        j_lo[whole] = 0
+        count[whole] = m
+
+        node = np.repeat(row * m, count) + _ranges(j_lo, count) % m
+        center = np.repeat(order[pair], count)
+        keep = np.flatnonzero((node >= start) & (node < stop))
+        return node[keep], center[keep]
+
+    # -- radial formulas at members -------------------------------------------
+
+    def outside_invariants(self):
+        """(u, |grad u|^2, lap u, grad^2 u[grad u, grad u]) off the supports."""
+        return self.offset + 0.0, 0.0, 0.0, 0.0
+
+    def _invariants(self, d, n):
+        fdv, fddv = self.fd(d), self.fdd(d)
+        _, lap = zonal_laplacian(fdv, fddv, d, n)
+        return self.offset + self.f(d), fdv**2, lap, fddv * fdv**2
 
     def _tangent_direction(self, points, centers, dots, d):
         """Unit tangent at x along the great circle away from the center."""
@@ -94,52 +184,109 @@ class GeodesicRadialField:
                            tau / np.where(s > POLE_SIN, s, 1.0)[:, None], 0.0)
         return tau
 
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        _, _, d = self._nearest(points)
-        inside = d < self.support
-        return self.offset + np.where(inside, self.f(np.where(inside, d, 0.0)), 0.0)
-
-    def gradient_at(self, points: np.ndarray) -> np.ndarray:
-        """Ambient tangential gradient at arbitrary unit vectors."""
-        points = np.asarray(points, dtype=float)
-        centers, dots, d = self._nearest(points)
-        inside = d < self.support
-        fdv = np.where(inside, self.fd(np.where(inside, d, 0.0)), 0.0)
+    def _gradient(self, points, centers, dots, d):
         tau = self._tangent_direction(points, centers, dots, d)
-        return fdv[:, None] * tau
+        return self.fd(d)[:, None] * tau
 
-    def hessian_ambient(self, points: np.ndarray) -> np.ndarray:
-        """Tangential ambient Hessian: fdd tau tau^T + fd cot(d) (P - tau tau^T)."""
-        points = np.asarray(points, dtype=float)
-        centers, dots, d = self._nearest(points)
-        inside = d < self.support
-        dd = np.where(inside, d, 0.0)
-        fdv = np.where(inside, self.fd(dd), 0.0)
-        fddv = np.where(inside, self.fdd(dd), 0.0)
+    def _hessian(self, points, centers, dots, d):
+        """fdd tau tau^T + fd cot(d) (P - tau tau^T) at members."""
+        fdv, fddv = self.fd(d), self.fdd(d)
         n = points.shape[1]
-        cot_slope, _ = zonal_laplacian(fdv, fddv, dd, n)
+        cot_slope, _ = zonal_laplacian(fdv, fddv, d, n)
         tau = self._tangent_direction(points, centers, dots, d)
         tt = tau[:, :, None] * tau[:, None, :]
         P = np.eye(n)[None] - points[:, :, None] * points[:, None, :]
         return fddv[:, None, None] * tt + cot_slope[:, None, None] * (P - tt)
 
-    # -- ScalarField provider protocol (per-grid) ------------------------------
+    def _phi_dot(self, d):
+        fdv, fddv = self.fd(d), self.fdd(d)
+        opu = 1.0 + self.offset + self.f(d)
+        v = fdv / opu
+        vprime = (fddv * opu - fdv**2) / opu**2
+        phi_prime = -(1.0 + v**2) ** (-1.5) * v * vprime
+        return phi_prime * fdv
+
+    # -- arbitrary points (KD-tree membership) ----------------------------------
+
+    def scalar_invariants(self, points: np.ndarray, n: int):
+        """(u, |grad u|^2, lap u, grad^2 u[grad u, grad u]) at points."""
+        points = np.asarray(points, dtype=float)
+        idx, _, _, d = self._point_members(points)
+        out = [np.full(len(points), v) for v in self.outside_invariants()]
+        for arr, val in zip(out, self._invariants(d, n)):
+            arr[idx] = val
+        return tuple(out)
+
+    def values_at(self, points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        idx, _, _, d = self._point_members(points)
+        out = np.full(len(points), self.offset + 0.0)
+        out[idx] = self.offset + self.f(d)
+        return out
+
+    def gradient_at(self, points: np.ndarray) -> np.ndarray:
+        """Ambient tangential gradient at arbitrary unit vectors."""
+        points = np.asarray(points, dtype=float)
+        idx, centers, dots, d = self._point_members(points)
+        out = np.zeros(points.shape)
+        out[idx] = self._gradient(points[idx], centers, dots, d)
+        return out
+
+    def hessian_ambient(self, points: np.ndarray) -> np.ndarray:
+        """Tangential ambient Hessian: fdd tau tau^T + fd cot(d) (P - tau tau^T)."""
+        points = np.asarray(points, dtype=float)
+        idx, centers, dots, d = self._point_members(points)
+        n = points.shape[1]
+        out = np.zeros((len(points), n, n))
+        out[idx] = self._hessian(points[idx], centers, dots, d)
+        return out
+
+    # -- ScalarField provider protocol (per-grid, grid_members membership) ------
 
     def values(self, grid: SphericalGrid) -> np.ndarray:
-        return self.values_at(grid.nodes)
+        out = np.full(grid.num_nodes, self.offset + 0.0)
+        for _, _, idx, _, _, d in self.grid_members(grid, _GRID_BLOCK):
+            out[idx] = self.offset + self.f(d)
+        return out
 
     def grad_frame(self, grid: SphericalGrid) -> np.ndarray:
         frames = tangent_frames(grid)
-        return np.einsum("ikj,ij->ik", frames, self.gradient_at(grid.nodes))
+        out = np.zeros((grid.num_nodes, grid.n - 1))
+        for _, _, idx, center, dots, d in self.grid_members(grid, _GRID_BLOCK):
+            g = self._gradient(grid.nodes[idx], self.centers[center], dots, d)
+            out[idx] = np.einsum("ikj,ij->ik", frames[idx], g)
+        return out
 
     def hessian_frame(self, grid: SphericalGrid) -> np.ndarray:
         frames = tangent_frames(grid)
-        H = self.hessian_ambient(grid.nodes)
-        return np.einsum("iaj,ijk,ibk->iab", frames, H, frames)
+        out = np.zeros((grid.num_nodes, grid.n - 1, grid.n - 1))
+        for _, _, idx, center, dots, d in self.grid_members(grid, _GRID_BLOCK):
+            F = frames[idx]
+            H = self._hessian(grid.nodes[idx], self.centers[center], dots, d)
+            out[idx] = np.einsum("iaj,ijk,ibk->iab", F, H, F)
+        return out
 
     def laplacian(self, grid: SphericalGrid) -> np.ndarray:
-        return self.scalar_invariants(grid.nodes, grid.n)[2]
+        out = np.zeros(grid.num_nodes)
+        for _, _, idx, _, _, d in self.grid_members(grid, _GRID_BLOCK):
+            out[idx] = self._invariants(d, grid.n)[2]
+        return out
+
+    def phi_gradient_dot_grad(self, grid: SphericalGrid) -> np.ndarray:
+        """grad(phi) . grad(u) for phi = (1+|v|^2)^{-1/2}, analytically."""
+        out = np.zeros(grid.num_nodes)
+        for _, _, idx, _, _, d in self.grid_members(grid, _GRID_BLOCK):
+            out[idx] = self._phi_dot(d)
+        return out
+
+    def grid_scalar_invariants(self, grid: SphericalGrid, block: int):
+        """Per node block: (start, stop, local member index, invariants).
+
+        The invariants are those of scalar_invariants at the block's
+        members; every other node has outside_invariants().
+        """
+        for start, stop, idx, _, _, d in self.grid_members(grid, block):
+            yield start, stop, idx - start, self._invariants(d, grid.n)
 
 
 def zonal_field(f, fd, fdd, axis=None, n: int = 3) -> GeodesicRadialField:

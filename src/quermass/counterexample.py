@@ -45,9 +45,10 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # lattice (62.6M points) and the kappa = 320 grid check.
 MEMORY_FRACTION = 0.75
 # peak bytes per lattice point of pack_points(3, kappa) and per node of
-# total_mean_curvature_grid, measured (72 and 97-121) and rounded up; per
-# coordinate of the 4 * target points dart throwing may accept: its
-# buffer, their KD-tree, a batch and the returned copy, with room
+# total_mean_curvature_grid, measured (72; 72-124 over kappa 10-160, where
+# build_grid alone needs 72) and rounded up; per coordinate of the
+# 4 * target points dart throwing may accept: its buffer, their KD-tree,
+# a batch and the returned copy, with room
 _BYTES_PER_LATTICE_POINT = 80
 _BYTES_PER_GRID_NODE = 128
 _BYTES_PER_DART_COORDINATE = 48
@@ -508,6 +509,9 @@ def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = Non
                               chunk: int = 400_000) -> float:
     """Independent check on a dense 2-D grid (n = 3).
 
+    Every node is integrated, in chunks of chunk nodes: the curvature of
+    the dented profile at the nodes inside a dent, which the provider
+    finds by latitude bands, and that of the round sphere elsewhere.
     Raises MemoryBudgetError, before building the grid, when its nodes
     would need more than memory_budget().
     """

@@ -163,7 +163,7 @@ class StarDomain:
         prof = self.profile
         v2 = geometry.radial_slope(u, grad2)
         if prof.analytic is not None:
-            dot = prof.analytic.phi_gradient_dot_grad(self.grid.nodes, self.n)
+            dot = prof.analytic.phi_gradient_dot_grad(self.grid)
             lap = prof.analytic.laplacian(self.grid)
         else:
             phi = ScalarField(self.grid, (1.0 + v2) ** -0.5)
@@ -196,19 +196,28 @@ class StarDomain:
 
         For analytic profiles the evaluation is streamed over node
         chunks, which keeps memory flat on very fine diagnostic grids.
+        The curvature is evaluated only at the nodes inside the
+        provider's supports; every other node gets that of the round
+        sphere u = offset.  Each chunk is summed in node order, so the
+        result does not depend on how the members were found.
         """
         prof = self.profile
         if prof.analytic is None:
             f = self.curvature_integrals()
             return f.int_H
+        n, weights = self.n, self.grid.weights
+
+        def integrand(u, grad2, lap, cubic):
+            H = geometry.mean_curvature_from_scalars(u, grad2, lap, cubic, n)
+            return H, geometry.area_jacobian(u, grad2, n)
+
+        H0, J0 = integrand(*(np.array([v]) for v in prof.analytic.outside_invariants()))
         total = 0.0
-        nodes, weights = self.grid.nodes, self.grid.weights
-        for i0 in range(0, self.grid.num_nodes, chunk):
-            sl = slice(i0, i0 + chunk)
-            u, grad2, lap, cubic = prof.analytic.scalar_invariants(nodes[sl], self.n)
-            H = geometry.mean_curvature_from_scalars(u, grad2, lap, cubic, self.n)
-            J = geometry.area_jacobian(u, grad2, self.n)
-            total += float(np.sum(weights[sl] * H * J))
+        for start, stop, idx, inv in prof.analytic.grid_scalar_invariants(self.grid, chunk):
+            H = np.full(stop - start, H0[0])
+            J = np.full(stop - start, J0[0])
+            H[idx], J[idx] = integrand(*inv)
+            total += float(np.sum(weights[start:stop] * H * J))
         return total
 
     # -- normal-deviation size ----------------------------------------------------

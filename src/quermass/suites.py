@@ -17,7 +17,7 @@ import numpy as np
 
 from quermass import conjecture, counterexample, cubic, deficits
 from quermass.axisym import axial_minkowski_deficit
-from quermass.config import thread_count
+from quermass.config import DEFAULT_TOLERANCES, thread_count
 from quermass.grids import build_grid
 from quermass.reporting import DEFICIT_COLUMNS
 from quermass.stardomain import ResolutionWarning
@@ -274,7 +274,9 @@ DENT_EXTRA_COLUMNS = DENT_COLUMNS + ["relative_gap", "packing_constant", "c1_nor
 
 
 def dent_sweep_suite(eps: float = 0.3, kappas=(20.0, 40.0, 80.0, 160.0),
-                     seed: int = 0, gap_tolerance: float = 1e-2) -> dict:
+                     seed: int = 0,
+                     gap_tolerance: float = DEFAULT_TOLERANCES.dent_cross_check_rel
+                     ) -> dict:
     recs = counterexample.sweep_total_mean_curvature(3, eps, kappas, seed,
                                                      method="both")
     rows = [{"kappa": r["kappa"], "q": r["count"],

@@ -174,3 +174,69 @@ def test_verify_negative_eps_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "target_eps" in capsys.readouterr().err
+
+
+def test_single_kappa_dent_gap_gates_the_verdict(tmp_path, capsys):
+    # the kappa = 10, eps = 0.45 grid check is 6.6e-3 from the zonal total
+    argv = ["counterexample", "--n", "3", "--kappa", "10", "--eps", "0.45"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    code = main(argv + ["--tolerance", "dent_cross_check_rel=1e-9",
+                        "--out", str(tmp_path / "b")])
+    assert code == 3
+    assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL")
+    summary = json.loads((tmp_path / "b" / "counterexample_summary.json").read_text())
+    assert summary["passed"] is False
+    row = (tmp_path / "b" / "counterexample.csv").read_text().splitlines()[1]
+    gap = float(row.split(",")[5])
+    assert 1e-9 < gap <= 1e-2
+    # n = 4 has no grid check, so no gap to gate
+    assert main(["counterexample", "--n", "4", "--kappa", "2", "--eps", "0.3",
+                 "--tolerance", "dent_cross_check_rel=1e-9",
+                 "--out", str(tmp_path / "c")]) == 0
+
+
+def test_sweep_gap_tolerance_comes_from_the_tolerances(monkeypatch, tmp_path):
+    import inspect
+    from quermass.config import DEFAULT_TOLERANCES
+    default = inspect.signature(suites.dent_sweep_suite).parameters["gap_tolerance"].default
+    assert default == DEFAULT_TOLERANCES.dent_cross_check_rel
+    seen = []
+
+    def fake_suite(**kwargs):
+        seen.append(kwargs)
+        return {"rows": [], "columns": ["x"], "passed": True, "summary": {}}
+
+    monkeypatch.setattr(suites, "dent_sweep_suite", fake_suite)
+    monkeypatch.setattr(suites, "negative_total_curvature_suite", fake_suite)
+    assert main(["counterexample", "--sweep", "10,20", "--out", str(tmp_path / "a"),
+                 "--tolerance", "dent_cross_check_rel=0.25"]) == 0
+    assert main(["counterexample", "--sweep", "10,20", "--out", str(tmp_path / "b")]) == 0
+    assert seen[0]["gap_tolerance"] == 0.25
+    assert seen[2]["gap_tolerance"] == DEFAULT_TOLERANCES.dent_cross_check_rel
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "radial-identity", "--tolerance", "bogus=1"],
+    ["verify", "radial-identity", "--tolerance", "cubic_slack=1e-30"],
+    ["verify", "pole", "--count", "3", "--tolerance", "pole_constant=1e-9"],
+    ["verify", "curvature-routes", "--count", "1", "--tolerance", "cubic_slack=1"],
+    ["counterexample", "--kappa", "4", "--tolerance", "mean_curvature_agree=1"],
+    ["conjecture", "--n", "4", "--tolerance", "cubic_slack=1"],
+])
+def test_tolerance_keys_the_command_does_not_read_exit_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert "error: unknown tolerance keys" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_tolerance_keys_the_command_reads_are_accepted(ball_file, tmp_path):
+    assert main(["verify", "curvature-routes", "--count", "1", "--resolution", "16",
+                 "--tolerance", "mean_curvature_agree=1e-3",
+                 "--out", str(tmp_path / "a")]) == 0
+    # functionals and deficits accept every field of Tolerances, and only those
+    assert main(["functionals", str(ball_file), "--tolerance", "cubic_slack=2",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert main(["deficits", str(ball_file), "--tolerance", "pole_slack=2",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert main(["deficits", str(ball_file), "--tolerance", "bogus=2",
+                 "--out", str(tmp_path / "d")]) == 2

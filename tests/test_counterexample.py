@@ -393,3 +393,74 @@ def test_per_dent_additivity_on_grid():
     from quermass.counterexample import _cap_contributions
     cap_h, _ = _cap_contributions(domain.bump, n)
     assert abs(inside_part - domain.centers.count * cap_h) < 1e-2 * abs(inside_part)
+
+
+# -- the dense-grid check against the KD-tree route it replaced
+
+
+def _kdtree_profile(domain, nodes):
+    """(u, |grad u|^2, lap u, cubic) with every node's nearest center found
+    by a KD-tree query and the profile evaluated at every node."""
+    bump = domain.bump
+    centers = domain.centers.points
+    _, idx = cKDTree(centers).query(nodes, k=1)
+    dots = np.einsum("ij,ij->i", nodes, centers[idx])
+    d = np.arccos(np.clip(dots, -1.0, 1.0))
+    inside = d < bump.radius
+    dd = np.where(inside, d, 0.0)
+    fv = np.where(inside, bump.depth(dd), 0.0)
+    fdv = np.where(inside, bump.slope(dd), 0.0)
+    fddv = np.where(inside, bump.slope_derivative(dd), 0.0)
+    _, lap = geometry.zonal_laplacian(fdv, fddv, dd, 3)
+    return 0.0 + fv, fdv**2, lap, fddv * fdv**2
+
+
+def _kdtree_grid_total(domain, resolution=None, chunk=400_000):
+    if resolution is None:
+        resolution = max(256, int(math.ceil(13 * domain.kappa)))
+    grid = build_grid(3, resolution)
+    total = 0.0
+    for i0 in range(0, grid.num_nodes, chunk):
+        sl = slice(i0, i0 + chunk)
+        u, grad2, lap, cubic = _kdtree_profile(domain, grid.nodes[sl])
+        H = geometry.mean_curvature_from_scalars(u, grad2, lap, cubic, 3)
+        J = geometry.area_jacobian(u, grad2, 3)
+        total += float(np.sum(grid.weights[sl] * H * J))
+    return total
+
+
+@pytest.mark.parametrize("kappa", [1.0, 10.0, 20.0])
+@pytest.mark.parametrize("eps", [0.1, 0.45])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_check_is_bit_identical_to_the_kdtree_route(kappa, eps, seed):
+    domain = build_counterexample(3, eps, kappa, seed)
+    assert total_mean_curvature_grid(domain) == _kdtree_grid_total(domain)
+
+
+@pytest.mark.parametrize("resolution", [100, 257])
+@pytest.mark.parametrize("kappa", [10.0, 20.0])
+def test_grid_check_at_explicit_resolutions(resolution, kappa):
+    domain = build_counterexample(3, 0.3, kappa)
+    assert (total_mean_curvature_grid(domain, resolution)
+            == _kdtree_grid_total(domain, resolution))
+
+
+def test_dented_profile_on_grid_is_bit_identical():
+    # the --mesh export reads these values
+    domain = build_counterexample(3, 0.2, 10.0)
+    grid = build_grid(3, 128)
+    values = domain.on_grid(grid).profile.values
+    assert np.array_equal(values, _kdtree_profile(domain, grid.nodes)[0])
+
+
+def test_grid_check_memory_within_its_budget():
+    # kappa = 40: resolution 520, 540,800 nodes
+    domain = build_counterexample(3, 0.3, 40.0)
+    nodes = 2 * 520 * 520
+    tracemalloc.start()
+    try:
+        total_mean_curvature_grid(domain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cx._BYTES_PER_GRID_NODE * nodes
