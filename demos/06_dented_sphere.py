@@ -1,8 +1,9 @@
 """A C^1-small perturbation of the ball with very negative total curvature.
 
-Dents of geodesic radius 1/kappa at ~kappa^2 packed points each remove
-a cubic-order amount of total mean curvature; the removal grows
-linearly in kappa while the perturbation size stays fixed.
+Dents of geodesic radius 1/kappa at ~kappa^{n-1} packed points each
+remove a cubic-order amount of total mean curvature; the removal grows
+linearly in kappa while the perturbation size stays fixed.  On S^3 the
+dents are counted on latitude rings, never placed.
 
 Run:  python3 demos/06_dented_sphere.py        (~10 seconds)
 """
@@ -47,4 +48,11 @@ out = find_negative_mean_curvature(3, 0.3, kappa_start=320.0)
 for rec in out["history"]:
     print(f"  kappa {rec['kappa']:>7.0f}: q = {rec['count']:>9}, "
           f"int H = {rec['int_H_zonal']:+9.3f}")
+print(f"  threshold crossed at kappa* = {out['kappa_star']:.0f}")
+
+print("\n== the same search on S^3 (n = 4, ring counts, eps = 0.3) ==")
+out = find_negative_mean_curvature(4, 0.3, kappa_start=20.0)
+for rec in out["history"]:
+    print(f"  kappa {rec['kappa']:>7.0f}: q = {rec['count']:>14,}, "
+          f"q/kappa^3 = {rec['packing_constant']:.3f}, int H = {rec['int_H_zonal']:+9.3f}")
 print(f"  threshold crossed at kappa* = {out['kappa_star']:.0f}")

@@ -5,7 +5,8 @@ centers p_i with pairwise disjoint supports.  Values, gradients and
 Hessians come from the closed radial formulas, so fields with very
 small support (far beyond any spectral truncation) are differentiated
 exactly.  Distances use the nearest center only, which is valid because
-supports are disjoint.
+supports are disjoint; the first profile evaluation refuses overlapping
+supports.
 
 The radial formulas are evaluated only at the members of the supports;
 every other point gets the value of the profile's constant offset and
@@ -49,6 +50,20 @@ class GeodesicRadialField:
         self.support = float(support)
         self.offset = float(offset)
         self._tree = cKDTree(self.centers) if len(self.centers) > 1 else None
+        self._disjoint = self._tree is None
+
+    def _require_disjoint(self):
+        """Refuse overlapping supports (ValueError), checked once."""
+        if not self._disjoint:
+            chord, idx = self._tree.query(self.centers, k=2)
+            i = int(np.argmin(chord[:, 1]))
+            j = int(idx[i, 1] if idx[i, 1] != i else idx[i, 0])
+            gap = 2.0 * np.arcsin(min(0.5 * chord[i, 1], 1.0))
+            if gap < 2.0 * self.support:
+                raise ValueError(
+                    f"supports overlap: centers {min(i, j)} and {max(i, j)} are "
+                    f"{gap:.6g} apart, less than twice the support {self.support:.6g}")
+            self._disjoint = True
 
     # -- distances ----------------------------------------------------------
 
@@ -68,6 +83,7 @@ class GeodesicRadialField:
 
     def _point_members(self, points):
         """(index, centers, dots, d) of the points inside a support."""
+        self._require_disjoint()
         centers, dots, d = self._nearest(points)
         idx = np.flatnonzero(d < self.support)
         return idx, centers[idx], dots[idx], d[idx]
@@ -84,6 +100,7 @@ class GeodesicRadialField:
         candidates come from latitude bands (_band_candidates), in
         O(members) work; other grids query the KD-tree.
         """
+        self._require_disjoint()
         N = grid.num_nodes
         bands = self._latitude_bands(grid) if grid.n == 3 else None
         for start in range(0, N, block):

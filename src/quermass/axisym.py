@@ -241,15 +241,17 @@ def axial_functionals(profile: AxialProfile) -> Functionals:
 
 
 def pole_gradient_bound(profile: AxialProfile, theta0: float | None = None,
-                        constants=(1.0, 3.0, 10.0), slack: float = 1.1,
+                        constants=(1.0, 3.0, 10.0), slack: float | None = None,
                         samples: int = 400) -> dict:
     """Check the polar slope bound V'(th) <= slack*th + C0 th^{-(n-2)} * intHminus.
 
-    Evaluated on a theta grid in (0, theta0] and mirrored near pi.
+    Evaluated on a theta grid in (0, theta0] and mirrored near pi; slack
+    defaults to profile.tol.pole_slack.
     Returns worst margins (rhs - lhs; nonnegative means the bound holds)
     for each candidate constant C0.
     """
     n = profile.n
+    slack = profile.tol.pole_slack if slack is None else slack
     if theta0 is None:
         theta0 = math.sqrt(max(profile.c1_norm(), 1e-12))
     theta0 = min(theta0, math.pi / 2)

@@ -176,24 +176,22 @@ def cmd_verify(args) -> int:
 def cmd_counterexample(args) -> int:
     tol = _tolerances(args.tolerance, ("dent_cross_check_rel",), "counterexample")
     out_dir = Path(args.out)
+    from quermass import counterexample as cx
     if args.sweep:
         kappas = tuple(float(k) for k in args.sweep.split(","))
-        result = suites.dent_sweep_suite(eps=args.eps, kappas=kappas,
-                                         seed=args.seed,
+        result = suites.dent_sweep_suite(eps=args.eps, kappas=kappas, n=args.n,
                                          gap_tolerance=tol.dent_cross_check_rel)
         search = suites.negative_total_curvature_suite(
             eps=args.eps, kappa_start=max(kappas), kappa_max=args.kappa_max,
-            seed=args.seed)
+            n=args.n)
         result["rows"].extend(search["rows"])
         result["summary"]["search"] = search["summary"]
         result["passed"] = result["passed"] and search["passed"]
     else:
         if args.kappa is None:
             raise SystemExit("counterexample needs --kappa or --sweep")
-        from quermass import counterexample as cx
         rec = cx.total_mean_curvature(args.n, args.eps, args.kappa,
-                                      seed=args.seed, method="both"
-                                      if args.n == 3 else "zonal")
+                                      method="both" if args.n == 3 else "zonal")
         row = {"kappa": rec["kappa"], "q": rec["count"],
                "int_H_grid": rec.get("int_H_grid", ""),
                "int_H_zonal": rec["int_H_zonal"],
@@ -207,10 +205,8 @@ def cmd_counterexample(args) -> int:
                   "passed": passed, "summary": {}}
     _emit(out_dir, "counterexample", result, args.format, vars(args))
     if args.mesh and args.n == 3:
-        from quermass import counterexample as cx
         from quermass.grids import build_grid
-        domain = cx.build_counterexample(args.n, args.eps,
-                                         args.kappa or 20.0, args.seed)
+        domain = cx.build_counterexample(args.n, args.eps, args.kappa or 20.0)
         K = domain.on_grid(build_grid(3, args.resolution or 128))
         qio.export_obj(K, out_dir / "counterexample.obj")
     print("PASS" if result["passed"] else "FAIL",

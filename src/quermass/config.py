@@ -15,38 +15,20 @@ import os
 class Tolerances:
     """Default numerical tolerances, overridable per run."""
 
-    # grid / basis construction
-    node_norm: float = 1e-14
-    weight_sum_rel: float = 1e-12
-    quad_exact_rel: float = 1e-10
-    # spectral transforms
-    roundtrip: float = 1e-10
-    parseval_rel: float = 1e-9
-    orthonormality: float = 1e-10
-    # differential operators
-    tangency: float = 1e-10
-    eigen_sup: float = 1e-8
-    trace_hessian: float = 1e-8
-    integration_by_parts: float = 1e-8
     # curvature
     mean_curvature_agree: float = 1e-7
-    unit_normal: float = 1e-12
-    # frequency split
-    poincare_rel: float = 1e-8
     # normalization loop
     normalize_scale_rel: float = 1e-10
     normalize_center: float = 1e-8
     normalize_max_iter: int = 50
     # gradient-vs-normal comparison checks
     deviation_ratio_bound: float = 10.0
-    # cubic-term lemma slack constants
+    # cubic-term lemma slack constant
     cubic_slack: float = 5.0
-    radial_remainder: float = 5.0
     # pole gradient estimate
     pole_slack: float = 1.1
     pole_constant: float = 3.0
-    # cross-checks between 1-D and 2-D pipelines
-    cross_check_rel: float = 1e-6
+    # dented sphere: dense grid against the zonal total
     dent_cross_check_rel: float = 1e-2
 
     def with_overrides(self, overrides: dict[str, float]) -> "Tolerances":

@@ -12,11 +12,12 @@ The dent centers on S^2 are a thinned spherical Fibonacci lattice: for
 the index offset m the height gap and the azimuth step are fixed, so an
 exact certificate over offsets finds every pair closer than 2/kappa in
 O(N log kappa) time and O(N) memory, with no KD-tree (Keinert et al.,
-Spherical Fibonacci Mapping, ACM TOG 34(6), 2015).  On S^{n-1}, n >= 4,
-seeded dart throwing runs in batches that accept the same points in the
-same order as one-by-one throwing.  Both give exactly the points of the
-earlier KD-tree thinning and sequential loop.  Packings and dense-grid
-checks whose memory would exceed memory_budget() fail fast.
+Spherical Fibonacci Mapping, ACM TOG 34(6), 2015); the dense-grid check
+reads its coordinates.  On S^{n-1}, n >= 4, only the zonal total runs,
+which needs only the number of dents: that of a recursive latitude-ring
+packing (after the EQ partition, Leopardi, ETNA 25, 2006), counted
+without coordinates.  Lattices and grid checks above memory_budget(),
+and ring counts above RING_WORK_LIMIT, fail fast.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ import math
 import os
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from quermass import geometry
-from quermass.analytic import GeodesicRadialField
+from quermass.analytic import GeodesicRadialField, _ranges
 from quermass.axisym import AxialProfile, _pointwise_curvature
 from quermass.fields import ScalarField
 from quermass.grids import build_grid, panel_rule, sphere_area
@@ -42,20 +42,21 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # Packings and dense-grid checks refuse to start (MemoryBudgetError) when
 # their estimated working set exceeds MEMORY_FRACTION of the machine's
 # physical memory (memory_budget()); on 8 GB that admits the kappa = 5120
-# lattice (62.6M points) and the kappa = 320 grid check.
+# lattice (62.6M points) and the kappa = 320 grid check.  Ring counts
+# (n >= 4) refuse above RING_WORK_LIMIT circles (n = 4: kappa 5120, ~2 s).
 MEMORY_FRACTION = 0.75
+RING_WORK_LIMIT = 10**8
 # peak bytes per lattice point of pack_points(3, kappa) and per node of
 # total_mean_curvature_grid, measured (72; 72-124 over kappa 10-160, where
-# build_grid alone needs 72) and rounded up; per coordinate of the
-# 4 * target points dart throwing may accept: its buffer, their KD-tree,
-# a batch and the returned copy, with room
+# build_grid alone needs 72) and rounded up
 _BYTES_PER_LATTICE_POINT = 80
 _BYTES_PER_GRID_NODE = 128
-_BYTES_PER_DART_COORDINATE = 48
+_RING_PAD = 1e-12       # relative pad of the ring angles, against rounding
+_RING_CHUNK = 1 << 16   # ring slices per numpy step, which bounds memory
 
 
 class MemoryBudgetError(ValueError):
-    """A packing or grid check would need more memory than memory_budget()."""
+    """A packing or grid check over memory_budget(), or rings over RING_WORK_LIMIT."""
 
 
 def _physical_memory() -> int:
@@ -192,16 +193,21 @@ def make_bump(kappa: float, eps: float) -> BumpProfile:
 
 @dataclasses.dataclass(frozen=True)
 class PackedPoints:
-    """Centers on S^{n-1} with verified pairwise distance >= 2/kappa."""
+    """Dent centers on S^{n-1}, pairwise at least 2/kappa apart.
+
+    min_distance is the exact minimum of the n = 3 lattice; a ring count
+    (n >= 4) has points None and min_distance 2/kappa, its proved bound.
+    """
 
     n: int
     kappa: float
-    points: np.ndarray
+    points: np.ndarray | None
     min_distance: float
+    count: int | None = None
 
-    @property
-    def count(self) -> int:
-        return len(self.points)
+    def __post_init__(self):
+        if self.count is None:
+            object.__setattr__(self, "count", len(self.points))
 
     @property
     def packing_constant(self) -> float:
@@ -214,13 +220,6 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     phi = 2.0 * math.pi * i / GOLDEN
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.stack([z, r * np.cos(phi), r * np.sin(phi)], axis=1)
-
-
-def _verified_min_distance(points: np.ndarray) -> float:
-    """Exact minimal pairwise distance (nearest-neighbor query over all points)."""
-    tree = cKDTree(points)
-    d, _ = tree.query(points, k=2, workers=-1)
-    return float(d[:, 1].min())
 
 
 def _close_pairs(points: np.ndarray, reach: float):
@@ -300,73 +299,70 @@ def _thinned_fibonacci(count: int, min_d: float):
     return points, float(np.sqrt(d2[both].min()))
 
 
-def _dart_throwing(n: int, min_d: float, target: int, seed: int) -> np.ndarray:
-    """Seeded random sequential packing on S^{n-1}, in batches.
+def _half_gaps(radius: np.ndarray, kappa: float) -> np.ndarray:
+    """arcsin(1/(kappa rho)), padded, for radii rho; pi where kappa rho <= 1.
 
-    Accepts exactly the points, in the same order, of the sequential
-    rule: per attempt draw rng.standard_normal(n), divide by its norm,
-    and keep it when every accepted point is at distance >= min_d; stop
-    after 200 * target attempts or at 4 * target points.  A batch of
-    draws is one standard_normal((b, n)) call (the same stream), divided
-    by sqrt(q @ q), which rounds like np.linalg.norm.  Each batch is
-    filtered against the accepted points with one KD-tree query, and its
-    own conflicts are resolved in draw order; a distance within 1e-9 of
-    min_d is decided by the sequential rule's own expression.
+    Points of a circle at central angle twice this, or of a sphere at
+    polar angles twice this apart, are 2/kappa apart.
     """
-    rng = np.random.default_rng(seed)
-    cap = 4 * target
-    attempts_left = 200 * target
-    accepted = np.empty((cap, n))
-    count = 0
-    lo, hi = min_d * (1.0 - 1e-9), min_d * (1.0 + 1e-9)
-    while attempts_left > 0 and count < cap:
-        size = min(attempts_left, max(64, count))  # grows with the packing
-        attempts_left -= size
-        q = rng.standard_normal((size, n))
-        q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
-        if count:
-            near, _ = cKDTree(accepted[:count]).query(q, distance_upper_bound=hi)
-        else:
-            near = np.full(size, np.inf)
-        live = np.flatnonzero(near >= lo)
-        cand = q[live]
-        unsure = near[live] <= hi
-        pairs = cKDTree(cand).query_pairs(hi, output_type="ndarray")
-        gaps = np.linalg.norm(cand[pairs[:, 0]] - cand[pairs[:, 1]], axis=1)
-        order = np.argsort(pairs[:, 1], kind="stable")
-        pairs, gaps = pairs[order], gaps[order]
-        # pairs[starts[v]:starts[v + 1]] are those of v with an earlier u
-        starts = np.searchsorted(pairs[:, 1], np.arange(len(live) + 1))
-        keep = np.ones(len(live), dtype=bool)
-        for v in np.flatnonzero((np.diff(starts) > 0) | unsure).tolist():
-            s = slice(starts[v], starts[v + 1])
-            close = gaps[s][keep[pairs[s, 0]]]
-            if np.any(close < lo):
-                keep[v] = False
-            elif unsure[v] or np.any(close <= hi):
-                prior = np.concatenate([accepted[:count], cand[:v][keep[:v]]])
-                keep[v] = np.min(np.linalg.norm(prior - cand[v], axis=1)) >= min_d
-        new = cand[keep][:cap - count]
-        accepted[count:count + len(new)] = new
-        count += len(new)
-    return accepted[:count].copy()
+    x = kappa * radius
+    out = np.full(x.shape, np.pi)
+    wide = x > 1.0
+    out[wide] = np.arcsin(1.0 / x[wide]) * (1.0 + _RING_PAD)
+    return out
 
 
-def pack_points(n: int, kappa: float, seed: int = 0) -> PackedPoints:
+def _circle_capacity(radius: np.ndarray, kappa: float) -> np.ndarray:
+    """Points 2/kappa apart that fit equally spaced on circles of these radii."""
+    return np.floor(np.pi / _half_gaps(radius, kappa)).astype(np.int64)
+
+
+def ring_circles(n: int, kappa: float, coordinates: bool = True):
+    """The circles of the latitude-ring packing of S^{n-1}, in chunks.
+
+    A sphere of radius rho is cut at polar angles 2 arcsin(1/(kappa rho))
+    apart (padded), as many as fit in [0, pi], centered on the equator;
+    each slice, a sphere of radius rho sin(theta), is cut the same way
+    down to circles.  Points on two slices differ by that gap in polar
+    angle, so by induction all are 2/kappa apart.  Yields (lead, radius): row i of lead holds the
+    first n - 2 coordinates of circle i (lead is None unless coordinates),
+    which lies in the last two coordinates.
+    """
+    def walk(m, lead, radius):
+        if m == 2:
+            yield lead, radius
+            return
+        half = _half_gaps(radius, kappa)
+        counts = np.floor(0.5 * np.pi / half).astype(np.int64) + 1
+        step = max(1, _RING_CHUNK // int(counts.max()))
+        for i in range(0, len(radius), step):
+            c = counts[i:i + step]
+            owner = np.repeat(np.arange(i, i + len(c)), c)
+            g = 2.0 * half[owner]
+            theta = 0.5 * (np.pi - (counts[owner] - 1) * g) + _ranges(0, c) * g
+            sub_lead = None if lead is None else np.column_stack(
+                [lead[owner], radius[owner] * np.cos(theta)])
+            yield from walk(m - 1, sub_lead, radius[owner] * np.sin(theta))
+
+    yield from walk(n, np.zeros((1, 0)) if coordinates else None, np.ones(1))
+
+
+def pack_points(n: int, kappa: float) -> PackedPoints:
     """Centers with pairwise Euclidean distance >= 2/kappa.
 
     n = 3 thins the Fibonacci lattice sized from its measured minimal
     distance: an exact certificate over index offsets (_close_pairs)
     finds every pair closer than 2/kappa in O(N log kappa) time and O(N)
     memory, drops the later point of each, and gives the exact minimal
-    distance of the rest.  Other dimensions use seeded random sequential
-    packing, run in order-preserving batches (_dart_throwing).  Both
-    return exactly the points of the former KD-tree thinning and one-by-
-    one dart throwing; below two points the result is an antipodal pair.
-    The count is whatever the packer achieves and is reported, never
-    assumed.  Raises MemoryBudgetError, before allocating, when the
-    packing would need more than memory_budget().
+    distance of the rest.  Other dimensions count the latitude rings
+    (ring_circles) without coordinates, in work growing like kappa^{n-2}
+    (n = 4: about 2.47 kappa^3 points).  Below two points the result is
+    the antipodal pair.  Raises MemoryBudgetError up front when the
+    lattice would need more than memory_budget() or the rings more than
+    RING_WORK_LIMIT circles.
     """
+    if n < 2:
+        raise ValueError(f"pack_points needs n >= 2, got {n}")
     min_d = 2.0 / kappa
     what = f"pack_points({n}, {kappa:g})"
     if n == 3:
@@ -376,15 +372,16 @@ def pack_points(n: int, kappa: float, seed: int = 0) -> PackedPoints:
         if packed is not None:
             return PackedPoints(n, kappa, *packed)
     else:
-        target = max(2, int(2.0 * kappa ** (n - 1)))
-        _check_budget(what, 4 * target, "points",
-                      4 * target * n * _BYTES_PER_DART_COORDINATE)
-        pts = _dart_throwing(n, min_d, target, seed)
-        if len(pts) >= 2:
-            d_exact = _verified_min_distance(pts)
-            if d_exact < min_d:
-                raise AssertionError("random packer produced a violating pair")
-            return PackedPoints(n, kappa, pts, d_exact)
+        slices = math.floor(0.5 * math.pi / _half_gaps(np.ones(1), kappa)[0]) + 1
+        work = slices ** (n - 2)
+        if work > RING_WORK_LIMIT:
+            raise MemoryBudgetError(
+                f"{what} would count about {work:.3g} circles, above the work budget "
+                f"of {RING_WORK_LIMIT:.0e} (quermass.counterexample.RING_WORK_LIMIT)")
+        count = sum(int(_circle_capacity(radius, kappa).sum())
+                    for _, radius in ring_circles(n, kappa, coordinates=False))
+        if count >= 2:
+            return PackedPoints(n, kappa, None, min_d, count)
     pts = np.zeros((2, n))
     pts[0, 0], pts[1, 0] = 1.0, -1.0
     return PackedPoints(n, kappa, pts, 2.0)
@@ -439,6 +436,9 @@ class DentedSphere:
     centers: PackedPoints
 
     def provider(self) -> GeodesicRadialField:
+        if self.centers.points is None:
+            raise ValueError(f"the n = {self.n} ring packing is a count without "
+                             "coordinates; only the zonal total runs on it")
         return GeodesicRadialField(self.centers.points, self.bump.depth,
                                    self.bump.slope, self.bump.slope_derivative,
                                    support=self.bump.radius)
@@ -465,12 +465,12 @@ class DentedSphere:
         return float(np.sqrt(np.max(geometry.normal_deviation_sq(v2))))
 
 
-def build_counterexample(n: int, eps: float, kappa: float, seed: int = 0,
+def build_counterexample(n: int, eps: float, kappa: float,
                          centers: PackedPoints | None = None) -> DentedSphere:
     """Dent the sphere at packed points; supports are verified disjoint."""
     bump = make_bump(kappa, eps)
     if centers is None:
-        centers = pack_points(n, kappa, seed)
+        centers = pack_points(n, kappa)
     if centers.min_distance < 2.0 * bump.radius:
         raise AssertionError(
             f"dent supports overlap: min distance {centers.min_distance:.3e} "
@@ -529,23 +529,23 @@ def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = Non
     return K.integrated_mean_curvature(chunk=chunk)
 
 
-def total_mean_curvature(n: int, eps: float, kappa: float, seed: int = 0,
-                         method: str = "zonal", resolution: int | None = None,
+def total_mean_curvature(n: int, eps: float, kappa: float, method: str = "zonal",
+                         resolution: int | None = None,
                          centers: PackedPoints | None = None,
                          packing_cache: dict | None = None) -> dict:
     """Total boundary mean curvature of the dented sphere.
 
     method "zonal" uses the exact per-dent decomposition; "both" adds
     the dense-grid evaluation (n = 3) and reports their relative gap.
-    packing_cache maps (n, kappa, seed) to PackedPoints: packings do not
+    packing_cache maps (n, kappa) to PackedPoints: packings do not
     depend on eps, so sweeps over eps can share the expensive part.
     """
     if centers is None and packing_cache is not None:
-        key = (n, kappa, seed)
+        key = (n, kappa)
         if key not in packing_cache:
-            packing_cache[key] = pack_points(n, kappa, seed)
+            packing_cache[key] = pack_points(n, kappa)
         centers = packing_cache[key]
-    domain = build_counterexample(n, eps, kappa, seed, centers=centers)
+    domain = build_counterexample(n, eps, kappa, centers=centers)
     out = {
         "n": n, "eps": eps, "kappa": kappa,
         "count": domain.centers.count,
@@ -563,10 +563,9 @@ def total_mean_curvature(n: int, eps: float, kappa: float, seed: int = 0,
     return out
 
 
-def sweep_total_mean_curvature(n: int, eps: float, kappas, seed: int = 0,
+def sweep_total_mean_curvature(n: int, eps: float, kappas,
                                method: str = "both") -> list[dict]:
-    return [total_mean_curvature(n, eps, float(k), seed, method=method)
-            for k in kappas]
+    return [total_mean_curvature(n, eps, float(k), method=method) for k in kappas]
 
 
 def affine_fit(x, y) -> dict:
@@ -582,20 +581,21 @@ def affine_fit(x, y) -> dict:
 
 def find_negative_mean_curvature(n: int, eps: float, threshold: float = -1.0,
                                  kappa_start: float = 20.0,
-                                 kappa_max: float = 1e5, seed: int = 0,
+                                 kappa_max: float = 1e5,
                                  packing_cache: dict | None = None) -> dict:
     """Double kappa until the total mean curvature drops below the threshold.
 
     Never silent: returns found=False with the full history and the
     reason when kappa_max is passed or the next packing would exceed
-    memory_budget() (the history then ends at the last kappa within it).
+    memory_budget() or RING_WORK_LIMIT (the history then ends at the
+    last kappa within it).
     """
     history = []
     kappa = float(kappa_start)
     reason = f"kappa exceeds kappa_max = {kappa_max:g}"
     while kappa <= kappa_max:
         try:
-            rec = total_mean_curvature(n, eps, kappa, seed, method="zonal",
+            rec = total_mean_curvature(n, eps, kappa, method="zonal",
                                        packing_cache=packing_cache)
         except MemoryBudgetError as exc:
             reason = str(exc)

@@ -273,33 +273,32 @@ DENT_COLUMNS = ["kappa", "q", "int_H_grid", "int_H_zonal", "eps_size"]
 DENT_EXTRA_COLUMNS = DENT_COLUMNS + ["relative_gap", "packing_constant", "c1_norm"]
 
 
-def dent_sweep_suite(eps: float = 0.3, kappas=(20.0, 40.0, 80.0, 160.0),
-                     seed: int = 0,
+def dent_sweep_suite(eps: float = 0.3, kappas=(20.0, 40.0, 80.0, 160.0), n: int = 3,
                      gap_tolerance: float = DEFAULT_TOLERANCES.dent_cross_check_rel
                      ) -> dict:
-    recs = counterexample.sweep_total_mean_curvature(3, eps, kappas, seed,
-                                                     method="both")
+    recs = counterexample.sweep_total_mean_curvature(
+        n, eps, kappas, method="both" if n == 3 else "zonal")
     rows = [{"kappa": r["kappa"], "q": r["count"],
-             "int_H_grid": r["int_H_grid"], "int_H_zonal": r["int_H_zonal"],
-             "eps_size": r["eps_size"], "relative_gap": r["relative_gap"],
+             "int_H_grid": r.get("int_H_grid", ""), "int_H_zonal": r["int_H_zonal"],
+             "eps_size": r["eps_size"], "relative_gap": r.get("relative_gap", ""),
              "packing_constant": r["packing_constant"], "c1_norm": r["c1_norm"]}
             for r in recs]
+    gaps = [r["relative_gap"] for r in recs if "relative_gap" in r]
     fit = counterexample.affine_fit([r["kappa"] for r in rows],
                                     [r["int_H_zonal"] for r in rows])
     passed = (fit["slope"] < 0 and fit["r_squared"] >= 0.9
-              and all(r["relative_gap"] <= gap_tolerance for r in rows)
+              and all(g <= gap_tolerance for g in gaps)
               and all(r["c1_norm"] <= eps for r in rows))
     return {"rows": rows, "columns": DENT_EXTRA_COLUMNS, "passed": passed,
-            "summary": {"fit": fit,
-                        "worst_gap": max(r["relative_gap"] for r in rows)}}
+            "summary": {"fit": fit, "worst_gap": max(gaps, default=None)}}
 
 
 def negative_total_curvature_suite(eps: float = 0.3, threshold: float = -1.0,
                                    kappa_start: float = 20.0,
-                                   kappa_max: float = 1e5, seed: int = 0) -> dict:
+                                   kappa_max: float = 1e5, n: int = 3) -> dict:
     out = counterexample.find_negative_mean_curvature(
-        3, eps, threshold=threshold, kappa_start=kappa_start,
-        kappa_max=kappa_max, seed=seed)
+        n, eps, threshold=threshold, kappa_start=kappa_start,
+        kappa_max=kappa_max)
     rows = [{"kappa": r["kappa"], "q": r["count"], "int_H_grid": "",
              "int_H_zonal": r["int_H_zonal"], "eps_size": r["eps_size"],
              "relative_gap": "", "packing_constant": r["packing_constant"],

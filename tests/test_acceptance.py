@@ -139,13 +139,13 @@ def test_criterion_7_radial_identity():
 def test_criterion_8_dented_sphere():
     t0 = time.time()
     sweep = suites.dent_sweep_suite(eps=0.3, kappas=(20.0, 40.0, 80.0, 160.0),
-                                    seed=0, gap_tolerance=1e-2)
+                                    gap_tolerance=1e-2)
     assert sweep["passed"], sweep["summary"]
     fit = sweep["summary"]["fit"]
     assert fit["slope"] < 0 and fit["r_squared"] >= 0.9
 
     search = suites.negative_total_curvature_suite(eps=0.3, threshold=-1.0,
-                                                   kappa_start=20.0, seed=0)
+                                                   kappa_start=20.0)
     assert search["passed"], search["summary"]
     assert search["summary"]["int_H"] < -1.0
     elapsed = time.time() - t0
@@ -202,7 +202,7 @@ def test_criterion_11_determinism():
         blobs.append(csv_bytes(out["rows"], out["columns"]))
         out = suites.frequency_split_suite(count=20, seed=5001)
         blobs.append(csv_bytes(out["rows"], out["columns"]))
-        out = suites.dent_sweep_suite(eps=0.3, kappas=(20.0, 40.0), seed=0)
+        out = suites.dent_sweep_suite(eps=0.3, kappas=(20.0, 40.0))
         blobs.append(csv_bytes(out["rows"], out["columns"]))
         out = suites.nuclear_deficit_suite(count=20, eps=0.05, seed=7001)
         blobs.append(csv_bytes(out["rows"], out["columns"]))

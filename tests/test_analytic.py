@@ -120,6 +120,21 @@ def test_global_zonal_field_covers_every_node():
     assert np.array_equal(node, np.arange(grid.num_nodes))
 
 
+def test_overlapping_supports_are_refused():
+    # centers pi/6 apart: supports of 0.3 overlap, supports of 0.26 do not
+    centers = np.array([[1.0, 0.0, 0.0],
+                        [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]])
+    grid = build_grid(3, 64)
+    field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.3)
+    assert np.allclose(field.geodesic_distance(centers), 0.0)   # distances only
+    with pytest.raises(ValueError, match="centers 0 and 1 are 0.523599 apart"):
+        field.values(grid)
+    with pytest.raises(ValueError, match="supports overlap"):
+        field.values_at(grid.nodes)
+    field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.26)
+    assert np.array_equal(field.values(grid), field.values_at(grid.nodes))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_per_grid_methods_equal_the_points_api(n):
     # the per-grid methods find members by latitude bands (n = 3) or the

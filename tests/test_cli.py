@@ -93,6 +93,22 @@ def test_counterexample_mesh(tmp_path):
     assert obj.count("\nv ") >= 48 * 96
 
 
+def test_counterexample_sweep_in_four_dimensions(tmp_path):
+    # the sweep and the search run in the dimension asked for, zonal only,
+    # with no grid check; --seed is still accepted
+    out = tmp_path / "run"
+    code = main(["counterexample", "--n", "4", "--sweep", "20,40,80", "--eps", "0.3",
+                 "--kappa-max", "2560", "--seed", "5", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "counterexample_summary.json").read_text())["summary"]
+    assert summary["search"]["kappa_star"] == 2560.0
+    assert summary["search"]["int_H"] < -1.0
+    assert summary["worst_gap"] is None
+    first = (out / "counterexample.csv").read_text().splitlines()[1].split(",")
+    assert first[1] == "19358"        # the n = 4 ring count at kappa = 20
+    assert first[2] == "" and first[5] == ""
+
+
 def test_conjecture_command(tmp_path):
     out = tmp_path / "run"
     code = main(["conjecture", "--n", "4", "--degree-cap", "10",

@@ -31,8 +31,8 @@ from quermass.counterexample import (
 from quermass.grids import build_grid, panel_rule, sphere_area
 
 
-# -- reference packers: the KD-tree thinning and the one-by-one dart
-# throwing that pack_points must reproduce exactly
+# -- reference packer: the KD-tree thinning that pack_points(3, kappa)
+# must reproduce exactly
 
 
 def _reference_thinning(count, min_d):
@@ -49,24 +49,6 @@ def _reference_thinning(count, min_d):
         return None
     d, _ = cKDTree(pts).query(pts, k=2, workers=-1)
     return pts, float(d[:, 1].min())
-
-
-def _reference_darts(n, kappa, seed):
-    min_d = 2.0 / kappa
-    rng = np.random.default_rng(seed)
-    target = max(2, int(2.0 * kappa ** (n - 1)))
-    accepted = []
-    attempts_left = 200 * target
-    while attempts_left > 0 and len(accepted) < 4 * target:
-        attempts_left -= 1
-        p = rng.standard_normal(n)
-        p /= np.linalg.norm(p)
-        if accepted:
-            arr = np.asarray(accepted)
-            if np.min(np.linalg.norm(arr - p, axis=1)) < min_d:
-                continue
-        accepted.append(p)
-    return np.asarray(accepted)
 
 
 def _lattice_count(kappa):
@@ -104,7 +86,7 @@ def test_pack_points_s2():
 
 def test_pack_points_small_kappa():
     for n in (3, 4):
-        packed = pack_points(n, 1.0, seed=1)
+        packed = pack_points(n, 1.0)
         assert packed.count >= 2
         assert packed.min_distance >= 2.0
 
@@ -149,24 +131,59 @@ def test_certified_minimum_is_the_brute_force_minimum(kappa):
     assert packed.min_distance == _brute_force_min_distance(packed.points)
 
 
-@pytest.mark.parametrize("n,kappa,seed", [
-    (4, 4.0, 0), (4, 4.0, 1), (4, 4.0, 2), (4, 4.0, 3), (4, 4.0, 4),
-    (4, 6.0, 3), (5, 2.0, 3), (4, 1.0, 0),
-])
-def test_batched_darts_match_sequential_loop(n, kappa, seed):
-    packed = pack_points(n, kappa, seed)
-    ref = _reference_darts(n, kappa, seed)
-    if len(ref) < 2:
+def _ring_points(n, kappa):
+    """Equally spaced points, as many as fit, on every circle of ring_circles."""
+    chunks = []
+    for lead, radius in cx.ring_circles(n, kappa):
+        k = cx._circle_capacity(radius, kappa)
+        owner = np.repeat(np.arange(len(k)), k)
+        i = np.arange(len(owner)) - np.repeat(np.cumsum(k) - k, k)
+        angle = 2.0 * np.pi * i / k[owner]
+        r = radius[owner]
+        chunks.append(np.column_stack([lead[owner], r * np.cos(angle), r * np.sin(angle)]))
+    return np.concatenate(chunks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([4, 5]), kappa=st.floats(min_value=1.0, max_value=12.0))
+def test_ring_points_are_separated_and_counted(n, kappa):
+    pts = _ring_points(n, kappa)
+    packed = pack_points(n, kappa)
+    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0.0, atol=1e-14)
+    if len(pts) < 2:
         assert _is_antipodal(packed)
-    else:
-        assert np.array_equal(packed.points, ref)
+        return
+    d, _ = cKDTree(pts).query(pts, k=2)
+    assert d[:, 1].min() >= 2.0 / kappa
+    assert packed.count == len(pts)
+    assert packed.points is None and packed.min_distance == 2.0 / kappa
 
 
-def test_batched_darts_reach_kappa_10_in_four_dimensions():
-    # the sequential loop needs minutes here; its result has 1593 points
-    packed = pack_points(4, 10.0)
-    assert packed.count == 1593
-    assert packed.min_distance >= 0.2
+def test_ring_count_in_four_dimensions():
+    # 140 dents at kappa = 4; q / kappa^3 near 2.47 at large kappa
+    assert pack_points(4, 4.0).count == 140
+    assert 2.46 < pack_points(4, 640.0).packing_constant < 2.47
+
+
+def test_ring_packing_has_counts_but_no_provider():
+    domain = build_counterexample(4, 0.3, 4.0)
+    assert domain.centers.points is None
+    with pytest.raises(ValueError, match="without coordinates"):
+        domain.provider()
+
+
+def test_ring_count_refused_over_its_work_budget():
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryBudgetError, match="RING_WORK_LIMIT"):
+        pack_points(4, 1e5)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_four_dimensional_search_crosses_at_kappa_2560():
+    out = find_negative_mean_curvature(4, 0.3, kappa_start=20.0)
+    assert out["found"] and out["kappa_star"] == 2560.0
+    assert out["int_H"] < -1.0
+    assert out["history"][-2]["int_H_zonal"] > 0.0      # kappa = 1280
 
 
 def test_pack_points_fails_fast_over_budget():
@@ -308,7 +325,7 @@ def test_mean_curvature_decreases_affinely():
 
 
 def test_general_dimension_zonal_total():
-    rec = total_mean_curvature(4, 0.2, 6.0, seed=3)
+    rec = total_mean_curvature(4, 0.2, 6.0)
     assert rec["int_H_zonal"] < 3 * sphere_area(4)  # sane magnitude
     assert rec["count"] >= 8
 
@@ -324,25 +341,27 @@ def test_threshold_kappa_monotone_in_eps():
     # smaller packing scale; packings are shared across the two searches
     cache = {}
     out_deep = find_negative_mean_curvature(3, 0.35, kappa_start=160.0,
-                                            seed=0, packing_cache=cache)
+                                            packing_cache=cache)
     out_shallow = find_negative_mean_curvature(3, 0.3, kappa_start=160.0,
-                                               seed=0, packing_cache=cache)
+                                               packing_cache=cache)
     assert out_deep["found"] and out_shallow["found"]
     assert out_deep["kappa_star"] <= out_shallow["kappa_star"]
 
 
-def test_packing_cache_is_keyed_by_dimension_kappa_and_seed():
-    # one dict shared across dimensions and seeds hands every call its own
-    # packing, never one cached for another n or seed at the same kappa
+def test_packing_cache_is_keyed_by_dimension_and_kappa():
+    # one dict shared across dimensions hands every call its own packing,
+    # never one cached for another n at the same kappa, and reuses it for
+    # another eps
     cache = {}
     for n in (3, 4):
-        for seed in (0, 1):
-            rec = total_mean_curvature(n, 0.3, 4.0, seed=seed, packing_cache=cache)
-            fresh = pack_points(n, 4.0, seed)
-            assert np.array_equal(cache[(n, 4.0, seed)].points, fresh.points)
-            assert rec["count"] == fresh.count
-    assert sorted(cache) == [(3, 4.0, 0), (3, 4.0, 1), (4, 4.0, 0), (4, 4.0, 1)]
-    assert not np.array_equal(cache[(4, 4.0, 0)].points, cache[(4, 4.0, 1)].points)
+        rec = total_mean_curvature(n, 0.3, 4.0, packing_cache=cache)
+        assert rec["count"] == cache[(n, 4.0)].count == pack_points(n, 4.0).count
+    assert sorted(cache) == [(3, 4.0), (4, 4.0)]
+    assert np.array_equal(cache[(3, 4.0)].points, pack_points(3, 4.0).points)
+    assert cache[(4, 4.0)].points is None
+    packed = cache[(4, 4.0)]
+    total_mean_curvature(4, 0.2, 4.0, packing_cache=cache)
+    assert cache[(4, 4.0)] is packed and len(cache) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -431,9 +450,8 @@ def _kdtree_grid_total(domain, resolution=None, chunk=400_000):
 
 @pytest.mark.parametrize("kappa", [1.0, 10.0, 20.0])
 @pytest.mark.parametrize("eps", [0.1, 0.45])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_grid_check_is_bit_identical_to_the_kdtree_route(kappa, eps, seed):
-    domain = build_counterexample(3, eps, kappa, seed)
+def test_grid_check_is_bit_identical_to_the_kdtree_route(kappa, eps):
+    domain = build_counterexample(3, eps, kappa)
     assert total_mean_curvature_grid(domain) == _kdtree_grid_total(domain)
 
 
