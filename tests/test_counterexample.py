@@ -450,9 +450,13 @@ def _kdtree_grid_total(domain, resolution=None, chunk=400_000):
 
 @pytest.mark.parametrize("kappa", [1.0, 10.0, 20.0])
 @pytest.mark.parametrize("eps", [0.1, 0.45])
-def test_grid_check_is_bit_identical_to_the_kdtree_route(kappa, eps):
+@pytest.mark.parametrize("split", [0, 1])
+def test_grid_check_is_bit_identical_to_the_kdtree_route(kappa, eps, split):
+    # split = 1: chunks of a prime node count, whose edges cut through dents
+    chunk = 9_973 if split else 400_000
     domain = build_counterexample(3, eps, kappa)
-    assert total_mean_curvature_grid(domain) == _kdtree_grid_total(domain)
+    assert (total_mean_curvature_grid(domain, chunk=chunk)
+            == _kdtree_grid_total(domain, chunk=chunk))
 
 
 @pytest.mark.parametrize("resolution", [100, 257])
