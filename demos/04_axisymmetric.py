@@ -9,6 +9,7 @@ import numpy as np
 
 from quermass import build_grid
 from quermass.axisym import (
+    AxialDomain,
     AxialProfile,
     axial_functionals,
     axial_minkowski_deficit,
@@ -52,5 +53,5 @@ for n in (3, 4, 5):
     c[1:] = rng.standard_normal(6) * np.arange(1, 7.0) ** -2
     p = AxialProfile.from_zonal_coeffs(n, c)
     p = AxialProfile.from_zonal_coeffs(n, c * (0.05 / p.c1_norm()))
-    rep = axial_minkowski_deficit(p)
+    rep = axial_minkowski_deficit(AxialDomain(p))
     print(f"  n={n}: margin {rep.margin:+.4e} (eps-size {rep.eps_size:.3f})")

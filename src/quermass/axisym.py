@@ -11,6 +11,8 @@ profiles with analytic derivative callables bypass the basis entirely.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -22,6 +24,40 @@ from quermass.grids import jacobi_rule, panel_rule, sphere_area
 from quermass.harmonics import ZonalBasis
 from quermass.reporting import DeficitReport
 from quermass.stardomain import Functionals
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Fixed polar node sets: the sup-norm deviation grid of eps_size and the
+# samples of c1_norm.  Together with each profile's Gauss-Jacobi nodes
+# they are the only angles whose zonal tables are cached.
+_DEVIATION_THETA = _read_only(np.linspace(0.0, math.pi, 4096))
+_C1_THETA = _read_only(np.linspace(0.0, math.pi, 2048))
+
+
+# Tables of more doubles than this are built afresh on every call, so the
+# cache below holds at most 32 x 1 MiB.  The benchmark's largest table
+# (L = 8 on the deviation grid) has 36 864.
+_CACHED_TABLE_DOUBLES = 2**17
+
+
+@functools.lru_cache(maxsize=32)
+def _zonal_table(n: int, L: int, derivative: int, nodes) -> np.ndarray:
+    """Read-only ZonalBasis(n, L).values(cos theta, derivative) on a fixed node set.
+
+    nodes names the set: "deviation", "c1", or the resolution of the
+    Gauss-Jacobi nodes.  Built once per key and shared by every profile
+    and thread (two threads that miss the same key at once may both
+    build it; the two tables are equal bit for bit).  Callers keep
+    tables larger than _CACHED_TABLE_DOUBLES out of it.
+    """
+    theta = {"deviation": _DEVIATION_THETA, "c1": _C1_THETA}.get(nodes)
+    if theta is None:
+        theta = np.arccos(jacobi_rule(nodes, (n - 3) / 2.0)[0])
+    return _read_only(ZonalBasis(n, L).values(np.cos(theta), derivative=derivative))
 
 
 def coarea_integral(f, n: int, resolution: int = 512) -> float:
@@ -49,7 +85,7 @@ class AxialProfile:
         self.tol = tol
         t, w = jacobi_rule(resolution, (n - 3) / 2.0)
         self.t, self.w = t, w
-        self.theta = np.arccos(t)
+        self.theta = _read_only(np.arccos(t))
         self._basis = None
         if (coeffs is None) == (callables is None):
             raise ValueError("provide exactly one of coeffs or callables")
@@ -106,21 +142,32 @@ class AxialProfile:
             out[inside] = fn(theta[inside])
         return out
 
+    def _table(self, theta: np.ndarray, derivative: int) -> np.ndarray:
+        """Zonal table on theta: cached on the fixed node sets, else built afresh."""
+        if theta is self.theta:
+            nodes = self.resolution
+        elif theta is _DEVIATION_THETA:
+            nodes = "deviation"
+        elif theta is _C1_THETA:
+            nodes = "c1"
+        else:
+            nodes = None
+        if nodes is None or (self._basis.L + 1) * theta.size > _CACHED_TABLE_DOUBLES:
+            return self._basis.values(np.cos(theta), derivative=derivative)
+        return _zonal_table(self.n, self._basis.L, derivative, nodes)
+
     def value(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.callables is not None:
             return self._eval_callable(0, theta)
-        Z = self._basis.values(np.cos(theta))
-        return self.coeffs @ Z
+        return self.coeffs @ self._table(theta, 0)
 
     def slope(self, theta) -> np.ndarray:
         """dV/dtheta."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.callables is not None:
             return self._eval_callable(1, theta)
-        t = np.cos(theta)
-        Zp = self._basis.values(t, derivative=1)
-        return -np.sin(theta) * (self.coeffs @ Zp)
+        return -np.sin(theta) * (self.coeffs @ self._table(theta, 1))
 
     def curvature_slope(self, theta) -> np.ndarray:
         """d^2 V/dtheta^2."""
@@ -128,14 +175,13 @@ class AxialProfile:
         if self.callables is not None:
             return self._eval_callable(2, theta)
         t = np.cos(theta)
-        Zp = self._basis.values(t, derivative=1)
-        Zpp = self._basis.values(t, derivative=2)
+        Zp = self._table(theta, 1)
+        Zpp = self._table(theta, 2)
         return (1 - t * t) * (self.coeffs @ Zpp) - t * (self.coeffs @ Zp)
 
-    def c1_norm(self, samples: int = 2048) -> float:
-        theta = np.linspace(0.0, math.pi, samples)
-        return float(max(np.max(np.abs(self.value(theta))),
-                         np.max(np.abs(self.slope(theta)))))
+    def c1_norm(self) -> float:
+        return float(max(np.max(np.abs(self.value(_C1_THETA))),
+                         np.max(np.abs(self.slope(_C1_THETA)))))
 
     # -- quadrature rule tuned to the profile -------------------------------------
 
@@ -217,6 +263,10 @@ def _shape_eigen(profile: AxialProfile, theta: np.ndarray):
     return V, grad[:, 0], eigs, H
 
 
+def _volume(w: np.ndarray, V: np.ndarray, n: int) -> float:
+    return float(np.sum(w * (1.0 + V) ** n / n))
+
+
 def axial_functionals(profile: AxialProfile) -> Functionals:
     """All scalar functionals of the axisymmetric domain by 1-D quadrature."""
     n = profile.n
@@ -228,7 +278,7 @@ def axial_functionals(profile: AxialProfile) -> Functionals:
     Hp, Hm = np.maximum(H, 0.0), np.maximum(-H, 0.0)
     return Functionals(
         n=n,
-        volume=float(np.sum(w * (1.0 + V) ** n / n)),
+        volume=_volume(w, V, n),
         perimeter=float(np.sum(wj)),
         int_H=float(np.sum(wj * H)),
         int_H_plus=float(np.sum(wj * Hp)),
@@ -271,15 +321,14 @@ def pole_gradient_bound(profile: AxialProfile, theta0: float | None = None,
     return report
 
 
-def axial_minkowski_deficit(profile: AxialProfile, seed=None):
-    """Perimeter-normalized H^+ deficit computed entirely in 1-D."""
+def axial_minkowski_deficit(K: "AxialDomain", seed=None) -> DeficitReport:
+    """Perimeter-normalized H^+ deficit of an AxialDomain, entirely in 1-D.
+
+    Reads the domain's cached functionals and eps_size, so a domain that
+    random_domain has already sized costs no further work here.
+    """
     from quermass.deficits import minkowski_deficit
-    rep = minkowski_deficit(AxialDomain(profile), seed=seed)
-    return DeficitReport(
-        which="axial_minkowski", n=rep.n, lhs=rep.lhs, rhs=rep.rhs,
-        normalization=rep.normalization, center_used=rep.center_used,
-        eps_size=rep.eps_size, seed=rep.seed, extra=rep.extra,
-    )
+    return dataclasses.replace(minkowski_deficit(K, seed=seed), which="axial_minkowski")
 
 
 def periodic_cubic_integral(values: np.ndarray) -> float:
@@ -322,6 +371,75 @@ def lift_to_sphere(profile: AxialProfile, grid):
     return synthesize(full, grid)
 
 
+# pad of the screen in eps_size on the squared deviation, per unit of
+# (|a| + |offset|)/|p| (see _Section.screen); the cheap form's error is at
+# most about 3e-16 per unit
+_SCREEN_PAD = 1e-12
+
+
+class _Section:
+    """Normal and boundary point of the 2-D section on a theta grid.
+
+    In the section x = (cos th, sin th) the normal is
+    nu = (x - v e_theta)/sqrt(1 + v^2) with v = V'/(1+V), and the
+    boundary point is (a1, p2) = (1+V) x; only the offset of the center
+    along the axis varies between evaluations.
+    """
+
+    def __init__(self, profile: AxialProfile, theta: np.ndarray):
+        self.V = profile.value(theta)
+        self.Vd = profile.slope(theta)
+        opu = 1.0 + self.V
+        v = self.Vd / opu
+        s = np.sqrt(1.0 + v * v)
+        cos, sin = np.cos(theta), np.sin(theta)
+        self.nu1 = (cos + v * sin) / s
+        self.nu2 = (sin - v * cos) / s
+        self.a1, self.p2 = opu * cos, opu * sin
+        self.reach = float(np.max(np.abs(opu)))
+        self.p2_sq = self.p2 * self.p2
+        self.nu_dot_a = self.nu1 * self.a1 + self.nu2 * self.p2
+
+    def deviation(self, offset: float, idx=slice(None)) -> np.ndarray:
+        """|nu - radial direction from (offset, 0, ...)| on the nodes idx."""
+        p1 = self.a1[idx] - offset
+        p2 = self.p2[idx]
+        norm = np.hypot(p1, p2)
+        return np.hypot(self.nu1[idx] - p1 / norm, self.nu2[idx] - p2 / norm)
+
+    def screen(self, offset: float):
+        """(c, pad): the cheap cosine c = nu . p/|p| on every node, and its pad.
+
+        The squared deviation is 2 - 2c.  Computed, 2 - 2c and the square
+        of the hypot form differ by a few ulp of (|a| + |offset|)/|p|,
+        which grows as the center nears a boundary point a; so the pad on
+        c is _SCREEN_PAD / 2 times that ratio at its largest (None when
+        some |p| is 0).
+        """
+        p1 = self.a1 - offset
+        norm = np.sqrt(p1 * p1 + self.p2_sq)
+        c = (self.nu_dot_a - offset * self.nu1) / norm
+        floor = float(np.min(norm))
+        pad = 0.5 * _SCREEN_PAD * (self.reach + abs(offset)) / floor if floor > 0 else None
+        return c, pad
+
+    def sup_deviation(self, offset: float) -> float:
+        """max of deviation(offset), bit for bit, from a screened evaluation.
+
+        Every node where the exact form attains its maximum has c within
+        the pad of the smallest c (see screen), so the exact hypot form
+        runs on those nodes only: on all of them at the ball, where every
+        c is 1 to within rounding, and on more of them the nearer the
+        center is to the boundary.
+        """
+        c, pad = self.screen(offset)
+        lowest = float(np.min(c))
+        if pad is None or not math.isfinite(lowest):
+            return float(np.max(self.deviation(offset)))
+        keep = np.flatnonzero(c <= lowest + pad)
+        return float(np.max(self.deviation(offset, keep)))
+
+
 class AxialDomain:
     """Axisymmetric star-shaped domain; mirrors the StarDomain surface."""
 
@@ -355,53 +473,29 @@ class AxialDomain:
         V = self.profile.value(theta)
         b1 = float(np.sum(w * (1.0 + V) ** (n + 1) * np.cos(theta)))
         out = np.zeros(n)
-        out[0] = b1 / ((n + 1) * self.volume())
+        # the volume by the functionals' own sum, without their curvature work
+        out[0] = b1 / ((n + 1) * _volume(w, V, n))
         return out
 
     # -- planar deviation geometry -------------------------------------------------
 
-    def _deviation_geometry(self, theta):
-        """(V, V', nu1, nu2, a1, p2) on theta: everything but the offset.
-
-        In the 2-D section x = (cos th, sin th) the normal is
-        nu = (x - v e_theta)/sqrt(1 + v^2) with v = V'/(1+V), and the
-        boundary point is (a1, p2) = (1+V) x.
-        """
-        V = self.profile.value(theta)
-        Vd = self.profile.slope(theta)
-        opu = 1.0 + V
-        v = Vd / opu
-        s = np.sqrt(1.0 + v * v)
-        cos, sin = np.cos(theta), np.sin(theta)
-        nu1 = (cos + v * sin) / s
-        nu2 = (sin - v * cos) / s
-        return V, Vd, nu1, nu2, opu * cos, opu * sin
-
-    @staticmethod
-    def _deviation_at(geom, offset: float) -> np.ndarray:
-        """|nu - radial direction from (offset, 0, ...)| pointwise."""
-        _, _, nu1, nu2, a1, p2 = geom
-        p1 = a1 - offset
-        norm = np.hypot(p1, p2)
-        return np.hypot(nu1 - p1 / norm, nu2 - p2 / norm)
-
     def eps_size(self, optimize_center: bool = True):
         """Smallest sup-norm normal deviation over centers on the axis.
 
-        Returns (value, center); bounded Brent search for the axial
-        offset within 0.3 of the barycenter, on 4096 polar angles.
+        Returns (value, center), cached per optimize_center; bounded Brent
+        search for the axial offset within 0.3 of the barycenter, on 4096
+        polar angles.  Each evaluation screens the angles with a cheap
+        form of the deviation and runs the exact hypot form only near the
+        cheap maximum, so it returns the exact form's maximum bit for bit.
         """
         if optimize_center in self._eps:
             return self._eps[optimize_center]
-        geom = self._deviation_geometry(np.linspace(0.0, math.pi, 4096))
-
-        def objective(b):
-            return float(np.max(self._deviation_at(geom, b)))
-
+        section = _Section(self.profile, _DEVIATION_THETA)
         seed = self.barycenter()[0]
-        best_b, best = seed, objective(seed)
+        best_b, best = seed, section.sup_deviation(seed)
         if optimize_center:
-            res = minimize_scalar(objective, bounds=(seed - 0.3, seed + 0.3),
+            res = minimize_scalar(section.sup_deviation,
+                                  bounds=(seed - 0.3, seed + 0.3),
                                   method="bounded", options={"xatol": 1e-11})
             if res.fun < best:
                 best_b, best = res.x, res.fun
@@ -420,10 +514,9 @@ class AxialDomain:
     def deviation_mean_square(self, center) -> float:
         """Average square normal deviation over the boundary."""
         theta, w = self.profile.quadrature_rule()
-        geom = self._deviation_geometry(theta)
-        V, Vd = geom[:2]
-        dev = self._deviation_at(geom, np.asarray(center).ravel()[0])
-        J = geometry.area_jacobian(V, Vd * Vd, self.n)
+        section = _Section(self.profile, theta)
+        dev = section.deviation(np.asarray(center).ravel()[0])
+        J = geometry.area_jacobian(section.V, section.Vd * section.Vd, self.n)
         return float(np.sum(w * J * dev**2) / np.sum(w * J))
 
     # -- transforms ------------------------------------------------------------------

@@ -175,6 +175,8 @@ def cmd_verify(args) -> int:
 
 def cmd_counterexample(args) -> int:
     tol = _tolerances(args.tolerance, ("dent_cross_check_rel",), "counterexample")
+    if args.mesh and args.n != 3:
+        raise ValueError(f"--mesh exports the dented sphere of n = 3 only, got --n {args.n}")
     out_dir = Path(args.out)
     from quermass import counterexample as cx
     if args.sweep:
@@ -204,7 +206,7 @@ def cmd_counterexample(args) -> int:
         result = {"rows": [row], "columns": suites.DENT_EXTRA_COLUMNS,
                   "passed": passed, "summary": {}}
     _emit(out_dir, "counterexample", result, args.format, vars(args))
-    if args.mesh and args.n == 3:
+    if args.mesh:
         from quermass.grids import build_grid
         domain = cx.build_counterexample(args.n, args.eps, args.kappa or 20.0)
         K = domain.on_grid(build_grid(3, args.resolution or 128))
@@ -311,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dented near-ball domains with negative total mean curvature")
     p.add_argument("--sweep", default=None, help="comma list of kappa values")
     p.add_argument("--kappa-max", type=float, default=1e5)
-    p.add_argument("--mesh", action="store_true")
+    p.add_argument("--mesh", action="store_true",
+                   help="also write counterexample.obj (n = 3 only)")
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("conjecture", parents=[common],

@@ -328,9 +328,12 @@ class ZonalBasis:
         self.eigenvalues = l * (l + n - 2.0)
 
     def values(self, t: np.ndarray, derivative: int = 0) -> np.ndarray:
-        """Matrix Z^{(derivative)}_l(t), shape (L+1, len(t)).
+        """Matrix Z^{(derivative)}_l(t), shape (L+1, len(t)), built afresh.
 
-        derivative counts d/dt applications (not d/dtheta).
+        derivative counts d/dt applications (not d/dtheta).  AxialProfile
+        caches read-only tables on its fixed node sets
+        (axisym._zonal_table), so there this runs once per
+        (n, L, derivative) and node set.
         """
         t = np.asarray(t, dtype=float)
         a = self.alpha

@@ -238,7 +238,7 @@ def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
     def one(job):
         n, i = job
         K = deficits.random_domain(n, eps, seed=seed + i, zonal=True)
-        return axial_minkowski_deficit(K.profile, seed=seed + i).row()
+        return axial_minkowski_deficit(K, seed=seed + i).row()
     rows = _pmap(one, jobs)
     worst = min(r["margin"] for r in rows)
     return {"rows": rows, "columns": DEFICIT_COLUMNS, "passed": worst >= -tolerance,

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
-from quermass import axisym, fields, geometry
+from quermass import axisym, deficits, fields, geometry
 from quermass.analytic import zonal_field
 from quermass.axisym import AxialDomain, AxialProfile
 from quermass.conjecture import ZonalBackend
@@ -293,6 +293,148 @@ def test_dent_eps_size_is_bit_identical_to_the_oracle(n):
     K = AxialDomain(bump.axial_profile(n))
     assert_matches_oracle(K)
     assert_matches_oracle(K.scaled(1.1))
+
+
+def assert_screen_is_exact(prof, offsets):
+    section = axisym._Section(prof, axisym._DEVIATION_THETA)
+    theta = axisym._DEVIATION_THETA
+    V, Vd = prof.value(theta), prof.slope(theta)
+    for b in offsets:
+        assert section.sup_deviation(b) == float(np.max(old_deviation(b, theta, V, Vd)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 6), L=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       amp=st.floats(1e-6, 0.3), u=st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                            max_size=6))
+def test_screened_deviation_max_is_the_exact_max(n, L, seed, amp, u):
+    # offsets across the Brent bracket of eps_size: the barycenter +- 0.3
+    K = AxialDomain(random_zonal(n, seed, amp=amp, L=L))
+    b0 = K.barycenter()[0]
+    assert_screen_is_exact(K.profile, [b0] + [b0 + 0.3 * x for x in u])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 6), L=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       amp=st.floats(1e-6, 0.3), pole=st.sampled_from([0, -1]),
+       gaps=st.lists(st.floats(-9.0, -1.0), min_size=1, max_size=6))
+def test_screen_pad_covers_centers_near_the_boundary(n, L, seed, amp, pole, gaps):
+    # a center 10^gap from the boundary point on the axis: the cheap
+    # cosine loses digits as 1/|p|, and the pad must grow with it
+    prof = random_zonal(n, seed, amp=amp, L=L)
+    theta = axisym._DEVIATION_THETA
+    section = axisym._Section(prof, theta)
+    V, Vd = prof.value(theta), prof.slope(theta)
+    end = (1.0 + V[pole]) * math.cos(theta[pole])
+    offsets = [end - math.copysign(10.0**g, end) for g in gaps]
+    for b in offsets:
+        c, pad = section.screen(b)
+        dev = old_deviation(b, theta, V, Vd)
+        assert np.max(np.abs((2.0 - 2.0 * c) - dev * dev)) <= pad
+    assert_screen_is_exact(prof, offsets)
+
+
+@pytest.mark.parametrize("kappa", [5.0, 20.0, 80.0, 320.0])
+def test_screened_deviation_max_is_exact_on_dents(kappa):
+    prof = make_bump(kappa, 0.3).axial_profile(4)
+    assert_screen_is_exact(prof, np.linspace(-0.3, 0.3, 13))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_screen_keeps_every_node_at_the_ball(n, monkeypatch):
+    # every deviation of the ball about its center is rounding noise
+    # below the pad, so the exact form runs on all 4096 angles
+    section = axisym._Section(const_profile(n, 0.0), axisym._DEVIATION_THETA)
+    full = section.deviation(0.0)
+    assert np.max(full) < 1e-15
+    exact_sizes = []
+    exact = axisym._Section.deviation
+
+    def spy(self, offset, idx=slice(None)):
+        out = exact(self, offset, idx)
+        exact_sizes.append(out.size)
+        return out
+    monkeypatch.setattr(axisym._Section, "deviation", spy)
+    assert section.sup_deviation(0.0) == float(np.max(full))
+    assert exact_sizes == [4096]
+
+
+# -- the zonal table cache ---------------------------------------------------------
+
+
+@pytest.fixture
+def cold_tables():
+    axisym._zonal_table.cache_clear()
+    yield axisym._zonal_table
+    axisym._zonal_table.cache_clear()
+
+
+def test_cached_tables_are_fresh_zonal_basis_tables_and_read_only(cold_tables):
+    prof = random_zonal(5, 11, L=9)
+    basis = ZonalBasis(5, 9)
+    for theta, nodes in ((prof.theta, 256), (axisym._DEVIATION_THETA, "deviation"),
+                         (axisym._C1_THETA, "c1")):
+        for d in (0, 1, 2):
+            table = prof._table(theta, d)
+            assert table is cold_tables(5, 9, d, nodes)
+            fresh = basis.values(np.cos(theta), derivative=d)
+            assert table.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+    assert cold_tables.cache_info().currsize == 9
+
+
+def test_profiles_of_one_degree_share_their_tables(cold_tables):
+    p, q = random_zonal(4, 1, L=8), random_zonal(4, 2, L=8)
+    for theta_p, theta_q in ((p.theta, q.theta), (axisym._DEVIATION_THETA,) * 2,
+                             (axisym._C1_THETA,) * 2):
+        for d in (0, 1, 2):
+            assert p._table(theta_p, d) is q._table(theta_q, d)
+    assert random_zonal(4, 1, L=7)._table(p.theta, 0) is not p._table(p.theta, 0)
+
+
+def test_random_domains_build_each_table_once(cold_tables):
+    for seed in range(20):
+        deficits.random_domain(4, 0.05, seed=seed)
+    # value and slope on the deviation and c1 sets, value on the
+    # Gauss-Jacobi nodes (star-shapedness and barycenter)
+    info = cold_tables.cache_info()
+    assert info.misses == info.currsize == 5
+
+
+def test_caller_supplied_angles_add_no_tables(cold_tables):
+    prof = random_zonal(4, 5, L=8)
+    K = AxialDomain(prof)
+    K.eps_size()
+    K.functionals()
+    prof.c1_norm()
+    misses = cold_tables.cache_info().misses
+    axisym.pole_gradient_bound(prof)
+    AxialProfile.from_values(4, np.linspace(0.0, math.pi, 50), prof.value(
+        np.linspace(0.0, math.pi, 50)), degree=8)
+    prof.value(np.linspace(0.0, 1.0, 4096))
+    assert cold_tables.cache_info().misses == misses
+    # the Newton iterates of translated bypass the cache; only the
+    # re-fitted profile's own Gauss-Jacobi table is added
+    moved = K.translated([0.01, 0.0, 0.0, 0.0])
+    assert cold_tables.cache_info().misses == misses + 1
+    L = moved.profile.coeffs.size - 1
+    assert moved.profile._table(moved.profile.theta, 0) is cold_tables(4, L, 0, 256)
+    assert cold_tables.cache_info().misses == misses + 1
+
+
+def test_tables_over_the_size_limit_are_built_afresh(cold_tables):
+    # L = 40: 41 x 4096 deviation angles is over the limit, 41 x 256
+    # Gauss-Jacobi nodes is under it
+    prof = random_zonal(4, 3, L=40)
+    theta = axisym._DEVIATION_THETA
+    assert 41 * theta.size > axisym._CACHED_TABLE_DOUBLES >= 41 * prof.theta.size
+    entries = cold_tables.cache_info().currsize
+    fresh = ZonalBasis(4, 40).values(np.cos(theta))
+    assert prof.value(theta).tobytes() == (prof.coeffs @ fresh).tobytes()
+    assert cold_tables.cache_info().currsize == entries
+    prof.value(prof.theta)
+    assert cold_tables.cache_info().currsize == entries + 1
 
 
 @pytest.mark.parametrize("resolution, alpha", [(16, 0.0), (64, 0.5), (256, 1.0),

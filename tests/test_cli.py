@@ -93,6 +93,16 @@ def test_counterexample_mesh(tmp_path):
     assert obj.count("\nv ") >= 48 * 96
 
 
+@pytest.mark.parametrize("extra", [["--kappa", "4"], ["--sweep", "4,8"]])
+def test_counterexample_mesh_outside_three_dimensions_exits_2(extra, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["counterexample", "--n", "4", "--eps", "0.3", "--mesh",
+                 "--out", str(out)] + extra)
+    assert code == 2
+    assert "--mesh" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_counterexample_sweep_in_four_dimensions(tmp_path):
     # the sweep and the search run in the dimension asked for, zonal only,
     # with no grid check; --seed is still accepted

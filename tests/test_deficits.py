@@ -189,7 +189,7 @@ def test_stability_requires_dimension(grid):
 def test_axial_deficit_ball():
     for n in (3, 4, 5):
         prof = AxialProfile.from_zonal_coeffs(n, np.zeros(2))
-        rep = axial_minkowski_deficit(prof)
+        rep = axial_minkowski_deficit(AxialDomain(prof))
         assert abs(rep.margin) < 1e-10
 
 
@@ -200,7 +200,7 @@ def test_axial_deficit_random_suite():
             if n == 3:
                 rep = deficits.minkowski_deficit(K)
             else:
-                rep = axial_minkowski_deficit(K.profile)
+                rep = axial_minkowski_deficit(K)
             assert rep.margin >= -1e-8, (n, seed)
 
 
