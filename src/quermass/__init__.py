@@ -11,7 +11,7 @@ open gradient-energy inequality.
 from quermass.config import DEFAULT_TOLERANCES, Tolerances
 from quermass.fields import ScalarField, analyze, gradient, laplacian, synthesize, split_frequencies
 from quermass.grids import SphericalGrid, build_grid, quadrature, sphere_area, ball_volume
-from quermass.harmonics import HarmonicBasis, ZonalBasis
+from quermass.harmonics import ZonalBasis
 from quermass.stardomain import CurvatureBundle, Functionals, StarDomain
 from quermass.axisym import AxialDomain, AxialProfile
 from quermass.reporting import DeficitReport
@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "DeficitReport",
     "Functionals",
-    "HarmonicBasis",
     "ScalarField",
     "SphericalGrid",
     "StarDomain",

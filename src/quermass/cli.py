@@ -1,10 +1,15 @@
 """Command-line front end.
 
 Subcommands: functionals, deficits, verify, counterexample, conjecture,
-export-mesh.  Every run echoes its fully resolved configuration into the
-output directory; randomized suites require explicit seeds and produce
-byte-identical CSV under identical configuration.  The exit status is 0
-exactly when every assertion of the invoked suite holds.
+export-mesh.  Every run echoes its parsed options into the output
+directory; randomized suites require explicit seeds and produce
+byte-identical CSV under identical configuration.  `verify` hands its
+suite only the options given on the command line (VERIFY_CHECKS names
+them), so an omitted option takes the suite's own default, as an
+omitted `conjecture --degree-cap` takes maximize_ratio's.  A single-kappa
+n = 3 `counterexample` prints the grid-versus-zonal gap and its
+tolerance next to the verdict.  The exit status is 0 exactly when every
+assertion of the invoked suite holds.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from quermass import deficits, io as qio, suites
 from quermass.axisym import AxialDomain
@@ -21,23 +27,37 @@ from quermass.config import DEFAULT_TOLERANCES, Tolerances
 from quermass.reporting import (DEFICIT_COLUMNS, echo_config, write_csv,
                                 write_json)
 
-VERIFY_CHOICES = {
-    "grad-normal": "gradient/normal two-sided comparison",
-    "freq-split": "high-frequency lower bound for the cubic term",
-    "eigen-interp": "Hessian eigenvalue interpolation bound",
-    "radial-identity": "flat radial cubic-term identity",
-    "pole": "polar slope estimate",
-    "curvature-routes": "two mean-curvature formulas agree",
-    "nuclear": "nuclear-norm deficit nonnegativity",
-    "axial": "axisymmetric deficit nonnegativity",
-    "stability": "volumetric deficit stability ratio",
+
+class Check(NamedTuple):
+    """One `verify` check: its suite and what the suite reads."""
+
+    suite: str              # name in quermass.suites, looked up at call time
+    options: dict           # argparse dest -> suite keyword
+    tolerances: dict = {}   # Tolerances field -> suite keyword
+    aliases: tuple = ()
+
+
+# the options of the checks that draw seeded random domains
+_DRAWN = {"seed": "seed", "count": "count", "eps": "eps"}
+_GRID = {**_DRAWN, "resolution": "resolution"}
+
+VERIFY_CHECKS = {
+    "grad-normal": Check("gradient_normal_suite", _GRID, aliases=("3.2",)),
+    "freq-split": Check("frequency_split_suite",
+                        {"seed": "seed", "count": "count", "lambda_cut": "lam",
+                         "resolution": "resolution"}, aliases=("4.1",)),
+    "eigen-interp": Check("eigen_interpolation_suite",
+                          {"seed": "seed", "count": "count", "eps": "eps_scale",
+                           "resolution": "resolution"}, aliases=("4.2",)),
+    "radial-identity": Check("radial_identity_suite", {}, aliases=("A.1",)),
+    "pole": Check("pole_bound_suite", _DRAWN),
+    "curvature-routes": Check("route_agreement_suite", _GRID,
+                              {"mean_curvature_agree": "tolerance"}),
+    "nuclear": Check("nuclear_deficit_suite", _DRAWN),
+    "axial": Check("axial_deficit_suite", _DRAWN),
+    "stability": Check("stability_suite", _DRAWN),
 }
-VERIFY_ALIASES = {"3.2": "grad-normal", "4.1": "freq-split",
-                  "4.2": "eigen-interp", "A.1": "radial-identity"}
-
-
-# tolerance keys each verify check reads; the others read none
-VERIFY_TOLERANCES = {"curvature-routes": ("mean_curvature_agree",)}
+VERIFY_ALIASES = {a: name for name, c in VERIFY_CHECKS.items() for a in c.aliases}
 
 
 def _tolerances(pairs, reads=None, what="this command"):
@@ -84,11 +104,6 @@ def _load_any_domain(path, resolution):
     return qio.load_domain(path, resolution=resolution)
 
 
-def _given(value, default):
-    """value unless the option was omitted (None); 0 counts as given."""
-    return default if value is None else value
-
-
 def cmd_functionals(args) -> int:
     _tolerances(args.tolerance, what="functionals")
     K = _load_any_domain(args.domain, args.resolution)
@@ -130,43 +145,16 @@ def cmd_deficits(args) -> int:
 
 def cmd_verify(args) -> int:
     lemma = VERIFY_ALIASES.get(args.lemma, args.lemma)
-    if lemma not in VERIFY_CHOICES:
+    if lemma not in VERIFY_CHECKS:
         raise SystemExit(f"unknown check {args.lemma!r}; choose from "
-                         f"{sorted(VERIFY_CHOICES) + sorted(VERIFY_ALIASES)}")
-    tol = _tolerances(args.tolerance, VERIFY_TOLERANCES.get(lemma, ()),
-                      f"verify {lemma}")
-    count = args.count
-    if lemma == "grad-normal":
-        result = suites.gradient_normal_suite(
-            count=_given(count, 100), eps=_given(args.eps, 0.1), seed=args.seed,
-            resolution=_given(args.resolution, 32))
-    elif lemma == "freq-split":
-        result = suites.frequency_split_suite(
-            count=_given(count, 300), seed=args.seed, lam=args.lambda_cut,
-            resolution=_given(args.resolution, 32))
-    elif lemma == "eigen-interp":
-        result = suites.eigen_interpolation_suite(
-            count=_given(count, 1000), seed=args.seed,
-            resolution=_given(args.resolution, 32))
-    elif lemma == "radial-identity":
-        result = suites.radial_identity_suite()
-    elif lemma == "pole":
-        result = suites.pole_bound_suite(seed=args.seed, count=_given(count, 20),
-                                         eps=_given(args.eps, 0.05))
-    elif lemma == "curvature-routes":
-        result = suites.route_agreement_suite(
-            count=_given(count, 100), eps=_given(args.eps, 0.3), seed=args.seed,
-            resolution=_given(args.resolution, 64),
-            tolerance=tol.mean_curvature_agree)
-    elif lemma == "nuclear":
-        result = suites.nuclear_deficit_suite(
-            count=_given(count, 200), eps=_given(args.eps, 0.05), seed=args.seed)
-    elif lemma == "axial":
-        result = suites.axial_deficit_suite(
-            count=_given(count, 200), eps=_given(args.eps, 0.05), seed=args.seed)
-    else:
-        result = suites.stability_suite(
-            count=_given(count, 200), eps=_given(args.eps, 0.05), seed=args.seed)
+                         f"{sorted(VERIFY_CHECKS) + sorted(VERIFY_ALIASES)}")
+    check = VERIFY_CHECKS[lemma]
+    tol = _tolerances(args.tolerance, check.tolerances, f"verify {lemma}")
+    # an omitted option (None) is left out, so the suite's default applies
+    kwargs = {kw: getattr(args, dest) for dest, kw in check.options.items()
+              if getattr(args, dest) is not None}
+    kwargs.update({kw: getattr(tol, key) for key, kw in check.tolerances.items()})
+    result = getattr(suites, check.suite)(**kwargs)
     _emit(Path(args.out), f"verify_{lemma}", result, args.format, vars(args))
     status = "PASS" if result["passed"] else "FAIL"
     print(f"{lemma}: {status}  {json.dumps(result['summary'], default=str)}")
@@ -189,30 +177,28 @@ def cmd_counterexample(args) -> int:
         result["rows"].extend(search["rows"])
         result["summary"]["search"] = search["summary"]
         result["passed"] = result["passed"] and search["passed"]
+        shown = result["summary"]
     else:
         if args.kappa is None:
             raise SystemExit("counterexample needs --kappa or --sweep")
         rec = cx.total_mean_curvature(args.n, args.eps, args.kappa,
                                       method="both" if args.n == 3 else "zonal")
-        row = {"kappa": rec["kappa"], "q": rec["count"],
-               "int_H_grid": rec.get("int_H_grid", ""),
-               "int_H_zonal": rec["int_H_zonal"],
-               "eps_size": rec["eps_size"],
-               "relative_gap": rec.get("relative_gap", ""),
-               "packing_constant": rec["packing_constant"],
-               "c1_norm": rec["c1_norm"]}
         # n = 3 also integrates on the dense grid: its gap gates the verdict
         passed = rec.get("relative_gap", 0.0) <= tol.dent_cross_check_rel
-        result = {"rows": [row], "columns": suites.DENT_EXTRA_COLUMNS,
+        result = {"rows": [suites.dent_row(rec)],
+                  "columns": suites.DENT_EXTRA_COLUMNS,
                   "passed": passed, "summary": {}}
+        # the summary file stays {}; stdout shows the gap and its gate
+        shown = ({"relative_gap": rec["relative_gap"],
+                  "tolerance": tol.dent_cross_check_rel}
+                 if "relative_gap" in rec else {})
     _emit(out_dir, "counterexample", result, args.format, vars(args))
     if args.mesh:
         from quermass.grids import build_grid
         domain = cx.build_counterexample(args.n, args.eps, args.kappa or 20.0)
         K = domain.on_grid(build_grid(3, args.resolution or 128))
         qio.export_obj(K, out_dir / "counterexample.obj")
-    print("PASS" if result["passed"] else "FAIL",
-          json.dumps(result["summary"], default=str))
+    print("PASS" if result["passed"] else "FAIL", json.dumps(shown, default=str))
     return 0 if result["passed"] else 3
 
 
@@ -220,22 +206,17 @@ def cmd_conjecture(args) -> int:
     from quermass import conjecture
     _tolerances(args.tolerance, (), "conjecture")
     out_dir = Path(args.out)
-    rows = []
+    # an omitted --degree-cap leaves maximize_ratio's default
+    cap = {} if args.degree_cap is None else {"basis_cap": args.degree_cap}
     out = conjecture.maximize_ratio(
-        args.n, basis_cap=args.degree_cap or 12,
-        restarts=args.restarts, seed=args.seed,
-        amplitude_cap=args.amplitude_cap)
+        args.n, restarts=args.restarts, seed=args.seed,
+        amplitude_cap=args.amplitude_cap, **cap)
     best = out["best"]
-    for r in out["rows"]:
-        rows.append({"n": args.n, "seed": r["seed"],
-                     "basis_cap": args.degree_cap or 12,
-                     "best_ratio": r["ratio"],
-                     "constraint_margin": r["constraint_margin"],
-                     "grad_inf": r["grad_inf"],
-                     "conjectured_bound": conjecture.conjectured_bound(args.n)})
-    passed = (best.meta["gradient_check_max_rel"] or 0) <= 1e-5
-    passed = passed and all(
-        r["best_ratio"] <= 1 + 1e-8 for r in rows)
+    rows = [suites.conjecture_row(args.n, r["seed"], out["backend"].L, r["ratio"],
+                                  r["constraint_margin"], r["grad_inf"])
+            for r in out["rows"]]
+    passed = ((best.meta["gradient_check_max_rel"] or 0) <= 1e-5
+              and all(r["best_ratio"] <= 1 + 1e-8 for r in rows))
     result = {"rows": rows, "columns": suites.CONJ_COLUMNS, "passed": passed,
               "summary": {"best_ratio": best.ratio,
                           "constraint_margin": best.constraint_margin,
@@ -246,9 +227,7 @@ def cmd_conjecture(args) -> int:
     # persist the best candidate as a field / axial-profile file
     if args.n == 3:
         from quermass import fields
-        from quermass.grids import build_grid
-        grid = out["backend"].grid
-        qio.save_field(fields.synthesize(best.coeffs, grid),
+        qio.save_field(fields.synthesize(best.coeffs, out["backend"].grid),
                        out_dir / "best_candidate.json")
     elif args.n >= 4:
         from quermass.axisym import AxialProfile
@@ -304,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a randomized verification suite")
-    p.add_argument("lemma", help=f"one of {sorted(VERIFY_CHOICES)} "
+    p.add_argument("lemma", help=f"one of {sorted(VERIFY_CHECKS)} "
                                  f"(aliases {sorted(VERIFY_ALIASES)})")
     p.add_argument("--count", type=int, default=None)
     p.set_defaults(func=cmd_verify)

@@ -44,7 +44,8 @@ class _Backend:
 
     A backend supplies ascent_fields, the three node fields of one
     ascent step from a single pass over the stacked pair [c, -lam c];
-    the single-field accessors read from it.
+    the single-field accessors read from it.  resolution is the grid
+    resolution the backend was built at, its default resolved.
     """
 
     def ascent_fields(self, c):
@@ -87,6 +88,7 @@ class FullSphereBackend(_Backend):
             raise ValueError("grid cannot integrate the cubic products exactly")
         self.n = 3
         self.L = L
+        self.resolution = resolution
         self.grid = build_grid(3, resolution)
         self.weights = self.grid.weights
         self.sin_theta, _ = fields.node_angles(self.grid)
@@ -117,6 +119,7 @@ class CircleBackend(_Backend):
             resolution = max(16, 2 * L)
         self.n = 2
         self.L = L
+        self.resolution = resolution
         self.grid = build_grid(2, resolution)
         self.weights = self.grid.weights
         m = np.arange(2 * L + 1)
@@ -147,6 +150,7 @@ class ZonalBackend(_Backend):
             resolution = max(256, 2 * L + 32)
         self.n = n
         self.L = L
+        self.resolution = resolution
         self.basis = ZonalBasis(n, L)
         t, w = jacobi_rule(resolution, (n - 3) / 2.0)
         self.t, self.w = t, w
@@ -199,8 +203,8 @@ def make_backend(n: int, L: int, resolution: int | None = None) -> _Backend:
 
 
 def ratio_and_parts(backend: _Backend, c: np.ndarray):
-    lap = backend.laplacian_values(c)
-    g2 = backend.grad2_values(c)
+    """(int lap(u) |grad u|^2, int |grad u|^2) from one ascent_fields pass."""
+    lap, g2, _ = backend.ascent_fields(c)
     den = backend.integrate(g2)
     num = backend.integrate(lap * g2)
     return num, den
@@ -281,7 +285,11 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
     Deterministic under the seed; the analytic coefficient gradient is
     validated against central finite differences at each restart's
     start point.  Returns the best feasible candidate and all rows.
+    basis_cap below 1 leaves no nonconstant mode and raises ValueError.
     """
+    if basis_cap < 1:
+        raise ValueError(f"basis_cap {basis_cap} leaves no nonconstant mode; "
+                         "it must be at least 1")
     backend = make_backend(n, basis_cap, resolution)
     lam = backend.eigenvalues
     rows = []
@@ -366,19 +374,16 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
     best.meta["conjectured_bound"] = conjectured_bound(n)
     out = {"best": best, "rows": rows, "backend": backend}
     if best.ratio > conjectured_bound(n) and n >= 3:
-        out["high_resolution_recheck"] = _recheck(n, basis_cap, resolution, best)
+        out["high_resolution_recheck"] = _recheck(backend, best)
     return out
 
 
-def _recheck(n, basis_cap, resolution, cand):
+def _recheck(backend, cand):
     """Re-verify a bound-threatening candidate at doubled grid resolution."""
-    base = resolution
-    if base is None:
-        base = max(32, (3 * basis_cap + 4) // 2) if n == 3 else max(256, 2 * basis_cap + 32)
-    fine = make_backend(n, basis_cap, 2 * base)
+    fine = make_backend(backend.n, backend.L, 2 * backend.resolution)
     num, den = ratio_and_parts(fine, cand.coeffs)
     return {"ratio": num / den, "constraint_margin": feasibility(fine, cand.coeffs),
-            "resolution": 2 * base}
+            "resolution": fine.resolution}
 
 
 # -- smoothed Green-kernel sequence ---------------------------------------------------

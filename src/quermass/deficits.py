@@ -32,11 +32,6 @@ def ball_volumetric_constant(n: int) -> float:
     return ((n - 1.0) * sphere_area(n)) ** (1.0 / (n - 2)) / ball_volume(n) ** (1.0 / n)
 
 
-def barycenter(K) -> np.ndarray:
-    """Centroid of the solid domain."""
-    return K.barycenter()
-
-
 def normalize(K, mode: str = "volume", tol=DEFAULT_TOLERANCES):
     """Rescale and re-center until Per = Per(B_1) (or |K| = |B_1|) and the
     barycenter sits at the origin.

@@ -49,11 +49,6 @@ def constant_field(grid: SphericalGrid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.num_nodes, float(value)))
 
 
-def quadrature(f: ScalarField) -> float:
-    """Integral of the field over S^{n-1}."""
-    return f.integral()
-
-
 # -- per-node chart helper arrays -------------------------------------------
 
 def node_angles(grid: SphericalGrid) -> tuple:

@@ -9,18 +9,12 @@ are unit-normalized against the surface measure.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 from scipy.special import eval_gegenbauer, gammaln
 
 from quermass.grids import sphere_area
-
-
-def eigenvalue(l: int, n: int) -> float:
-    """Laplace-Beltrami eigenvalue of degree-l harmonics on S^{n-1}."""
-    return float(l * (l + n - 2))
 
 
 def multiplicity(l: int, n: int) -> int:
@@ -34,23 +28,6 @@ def multiplicity(l: int, n: int) -> int:
         return 2
     lower = math.comb(n + l - 3, l - 2) if l >= 2 else 0
     return math.comb(n + l - 1, l) - lower
-
-
-@dataclasses.dataclass(frozen=True)
-class HarmonicBasis:
-    """Degree bookkeeping for the harmonic decomposition on S^{n-1}."""
-
-    n: int
-    L: int
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        l = np.arange(self.L + 1)
-        return l * (l + self.n - 2.0)
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([multiplicity(l, self.n) for l in range(self.L + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ def _pmap(fn, items):
 
 def route_agreement_suite(count: int = 100, eps: float = 0.3, seed: int = 2024,
                           resolution: int = 64, L: int = 6,
-                          tolerance: float = 1e-7) -> dict:
+                          tolerance: float = DEFAULT_TOLERANCES.mean_curvature_agree
+                          ) -> dict:
     _require_count(count)
     grid = build_grid(3, resolution)
 
@@ -273,16 +274,23 @@ DENT_COLUMNS = ["kappa", "q", "int_H_grid", "int_H_zonal", "eps_size"]
 DENT_EXTRA_COLUMNS = DENT_COLUMNS + ["relative_gap", "packing_constant", "c1_norm"]
 
 
+def dent_row(rec: dict) -> dict:
+    """The DENT_EXTRA_COLUMNS row of one total_mean_curvature record.
+
+    A zonal-only record has no grid total and no gap: those cells stay empty.
+    """
+    return {"kappa": rec["kappa"], "q": rec["count"],
+            "int_H_grid": rec.get("int_H_grid", ""), "int_H_zonal": rec["int_H_zonal"],
+            "eps_size": rec["eps_size"], "relative_gap": rec.get("relative_gap", ""),
+            "packing_constant": rec["packing_constant"], "c1_norm": rec["c1_norm"]}
+
+
 def dent_sweep_suite(eps: float = 0.3, kappas=(20.0, 40.0, 80.0, 160.0), n: int = 3,
                      gap_tolerance: float = DEFAULT_TOLERANCES.dent_cross_check_rel
                      ) -> dict:
     recs = counterexample.sweep_total_mean_curvature(
         n, eps, kappas, method="both" if n == 3 else "zonal")
-    rows = [{"kappa": r["kappa"], "q": r["count"],
-             "int_H_grid": r.get("int_H_grid", ""), "int_H_zonal": r["int_H_zonal"],
-             "eps_size": r["eps_size"], "relative_gap": r.get("relative_gap", ""),
-             "packing_constant": r["packing_constant"], "c1_norm": r["c1_norm"]}
-            for r in recs]
+    rows = [dent_row(r) for r in recs]
     gaps = [r["relative_gap"] for r in recs if "relative_gap" in r]
     fit = counterexample.affine_fit([r["kappa"] for r in rows],
                                     [r["int_H_zonal"] for r in rows])
@@ -299,11 +307,7 @@ def negative_total_curvature_suite(eps: float = 0.3, threshold: float = -1.0,
     out = counterexample.find_negative_mean_curvature(
         n, eps, threshold=threshold, kappa_start=kappa_start,
         kappa_max=kappa_max)
-    rows = [{"kappa": r["kappa"], "q": r["count"], "int_H_grid": "",
-             "int_H_zonal": r["int_H_zonal"], "eps_size": r["eps_size"],
-             "relative_gap": "", "packing_constant": r["packing_constant"],
-             "c1_norm": r["c1_norm"]}
-            for r in out["history"]]
+    rows = [dent_row(r) for r in out["history"]]
     return {"rows": rows, "columns": DENT_EXTRA_COLUMNS, "passed": out["found"],
             "summary": {"kappa_star": out["kappa_star"], "int_H": out["int_H"],
                         "reason": out["reason"]}}
@@ -316,6 +320,14 @@ CONJ_COLUMNS = ["n", "seed", "basis_cap", "best_ratio", "constraint_margin",
                 "grad_inf", "conjectured_bound"]
 
 
+def conjecture_row(n: int, seed: int, basis_cap: int, ratio: float,
+                   constraint_margin: float, grad_inf: float) -> dict:
+    """One CONJ_COLUMNS row; the conjectured bound follows from n."""
+    return {"n": n, "seed": seed, "basis_cap": basis_cap, "best_ratio": ratio,
+            "constraint_margin": constraint_margin, "grad_inf": grad_inf,
+            "conjectured_bound": conjecture.conjectured_bound(n)}
+
+
 def conjecture_suite(n3_cap: int = 12, n3_restarts: int = 12, seed: int = 9001,
                      levels=(8, 16, 32, 64)) -> dict:
     rows = []
@@ -323,22 +335,17 @@ def conjecture_suite(n3_cap: int = 12, n3_restarts: int = 12, seed: int = 9001,
 
     out2 = conjecture.maximize_ratio(2, basis_cap=8, restarts=4, seed=seed,
                                      iterations=120)
-    rows.append({"n": 2, "seed": seed, "basis_cap": 8,
-                 "best_ratio": out2["best"].ratio,
-                 "constraint_margin": out2["best"].constraint_margin,
-                 "grad_inf": out2["best"].grad_norm_inf,
-                 "conjectured_bound": conjecture.conjectured_bound(2)})
-    passed = passed and abs(out2["best"].ratio) <= 1e-8
-    passed = passed and out2["best"].meta["gradient_check_max_rel"] <= 1e-5
+    best2 = out2["best"]
+    rows.append(conjecture_row(2, seed, 8, best2.ratio, best2.constraint_margin,
+                               best2.grad_norm_inf))
+    passed = passed and abs(best2.ratio) <= 1e-8
+    passed = passed and best2.meta["gradient_check_max_rel"] <= 1e-5
 
     out3 = conjecture.maximize_ratio(3, basis_cap=n3_cap, restarts=n3_restarts,
                                      seed=seed + 1)
     best3 = out3["best"]
-    rows.append({"n": 3, "seed": seed + 1, "basis_cap": n3_cap,
-                 "best_ratio": best3.ratio,
-                 "constraint_margin": best3.constraint_margin,
-                 "grad_inf": best3.grad_norm_inf,
-                 "conjectured_bound": conjecture.conjectured_bound(3)})
+    rows.append(conjecture_row(3, seed + 1, n3_cap, best3.ratio,
+                               best3.constraint_margin, best3.grad_norm_inf))
     passed = passed and best3.meta["gradient_check_max_rel"] <= 1e-5
     # the trivial bound must hold for every feasible candidate
     backend3 = out3["backend"]
@@ -349,15 +356,13 @@ def conjecture_suite(n3_cap: int = 12, n3_restarts: int = 12, seed: int = 9001,
 
     ladder = conjecture.green_ladder(4, levels=levels)
     for lev, r, g in zip(ladder["levels"], ladder["ratios"], ladder["grad_inf"]):
-        rows.append({"n": 4, "seed": seed, "basis_cap": lev, "best_ratio": r,
-                     "constraint_margin": 0.0, "grad_inf": g,
-                     "conjectured_bound": conjecture.conjectured_bound(4)})
+        rows.append(conjecture_row(4, seed, lev, r, 0.0, g))
     passed = passed and ladder["min_ratio"] > 0
     passed = passed and ladder["grad_nonincreasing_within_10pct"]
 
     return {"rows": rows, "columns": CONJ_COLUMNS, "passed": passed,
-            "summary": {"n2_best": out2["best"].ratio, "n3_best": best3.ratio,
+            "summary": {"n2_best": best2.ratio, "n3_best": best3.ratio,
                         "green_min_ratio": ladder["min_ratio"],
                         "gradient_check_max": max(
-                            out2["best"].meta["gradient_check_max_rel"],
+                            best2.meta["gradient_check_max_rel"],
                             best3.meta["gradient_check_max_rel"])}}

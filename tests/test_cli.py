@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from quermass import fields, io as qio, suites
-from quermass.cli import build_parser, main
+from quermass.cli import VERIFY_CHECKS, build_parser, main
 from quermass.fields import ScalarField
 from quermass.grids import build_grid
 from quermass.stardomain import StarDomain
@@ -159,23 +160,55 @@ def test_verify_second_alias(tmp_path):
     assert (out / "verify_eigen-interp.csv").exists()
 
 
-def test_eps_default_is_per_subcommand(monkeypatch, tmp_path):
-    # counterexample's own default (0.3) must not leak into the --eps that
-    # all subcommands share
-    assert build_parser().parse_args(["verify", "grad-normal"]).eps is None
-    seen = []
-
+def _fake_suite(seen):
     def fake_suite(**kwargs):
         seen.append(kwargs)
         return {"rows": [{"x": 1}], "columns": ["x"], "passed": True,
                 "summary": {}}
+    return fake_suite
 
-    monkeypatch.setattr(suites, "gradient_normal_suite", fake_suite)
+
+def test_eps_default_is_per_subcommand(monkeypatch, tmp_path):
+    # an omitted option reaches the suite as absent, so the suite's own
+    # default applies; 0 counts as given; counterexample's own default
+    # (0.3) does not leak into the --eps that all subcommands share
+    assert build_parser().parse_args(["verify", "grad-normal"]).eps is None
+    seen = []
+    monkeypatch.setattr(suites, "gradient_normal_suite", _fake_suite(seen))
     assert main(["verify", "grad-normal", "--out", str(tmp_path / "a")]) == 0
     assert main(["verify", "grad-normal", "--eps", "0", "--count", "0",
                  "--resolution", "0", "--out", str(tmp_path / "b")]) == 0
-    assert (seen[0]["eps"], seen[0]["count"], seen[0]["resolution"]) == (0.1, 100, 32)
-    assert (seen[1]["eps"], seen[1]["count"], seen[1]["resolution"]) == (0.0, 0, 0)
+    assert seen[0] == {"seed": 0}
+    assert seen[1] == {"seed": 0, "eps": 0.0, "count": 0, "resolution": 0}
+
+
+def test_verify_table_options_are_suite_parameters():
+    for name, check in VERIFY_CHECKS.items():
+        params = inspect.signature(getattr(suites, check.suite)).parameters
+        for kw in [*check.options.values(), *check.tolerances.values()]:
+            assert kw in params, (name, kw)
+
+
+def test_eps_reaches_eigen_interp(monkeypatch, tmp_path):
+    out = tmp_path / "real"
+    assert main(["verify", "eigen-interp", "--eps", "0.05", "--count", "2",
+                 "--out", str(out)]) == 0
+    lines = (out / "verify_eigen-interp.csv").read_text().splitlines()
+    col = lines[0].split(",").index("eps_scale")
+    assert {float(ln.split(",")[col]) for ln in lines[1:]} == {0.05}
+    seen = []
+    monkeypatch.setattr(suites, "eigen_interpolation_suite", _fake_suite(seen))
+    assert main(["verify", "4.2", "--eps", "0.9", "--count", "4",
+                 "--out", str(tmp_path / "fake")]) == 0
+    assert seen == [{"seed": 0, "eps_scale": 0.9, "count": 4}]
+
+
+def test_conjecture_degree_cap_zero_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["conjecture", "--n", "4", "--degree-cap", "0", "--restarts", "1",
+                 "--out", str(out)]) == 2
+    assert "basis_cap 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_counterexample_over_budget_exits_2(tmp_path, capsys):
@@ -209,12 +242,15 @@ def test_single_kappa_dent_gap_gates_the_verdict(tmp_path, capsys):
     code = main(argv + ["--tolerance", "dent_cross_check_rel=1e-9",
                         "--out", str(tmp_path / "b")])
     assert code == 3
-    assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL")
+    verdict, _, shown = capsys.readouterr().out.splitlines()[-1].partition(" ")
+    assert verdict == "FAIL"
     summary = json.loads((tmp_path / "b" / "counterexample_summary.json").read_text())
-    assert summary["passed"] is False
+    assert summary == {"passed": False, "summary": {}}
     row = (tmp_path / "b" / "counterexample.csv").read_text().splitlines()[1]
     gap = float(row.split(",")[5])
     assert 1e-9 < gap <= 1e-2
+    # the stdout line carries the gap and the tolerance it was held to
+    assert json.loads(shown) == {"relative_gap": gap, "tolerance": 1e-9}
     # n = 4 has no grid check, so no gap to gate
     assert main(["counterexample", "--n", "4", "--kappa", "2", "--eps", "0.3",
                  "--tolerance", "dent_cross_check_rel=1e-9",
