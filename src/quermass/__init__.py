@@ -8,7 +8,6 @@ construction with arbitrarily negative total mean curvature, and an
 open gradient-energy inequality.
 """
 
-from quermass.config import DEFAULT_TOLERANCES, Tolerances
 from quermass.fields import ScalarField, analyze, gradient, laplacian, synthesize, split_frequencies
 from quermass.grids import SphericalGrid, build_grid, quadrature, sphere_area, ball_volume
 from quermass.harmonics import ZonalBasis
@@ -20,13 +19,11 @@ __all__ = [
     "AxialDomain",
     "AxialProfile",
     "CurvatureBundle",
-    "DEFAULT_TOLERANCES",
     "DeficitReport",
     "Functionals",
     "ScalarField",
     "SphericalGrid",
     "StarDomain",
-    "Tolerances",
     "ZonalBasis",
     "analyze",
     "ball_volume",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from quermass import geometry
-from quermass.config import DEFAULT_TOLERANCES, Tolerances
+from quermass.config import POLE_CONSTANT, POLE_SLACK
 from quermass.grids import jacobi_rule, panel_rule, sphere_area
 from quermass.harmonics import ZonalBasis
 from quermass.reporting import DeficitReport
@@ -75,14 +75,13 @@ class AxialProfile:
     """Zonal profile V on [0, pi] with exact first and second derivatives."""
 
     def __init__(self, n: int, coeffs=None, callables=None, support=math.pi,
-                 resolution: int = 512, breakpoints=(), tol: Tolerances = DEFAULT_TOLERANCES):
+                 resolution: int = 512, breakpoints=()):
         if n < 3:
             raise ValueError("axial machinery requires n >= 3")
         self.n = n
         self.resolution = resolution
         self.support = float(support)
         self.breakpoints = tuple(breakpoints)
-        self.tol = tol
         t, w = jacobi_rule(resolution, (n - 3) / 2.0)
         self.t, self.w = t, w
         self.theta = _read_only(np.arccos(t))
@@ -290,30 +289,26 @@ def axial_functionals(profile: AxialProfile) -> Functionals:
     )
 
 
-def pole_gradient_bound(profile: AxialProfile, theta0: float | None = None,
-                        constants=(1.0, 3.0, 10.0), slack: float | None = None,
-                        samples: int = 400) -> dict:
-    """Check the polar slope bound V'(th) <= slack*th + C0 th^{-(n-2)} * intHminus.
+def pole_gradient_bound(profile: AxialProfile, theta0: float | None = None) -> dict:
+    """Check the polar slope bound V'(th) <= POLE_SLACK*th + C0 th^{-(n-2)} * intHminus.
 
-    Evaluated on a theta grid in (0, theta0] and mirrored near pi; slack
-    defaults to profile.tol.pole_slack.
+    Evaluated on 400 angles in (0, theta0] and mirrored near pi.
     Returns worst margins (rhs - lhs; nonnegative means the bound holds)
-    for each candidate constant C0.
+    for each candidate constant C0 in (1, POLE_CONSTANT, 10).
     """
     n = profile.n
-    slack = profile.tol.pole_slack if slack is None else slack
     if theta0 is None:
         theta0 = math.sqrt(max(profile.c1_norm(), 1e-12))
     theta0 = min(theta0, math.pi / 2)
     int_h_minus = axial_functionals(profile).int_H_minus
 
-    th = np.linspace(theta0 / samples, theta0, samples)
+    th = np.linspace(theta0 / 400, theta0, 400)
     north_lhs = profile.slope(th)
     south_lhs = -profile.slope(math.pi - th)
-    report = {"theta0": theta0, "int_H_minus": int_h_minus, "slack": slack,
+    report = {"theta0": theta0, "int_H_minus": int_h_minus, "slack": POLE_SLACK,
               "constants": {}}
-    for c0 in constants:
-        rhs = slack * th + c0 * th ** (-(n - 2.0)) * int_h_minus
+    for c0 in (1.0, POLE_CONSTANT, 10.0):
+        rhs = POLE_SLACK * th + c0 * th ** (-(n - 2.0)) * int_h_minus
         report["constants"][c0] = {
             "north_margin": float(np.min(rhs - north_lhs)),
             "south_margin": float(np.min(rhs - south_lhs)),
@@ -443,13 +438,12 @@ class _Section:
 class AxialDomain:
     """Axisymmetric star-shaped domain; mirrors the StarDomain surface."""
 
-    def __init__(self, profile: AxialProfile, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, profile: AxialProfile):
         theta, _ = profile.quadrature_rule()
         if np.min(1.0 + profile.value(theta)) <= 0:
             raise ValueError("profile violates 1 + V > 0: not star-shaped")
         self.profile = profile
         self.n = profile.n
-        self.tol = tol
         self._eps = {}
         self._functionals = None
 
@@ -533,7 +527,7 @@ class AxialDomain:
                 lambda x: s * prof.slope(x), lambda x: s * prof.curvature_slope(x),
                 support=math.pi, breakpoints=prof.breakpoints + (prof.support,),
                 resolution=prof.resolution)
-        return AxialDomain(newp, tol=self.tol)
+        return AxialDomain(newp)
 
     def translated(self, shift) -> "AxialDomain":
         """Shift along the symmetry axis and re-parametrize radially."""
@@ -557,4 +551,4 @@ class AxialDomain:
         newp = AxialProfile.from_values(self.n, theta, t - 1.0,
                                         degree=min(prof.resolution - 1, 256),
                                         resolution=prof.resolution)
-        return AxialDomain(newp, tol=self.tol)
+        return AxialDomain(newp)

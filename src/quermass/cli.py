@@ -4,7 +4,8 @@ Subcommands: functionals, deficits, verify, counterexample, conjecture,
 export-mesh.  Every run echoes its parsed options into the output
 directory; randomized suites require explicit seeds and produce
 byte-identical CSV under identical configuration.  `verify` hands its
-suite only the options given on the command line (VERIFY_CHECKS names
+suite only the options given on the command line and refuses one the
+check does not read (VERIFY_CHECKS names them, `--tolerance KEY` among
 them), so an omitted option takes the suite's own default, as an
 omitted `conjecture --degree-cap` takes maximize_ratio's.  A single-kappa
 n = 3 `counterexample` prints the grid-versus-zonal gap and its
@@ -15,7 +16,6 @@ assertion of the invoked suite holds.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,63 +23,67 @@ from typing import NamedTuple
 
 from quermass import deficits, io as qio, suites
 from quermass.axisym import AxialDomain
-from quermass.config import DEFAULT_TOLERANCES, Tolerances
+from quermass.config import DENT_CROSS_CHECK_REL
 from quermass.reporting import (DEFICIT_COLUMNS, echo_config, write_csv,
                                 write_json)
 
 
 class Check(NamedTuple):
-    """One `verify` check: its suite and what the suite reads."""
+    """One `verify` check: its suite and the options the suite reads."""
 
     suite: str              # name in quermass.suites, looked up at call time
-    options: dict           # argparse dest -> suite keyword
-    tolerances: dict = {}   # Tolerances field -> suite keyword
+    options: dict           # option as typed (--tolerance KEY too) -> suite keyword
     aliases: tuple = ()
 
 
 # the options of the checks that draw seeded random domains
-_DRAWN = {"seed": "seed", "count": "count", "eps": "eps"}
-_GRID = {**_DRAWN, "resolution": "resolution"}
+_DRAWN = {"--seed": "seed", "--count": "count", "--eps": "eps"}
+_GRID = {**_DRAWN, "--resolution": "resolution"}
 
 VERIFY_CHECKS = {
-    "grad-normal": Check("gradient_normal_suite", _GRID, aliases=("3.2",)),
+    "grad-normal": Check("gradient_normal_suite", _GRID, ("3.2",)),
     "freq-split": Check("frequency_split_suite",
-                        {"seed": "seed", "count": "count", "lambda_cut": "lam",
-                         "resolution": "resolution"}, aliases=("4.1",)),
+                        {"--seed": "seed", "--count": "count", "--n": "n",
+                         "--lambda-cut": "lam", "--resolution": "resolution"},
+                        ("4.1",)),
     "eigen-interp": Check("eigen_interpolation_suite",
-                          {"seed": "seed", "count": "count", "eps": "eps_scale",
-                           "resolution": "resolution"}, aliases=("4.2",)),
-    "radial-identity": Check("radial_identity_suite", {}, aliases=("A.1",)),
-    "pole": Check("pole_bound_suite", _DRAWN),
-    "curvature-routes": Check("route_agreement_suite", _GRID,
-                              {"mean_curvature_agree": "tolerance"}),
+                          {"--seed": "seed", "--count": "count", "--eps": "eps_scale",
+                           "--resolution": "resolution"}, ("4.2",)),
+    "radial-identity": Check("radial_identity_suite", {}, ("A.1",)),
+    "pole": Check("pole_bound_suite", {**_DRAWN, "--n": "n"}),
+    "curvature-routes": Check("route_agreement_suite",
+                              {**_GRID, "--tolerance mean_curvature_agree": "tolerance"}),
     "nuclear": Check("nuclear_deficit_suite", _DRAWN),
     "axial": Check("axial_deficit_suite", _DRAWN),
-    "stability": Check("stability_suite", _DRAWN),
+    "stability": Check("stability_suite", {**_DRAWN, "--n": "n"}),
 }
 VERIFY_ALIASES = {a: name for name, c in VERIFY_CHECKS.items() for a in c.aliases}
 
+# defaults of the shared options that a subcommand reads itself; verify
+# leaves an omitted option absent, so that its suite's default applies
+_OWN_DEFAULTS = {"counterexample": {"n": 3, "eps": 0.3},
+                 "conjecture": {"n": 3}, "deficits": {"seed": 0}}
+# namespace entries that are not options a check may leave unread
+_NOT_OPTIONS = {"command", "func", "lemma", "out", "format", "tolerance"}
 
-def _tolerances(pairs, reads=None, what="this command"):
-    """Tolerances with the --tolerance KEY=VAL overrides applied.
 
-    reads names the keys the command reads (None: every field of
-    Tolerances); any other key is refused with ValueError before
-    anything runs.
-    """
-    overrides = {}
-    for item in pairs or ():
+def _tolerances(args) -> dict:
+    """The --tolerance KEY=VAL pairs, as {"--tolerance KEY": VAL}."""
+    given = {}
+    for item in args.tolerance or ():
         key, _, val = item.partition("=")
         if not val:
             raise SystemExit(f"--tolerance expects KEY=VAL, got {item!r}")
-        overrides[key] = float(val)
-    if reads is None:
-        reads = [f.name for f in dataclasses.fields(Tolerances)]
-    refused = sorted(set(overrides) - set(reads))
-    if refused:
-        raise ValueError(f"unknown tolerance keys {refused} for {what}, which "
-                         f"reads {sorted(reads) if reads else 'none'}")
-    return DEFAULT_TOLERANCES.with_overrides(overrides)
+        given[f"--tolerance {key}"] = float(val)
+    return given
+
+
+def _refuse_unread(given: dict, reads, what: str) -> None:
+    """ValueError (exit 2) naming the given options that the command does not read."""
+    unread = [opt for opt in given if opt not in reads]
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(unread)}; it reads "
+                         f"{', '.join(sorted(reads)) if reads else 'none'}")
 
 
 def _emit(out_dir: Path, name: str, result: dict, fmt: str, config: dict):
@@ -105,7 +109,7 @@ def _load_any_domain(path, resolution):
 
 
 def cmd_functionals(args) -> int:
-    _tolerances(args.tolerance, what="functionals")
+    _refuse_unread(_tolerances(args), (), "functionals")
     K = _load_any_domain(args.domain, args.resolution)
     F = K.curvature_integrals(check_routes=False)
     eps, center = K.eps_size()
@@ -123,7 +127,7 @@ def cmd_functionals(args) -> int:
 
 
 def cmd_deficits(args) -> int:
-    _tolerances(args.tolerance, what="deficits")
+    _refuse_unread(_tolerances(args), (), "deficits")
     K = _load_any_domain(args.domain, args.resolution)
     which = args.which.split(",") if args.which != "all" else [
         "minkowski", "volumetric", "nuclear"]
@@ -149,11 +153,15 @@ def cmd_verify(args) -> int:
         raise SystemExit(f"unknown check {args.lemma!r}; choose from "
                          f"{sorted(VERIFY_CHECKS) + sorted(VERIFY_ALIASES)}")
     check = VERIFY_CHECKS[lemma]
-    tol = _tolerances(args.tolerance, check.tolerances, f"verify {lemma}")
-    # an omitted option (None) is left out, so the suite's default applies
-    kwargs = {kw: getattr(args, dest) for dest, kw in check.options.items()
-              if getattr(args, dest) is not None}
-    kwargs.update({kw: getattr(tol, key) for key, kw in check.tolerances.items()})
+    if args.seed is None and "--seed" in check.options:
+        args.seed = 0       # a seeded check always gets its seed from here
+    # the options given, as typed; an omitted one (None) is left out, so
+    # the suite's default applies
+    given = {f"--{dest.replace('_', '-')}": value for dest, value in vars(args).items()
+             if dest not in _NOT_OPTIONS and value is not None}
+    given.update(_tolerances(args))
+    _refuse_unread(given, check.options, f"verify {lemma}")
+    kwargs = {check.options[opt]: value for opt, value in given.items()}
     result = getattr(suites, check.suite)(**kwargs)
     _emit(Path(args.out), f"verify_{lemma}", result, args.format, vars(args))
     status = "PASS" if result["passed"] else "FAIL"
@@ -162,7 +170,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    tol = _tolerances(args.tolerance, ("dent_cross_check_rel",), "counterexample")
+    given = _tolerances(args)
+    _refuse_unread(given, ("--tolerance dent_cross_check_rel",), "counterexample")
+    gap_tolerance = given.get("--tolerance dent_cross_check_rel", DENT_CROSS_CHECK_REL)
     if args.mesh and args.n != 3:
         raise ValueError(f"--mesh exports the dented sphere of n = 3 only, got --n {args.n}")
     out_dir = Path(args.out)
@@ -170,7 +180,7 @@ def cmd_counterexample(args) -> int:
     if args.sweep:
         kappas = tuple(float(k) for k in args.sweep.split(","))
         result = suites.dent_sweep_suite(eps=args.eps, kappas=kappas, n=args.n,
-                                         gap_tolerance=tol.dent_cross_check_rel)
+                                         gap_tolerance=gap_tolerance)
         search = suites.negative_total_curvature_suite(
             eps=args.eps, kappa_start=max(kappas), kappa_max=args.kappa_max,
             n=args.n)
@@ -184,13 +194,13 @@ def cmd_counterexample(args) -> int:
         rec = cx.total_mean_curvature(args.n, args.eps, args.kappa,
                                       method="both" if args.n == 3 else "zonal")
         # n = 3 also integrates on the dense grid: its gap gates the verdict
-        passed = rec.get("relative_gap", 0.0) <= tol.dent_cross_check_rel
+        passed = rec.get("relative_gap", 0.0) <= gap_tolerance
         result = {"rows": [suites.dent_row(rec)],
                   "columns": suites.DENT_EXTRA_COLUMNS,
                   "passed": passed, "summary": {}}
         # the summary file stays {}; stdout shows the gap and its gate
         shown = ({"relative_gap": rec["relative_gap"],
-                  "tolerance": tol.dent_cross_check_rel}
+                  "tolerance": gap_tolerance}
                  if "relative_gap" in rec else {})
     _emit(out_dir, "counterexample", result, args.format, vars(args))
     if args.mesh:
@@ -204,13 +214,13 @@ def cmd_counterexample(args) -> int:
 
 def cmd_conjecture(args) -> int:
     from quermass import conjecture
-    _tolerances(args.tolerance, (), "conjecture")
+    _refuse_unread(_tolerances(args), (), "conjecture")
     out_dir = Path(args.out)
-    # an omitted --degree-cap leaves maximize_ratio's default
-    cap = {} if args.degree_cap is None else {"basis_cap": args.degree_cap}
+    # an omitted option leaves maximize_ratio's default
+    given = {"basis_cap": args.degree_cap, "restarts": args.restarts,
+             "seed": args.seed, "amplitude_cap": args.amplitude_cap}
     out = conjecture.maximize_ratio(
-        args.n, restarts=args.restarts, seed=args.seed,
-        amplitude_cap=args.amplitude_cap, **cap)
+        args.n, **{kw: v for kw, v in given.items() if v is not None})
     best = out["best"]
     rows = [suites.conjecture_row(args.n, r["seed"], out["backend"].L, r["ratio"],
                                   r["constraint_margin"], r["grad_inf"])
@@ -241,7 +251,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    _tolerances(args.tolerance, (), "export-mesh")
+    _refuse_unread(_tolerances(args), (), "export-mesh")
     K = qio.load_domain(args.domain, resolution=args.resolution)
     path = Path(args.out) / "mesh.obj"
     qio.export_obj(K, path)
@@ -255,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="curvature functionals and deficit inequalities of "
                     "near-ball star-shaped domains")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=3)
+    common.add_argument("--n", type=int, default=None)
     common.add_argument("--resolution", type=int, default=None)
     common.add_argument("--degree-cap", type=int, default=None)
     common.add_argument("--lambda-cut", type=float, default=None)
     common.add_argument("--eps", type=float, default=None)
     common.add_argument("--kappa", type=float, default=None)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--restarts", type=int, default=20)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--restarts", type=int, default=None)
     common.add_argument("--out", default="quermass-out")
     common.add_argument("--tolerance", action="append", metavar="KEY=VAL")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -310,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.eps is None and getattr(args, "command", "") == "counterexample":
-        args.eps = 0.3
+    for dest, value in _OWN_DEFAULTS.get(args.command, {}).items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, RuntimeError) as exc:

@@ -1,44 +1,32 @@
-"""Central configuration: default tolerances and run parameters.
+"""Central configuration: the fixed numerical tolerances and run parameters.
 
-Every numerical check in the package reads its tolerance from a
-:class:`Tolerances` instance so that a single run can override any of
-them (``--tolerance KEY=VAL`` on the command line).
+Each tolerance is a module constant, read directly where it is used.
+Two checks also take theirs as a keyword, which the command line sets
+with ``--tolerance KEY=VAL``: ``verify curvature-routes`` reads
+``mean_curvature_agree`` (``route_agreement_suite(tolerance=...)``) and
+``counterexample`` reads ``dent_cross_check_rel``
+(``dent_sweep_suite(gap_tolerance=...)`` and the single-kappa verdict).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
-
-@dataclasses.dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances, overridable per run."""
-
-    # curvature
-    mean_curvature_agree: float = 1e-7
-    # normalization loop
-    normalize_scale_rel: float = 1e-10
-    normalize_center: float = 1e-8
-    normalize_max_iter: int = 50
-    # gradient-vs-normal comparison checks
-    deviation_ratio_bound: float = 10.0
-    # cubic-term lemma slack constant
-    cubic_slack: float = 5.0
-    # pole gradient estimate
-    pole_slack: float = 1.1
-    pole_constant: float = 3.0
-    # dented sphere: dense grid against the zonal total
-    dent_cross_check_rel: float = 1e-2
-
-    def with_overrides(self, overrides: dict[str, float]) -> "Tolerances":
-        unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise KeyError(f"unknown tolerance keys: {sorted(unknown)}")
-        return dataclasses.replace(self, **overrides)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# the two mean-curvature routes agree to this (absolute, per node)
+MEAN_CURVATURE_AGREE = 1e-7
+# normalize(): relative scale residual, barycenter norm, iteration cap
+NORMALIZE_SCALE_REL = 1e-10
+NORMALIZE_CENTER = 1e-8
+NORMALIZE_MAX_ITER = 50
+# gradient-vs-normal comparison: bound on every two-sided ratio
+DEVIATION_RATIO_BOUND = 10.0
+# frequency-split lower bound: the slack constant C in C * eps * scale
+CUBIC_SLACK = 5.0
+# polar slope estimate V'(th) <= slack * th + C0 th^{-(n-2)} int H^-
+POLE_SLACK = 1.1
+POLE_CONSTANT = 3.0
+# dented sphere: relative gap of the dense grid to the zonal total
+DENT_CROSS_CHECK_REL = 1e-2
 
 
 def default_frequency_cutoff(n: int) -> float:

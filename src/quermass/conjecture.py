@@ -277,20 +277,20 @@ def _fd_gradient(backend, c, mu, h=1e-6):
 
 def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
                    seed: int = 0, amplitude_cap: float | None = None,
-                   resolution: int | None = None,
-                   mu_ladder=(1e2, 1e4, 1e6), iterations: int = 250,
-                   validate_gradient: bool = True) -> dict:
+                   iterations: int = 250) -> dict:
     """Penalized gradient ascent on R(u) under lap(u) <= 1.
 
-    Deterministic under the seed; the analytic coefficient gradient is
-    validated against central finite differences at each restart's
-    start point.  Returns the best feasible candidate and all rows.
+    Each restart climbs at the penalty weights 1e2, 1e4 and 1e6 in turn
+    on the backend's default grid.  Deterministic under the seed; the
+    analytic coefficient gradient is validated against central finite
+    differences at each restart's start point.  Returns the best
+    feasible candidate and all rows.
     basis_cap below 1 leaves no nonconstant mode and raises ValueError.
     """
     if basis_cap < 1:
         raise ValueError(f"basis_cap {basis_cap} leaves no nonconstant mode; "
                          "it must be at least 1")
-    backend = make_backend(n, basis_cap, resolution)
+    backend = make_backend(n, basis_cap)
     lam = backend.eigenvalues
     rows = []
     best = None
@@ -308,19 +308,14 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
         if den > 1e-14 and num < 0:
             c = -c
 
-        if validate_gradient:
-            _, ga = _objective_and_gradient(backend, c, mu_ladder[0])
-            gf = _fd_gradient(backend, c, mu_ladder[0])
-            diff = float(np.linalg.norm(ga - gf))
-            if diff <= 1e-8:
-                # both sides at rounding level: the gradient vanishes
-                # identically (n = 2) and the relative test is ill-posed
-                rel = 0.0
-            else:
-                rel = diff / float(np.linalg.norm(gf))
-            grad_checks.append(rel)
+        _, ga = _objective_and_gradient(backend, c, 1e2)
+        gf = _fd_gradient(backend, c, 1e2)
+        diff = float(np.linalg.norm(ga - gf))
+        # both sides at rounding level: the gradient vanishes identically
+        # (n = 2) and the relative test is ill-posed
+        grad_checks.append(0.0 if diff <= 1e-8 else diff / float(np.linalg.norm(gf)))
 
-        for mu in mu_ladder:
+        for mu in (1e2, 1e4, 1e6):
             step = 0.05
             val, grad = _objective_and_gradient(backend, c, mu)
             for _ in range(iterations):
@@ -389,7 +384,7 @@ def _recheck(backend, cand):
 # -- smoothed Green-kernel sequence ---------------------------------------------------
 
 
-def green_sequence(n: int, level: int, resolution: int | None = None) -> ConjectureCandidate:
+def green_sequence(n: int, level: int) -> ConjectureCandidate:
     """Zonal truncation of the Green kernel of -lap, rescaled to max lap = 1.
 
     The degree-level truncation of sum_l multiplicity/(eigenvalue |S^{n-1}|)
@@ -398,7 +393,7 @@ def green_sequence(n: int, level: int, resolution: int | None = None) -> Conject
     """
     if n < 4:
         raise ValueError("the Green-kernel sequence requires n >= 4")
-    backend = make_backend(n, level, resolution)
+    backend = make_backend(n, level)
     area = sphere_area(n)
     alpha = (n - 2.0) / 2.0
     # u = -(truncated kernel): its Laplacian is the mollified point mass
@@ -425,8 +420,8 @@ def green_sequence(n: int, level: int, resolution: int | None = None) -> Conject
     )
 
 
-def green_ladder(n: int, levels=(8, 16, 32, 64), resolution: int | None = None) -> dict:
-    cands = [green_sequence(n, k, resolution) for k in levels]
+def green_ladder(n: int, levels=(8, 16, 32, 64)) -> dict:
+    cands = [green_sequence(n, k) for k in levels]
     grads = [c.grad_norm_inf for c in cands]
     ratios = [c.ratio for c in cands]
     noninc = all(g2 <= 1.1 * g1 for g1, g2 in zip(grads[:-1], grads[1:]))

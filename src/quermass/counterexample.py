@@ -163,8 +163,9 @@ class BumpProfile:
         cum[m3] = 0.5 * self.eps * (6.5 * a + a * (0.5 - _smoothstep_antideriv(w)))
         return cum - mass
 
-    def validate(self, samples: int = 4001) -> dict:
-        r = np.linspace(0.0, self.radius, samples)
+    def validate(self) -> dict:
+        """The box constraints of the dent, checked on 4001 radii."""
+        r = np.linspace(0.0, self.radius, 4001)
         f, fd = self.depth(r), self.slope(r)
         checks = {
             "depth_range": bool(np.all((-0.5 * self.eps - 1e-15 <= f) & (f <= 1e-15))),
@@ -395,13 +396,12 @@ def _dent_rule(bump: BumpProfile):
     return panel_rule((0.0, *bump.breakpoints), 24, 8)
 
 
-def radial_cubic_identity_check(bump: BumpProfile, n: int, a_fn=None,
-                                remainder_constant: float = 5.0) -> dict:
+def radial_cubic_identity_check(bump: BumpProfile, n: int, a_fn=None) -> dict:
     """Flat-space identity for the cubic term of a radial profile.
 
     lhs = |S^{n-2}| int a(f, f'^2) f'' f'^2 r^{n-2} dr must match
     leading = -((n-2)|S^{n-2}|/3) int f'^3 r^{n-3} dr up to
-    C * (eps |leading| + int f'^2 r^{n-2}).  With a == 1 the two sides
+    C * (eps |leading| + int f'^2 r^{n-2}) with C = 5.  With a == 1 the two sides
     are equal exactly (pure integration by parts).
     """
     area = sphere_area(n - 1)
@@ -411,7 +411,7 @@ def radial_cubic_identity_check(bump: BumpProfile, n: int, a_fn=None,
     lhs = area * float(np.sum(w * av * fdd * fd**2 * r ** (n - 2)))
     leading = -(n - 2) * area / 3.0 * float(np.sum(w * fd**3 * r ** (n - 3)))
     remainder_scale = float(np.sum(w * fd**2 * r ** (n - 2)))
-    bound = remainder_constant * (bump.eps * abs(leading) + remainder_scale)
+    bound = 5.0 * (bump.eps * abs(leading) + remainder_scale)
     return {
         "lhs": lhs,
         "leading": leading,

@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 from quermass import fields
-from quermass.config import DEFAULT_TOLERANCES, default_frequency_cutoff
+from quermass.config import CUBIC_SLACK, default_frequency_cutoff
 from quermass.fields import ScalarField
 
 
@@ -164,16 +164,15 @@ def hessian_eigenfields(u) -> np.ndarray:
 
 def high_frequency_bound_check(u, pair: NonlinearityPair,
                                lam: float | None = None,
-                               eps_cap: float = 0.35,
-                               tol=DEFAULT_TOLERANCES) -> dict:
+                               eps_cap: float = 0.35) -> dict:
     """Check the frequency-split lower bound for the cubic term.
 
-    lhs >= rhs_main - C_slack * eps * slack_scale, where
+    lhs >= rhs_main - CUBIC_SLACK * eps * slack_scale, where
     rhs_main = -1/2 int div(g grad u) |grad u_2|^2 and
     slack_scale = int ([div(g grad u)]^+ + 1) |grad u|^2.
     Reports the empirical slack ratio (lhs - rhs_main)/slack_scale.
     """
-    n = u.grid.n if isinstance(u, ScalarField) else u.n
+    n = u.n
     d = _field_data(u, lam=lam if lam is not None else default_frequency_cutoff(n))
     eps = d.c1_norm()
     if eps > eps_cap:
@@ -190,7 +189,7 @@ def high_frequency_bound_check(u, pair: NonlinearityPair,
 
     rhs_main = -0.5 * float(np.sum(d.weights * divg * d.high_grad2))
     slack_scale = float(np.sum(d.weights * (np.maximum(divg, 0.0) + 1.0) * grad2))
-    margin = lhs - (rhs_main - tol.cubic_slack * eps * slack_scale)
+    margin = lhs - (rhs_main - CUBIC_SLACK * eps * slack_scale)
     ratio = (lhs - rhs_main) / slack_scale if slack_scale > 0 else 0.0
     return {
         "lhs": lhs, "rhs_main": rhs_main, "slack_scale": slack_scale,

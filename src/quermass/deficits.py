@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from quermass import fields
-from quermass.config import DEFAULT_TOLERANCES
+from quermass.config import NORMALIZE_CENTER, NORMALIZE_MAX_ITER, NORMALIZE_SCALE_REL
 from quermass.grids import ball_volume, build_grid, sphere_area
 from quermass.reporting import DeficitReport
 from quermass.stardomain import StarDomain, fields_affine
@@ -32,7 +32,7 @@ def ball_volumetric_constant(n: int) -> float:
     return ((n - 1.0) * sphere_area(n)) ** (1.0 / (n - 2)) / ball_volume(n) ** (1.0 / n)
 
 
-def normalize(K, mode: str = "volume", tol=DEFAULT_TOLERANCES):
+def normalize(K, mode: str = "volume"):
     """Rescale and re-center until Per = Per(B_1) (or |K| = |B_1|) and the
     barycenter sits at the origin.
 
@@ -43,14 +43,14 @@ def normalize(K, mode: str = "volume", tol=DEFAULT_TOLERANCES):
         raise ValueError(f"unknown normalization mode {mode!r}")
     n = K.n
     target = ball_volume(n) if mode == "volume" else sphere_area(n)
-    for _ in range(tol.normalize_max_iter):
+    for _ in range(NORMALIZE_MAX_ITER):
         current = K.volume() if mode == "volume" else K.perimeter()
         s = (target / current) ** (1.0 / (n if mode == "volume" else n - 1))
         if abs(s - 1.0) > 1e-16:
             K = K.scaled(s)
         b = K.barycenter()
         scale_res = abs((K.volume() if mode == "volume" else K.perimeter()) - target) / target
-        if np.linalg.norm(b) <= tol.normalize_center and scale_res <= tol.normalize_scale_rel:
+        if np.linalg.norm(b) <= NORMALIZE_CENTER and scale_res <= NORMALIZE_SCALE_REL:
             return K
         K = K.translated(b)
     scale_res = abs((K.volume() if mode == "volume" else K.perimeter()) - target) / target
@@ -130,7 +130,7 @@ def stability_ratio(K) -> float:
     return volumetric_minkowski_deficit(K).margin / den
 
 
-def perimeter_expansion_deficit(K, tol=DEFAULT_TOLERANCES) -> dict:
+def perimeter_expansion_deficit(K) -> dict:
     """Perimeter excess against its quadratic model at fixed volume.
 
     Returns exact = Per - Per(B_1), the quadratic model
@@ -138,7 +138,7 @@ def perimeter_expansion_deficit(K, tol=DEFAULT_TOLERANCES) -> dict:
     profile, and their difference.
     """
     n = K.n
-    Kn = normalize(K, "volume", tol=tol)
+    Kn = normalize(K, "volume")
     exact = Kn.perimeter() - sphere_area(n)
     _, mu2, mg2 = Kn.profile_quadratics()
     model = 0.5 * mg2 - 0.5 * (n - 1) * mu2
@@ -184,8 +184,10 @@ def random_domain(n: int, target_eps: float, seed: int, L: int = 8,
 
     n = 3 draws a full band-limited profile (per-degree variance l^-4)
     unless zonal is requested; n >= 4 always draws a zonal profile,
-    where the general-dimension content of the theory lives.  A target
-    of 0 gives the ball; a negative one is refused.
+    where the general-dimension content of the theory lives.  A zonal
+    draw rescales its coefficients by target/eps at most five times; a
+    step that would leave the star-shaped class is damped instead.  A
+    target of 0 gives the ball; a negative one is refused.
     """
     if not (math.isfinite(target_eps) and target_eps >= 0):
         raise ValueError(f"target_eps must be finite and >= 0, got {target_eps}")
@@ -212,13 +214,24 @@ def random_domain(n: int, target_eps: float, seed: int, L: int = 8,
     c = np.zeros(L + 1)
     for l in range(1, L + 1):
         c[l] = rng.standard_normal() * l**-2.0
-    prof = AxialProfile.from_zonal_coeffs(n, c, resolution=max(resolution, 256))
-    c = c * (safe_amp / prof.c1_norm())
-    for _ in range(5):
-        prof = AxialProfile.from_zonal_coeffs(n, c, resolution=prof.resolution)
-        K = AxialDomain(prof)
+    resolution = max(resolution, 256)
+    step = safe_amp / AxialProfile.from_zonal_coeffs(n, c, resolution=resolution).c1_norm()
+    K, damped, rescales = None, False, 0
+    while rescales < 5:
+        trial = c * step
+        try:
+            K_trial = AxialDomain(AxialProfile.from_zonal_coeffs(n, trial, resolution=resolution))
+        except ValueError:
+            if K is None:
+                raise
+            # the step left the star-shaped class, where eps grows faster
+            # than the amplitude: halve it in log scale, and every later
+            # step with it (step -> 1 gives back K, so this ends)
+            step, damped = math.sqrt(step), True
+            continue
+        K, c, rescales = K_trial, trial, rescales + 1
         eps, _ = K.eps_size()
         if abs(eps - target_eps) <= 0.02 * target_eps:
             break
-        c = c * (target_eps / eps)
+        step = math.sqrt(target_eps / eps) if damped else target_eps / eps
     return K

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from quermass import harmonics
-from quermass.grids import SphericalGrid, quadrature as _quad, tangent_frames
+from quermass.grids import SphericalGrid, tangent_frames
 
 
 @dataclasses.dataclass
@@ -40,9 +40,6 @@ class ScalarField:
     @property
     def n(self) -> int:
         return self.grid.n
-
-    def integral(self) -> float:
-        return _quad(self.values, self.grid)
 
 
 def constant_field(grid: SphericalGrid, value: float) -> ScalarField:
@@ -255,15 +252,12 @@ def laplacian(f: ScalarField) -> ScalarField:
 
 
 def random_band_limited(grid: SphericalGrid, L: int, rng: np.random.Generator,
-                        decay: float = -4.0, include_constant: bool = False,
                         l_min: int = 1) -> ScalarField:
-    """Random smooth field: per-degree coefficient variance l^decay."""
+    """Random smooth field of degrees l_min..L: per-degree coefficient variance l^-4."""
     if grid.n != 3:
         raise ValueError("random full-basis fields are built for n = 3")
     coeffs = np.zeros(harmonics.coeff_count(L))
     for l in range(l_min, L + 1):
-        block = rng.standard_normal(2 * l + 1) * (l ** (decay / 2.0))
+        block = rng.standard_normal(2 * l + 1) * (l ** -2.0)
         coeffs[l * l:(l + 1) ** 2] = block
-    if include_constant:
-        coeffs[0] = rng.standard_normal()
     return synthesize(coeffs, grid)

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from quermass import fields, geometry
-from quermass.config import DEFAULT_TOLERANCES, Tolerances
+from quermass.config import DEVIATION_RATIO_BOUND, MEAN_CURVATURE_AGREE
 from quermass.fields import ScalarField
-from quermass.grids import quadrature, sphere_area
+from quermass.grids import quadrature, sphere_area, tangent_frames
 
 
 class ResolutionWarning(UserWarning):
@@ -66,17 +66,16 @@ class Functionals:
 class StarDomain:
     """Immutable star-shaped domain given by a profile field."""
 
-    def __init__(self, profile: ScalarField, center=None,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, profile: ScalarField, center=None):
         if np.min(1.0 + profile.values) <= 0.0:
             raise ValueError("profile violates 1 + u > 0: not star-shaped")
         self.profile = profile
         self.n = profile.grid.n
         self.grid = profile.grid
         self.center = np.zeros(self.n) if center is None else np.asarray(center, float)
-        self.tol = tol
         self._bundle = {}
         self._eps = {}
+        self._grad = None
         self._normals = None
         self._points = None
         self._radial = None
@@ -87,10 +86,16 @@ class StarDomain:
         u = self.profile.values
         return quadrature((1.0 + u) ** self.n / self.n, self.grid)
 
+    def _gradient(self) -> tuple:
+        """(grad u in the chart frame, |grad u|^2) per node, fixed for the domain."""
+        if self._grad is None:
+            grad_fr = fields.grad_frame(self.profile)
+            self._grad = (grad_fr, np.einsum("ik,ik->i", grad_fr, grad_fr))
+        return self._grad
+
     def perimeter(self) -> float:
         u = self.profile.values
-        grad_fr = fields.grad_frame(self.profile)
-        grad2 = np.einsum("ik,ik->i", grad_fr, grad_fr)
+        _, grad2 = self._gradient()
         return quadrature(geometry.area_jacobian(u, grad2, self.n), self.grid)
 
     def boundary_points(self) -> np.ndarray:
@@ -100,7 +105,7 @@ class StarDomain:
 
     def normal_field(self) -> np.ndarray:
         if self._normals is None:
-            g = fields.gradient(self.profile)
+            g = np.einsum("ik,ikj->ij", self._gradient()[0], tangent_frames(self.grid))
             self._normals = geometry.outward_normal(
                 self.grid.nodes, self.profile.values, g)
         return self._normals
@@ -124,9 +129,8 @@ class StarDomain:
         if (not check_routes) and True in self._bundle:
             return self._bundle[True]
         u = self.profile.values
-        grad_fr = fields.grad_frame(self.profile)
+        grad_fr, grad2 = self._gradient()
         hess_fr = fields.hessian_frame(self.profile)
-        grad2 = np.einsum("ik,ik->i", grad_fr, grad_fr)
 
         S = geometry.shape_operator_frame(u, grad_fr, hess_fr)
         eigs = np.linalg.eigvalsh(S)
@@ -136,10 +140,10 @@ class StarDomain:
         if check_routes:
             H_div = self._divergence_route(u, grad_fr, grad2)
             disagree = float(np.max(np.abs(H - H_div)))
-            if disagree > self.tol.mean_curvature_agree:
+            if disagree > MEAN_CURVATURE_AGREE:
                 warnings.warn(
                     f"mean-curvature routes disagree by {disagree:.3e} "
-                    f"(tolerance {self.tol.mean_curvature_agree:.1e}); "
+                    f"(tolerance {MEAN_CURVATURE_AGREE:.1e}); "
                     "grid resolution is likely insufficient",
                     ResolutionWarning,
                 )
@@ -245,8 +249,7 @@ class StarDomain:
     def profile_quadratics(self) -> tuple[float, float, float]:
         """(int u, int u^2, int |grad u|^2) over the sphere."""
         prof = self.profile
-        g = fields.grad_frame(prof)
-        grad2 = np.einsum("ik,ik->i", g, g)
+        _, grad2 = self._gradient()
         return (quadrature(prof.values, self.grid),
                 quadrature(prof.values**2, self.grid),
                 quadrature(grad2, self.grid))
@@ -254,8 +257,7 @@ class StarDomain:
     def deviation_mean_square(self, center) -> float:
         """Average square normal deviation over the boundary."""
         dev = self.deviation_values(center)
-        grad_fr = fields.grad_frame(self.profile)
-        grad2 = np.einsum("ik,ik->i", grad_fr, grad_fr)
+        _, grad2 = self._gradient()
         J = geometry.area_jacobian(self.profile.values, grad2, self.n)
         return quadrature(dev**2 * J, self.grid) / quadrature(J, self.grid)
 
@@ -287,8 +289,7 @@ class StarDomain:
         """Two-sided pointwise, oscillation and mean-square comparisons
         between |grad u|/(1+u) and the normal deviation from radial."""
         u = self.profile.values
-        grad_fr = fields.grad_frame(self.profile)
-        grad2 = np.einsum("ik,ik->i", grad_fr, grad_fr)
+        _, grad2 = self._gradient()
         vmag = np.sqrt(grad2) / (1.0 + u)
         dev = self.deviation_values(np.zeros(self.n))
 
@@ -311,7 +312,6 @@ class StarDomain:
         else:
             ms_a = ms_b = 0.0
 
-        bound = self.tol.deviation_ratio_bound
         ratios = {
             "pointwise_grad_over_dev": ratio_grad_over_dev,
             "pointwise_dev_over_grad": ratio_dev_over_grad,
@@ -319,7 +319,7 @@ class StarDomain:
             "mean_square_grad_over_dev": ms_a,
             "mean_square_dev_over_grad": ms_b,
         }
-        ratios["within_bound"] = all(r <= bound for r in ratios.values())
+        ratios["within_bound"] = all(r <= DEVIATION_RATIO_BOUND for r in ratios.values())
         return ratios
 
     # -- transforms ---------------------------------------------------------------
@@ -329,7 +329,7 @@ class StarDomain:
         if s <= 0:
             raise ValueError("scale factor must be positive")
         prof = fields_affine(self.profile, s, s - 1.0)
-        return StarDomain(prof, center=s * self.center, tol=self.tol)
+        return StarDomain(prof, center=s * self.center)
 
     def rotated(self, R: np.ndarray) -> "StarDomain":
         """Domain R K for a rotation matrix R (spectral profiles, n = 3)."""
@@ -338,7 +338,7 @@ class StarDomain:
             raise NotImplementedError("rotation needs an n=3 spectral profile")
         vals = sh_values_at_points(self.profile.coeffs, self.grid.nodes @ R)
         prof = fields.analyze(ScalarField(self.grid, vals), self.profile.truncation)
-        return StarDomain(prof, center=self.center @ R.T, tol=self.tol)
+        return StarDomain(prof, center=self.center @ R.T)
 
     def translated(self, shift: np.ndarray) -> "StarDomain":
         """Domain K - shift, re-parametrized as a radial graph.
@@ -366,7 +366,7 @@ class StarDomain:
         prof = ScalarField(self.grid, t - 1.0)
         if self.profile.coeffs is not None:
             prof = fields.analyze(prof, self.profile.truncation)
-        return StarDomain(prof, center=self.center - shift, tol=self.tol)
+        return StarDomain(prof, center=self.center - shift)
 
     def _radius_evaluator(self):
         from quermass.harmonics import sh_values_at_points

@@ -17,7 +17,8 @@ import numpy as np
 
 from quermass import conjecture, counterexample, cubic, deficits
 from quermass.axisym import axial_minkowski_deficit
-from quermass.config import DEFAULT_TOLERANCES, thread_count
+from quermass.config import (DENT_CROSS_CHECK_REL, DEVIATION_RATIO_BOUND,
+                             MEAN_CURVATURE_AGREE, POLE_CONSTANT, thread_count)
 from quermass.grids import build_grid
 from quermass.reporting import DEFICIT_COLUMNS
 from quermass.stardomain import ResolutionWarning
@@ -53,8 +54,7 @@ def _pmap(fn, items):
 
 def route_agreement_suite(count: int = 100, eps: float = 0.3, seed: int = 2024,
                           resolution: int = 64, L: int = 6,
-                          tolerance: float = DEFAULT_TOLERANCES.mean_curvature_agree
-                          ) -> dict:
+                          tolerance: float = MEAN_CURVATURE_AGREE) -> dict:
     _require_count(count)
     grid = build_grid(3, resolution)
 
@@ -93,8 +93,8 @@ def gradient_normal_suite(count: int = 100, eps: float = 0.1, seed: int = 3001,
         worst = max(v for k, v in rep.items() if k != "within_bound")
         return {"lemma": "grad_vs_normal", "n": 3, "seed": seed + i,
                 "eps_scale": eps, "lhs": worst,
-                "rhs": K.tol.deviation_ratio_bound, "slack_scale": 0.0,
-                "margin": K.tol.deviation_ratio_bound - worst,
+                "rhs": DEVIATION_RATIO_BOUND, "slack_scale": 0.0,
+                "margin": DEVIATION_RATIO_BOUND - worst,
                 "ratio": worst, "within": rep["within_bound"]}
     rows = _pmap(one, range(count))
     passed = all(r["within"] for r in rows)
@@ -193,13 +193,12 @@ def pole_bound_suite(n: int = 3, seed: int = 6001, count: int = 20,
     def record(profile, tag, seed_val):
         nonlocal passed
         rep = pole_gradient_bound(profile)
-        c0 = profile.tol.pole_constant
-        margin = min(rep["constants"][c0]["north_margin"],
-                     rep["constants"][c0]["south_margin"])
+        margin = min(rep["constants"][POLE_CONSTANT]["north_margin"],
+                     rep["constants"][POLE_CONSTANT]["south_margin"])
         passed = passed and margin >= 0
-        rows.append({"lemma": f"pole_bound_{tag}", "n": n, "seed": seed_val,
+        rows.append({"lemma": f"pole_bound_{tag}", "n": profile.n, "seed": seed_val,
                      "eps_scale": eps, "lhs": rep["int_H_minus"],
-                     "rhs": rep["theta0"], "slack_scale": c0,
+                     "rhs": rep["theta0"], "slack_scale": POLE_CONSTANT,
                      "margin": margin, "ratio": rep["slack"]})
 
     record(AxialProfile.from_zonal_coeffs(n, np.zeros(2)), "sphere", 0)
@@ -286,8 +285,7 @@ def dent_row(rec: dict) -> dict:
 
 
 def dent_sweep_suite(eps: float = 0.3, kappas=(20.0, 40.0, 80.0, 160.0), n: int = 3,
-                     gap_tolerance: float = DEFAULT_TOLERANCES.dent_cross_check_rel
-                     ) -> dict:
+                     gap_tolerance: float = DENT_CROSS_CHECK_REL) -> dict:
     recs = counterexample.sweep_total_mean_curvature(
         n, eps, kappas, method="both" if n == 3 else "zonal")
     rows = [dent_row(r) for r in recs]

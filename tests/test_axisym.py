@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
 
-from quermass import axisym, deficits, fields, geometry
+from quermass import axisym, deficits, fields, geometry, suites
 from quermass.analytic import zonal_field
 from quermass.axisym import AxialDomain, AxialProfile
 from quermass.conjecture import ZonalBackend
@@ -158,6 +158,14 @@ def test_pole_gradient_bound_sphere_and_mean_convex():
     rep = axisym.pole_gradient_bound(prof)
     assert rep["constants"][3.0]["north_margin"] >= 0
     assert rep["constants"][3.0]["south_margin"] >= 0
+
+
+def test_pole_bound_suite_rows_carry_the_drawn_dimension():
+    # n = 3 draws its random profiles in n = 4, and says so
+    rows = suites.pole_bound_suite(count=1)["rows"]
+    assert [(r["lemma"], r["n"]) for r in rows] == [
+        ("pole_bound_sphere", 3), ("pole_bound_random", 4), ("pole_bound_dent", 3)]
+    assert {r["n"] for r in suites.pole_bound_suite(n=5, count=1)["rows"]} == {5}
 
 
 def test_circle_cubic_identity():

@@ -8,6 +8,7 @@ import pytest
 
 from quermass import fields, io as qio, suites
 from quermass.cli import VERIFY_CHECKS, build_parser, main
+from quermass.config import DENT_CROSS_CHECK_REL
 from quermass.fields import ScalarField
 from quermass.grids import build_grid
 from quermass.stardomain import StarDomain
@@ -185,7 +186,7 @@ def test_eps_default_is_per_subcommand(monkeypatch, tmp_path):
 def test_verify_table_options_are_suite_parameters():
     for name, check in VERIFY_CHECKS.items():
         params = inspect.signature(getattr(suites, check.suite)).parameters
-        for kw in [*check.options.values(), *check.tolerances.values()]:
+        for kw in check.options.values():
             assert kw in params, (name, kw)
 
 
@@ -222,7 +223,9 @@ def test_counterexample_over_budget_exits_2(tmp_path, capsys):
     ("axial", 2, 3), ("nuclear", 0, 2), ("stability", 0, 1), ("eigen-interp", 1, 2),
     ("curvature-routes", 0, 1), ("grad-normal", 0, 1), ("freq-split", 0, 1)])
 def test_verify_count_leaving_no_job_exits_2(check, count, minimum, tmp_path, capsys):
-    code = main(["verify", check, "--count", str(count), "--eps", "0.05",
+    # --eps only where the check reads it: freq-split would refuse it
+    eps = ["--eps", "0.05"] if "--eps" in VERIFY_CHECKS[check].options else []
+    code = main(["verify", check, "--count", str(count), *eps,
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert f"at least {minimum}" in capsys.readouterr().err
@@ -258,10 +261,8 @@ def test_single_kappa_dent_gap_gates_the_verdict(tmp_path, capsys):
 
 
 def test_sweep_gap_tolerance_comes_from_the_tolerances(monkeypatch, tmp_path):
-    import inspect
-    from quermass.config import DEFAULT_TOLERANCES
     default = inspect.signature(suites.dent_sweep_suite).parameters["gap_tolerance"].default
-    assert default == DEFAULT_TOLERANCES.dent_cross_check_rel
+    assert default == DENT_CROSS_CHECK_REL
     seen = []
 
     def fake_suite(**kwargs):
@@ -274,20 +275,45 @@ def test_sweep_gap_tolerance_comes_from_the_tolerances(monkeypatch, tmp_path):
                  "--tolerance", "dent_cross_check_rel=0.25"]) == 0
     assert main(["counterexample", "--sweep", "10,20", "--out", str(tmp_path / "b")]) == 0
     assert seen[0]["gap_tolerance"] == 0.25
-    assert seen[2]["gap_tolerance"] == DEFAULT_TOLERANCES.dent_cross_check_rel
+    assert seen[2]["gap_tolerance"] == DENT_CROSS_CHECK_REL
 
 
-@pytest.mark.parametrize("argv", [
+# the keys of the former per-run tolerance table; two (command, key) pairs
+# read one, and every other pair is refused before anything runs
+TOLERANCE_KEYS = ("mean_curvature_agree", "normalize_scale_rel", "normalize_center",
+                  "normalize_max_iter", "deviation_ratio_bound", "cubic_slack",
+                  "pole_slack", "pole_constant", "dent_cross_check_rel")
+ACCEPTED = {("verify curvature-routes", "mean_curvature_agree"),
+            ("counterexample", "dent_cross_check_rel")}
+COMMANDS = {"functionals": ["functionals", "BALL"], "deficits": ["deficits", "BALL"],
+            "export-mesh": ["export-mesh", "BALL"],
+            "counterexample": ["counterexample", "--kappa", "4"],
+            "conjecture": ["conjecture", "--n", "4", "--restarts", "1"],
+            **{f"verify {name}": ["verify", name] for name in VERIFY_CHECKS}}
+REFUSED = [
+    # the cases kept from before the table above, a made-up key first
     ["verify", "radial-identity", "--tolerance", "bogus=1"],
     ["verify", "radial-identity", "--tolerance", "cubic_slack=1e-30"],
     ["verify", "pole", "--count", "3", "--tolerance", "pole_constant=1e-9"],
     ["verify", "curvature-routes", "--count", "1", "--tolerance", "cubic_slack=1"],
     ["counterexample", "--kappa", "4", "--tolerance", "mean_curvature_agree=1"],
     ["conjecture", "--n", "4", "--tolerance", "cubic_slack=1"],
-])
-def test_tolerance_keys_the_command_does_not_read_exit_2(argv, tmp_path, capsys):
+] + [argv + ["--tolerance", f"{key}=1"] for command, argv in COMMANDS.items()
+     for key in TOLERANCE_KEYS if (command, key) not in ACCEPTED]
+
+
+def test_every_command_is_in_the_tolerance_table():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {c.split()[0] for c in COMMANDS} == set(sub.choices)
+    assert len(REFUSED) == 6 + len(COMMANDS) * len(TOLERANCE_KEYS) - 2
+
+
+@pytest.mark.parametrize("argv", REFUSED)
+def test_tolerance_keys_the_command_does_not_read_exit_2(argv, ball_file, tmp_path, capsys):
+    argv = [str(ball_file) if a == "BALL" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
-    assert "error: unknown tolerance keys" in capsys.readouterr().err
+    key = argv[-1].partition("=")[0]
+    assert f"does not read --tolerance {key}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -295,10 +321,49 @@ def test_tolerance_keys_the_command_reads_are_accepted(ball_file, tmp_path):
     assert main(["verify", "curvature-routes", "--count", "1", "--resolution", "16",
                  "--tolerance", "mean_curvature_agree=1e-3",
                  "--out", str(tmp_path / "a")]) == 0
-    # functionals and deficits accept every field of Tolerances, and only those
+    # functionals and deficits read no tolerance, so they refuse every key
     assert main(["functionals", str(ball_file), "--tolerance", "cubic_slack=2",
-                 "--out", str(tmp_path / "b")]) == 0
+                 "--out", str(tmp_path / "b")]) == 2
     assert main(["deficits", str(ball_file), "--tolerance", "pole_slack=2",
-                 "--out", str(tmp_path / "c")]) == 0
+                 "--out", str(tmp_path / "c")]) == 2
     assert main(["deficits", str(ball_file), "--tolerance", "bogus=2",
                  "--out", str(tmp_path / "d")]) == 2
+    assert not any((tmp_path / d).exists() for d in "bcd")
+
+
+@pytest.mark.parametrize("check, n", [("pole", 5), ("stability", 5), ("freq-split", 2)])
+def test_n_reaches_the_suites_that_take_it(check, n, monkeypatch, tmp_path):
+    suite = VERIFY_CHECKS[check].suite
+    seen = []
+    monkeypatch.setattr(suites, suite, _fake_suite(seen))
+    assert main(["verify", check, "--n", str(n), "--out", str(tmp_path / "a")]) == 0
+    assert main(["verify", check, "--out", str(tmp_path / "b")]) == 0
+    assert seen == [{"seed": 0, "n": n}, {"seed": 0}]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["verify", "radial-identity", "--count", "3", "--resolution", "8"],
+     "--resolution, --count"),
+    (["verify", "radial-identity", "--seed", "9"], "--seed"),
+    (["verify", "axial", "--count", "3", "--n", "4"], "--n"),
+    (["verify", "pole", "--resolution", "8"], "--resolution"),
+    (["verify", "grad-normal", "--lambda-cut", "3"], "--lambda-cut"),
+    (["verify", "freq-split", "--eps", "0.1"], "--eps"),
+    (["verify", "nuclear", "--kappa", "2"], "--kappa"),
+    (["verify", "stability", "--degree-cap", "4"], "--degree-cap"),
+    (["verify", "eigen-interp", "--restarts", "2"], "--restarts"),
+])
+def test_verify_options_the_check_does_not_read_exit_2(argv, unread, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert f"does not read {unread};" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_counterexample_and_conjecture_default_to_three_dimensions(tmp_path):
+    out = tmp_path / "cx"
+    assert main(["counterexample", "--kappa", "4", "--out", str(out)]) == 0
+    assert (out / "counterexample.csv").read_text().splitlines()[1].split(",")[2] != ""
+    out = tmp_path / "conj"
+    assert main(["conjecture", "--degree-cap", "2", "--restarts", "1",
+                 "--out", str(out)]) == 0
+    assert (out / "conjecture.csv").read_text().splitlines()[1].split(",")[0] == "3"

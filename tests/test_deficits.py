@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from quermass import deficits, fields, harmonics
@@ -93,16 +94,17 @@ def test_volume_constraint_residual(grid):
     assert abs(rep["residual"]) <= 10.0 * rep["quadratic_scale"] ** 1.5
 
 
-def test_deficits_scale_invariant(grid):
-    K = deficits.random_domain(3, 0.05, seed=17, grid=grid)
-    base = {op.__name__: op(K).margin for op in
-            (deficits.minkowski_deficit, deficits.volumetric_minkowski_deficit,
-             deficits.nuclear_minkowski_deficit)}
-    for s in (0.5, 2.0):
-        Ks = K.scaled(s)
-        for op in (deficits.minkowski_deficit, deficits.volumetric_minkowski_deficit,
-                   deficits.nuclear_minkowski_deficit):
-            assert abs(op(Ks).margin - base[op.__name__]) < 1e-9
+@settings(max_examples=15, deadline=None)
+@given(dim=st.sampled_from(["grid", 3, 4, 5]), seed=st.integers(0, 2**32 - 1),
+       s=st.floats(0.5, 2.0))
+def test_deficits_scale_invariant(grid, dim, seed, s):
+    # "grid": a StarDomain on the n = 3 grid; 3-5: an AxialDomain in that n
+    K = (deficits.random_domain(3, 0.05, seed=seed, grid=grid) if dim == "grid"
+         else deficits.random_domain(dim, 0.05, seed=seed, zonal=True))
+    Ks = K.scaled(s)
+    for op in (deficits.minkowski_deficit, deficits.volumetric_minkowski_deficit,
+               deficits.nuclear_minkowski_deficit):
+        assert abs(op(Ks).margin - op(K).margin) < 1e-9, op.__name__
 
 
 def test_nuclear_dominates_minkowski_lhs(grid):
@@ -222,3 +224,36 @@ def test_random_domain_rejects_negative_target_and_gives_the_ball_at_zero(grid):
     assert not np.any(deficits.random_domain(3, 0.0, seed=1, grid=grid).profile.values)
     K = deficits.random_domain(4, 0.0, seed=1)
     assert not np.any(K.profile.coeffs) and K.eps_size()[0] < 1e-15
+
+
+@pytest.mark.parametrize("n, seed", [(4, 28), (5, 28), (4, 44)])
+def test_random_domain_damps_a_step_out_of_the_star_shaped_class(n, seed):
+    # one rescale of each of these draws (by 4.35, 3.69 and 2.63) would
+    # leave 1 + V > 0
+    K = deficits.random_domain(n, 0.3, seed=seed)
+    assert isinstance(K, AxialDomain)
+    assert abs(K.eps_size()[0] - 0.3) <= 0.02 * 0.3
+
+
+def _undamped_zonal_draw(n, target_eps, seed, L=8):
+    """Coefficients of random_domain's zonal draw with every step target/eps."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros(L + 1)
+    for l in range(1, L + 1):
+        c[l] = rng.standard_normal() * l**-2.0
+    prof = AxialProfile.from_zonal_coeffs(n, c, resolution=256)
+    c = c * (min(0.3, 2.0 * target_eps) / prof.c1_norm())
+    for _ in range(5):
+        eps, _ = AxialDomain(AxialProfile.from_zonal_coeffs(n, c, resolution=256)).eps_size()
+        if abs(eps - target_eps) <= 0.02 * target_eps:
+            break
+        c = c * (target_eps / eps)
+    return c
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_random_domain_keeps_the_bits_of_draws_that_stay_in_the_class(n, eps):
+    for seed in range(10):
+        K = deficits.random_domain(n, eps, seed=seed, zonal=True)
+        assert np.array_equal(K.profile.coeffs, _undamped_zonal_draw(n, eps, seed)), seed

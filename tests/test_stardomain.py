@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from quermass import fields, geometry, harmonics
+from quermass import deficits, fields, geometry, harmonics
 from quermass.fields import ScalarField
 from quermass.grids import build_grid, quadrature
 from quermass.stardomain import StarDomain, fields_affine
@@ -123,15 +124,37 @@ def test_volume_against_monte_carlo(grid):
     assert abs(val - mc) < 3 * sigma
 
 
-def test_scaling_covariance(grid):
-    K = band_limited_domain(grid, 23, amp=0.1)
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from(["grid", 3, 4, 5]), seed=st.integers(0, 2**32 - 1),
+       s=st.floats(0.5, 2.0))
+def test_scaling_covariance(grid, dim, seed, s):
+    # "grid": a StarDomain on the n = 3 grid; 3-5: an AxialDomain in that n
+    K = (band_limited_domain(grid, seed, amp=0.1) if dim == "grid"
+         else deficits.random_domain(dim, 0.1, seed=seed, zonal=True))
+    n = K.n
     F = K.curvature_integrals(check_routes=False)
-    for s in (0.5, 2.0):
-        Fs = K.scaled(s).curvature_integrals(check_routes=False)
-        assert_allclose(Fs.volume, s**3 * F.volume, rtol=1e-8)
-        assert_allclose(Fs.perimeter, s**2 * F.perimeter, rtol=1e-8)
-        assert_allclose(Fs.int_H, s * F.int_H, rtol=1e-8)
-        assert_allclose(Fs.int_sigma[1], F.int_sigma[1], rtol=1e-8)
+    Fs = K.scaled(s).curvature_integrals(check_routes=False)
+    assert_allclose(Fs.volume, s**n * F.volume, rtol=1e-8)
+    assert_allclose(Fs.perimeter, s ** (n - 1) * F.perimeter, rtol=1e-8)
+    assert_allclose(Fs.int_H, s ** (n - 2) * F.int_H, rtol=1e-8)
+    # int sigma_k scales as s^(n-1-k); the Gauss-Kronecker one is invariant
+    k = np.arange(1, n)
+    assert_allclose(Fs.int_sigma, s ** (n - 1.0 - k) * F.int_sigma, rtol=1e-8)
+
+
+def test_gradient_frame_is_computed_once_per_domain(grid, monkeypatch):
+    K = band_limited_domain(grid, 7, amp=0.1)
+    normals = geometry.outward_normal(grid.nodes, K.profile.values,
+                                      fields.gradient(K.profile))
+    calls, grad_frame = [], fields.grad_frame
+    monkeypatch.setattr(fields, "grad_frame", lambda f: calls.append(f) or grad_frame(f))
+    K.perimeter()
+    K.curvatures(check_routes=False)
+    K.profile_quadratics()
+    K.deviation_mean_square(np.zeros(3))
+    K.gradient_normal_report()
+    assert np.array_equal(K.normal_field(), normals)
+    assert sum(f is K.profile for f in calls) == 1
 
 
 def test_rotation_invariance(grid):
