@@ -11,6 +11,7 @@ ratio bounded away from zero for n >= 4.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -44,8 +45,12 @@ class _Backend:
 
     A backend supplies ascent_fields, the three node fields of one
     ascent step from a single pass over the stacked pair [c, -lam c];
-    the single-field accessors read from it.  resolution is the grid
-    resolution the backend was built at, its default resolved.
+    the single-field accessors read from it.  The node-data methods
+    take a leading batch axis, (R, K) coefficients -> (R, N) values and
+    (R, N) values -> (R, K) or (R,), and give every row bit for bit as a
+    call on that row alone; the sup norms take one vector.
+    resolution is the grid resolution the backend was built at, its
+    default resolved.
     """
 
     def ascent_fields(self, c):
@@ -70,14 +75,32 @@ class _Backend:
         raise NotImplementedError
 
     def integrate(self, values):
-        return float(np.sum(self.weights * values))
+        """Quadrature of (..., N) node values: a float for one field."""
+        return _float_if_scalar(np.sum(self.weights * values, axis=-1))
 
     def grad_inf(self, c):
         raise NotImplementedError
 
+    def pair(self, c):
+        """The stacked (..., 2, K) pair [c, -lam c] of one ascent pass."""
+        return c[..., None, :] * self._pair_scale
+
+    @functools.cached_property
+    def _pair_scale(self):
+        return np.stack([np.ones_like(self.eigenvalues), -self.eigenvalues])
+
+
+def _float_if_scalar(total):
+    return float(total) if np.ndim(total) == 0 else total
+
 
 class FullSphereBackend(_Backend):
-    """n = 3 full harmonic basis on a Gauss x equiangular grid."""
+    """n = 3 full harmonic basis on a Gauss x equiangular grid.
+
+    The transforms multiply all fields of a call in one matmul as wide
+    as their batch, and BLAS may sum a wider product in another order,
+    so a batch runs one transform per row; batching saves no time here.
+    """
 
     name = "full"
 
@@ -97,12 +120,17 @@ class FullSphereBackend(_Backend):
         self.num_coeffs = harmonics.coeff_count(L)
 
     def ascent_fields(self, c):
-        u, u_t, u_p = harmonics.sh_chart_derivatives(
-            self.grid, np.stack([c, -self.eigenvalues * c]), second=False)
+        if np.ndim(c) > 1:
+            return tuple(np.stack(f) for f in zip(*map(self.ascent_fields, c)))
+        u, u_t, u_p = harmonics.sh_chart_derivatives(self.grid, self.pair(c),
+                                                     second=False)
         g_p = u_p / self.sin_theta
         return u[1], u_t[0] * u_t[0] + g_p[0] * g_p[0], u_t[0] * u_t[1] + g_p[0] * g_p[1]
 
     def project(self, values):
+        """values (N,) or (F, N) -> one analysis; (R, F, N) -> one per row."""
+        if np.ndim(values) > 2:
+            return np.stack([self.project(v) for v in values])
         return harmonics.sh_analyze(self.grid, values, self.L)
 
     def grad_inf(self, c):
@@ -128,10 +156,11 @@ class CircleBackend(_Backend):
         self.num_coeffs = 2 * L + 1
 
     def ascent_fields(self, c):
-        pair = np.stack([c, -self.eigenvalues * c])
+        pair = self.pair(c)
         g = fields.fourier_synthesize(self.grid, pair, dphi=1)
-        lap = fields.fourier_synthesize(self.grid, pair[1])
-        return lap, g[0] * g[0], g[0] * g[1]
+        lap = fields.fourier_synthesize(self.grid, pair[..., 1, :])
+        g0 = g[..., 0, :]
+        return lap, g0 * g0, g0 * g[..., 1, :]
 
     def project(self, values):
         return fields.fourier_analyze(self.grid, values, self.L)
@@ -170,19 +199,23 @@ class ZonalBackend(_Backend):
             * self.basis.values(td, derivative=1)
 
     def ascent_fields(self, c):
-        pair = np.stack([c, -self.eigenvalues * c])
+        # one (2, K) @ (K, N) product per row, and the Laplacian as a
+        # (1, K) row times Z: a single (R, K) @ (K, N) product would sum
+        # in another order than the row alone
+        pair = self.pair(c)
         g = pair @ self.Z_theta
-        return pair[1] @ self.Z, g[0] * g[0], g[0] * g[1]
+        g0 = g[..., 0, :]
+        return (pair[..., 1:2, :] @ self.Z)[..., 0, :], g0 * g0, g0 * g[..., 1, :]
 
     def laplacian_values(self, c, dense: bool = False):
         Z = self.Z_dense if dense else self.Z
-        return (-self.eigenvalues * c) @ Z
+        return ((-self.eigenvalues * c)[..., None, :] @ Z)[..., 0, :]
 
     def project(self, values):
         return self.area_factor * ((self.w * values) @ self.Z.T)
 
     def integrate(self, values):
-        return self.area_factor * float(np.sum(self.w * values))
+        return _float_if_scalar(self.area_factor * np.sum(self.w * values, axis=-1))
 
     def grad_inf(self, c):
         return float(np.max(np.abs(c @ self.Z_theta_dense)))
@@ -244,35 +277,105 @@ def mean_laplacian(backend: _Backend, c: np.ndarray) -> float:
 # -- penalized ascent -----------------------------------------------------------------
 
 
+_PENALTIES = (1e2, 1e4, 1e6)    # the penalty weights every restart climbs in turn
+_FD_STEP = 1e-6                 # central-difference step of the gradient check
+_CHECK_CHUNK = 32               # perturbed vectors per batched pass of the check
+
+
 def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
-    lap, g2, gdg = backend.ascent_fields(c)
-    den = backend.integrate(g2)
-    num = backend.integrate(lap * g2)
+    """R(u) - mu int max(lap u - 1, 0)^2 and its coefficient gradient.
+
+    c is one vector (K,) -> (float, (K,)) or a batch (R, K) -> ((R,), (R, K)),
+    every row as it would come alone.
+    """
+    C = np.atleast_2d(c)
+    lap, g2, gdg = backend.ascent_fields(C)
     hinge = np.maximum(lap - 1.0, 0.0)
-    pen = backend.integrate(hinge * hinge)
+    den, num, pen = backend.integrate(
+        np.stack([g2, lap * g2, hinge * hinge], axis=1)).T
     value = num / den - mu * pen
 
     lam = backend.eigenvalues
     # dN/dc_b = -lam_b <Y_b, |grad u|^2> - 2 <Y_b, grad(lap u).grad u + lap(u)^2>
     p_g2, p_mixed, p_lap, p_hinge = backend.project(
-        np.stack([g2, gdg + lap * lap, lap, hinge]))
+        np.stack([g2, gdg + lap * lap, lap, hinge], axis=1)).transpose(1, 0, 2)
     gN = -lam * p_g2 - 2.0 * p_mixed
     gD = -2.0 * p_lap
     gP = -2.0 * lam * p_hinge
-    grad = (gN * den - num * gD) / den**2 - mu * gP
+    # Python's float power: it rounds den**2 otherwise than den * den does
+    den2 = np.array([d ** 2 for d in den.tolist()])[:, None]
+    grad = (gN * den[:, None] - num[:, None] * gD) / den2 - mu * gP
+    if np.ndim(c) == 1:
+        return float(value[0]), grad[0]
     return value, grad
 
 
-def _fd_gradient(backend, c, mu, h=1e-6):
-    g = np.zeros_like(c)
-    for b in range(len(c)):
-        cp, cm = c.copy(), c.copy()
-        cp[b] += h
-        cm[b] -= h
-        fp, _ = _objective_and_gradient(backend, cp, mu)
-        fm, _ = _objective_and_gradient(backend, cm, mu)
-        g[b] = (fp - fm) / (2 * h)
-    return g
+def _gradient_check(backend: _Backend, C: np.ndarray, mu: float) -> list:
+    """Per row of C, the relative error of the analytic gradient.
+
+    The reference is the central difference with step _FD_STEP; the
+    2K perturbed vectors of every row go through the objective in
+    batched passes of at most _CHECK_CHUNK vectors.
+    """
+    R, K = C.shape
+    h = _FD_STEP
+    _, grad = _objective_and_gradient(backend, C, mu)
+    plus = np.repeat(C[:, None, :], K, axis=1)        # (R, b, K): c + h e_b
+    minus = plus.copy()
+    b = np.arange(K)
+    plus[:, b, b] += h
+    minus[:, b, b] -= h
+    vectors = np.concatenate([plus, minus], axis=1).reshape(-1, K)
+    chunks = (vectors[i:i + _CHECK_CHUNK] for i in range(0, len(vectors), _CHECK_CHUNK))
+    values = np.concatenate([_objective_and_gradient(backend, v, mu)[0] for v in chunks])
+    fp, fm = values.reshape(R, 2, K).transpose(1, 0, 2)
+    checks = []
+    for ga, gf in zip(grad, (fp - fm) / (2 * h)):
+        diff = float(np.linalg.norm(ga - gf))
+        # both sides at rounding level: the gradient vanishes identically
+        # (n = 2) and the relative test is ill-posed
+        checks.append(0.0 if diff <= 1e-8 else diff / float(np.linalg.norm(gf)))
+    return checks
+
+
+def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None:
+    """Normalized-gradient ascent of every row of C at one penalty weight, in place.
+
+    All rows step in lockstep, one batched objective call per step for
+    the rows still climbing.  A row's step grows by 1.25 on an accepted
+    trial and halves on a rejected one; the row stops when its gradient
+    norm falls below 1e-12 or its step below 1e-12.
+    """
+    val, grad = _objective_and_gradient(backend, C, mu)
+    step = np.full(len(C), 0.05)
+    live = np.arange(len(C))
+    for _ in range(iterations):
+        # the 1-D norm per row: norm(axis=1) sums in another order
+        gnorm = np.array([np.linalg.norm(grad[r]) for r in live])
+        live, gnorm = live[gnorm >= 1e-12], gnorm[gnorm >= 1e-12]
+        if live.size == 0:
+            break
+        trial = C[live] + step[live, None] * grad[live] / gnorm[:, None]
+        tval, tgrad = _objective_and_gradient(backend, trial, mu)
+        up = tval > val[live]
+        acc, rej = live[up], live[~up]
+        C[acc], val[acc], grad[acc] = trial[up], tval[up], tgrad[up]
+        step[acc] *= 1.25
+        step[rej] *= 0.5
+        live = live[step[live] >= 1e-12]
+
+
+def _start_point(backend: _Backend, seed: int) -> np.ndarray:
+    """A seeded random vector without the constant mode, oriented toward positive ratio."""
+    c = np.random.default_rng(seed).standard_normal(backend.num_coeffs)
+    c[backend.eigenvalues < 0.5] = 0.0
+    mx = 1.0 - feasibility(backend, c)
+    if mx > 0.9:
+        c *= 0.9 / mx
+    num, den = ratio_and_parts(backend, c)
+    if den > 1e-14 and num < 0:
+        c = -c      # the ratio is odd under c -> -c
+    return c
 
 
 def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
@@ -280,58 +383,34 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
                    iterations: int = 250) -> dict:
     """Penalized gradient ascent on R(u) under lap(u) <= 1.
 
-    Each restart climbs at the penalty weights 1e2, 1e4 and 1e6 in turn
-    on the backend's default grid.  Deterministic under the seed; the
-    analytic coefficient gradient is validated against central finite
-    differences at each restart's start point.  Returns the best
-    feasible candidate and all rows.
-    basis_cap below 1 leaves no nonconstant mode and raises ValueError.
+    Restart r starts from a random vector drawn with seed + 7919 r.
+    All restarts climb in lockstep as one (restarts, K) block on the
+    backend's default grid, at the penalty weights 1e2, 1e4 and 1e6 in
+    turn, at most `iterations` steps each; a restart leaves a weight
+    when its gradient or its step vanishes.  Before the climb, each
+    restart's analytic gradient is checked against central differences
+    with step 1e-6 at its start point; the largest relative error is
+    meta["gradient_check_max_rel"].  Each end point is rescaled onto
+    the constraint set (and under amplitude_cap).  Deterministic under
+    the seed.  Returns the best feasible candidate and one row per
+    restart.  basis_cap below 1 leaves no nonconstant mode and raises
+    ValueError.
     """
     if basis_cap < 1:
         raise ValueError(f"basis_cap {basis_cap} leaves no nonconstant mode; "
                          "it must be at least 1")
     backend = make_backend(n, basis_cap)
-    lam = backend.eigenvalues
+    seeds = [seed + 7919 * r for r in range(restarts)]
+    C = np.array([_start_point(backend, s) for s in seeds])
+    grad_checks = []
+    if seeds:
+        grad_checks = _gradient_check(backend, C, _PENALTIES[0])
+        for mu in _PENALTIES:
+            _climb(backend, C, mu, iterations)
+
     rows = []
     best = None
-    grad_checks = []
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + 7919 * r)
-        c = rng.standard_normal(backend.num_coeffs)
-        c[lam < 0.5] = 0.0          # remove the constant mode
-        # start inside the constraint set, oriented toward positive ratio
-        # (the ratio is odd under c -> -c)
-        mx = 1.0 - feasibility(backend, c)
-        if mx > 0.9:
-            c *= 0.9 / mx
-        num, den = ratio_and_parts(backend, c)
-        if den > 1e-14 and num < 0:
-            c = -c
-
-        _, ga = _objective_and_gradient(backend, c, 1e2)
-        gf = _fd_gradient(backend, c, 1e2)
-        diff = float(np.linalg.norm(ga - gf))
-        # both sides at rounding level: the gradient vanishes identically
-        # (n = 2) and the relative test is ill-posed
-        grad_checks.append(0.0 if diff <= 1e-8 else diff / float(np.linalg.norm(gf)))
-
-        for mu in (1e2, 1e4, 1e6):
-            step = 0.05
-            val, grad = _objective_and_gradient(backend, c, mu)
-            for _ in range(iterations):
-                gnorm = np.linalg.norm(grad)
-                if gnorm < 1e-12:
-                    break
-                trial = c + step * grad / gnorm
-                tval, tgrad = _objective_and_gradient(backend, trial, mu)
-                if tval > val:
-                    c, val, grad = trial, tval, tgrad
-                    step *= 1.25
-                else:
-                    step *= 0.5
-                    if step < 1e-12:
-                        break
-
+    for s, c in zip(seeds, C):
         # exact feasibility by homogeneity: lap(t c) = t lap(c)
         mx = 1.0 - feasibility(backend, c)
         if mx > 1.0:
@@ -342,7 +421,7 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
                 c = c * (amplitude_cap / gi)
         num, den = ratio_and_parts(backend, c)
         if den <= 1e-14:
-            rows.append({"seed": seed + 7919 * r, "ratio": 0.0,
+            rows.append({"seed": s, "ratio": 0.0,
                          "constraint_margin": 1.0, "grad_inf": 0.0,
                          "feasible": True, "degenerate": True})
             continue
@@ -353,7 +432,7 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
             backend=backend.name,
         )
         feasible = cand.constraint_margin >= -1e-8
-        rows.append({"seed": seed + 7919 * r, "ratio": cand.ratio,
+        rows.append({"seed": s, "ratio": cand.ratio,
                      "constraint_margin": cand.constraint_margin,
                      "grad_inf": cand.grad_norm_inf, "feasible": feasible,
                      "degenerate": False})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quermass import harmonics
+from quermass import conjecture, harmonics
 from quermass.conjecture import (
     conjectured_bound,
     feasibility,
@@ -115,3 +115,136 @@ def test_maximize_small_search_feasible():
     assert best.ratio <= 1 + 1e-8
     assert best.ratio > 0
     assert best.meta["gradient_check_max_rel"] <= 1e-5
+
+
+# -- the lockstep search against the per-restart loop it replaces -------------------
+
+
+def _serial_objective_and_gradient(backend, c, mu):
+    """The objective on one vector, as the per-restart loop computed it."""
+    lap, g2, gdg = backend.ascent_fields(c)
+    den = backend.integrate(g2)
+    num = backend.integrate(lap * g2)
+    hinge = np.maximum(lap - 1.0, 0.0)
+    pen = backend.integrate(hinge * hinge)
+    lam = backend.eigenvalues
+    p_g2, p_mixed, p_lap, p_hinge = backend.project(
+        np.stack([g2, gdg + lap * lap, lap, hinge]))
+    gN = -lam * p_g2 - 2.0 * p_mixed
+    gD = -2.0 * p_lap
+    gP = -2.0 * lam * p_hinge
+    return num / den - mu * pen, (gN * den - num * gD) / den**2 - mu * gP
+
+
+def _serial_search(n, basis_cap, restarts, seed, iterations, amplitude_cap=None):
+    """The per-restart loop: (rows, gradient checks, steps taken per restart and weight)."""
+    backend = make_backend(n, basis_cap)
+    lam = backend.eigenvalues
+    h = conjecture._FD_STEP
+    rows, checks, steps_taken = [], [], []
+    for r in range(restarts):
+        c = np.random.default_rng(seed + 7919 * r).standard_normal(backend.num_coeffs)
+        c[lam < 0.5] = 0.0
+        mx = 1.0 - feasibility(backend, c)
+        if mx > 0.9:
+            c *= 0.9 / mx
+        num, den = ratio_and_parts(backend, c)
+        if den > 1e-14 and num < 0:
+            c = -c
+
+        _, ga = _serial_objective_and_gradient(backend, c, 1e2)
+        gf = np.zeros_like(c)
+        for b in range(len(c)):
+            cp, cm = c.copy(), c.copy()
+            cp[b] += h
+            cm[b] -= h
+            gf[b] = (_serial_objective_and_gradient(backend, cp, 1e2)[0]
+                     - _serial_objective_and_gradient(backend, cm, 1e2)[0]) / (2 * h)
+        diff = float(np.linalg.norm(ga - gf))
+        checks.append(0.0 if diff <= 1e-8 else diff / float(np.linalg.norm(gf)))
+
+        taken = []
+        for mu in (1e2, 1e4, 1e6):
+            step = 0.05
+            val, grad = _serial_objective_and_gradient(backend, c, mu)
+            k = 0
+            for k in range(iterations):
+                gnorm = np.linalg.norm(grad)
+                if gnorm < 1e-12:
+                    break
+                trial = c + step * grad / gnorm
+                tval, tgrad = _serial_objective_and_gradient(backend, trial, mu)
+                if tval > val:
+                    c, val, grad = trial, tval, tgrad
+                    step *= 1.25
+                else:
+                    step *= 0.5
+                    if step < 1e-12:
+                        break
+            taken.append(k)
+        steps_taken.append(taken)
+
+        mx = 1.0 - feasibility(backend, c)
+        if mx > 1.0:
+            c = c / mx
+        if amplitude_cap is not None:
+            gi = backend.grad_inf(c)
+            if gi > amplitude_cap:
+                c = c * (amplitude_cap / gi)
+        num, den = ratio_and_parts(backend, c)
+        if den <= 1e-14:
+            rows.append({"seed": seed + 7919 * r, "ratio": 0.0, "constraint_margin": 1.0,
+                         "grad_inf": 0.0, "feasible": True, "degenerate": True})
+            continue
+        margin = feasibility(backend, c)
+        rows.append({"seed": seed + 7919 * r, "ratio": num / den,
+                     "constraint_margin": margin, "grad_inf": backend.grad_inf(c),
+                     "feasible": margin >= -1e-8, "degenerate": False})
+    return rows, checks, steps_taken
+
+
+def _row_bits(rows):
+    return [{k: (np.float64(v).tobytes() if isinstance(v, float) else v)
+             for k, v in row.items()} for row in rows]
+
+
+LOCKSTEP_CASES = [
+    # (n, basis_cap, restarts, seed, iterations)
+    (2, 6, 3, 3, 40),
+    (3, 4, 1, 4, 30),
+    (3, 5, 4, 11, 25),
+    (4, 8, 6, 2, 60),
+    (4, 12, 5, 41, 40),
+    (5, 12, 4, 315, 50),
+    (5, 10, 2, 8, 250),
+    # restarts that leave a weight at different steps, some in the first
+    (4, 2, 3, 0, 250),
+    (5, 2, 3, 2, 250),
+]
+
+
+@pytest.mark.parametrize("n, cap, restarts, seed, iterations", LOCKSTEP_CASES)
+def test_lockstep_search_is_byte_identical_to_the_serial_loop(n, cap, restarts, seed,
+                                                              iterations):
+    out = maximize_ratio(n, basis_cap=cap, restarts=restarts, seed=seed,
+                         iterations=iterations)
+    rows, checks, _ = _serial_search(n, cap, restarts, seed, iterations)
+    assert _row_bits(out["rows"]) == _row_bits(rows)
+    assert out["best"].meta["gradient_check_max_rel"] == max(checks)
+
+
+def test_lockstep_cases_include_restarts_that_stop_apart():
+    """The serial loop stops these restarts at different steps and weights."""
+    taken = [_serial_search(*case)[2] for case in LOCKSTEP_CASES[-2:]]
+    last = LOCKSTEP_CASES[-1][-1] - 1
+    for per_restart in taken:
+        assert any(last in t for t in per_restart)
+        assert any(min(t) < last for t in per_restart)
+    assert taken[0][0][0] < last        # one restart leaves the first weight early
+
+
+def test_no_restarts_leaves_a_degenerate_best():
+    out = maximize_ratio(4, basis_cap=4, restarts=0)
+    assert out["rows"] == []
+    assert out["best"].meta["degenerate"]
+    assert out["best"].meta["gradient_check_max_rel"] is None

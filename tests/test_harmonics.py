@@ -295,3 +295,25 @@ def test_eps_size_is_unchanged_on_the_route_seeds(route_domains):
                        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 200})
         want = float(min(res.fun, objective(seed)))
         assert abs(K.eps_size()[0] - want) <= 1e-10
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 33])
+def test_batched_backend_calls_equal_the_per_vector_calls(backend, rows):
+    C = np.random.default_rng(rows).standard_normal((rows, backend.num_coeffs))
+    C[:, backend.eigenvalues < 0.5] = 0.0
+    fields_ = backend.ascent_fields(C)
+    for name in ("laplacian_values", "grad2_values", "graddelta_dot_grad"):
+        got = getattr(backend, name)(C)
+        assert all(np.array_equal(_bits(got[r]), _bits(getattr(backend, name)(C[r])))
+                   for r in range(rows))
+    V = np.stack(fields_, axis=1)
+    projected, integrals = backend.project(V), backend.integrate(V)
+    values, grads = conjecture._objective_and_gradient(backend, C, 1e4)
+    for r in range(rows):
+        for got, want in zip(fields_, backend.ascent_fields(C[r])):
+            assert np.array_equal(_bits(got[r]), _bits(want))
+        assert np.array_equal(_bits(projected[r]), _bits(backend.project(V[r])))
+        assert [backend.integrate(v) for v in V[r]] == integrals[r].tolist()
+        value, grad = conjecture._objective_and_gradient(backend, C[r], 1e4)
+        assert value == values[r]
+        assert np.array_equal(_bits(grad), _bits(grads[r]))
