@@ -366,15 +366,18 @@ def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None
 
 
 def _start_point(backend: _Backend, seed: int) -> np.ndarray:
-    """A seeded random vector without the constant mode, oriented toward positive ratio."""
+    """A seeded random vector without the constant mode, oriented toward
+    positive ratio and then scaled to max lap(u) <= 0.9, inside the
+    constraint set (flipping after the scaling would turn max lap(u)
+    into -min lap(u), which can lie far above 1)."""
     c = np.random.default_rng(seed).standard_normal(backend.num_coeffs)
     c[backend.eigenvalues < 0.5] = 0.0
-    mx = 1.0 - feasibility(backend, c)
-    if mx > 0.9:
-        c *= 0.9 / mx
     num, den = ratio_and_parts(backend, c)
     if den > 1e-14 and num < 0:
         c = -c      # the ratio is odd under c -> -c
+    mx = 1.0 - feasibility(backend, c)
+    if mx > 0.9:
+        c *= 0.9 / mx
     return c
 
 

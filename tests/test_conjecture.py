@@ -145,12 +145,12 @@ def _serial_search(n, basis_cap, restarts, seed, iterations, amplitude_cap=None)
     for r in range(restarts):
         c = np.random.default_rng(seed + 7919 * r).standard_normal(backend.num_coeffs)
         c[lam < 0.5] = 0.0
-        mx = 1.0 - feasibility(backend, c)
-        if mx > 0.9:
-            c *= 0.9 / mx
         num, den = ratio_and_parts(backend, c)
         if den > 1e-14 and num < 0:
             c = -c
+        mx = 1.0 - feasibility(backend, c)
+        if mx > 0.9:
+            c *= 0.9 / mx
 
         _, ga = _serial_objective_and_gradient(backend, c, 1e2)
         gf = np.zeros_like(c)
@@ -248,3 +248,13 @@ def test_no_restarts_leaves_a_degenerate_best():
     assert out["rows"] == []
     assert out["best"].meta["degenerate"]
     assert out["best"].meta["gradient_check_max_rel"] is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_start_points_lie_inside_the_constraint_set(n):
+    backend = make_backend(n, 6)
+    for seed in range(12):
+        c = conjecture._start_point(backend, seed)
+        assert backend.constraint_max(c) <= 0.9 * (1 + 1e-12)
+        num, den = ratio_and_parts(backend, c)
+        assert num >= -1e-12 * den      # n = 2: the ratio is rounding noise
