@@ -258,3 +258,22 @@ def test_start_points_lie_inside_the_constraint_set(n):
         assert backend.constraint_max(c) <= 0.9 * (1 + 1e-12)
         num, den = ratio_and_parts(backend, c)
         assert num >= -1e-12 * den      # n = 2: the ratio is rounding noise
+
+
+def test_gradient_check_catches_one_component_off_by_1e_4(monkeypatch):
+    # the start points of `conjecture --n 5 --degree-cap 16 --restarts 4 --seed 4`,
+    # whose check the central difference's truncation once held at 1.06e-5
+    backend = make_backend(5, 16)
+    C = np.array([conjecture._start_point(backend, 4 + 7919 * r) for r in range(4)])
+    assert max(conjecture._gradient_check(backend, C, 1e2)) <= 1e-6
+    exact = conjecture._objective_and_gradient
+
+    def one_component_off(backend, c, mu):
+        value, grad = exact(backend, c, mu)
+        grad = np.array(grad)
+        rows = np.arange(len(grad))
+        grad[rows, np.argmax(np.abs(grad), axis=1)] *= 1.0 + 1e-4
+        return value, grad
+
+    monkeypatch.setattr(conjecture, "_objective_and_gradient", one_component_off)
+    assert min(conjecture._gradient_check(backend, C, 1e2)) > 1e-5
