@@ -120,12 +120,15 @@ class FullSphereBackend(_Backend):
         self.num_coeffs = harmonics.coeff_count(L)
 
     def ascent_fields(self, c):
-        if np.ndim(c) > 1:
-            return tuple(np.stack(f) for f in zip(*map(self.ascent_fields, c)))
-        u, u_t, u_p = harmonics.sh_chart_derivatives(self.grid, self.pair(c),
-                                                     second=False)
+        pair = self.pair(c)
+        rows = pair.reshape(-1, 2, pair.shape[-1])
+        d = np.empty((3, len(rows), 2, self.grid.num_nodes))
+        for r, row in enumerate(rows):
+            d[:, r] = harmonics.sh_chart_derivatives(self.grid, row, second=False)
+        u, u_t, u_p = d.reshape((3,) + pair.shape[:-1] + (-1,))
         g_p = u_p / self.sin_theta
-        return u[1], u_t[0] * u_t[0] + g_p[0] * g_p[0], u_t[0] * u_t[1] + g_p[0] * g_p[1]
+        t0, t1, p0, p1 = u_t[..., 0, :], u_t[..., 1, :], g_p[..., 0, :], g_p[..., 1, :]
+        return u[..., 1, :], t0 * t0 + p0 * p0, t0 * t1 + p0 * p1
 
     def project(self, values):
         """values (N,) or (F, N) -> one analysis; (R, F, N) -> one per row."""
@@ -278,26 +281,33 @@ def mean_laplacian(backend: _Backend, c: np.ndarray) -> float:
 
 
 _PENALTIES = (1e2, 1e4, 1e6)    # the penalty weights every restart climbs in turn
-# central-difference step of the gradient check: the difference's
-# truncation error is quadratic in it (about 1e-5 relative at 1e-6 on
-# some n = 5 inputs, 1e-7 at 1e-7), while rounding stays below 1e-8
+# central-difference step of the gradient check; the difference's
+# truncation error is quadratic in it (1.06e-5 relative at 1e-6 and
+# 1.06e-7 at 1e-7 on the start points of --n 5 --degree-cap 16 --seed 4)
 _FD_STEP = 1e-7
-_CHECK_CHUNK = 32               # perturbed vectors per batched pass of the check
+# perturbed vectors per batched pass of the check: at n = 3 a wider pass
+# leaves the caches (about 180-270 us per vector at 8, 290-320 us at 32),
+# and zonal passes gain little beyond 8
+_CHECK_CHUNK = 8
 
 
-def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
-    """R(u) - mu int max(lap u - 1, 0)^2 and its coefficient gradient.
-
-    c is one vector (K,) -> (float, (K,)) or a batch (R, K) -> ((R,), (R, K)),
-    every row as it would come alone.
-    """
-    C = np.atleast_2d(c)
+def _objective(backend: _Backend, C: np.ndarray, mu: float):
+    """Per row of C, R(u) - mu int max(lap u - 1, 0)^2, and the node
+    fields and integrals its gradient reads."""
     lap, g2, gdg = backend.ascent_fields(C)
     hinge = np.maximum(lap - 1.0, 0.0)
     den, num, pen = backend.integrate(
         np.stack([g2, lap * g2, hinge * hinge], axis=1)).T
-    value = num / den - mu * pen
+    return num / den - mu * pen, (lap, g2, gdg, hinge, den, num)
 
+
+def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
+    """The objective and its coefficient gradient.
+
+    c is one vector (K,) -> (float, (K,)) or a batch (R, K) -> ((R,), (R, K)),
+    every row as it would come alone.
+    """
+    value, (lap, g2, gdg, hinge, den, num) = _objective(backend, np.atleast_2d(c), mu)
     lam = backend.eigenvalues
     # dN/dc_b = -lam_b <Y_b, |grad u|^2> - 2 <Y_b, grad(lap u).grad u + lap(u)^2>
     p_g2, p_mixed, p_lap, p_hinge = backend.project(
@@ -330,7 +340,7 @@ def _gradient_check(backend: _Backend, C: np.ndarray, mu: float) -> list:
     minus[:, b, b] -= h
     vectors = np.concatenate([plus, minus], axis=1).reshape(-1, K)
     chunks = (vectors[i:i + _CHECK_CHUNK] for i in range(0, len(vectors), _CHECK_CHUNK))
-    values = np.concatenate([_objective_and_gradient(backend, v, mu)[0] for v in chunks])
+    values = np.concatenate([_objective(backend, v, mu)[0] for v in chunks])
     fp, fm = values.reshape(R, 2, K).transpose(1, 0, 2)
     checks = []
     for ga, gf in zip(grad, (fp - fm) / (2 * h)):
@@ -347,25 +357,27 @@ def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None
     All rows step in lockstep, one batched objective call per step for
     the rows still climbing.  A row's step grows by 1.25 on an accepted
     trial and halves on a rejected one; the row stops when its gradient
-    norm falls below 1e-12 or its step below 1e-12.
+    norm or its step falls below 1e-12.
     """
     val, grad = _objective_and_gradient(backend, C, mu)
     step = np.full(len(C), 0.05)
-    live = np.arange(len(C))
+    rows, c = np.arange(len(C)), C.copy()     # the climbing rows and their state
     for _ in range(iterations):
         # the 1-D norm per row: norm(axis=1) sums in another order
-        gnorm = np.array([np.linalg.norm(grad[r]) for r in live])
-        live, gnorm = live[gnorm >= 1e-12], gnorm[gnorm >= 1e-12]
-        if live.size == 0:
-            break
-        trial = C[live] + step[live, None] * grad[live] / gnorm[:, None]
+        gnorm = np.array([np.linalg.norm(g) for g in grad])
+        climbing = (gnorm >= 1e-12) & (step >= 1e-12)
+        if not climbing.all():
+            C[rows] = c
+            rows, c, val, grad, step, gnorm = (
+                a[climbing] for a in (rows, c, val, grad, step, gnorm))
+            if rows.size == 0:
+                return
+        trial = c + step[:, None] * grad / gnorm[:, None]
         tval, tgrad = _objective_and_gradient(backend, trial, mu)
-        up = tval > val[live]
-        acc, rej = live[up], live[~up]
-        C[acc], val[acc], grad[acc] = trial[up], tval[up], tgrad[up]
-        step[acc] *= 1.25
-        step[rej] *= 0.5
-        live = live[step[live] >= 1e-12]
+        up = tval > val
+        c[up], val[up], grad[up] = trial[up], tval[up], tgrad[up]
+        step *= np.where(up, 1.25, 0.5)
+    C[rows] = c
 
 
 def _start_point(backend: _Backend, seed: int) -> np.ndarray:
