@@ -7,10 +7,12 @@ byte-identical CSV under identical configuration.  `verify` hands its
 suite only the options given on the command line and refuses one the
 check does not read (VERIFY_CHECKS names them, `--tolerance KEY` among
 them), so an omitted option takes the suite's own default, as an
-omitted `conjecture --degree-cap` takes maximize_ratio's.  A single-kappa
-n = 3 `counterexample` prints the grid-versus-zonal gap and its
-tolerance next to the verdict.  The exit status is 0 exactly when every
-assertion of the invoked suite holds.
+omitted `conjecture --degree-cap` takes maximize_ratio's.  `conjecture`
+likewise refuses the shared options it does not read, and a failing run
+prints its gradient check, which conjecture_summary.json records.  A
+single-kappa n = 3 `counterexample` prints the grid-versus-zonal gap and
+its tolerance next to the verdict.  The exit status is 0 exactly when
+every assertion of the invoked suite holds.
 """
 
 from __future__ import annotations
@@ -75,6 +77,14 @@ def _tolerances(args) -> dict:
         if not val:
             raise SystemExit(f"--tolerance expects KEY=VAL, got {item!r}")
         given[f"--tolerance {key}"] = float(val)
+    return given
+
+
+def _given(args) -> dict:
+    """The options given, as typed (--tolerance KEY pairs too); None means omitted."""
+    given = {f"--{dest.replace('_', '-')}": value for dest, value in vars(args).items()
+             if dest not in _NOT_OPTIONS and value is not None}
+    given.update(_tolerances(args))
     return given
 
 
@@ -155,11 +165,8 @@ def cmd_verify(args) -> int:
     check = VERIFY_CHECKS[lemma]
     if args.seed is None and "--seed" in check.options:
         args.seed = 0       # a seeded check always gets its seed from here
-    # the options given, as typed; an omitted one (None) is left out, so
-    # the suite's default applies
-    given = {f"--{dest.replace('_', '-')}": value for dest, value in vars(args).items()
-             if dest not in _NOT_OPTIONS and value is not None}
-    given.update(_tolerances(args))
+    # an omitted option is left out, so the suite's default applies
+    given = _given(args)
     _refuse_unread(given, check.options, f"verify {lemma}")
     kwargs = {check.options[opt]: value for opt, value in given.items()}
     result = getattr(suites, check.suite)(**kwargs)
@@ -212,26 +219,31 @@ def cmd_counterexample(args) -> int:
     return 0 if result["passed"] else 3
 
 
+# conjecture's options, as typed -> maximize_ratio keyword (--n is positional)
+_CONJECTURE_OPTIONS = {"--degree-cap": "basis_cap", "--restarts": "restarts",
+                       "--seed": "seed", "--amplitude-cap": "amplitude_cap"}
+
+
 def cmd_conjecture(args) -> int:
     from quermass import conjecture
-    _refuse_unread(_tolerances(args), (), "conjecture")
+    given = _given(args)
+    _refuse_unread(given, ("--n", *_CONJECTURE_OPTIONS), "conjecture")
     out_dir = Path(args.out)
     # an omitted option leaves maximize_ratio's default
-    given = {"basis_cap": args.degree_cap, "restarts": args.restarts,
-             "seed": args.seed, "amplitude_cap": args.amplitude_cap}
     out = conjecture.maximize_ratio(
-        args.n, **{kw: v for kw, v in given.items() if v is not None})
+        args.n, **{kw: given[opt] for opt, kw in _CONJECTURE_OPTIONS.items() if opt in given})
     best = out["best"]
     rows = [suites.conjecture_row(args.n, r["seed"], out["backend"].L, r["ratio"],
                                   r["constraint_margin"], r["grad_inf"])
             for r in out["rows"]]
-    passed = ((best.meta["gradient_check_max_rel"] or 0) <= 1e-5
-              and all(r["best_ratio"] <= 1 + 1e-8 for r in rows))
+    check = best.meta["gradient_check_max_rel"]
+    passed = (check or 0) <= 1e-5 and all(r["best_ratio"] <= 1 + 1e-8 for r in rows)
     result = {"rows": rows, "columns": suites.CONJ_COLUMNS, "passed": passed,
               "summary": {"best_ratio": best.ratio,
                           "constraint_margin": best.constraint_margin,
                           "grad_inf": best.grad_norm_inf,
                           "conjectured_bound": conjecture.conjectured_bound(args.n),
+                          "gradient_check_max_rel": check,
                           "recheck": out.get("high_resolution_recheck")}}
     _emit(out_dir, "conjecture", result, args.format, vars(args))
     # persist the best candidate as a field / axial-profile file
@@ -247,6 +259,9 @@ def cmd_conjecture(args) -> int:
     print(f"best ratio {best.ratio:.6f} vs conjectured "
           f"{conjecture.conjectured_bound(args.n):.6f}"
           + (" (recheck attached)" if "high_resolution_recheck" in out else ""))
+    if not passed:
+        print(f"FAIL gradient check {check} (bound 1e-5), "
+              f"largest ratio {max(r['best_ratio'] for r in rows)} (bound 1)")
     return 0 if passed else 3
 
 

@@ -367,3 +367,37 @@ def test_counterexample_and_conjecture_default_to_three_dimensions(tmp_path):
     assert main(["conjecture", "--degree-cap", "2", "--restarts", "1",
                  "--out", str(out)]) == 0
     assert (out / "conjecture.csv").read_text().splitlines()[1].split(",")[0] == "3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--degree-cap", "12", "--restarts", "4", "--seed", "315"],
+    ["--n", "4", "--degree-cap", "12", "--restarts", "6", "--seed", "323"],
+    ["--n", "5", "--degree-cap", "16", "--restarts", "4", "--seed", "4"],
+])
+def test_conjecture_inputs_that_once_failed_their_gradient_check_pass(argv, tmp_path):
+    out = tmp_path / "run"
+    assert main(["conjecture", *argv, "--out", str(out)]) == 0
+    summary = json.loads((out / "conjecture_summary.json").read_text())
+    assert summary["passed"] is True
+    assert summary["summary"]["gradient_check_max_rel"] <= 1e-6
+
+
+def test_failing_conjecture_says_why(monkeypatch, tmp_path, capsys):
+    from quermass import conjecture
+    monkeypatch.setattr(conjecture, "_FD_STEP", 1e-2)     # truncation swamps the check
+    out = tmp_path / "run"
+    assert main(["conjecture", "--n", "4", "--degree-cap", "6", "--restarts", "2",
+                 "--out", str(out)]) == 3
+    summary = json.loads((out / "conjecture_summary.json").read_text())
+    check = summary["summary"]["gradient_check_max_rel"]
+    assert summary["passed"] is False and check > 1e-5
+    assert f"FAIL gradient check {check}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--resolution", "64"), ("--lambda-cut", "3"), ("--eps", "0.1"), ("--kappa", "2")])
+def test_conjecture_refuses_options_it_does_not_read(option, value, tmp_path, capsys):
+    assert main(["conjecture", "--n", "4", "--restarts", "1", option, value,
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"conjecture does not read {option};" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
