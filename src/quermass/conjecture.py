@@ -365,7 +365,7 @@ def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None
     for _ in range(iterations):
         # the 1-D norm per row: norm(axis=1) sums in another order
         gnorm = np.array([np.linalg.norm(g) for g in grad])
-        climbing = (gnorm >= 1e-12) & (step >= 1e-12)
+        climbing = np.minimum(gnorm, step) >= 1e-12
         if not climbing.all():
             C[rows] = c
             rows, c, val, grad, step, gnorm = (
@@ -375,7 +375,10 @@ def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None
         trial = c + step[:, None] * grad / gnorm[:, None]
         tval, tgrad = _objective_and_gradient(backend, trial, mu)
         up = tval > val
-        c[up], val[up], grad[up] = trial[up], tval[up], tgrad[up]
+        if up.all():
+            c, val, grad = trial, tval, tgrad
+        elif up.any():
+            c[up], val[up], grad[up] = trial[up], tval[up], tgrad[up]
         step *= np.where(up, 1.25, 0.5)
     C[rows] = c
 
@@ -401,16 +404,18 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
                    iterations: int = 250) -> dict:
     """Penalized gradient ascent on R(u) under lap(u) <= 1.
 
-    Restart r starts from a random vector drawn with seed + 7919 r.
-    All restarts climb in lockstep as one (restarts, K) block on the
-    backend's default grid, at the penalty weights 1e2, 1e4 and 1e6 in
-    turn, at most `iterations` steps each; a restart leaves a weight
-    when its gradient or its step vanishes.  Before the climb, each
-    restart's analytic gradient is checked against central differences
-    with step 1e-7 at its start point; the largest relative error is
-    meta["gradient_check_max_rel"].  Each end point is rescaled onto
-    the constraint set (and under amplitude_cap).  Deterministic under
-    the seed.  Returns the best feasible candidate and one row per
+    Restart r starts from a random vector drawn with seed + 7919 r,
+    oriented toward positive ratio and scaled into the constraint set
+    (max lap(u) <= 0.9).  All restarts climb in lockstep as one
+    (restarts, K) block on the backend's default grid, at the penalty
+    weights 1e2, 1e4 and 1e6 in turn, at most `iterations` steps each;
+    a restart leaves a weight when its gradient or its step vanishes,
+    and ends bit for bit where it would end climbing alone.  Before the
+    climb, each restart's analytic gradient is checked against central
+    differences with step 1e-7 at its start point; the largest relative
+    error is meta["gradient_check_max_rel"].  Each end point is rescaled
+    onto the constraint set (and under amplitude_cap).  Deterministic
+    under the seed.  Returns the best feasible candidate and one row per
     restart.  basis_cap below 1 leaves no nonconstant mode and raises
     ValueError.
     """
