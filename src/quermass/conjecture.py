@@ -286,8 +286,8 @@ _PENALTIES = (1e2, 1e4, 1e6)    # the penalty weights every restart climbs in tu
 # 1.06e-7 at 1e-7 on the start points of --n 5 --degree-cap 16 --seed 4)
 _FD_STEP = 1e-7
 # perturbed vectors per batched pass of the check: at n = 3 a wider pass
-# leaves the caches (about 180-270 us per vector at 8, 290-320 us at 32),
-# and zonal passes gain little beyond 8
+# leaves the caches (2 cores, BLAS on one thread: about 180-270 us per
+# vector at 8, 290-320 us at 32), and zonal passes gain little beyond 8
 _CHECK_CHUNK = 8
 
 
