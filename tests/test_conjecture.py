@@ -136,7 +136,7 @@ def _serial_objective_and_gradient(backend, c, mu):
     return num / den - mu * pen, (gN * den - num * gD) / den**2 - mu * gP
 
 
-def _serial_search(n, basis_cap, restarts, seed, iterations, amplitude_cap=None):
+def _serial_search(n, basis_cap, restarts, seed, iterations):
     """The per-restart loop: (rows, gradient checks, steps taken per restart and weight)."""
     backend = make_backend(n, basis_cap)
     lam = backend.eigenvalues
@@ -187,10 +187,6 @@ def _serial_search(n, basis_cap, restarts, seed, iterations, amplitude_cap=None)
         mx = 1.0 - feasibility(backend, c)
         if mx > 1.0:
             c = c / mx
-        if amplitude_cap is not None:
-            gi = backend.grad_inf(c)
-            if gi > amplitude_cap:
-                c = c * (amplitude_cap / gi)
         num, den = ratio_and_parts(backend, c)
         if den <= 1e-14:
             rows.append({"seed": seed + 7919 * r, "ratio": 0.0, "constraint_margin": 1.0,
