@@ -1,18 +1,16 @@
 """Command-line front end.
 
-Subcommands: functionals, deficits, verify, counterexample, conjecture,
-export-mesh.  Every run echoes its parsed options into the output
-directory; randomized suites require explicit seeds and produce
-byte-identical CSV under identical configuration.  `verify` hands its
-suite only the options given on the command line and refuses one the
-check does not read (VERIFY_CHECKS names them, `--tolerance KEY` among
-them), so an omitted option takes the suite's own default, as an
-omitted `conjecture --degree-cap` takes maximize_ratio's.  `conjecture`
-likewise refuses the shared options it does not read, and a failing run
-prints its gradient check, which conjecture_summary.json records.  A
-single-kappa n = 3 `counterexample` prints the grid-versus-zonal gap and
-its tolerance next to the verdict.  The exit status is 0 exactly when
-every assertion of the invoked suite holds.
+Subcommands: functionals, deficits, verify CHECK, counterexample,
+conjecture, export-mesh.  One table (COMMANDS, VERIFY_CHECKS) declares
+the options each command reads and the defaults the CLI owns, and the
+parsers are built from it.  An option without a default is left out of
+the namespace when omitted, so the callee's default applies: `verify`
+and `conjecture` pass the namespace as keywords.  Any other option, an
+unknown check, a malformed value or a ValueError of the run exits 2
+before anything is written.  config.json records the options the
+command reads, null where omitted.  Fixed seeds give byte-identical
+CSV.  The exit status is 0 exactly when every assertion of the invoked
+suite holds, 3 when one fails.
 """
 
 from __future__ import annotations
@@ -28,6 +26,59 @@ from quermass.axisym import AxialDomain
 from quermass.config import DENT_CROSS_CHECK_REL
 from quermass.reporting import (DEFICIT_COLUMNS, echo_config, write_csv,
                                 write_json)
+
+# deficits --which: name -> function in quermass.deficits
+_DEFICITS = {"minkowski": "minkowski_deficit",
+             "volumetric": "volumetric_minkowski_deficit",
+             "nuclear": "nuclear_minkowski_deficit"}
+
+
+def deficit_list(text: str) -> list:
+    names = list(_DEFICITS) if text == "all" else text.split(",")
+    unknown = [name for name in names if name not in _DEFICITS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown deficit {', '.join(unknown)}; choose all or from {', '.join(_DEFICITS)}")
+    return names
+
+
+def kappa_list(text: str) -> tuple:
+    return tuple(float(k) for k in text.split(","))
+
+
+def _tolerance(key: str):
+    """The --tolerance type of a command that reads KEY: "KEY=VAL" -> VAL."""
+    def tolerance(item: str) -> float:
+        given, _, value = item.partition("=")
+        if given != key:
+            raise argparse.ArgumentTypeError(
+                f"does not read --tolerance {given}; it reads --tolerance {key}=VAL")
+        return float(value)
+    return tolerance
+
+
+# every option of the CLI; a command declares the ones it reads
+OPTIONS = {
+    "--n": {"type": int}, "--resolution": {"type": int}, "--count": {"type": int},
+    "--eps": {"type": float}, "--seed": {"type": int}, "--lambda-cut": {"type": float},
+    "--degree-cap": {"type": int}, "--restarts": {"type": int},
+    "--kappa": {"type": float}, "--kappa-max": {"type": float},
+    "--sweep": {"type": kappa_list, "help": "comma list of kappa values"},
+    "--mesh": {"action": "store_true", "help": "also write counterexample.obj (n = 3 only)"},
+    "--which": {"type": deficit_list, "help": "all, or a comma list of "
+                                              "minkowski,volumetric,nuclear"},
+    "--tolerance": {"metavar": "KEY=VAL"},     # its type reads the command's key
+}
+
+
+class Command(NamedTuple):
+    """A command: the options it reads and the defaults the CLI owns."""
+
+    help: str
+    options: dict           # option as typed (--tolerance KEY too) -> namespace key
+    defaults: dict = {}     # option -> default; the others are left out when omitted
+    domain: bool = False    # reads a domain file
+    one_of: tuple = ()      # options of which exactly one is given
 
 
 class Check(NamedTuple):
@@ -59,56 +110,57 @@ VERIFY_CHECKS = {
     "axial": Check("axial_deficit_suite", _DRAWN),
     "stability": Check("stability_suite", {**_DRAWN, "--n": "n"}),
 }
-VERIFY_ALIASES = {a: name for name, c in VERIFY_CHECKS.items() for a in c.aliases}
+# a check that takes a seed always gets one from here
+_VERIFY_DEFAULTS = {"--seed": 0}
 
-# defaults of the shared options that a subcommand reads itself; verify
-# leaves an omitted option absent, so that its suite's default applies
-_OWN_DEFAULTS = {"counterexample": {"n": 3, "eps": 0.3},
-                 "conjecture": {"n": 3}, "deficits": {"seed": 0}}
-# namespace entries that are not options a check may leave unread
-_NOT_OPTIONS = {"command", "func", "lemma", "out", "format", "tolerance"}
-
-
-def _tolerances(args) -> dict:
-    """The --tolerance KEY=VAL pairs, as {"--tolerance KEY": VAL}."""
-    given = {}
-    for item in args.tolerance or ():
-        key, _, val = item.partition("=")
-        if not val:
-            raise SystemExit(f"--tolerance expects KEY=VAL, got {item!r}")
-        given[f"--tolerance {key}"] = float(val)
-    return given
-
-
-def _given(args) -> dict:
-    """The options given, as typed (--tolerance KEY pairs too); None means omitted."""
-    given = {f"--{dest.replace('_', '-')}": value for dest, value in vars(args).items()
-             if dest not in _NOT_OPTIONS and value is not None}
-    given.update(_tolerances(args))
-    return given
-
-
-def _refuse_unread(given: dict, reads, what: str) -> None:
-    """ValueError (exit 2) naming the given options that the command does not read."""
-    unread = [opt for opt in given if opt not in reads]
-    if unread:
-        raise ValueError(f"{what} does not read {', '.join(unread)}; it reads "
-                         f"{', '.join(sorted(reads)) if reads else 'none'}")
+COMMANDS = {
+    "functionals": Command("volume, perimeter and curvature integrals of a domain file",
+                           {"--resolution": "resolution"}, {"--resolution": None},
+                           domain=True),
+    "deficits": Command("deficit reports for a domain file",
+                        {"--resolution": "resolution", "--which": "which", "--seed": "seed"},
+                        {"--resolution": None, "--which": "all", "--seed": 0}, domain=True),
+    "counterexample": Command(
+        "dented near-ball domains with negative total mean curvature",
+        {"--n": "n", "--eps": "eps", "--kappa": "kappa", "--sweep": "kappas",
+         "--kappa-max": "kappa_max", "--mesh": "mesh", "--resolution": "resolution",
+         "--tolerance dent_cross_check_rel": "gap_tolerance",
+         # read by nothing: the benchmark passes --seed to every command
+         "--seed": "seed"},
+        {"--n": 3, "--eps": 0.3, "--kappa": None, "--sweep": None, "--kappa-max": 1e5,
+         "--mesh": False, "--resolution": 128, "--seed": None,
+         "--tolerance dent_cross_check_rel": DENT_CROSS_CHECK_REL},
+        one_of=("--kappa", "--sweep")),
+    "conjecture": Command("search for extremals of the gradient-energy ratio",
+                          {"--n": "n", "--degree-cap": "basis_cap",
+                           "--restarts": "restarts", "--seed": "seed"}, {"--n": 3}),
+    "export-mesh": Command("OBJ mesh of a domain file (n = 3)",
+                           {"--resolution": "resolution"}, {"--resolution": None},
+                           domain=True),
+}
+# namespace entries that are not keywords of the callee
+_BOOKKEEPING = ("command", "lemma", "out")
 
 
-def _emit(out_dir: Path, name: str, result: dict, fmt: str, config: dict):
+def _reads(args) -> dict:
+    """The options the command of a parsed run reads, as typed -> namespace key."""
+    return (VERIFY_CHECKS[args.lemma] if args.command == "verify"
+            else COMMANDS[args.command]).options
+
+
+def _keywords(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in _BOOKKEEPING}
+
+
+def _emit(args, name: str, result: dict) -> Path:
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    clean = {k: (v if isinstance(v, (int, float, str, bool, list, type(None)))
-                 else str(v))
-             for k, v in config.items() if k != "func"}
-    echo_config(out_dir, clean)
-    if fmt == "csv":
-        write_csv(out_dir / f"{name}.csv", result["rows"], result["columns"])
-    else:
-        write_json(out_dir / f"{name}.json", result["rows"])
+    echo_config(out_dir, {**dict.fromkeys(_reads(args).values()), **vars(args)})
+    write_csv(out_dir / f"{name}.csv", result["rows"], result["columns"])
     write_json(out_dir / f"{name}_summary.json",
                {"passed": result.get("passed", True),
                 "summary": result.get("summary", {})})
+    return out_dir
 
 
 def _load_any_domain(path, resolution):
@@ -119,7 +171,6 @@ def _load_any_domain(path, resolution):
 
 
 def cmd_functionals(args) -> int:
-    _refuse_unread(_tolerances(args), (), "functionals")
     K = _load_any_domain(args.domain, args.resolution)
     F = K.curvature_integrals(check_routes=False)
     eps, center = K.eps_size()
@@ -131,107 +182,70 @@ def cmd_functionals(args) -> int:
         row[f"int_sigma_{k}"] = v
     result = {"rows": [row], "columns": list(row.keys()), "passed": True,
               "summary": {"center": list(map(float, center))}}
-    _emit(Path(args.out), "functionals", result, args.format, vars(args))
+    _emit(args, "functionals", result)
     print(json.dumps(row, indent=2))
     return 0
 
 
 def cmd_deficits(args) -> int:
-    _refuse_unread(_tolerances(args), (), "deficits")
     K = _load_any_domain(args.domain, args.resolution)
-    which = args.which.split(",") if args.which != "all" else [
-        "minkowski", "volumetric", "nuclear"]
-    ops = {"minkowski": deficits.minkowski_deficit,
-           "volumetric": deficits.volumetric_minkowski_deficit,
-           "nuclear": deficits.nuclear_minkowski_deficit}
-    rows = []
-    for name in which:
-        if name not in ops:
-            raise SystemExit(f"unknown deficit {name!r}; choose from {sorted(ops)}")
-        rows.append(ops[name](K, seed=args.seed).row())
-    result = {"rows": rows, "columns": DEFICIT_COLUMNS, "passed": True,
-              "summary": {}}
-    _emit(Path(args.out), "deficits", result, args.format, vars(args))
+    rows = [getattr(deficits, _DEFICITS[name])(K, seed=args.seed).row()
+            for name in args.which]
+    _emit(args, "deficits", {"rows": rows, "columns": DEFICIT_COLUMNS})
     for row in rows:
         print(f"{row['which']}: margin = {row['margin']:.6e}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    lemma = VERIFY_ALIASES.get(args.lemma, args.lemma)
-    if lemma not in VERIFY_CHECKS:
-        raise SystemExit(f"unknown check {args.lemma!r}; choose from "
-                         f"{sorted(VERIFY_CHECKS) + sorted(VERIFY_ALIASES)}")
-    check = VERIFY_CHECKS[lemma]
-    if args.seed is None and "--seed" in check.options:
-        args.seed = 0       # a seeded check always gets its seed from here
-    # an omitted option is left out, so the suite's default applies
-    given = _given(args)
-    _refuse_unread(given, check.options, f"verify {lemma}")
-    kwargs = {check.options[opt]: value for opt, value in given.items()}
-    result = getattr(suites, check.suite)(**kwargs)
-    _emit(Path(args.out), f"verify_{lemma}", result, args.format, vars(args))
+    result = getattr(suites, VERIFY_CHECKS[args.lemma].suite)(**_keywords(args))
+    _emit(args, f"verify_{args.lemma}", result)
     status = "PASS" if result["passed"] else "FAIL"
-    print(f"{lemma}: {status}  {json.dumps(result['summary'], default=str)}")
+    print(f"{args.lemma}: {status}  {json.dumps(result['summary'], default=str)}")
     return 0 if result["passed"] else 3
 
 
 def cmd_counterexample(args) -> int:
-    given = _tolerances(args)
-    _refuse_unread(given, ("--tolerance dent_cross_check_rel",), "counterexample")
-    gap_tolerance = given.get("--tolerance dent_cross_check_rel", DENT_CROSS_CHECK_REL)
     if args.mesh and args.n != 3:
         raise ValueError(f"--mesh exports the dented sphere of n = 3 only, got --n {args.n}")
-    out_dir = Path(args.out)
     from quermass import counterexample as cx
-    if args.sweep:
-        kappas = tuple(float(k) for k in args.sweep.split(","))
-        result = suites.dent_sweep_suite(eps=args.eps, kappas=kappas, n=args.n,
-                                         gap_tolerance=gap_tolerance)
+    if args.mesh:       # built first, so that a resolution it refuses writes nothing
+        from quermass.grids import build_grid
+        mesh = cx.build_counterexample(args.n, args.eps, args.kappa or 20.0).on_grid(
+            build_grid(3, args.resolution))
+    if args.kappas:
+        result = suites.dent_sweep_suite(eps=args.eps, kappas=args.kappas, n=args.n,
+                                         gap_tolerance=args.gap_tolerance)
         search = suites.negative_total_curvature_suite(
-            eps=args.eps, kappa_start=max(kappas), kappa_max=args.kappa_max,
+            eps=args.eps, kappa_start=max(args.kappas), kappa_max=args.kappa_max,
             n=args.n)
         result["rows"].extend(search["rows"])
         result["summary"]["search"] = search["summary"]
         result["passed"] = result["passed"] and search["passed"]
         shown = result["summary"]
     else:
-        if args.kappa is None:
-            raise SystemExit("counterexample needs --kappa or --sweep")
         rec = cx.total_mean_curvature(args.n, args.eps, args.kappa,
                                       method="both" if args.n == 3 else "zonal")
         # n = 3 also integrates on the dense grid: its gap gates the verdict
-        passed = rec.get("relative_gap", 0.0) <= gap_tolerance
+        passed = rec.get("relative_gap", 0.0) <= args.gap_tolerance
         result = {"rows": [suites.dent_row(rec)],
                   "columns": suites.DENT_EXTRA_COLUMNS,
                   "passed": passed, "summary": {}}
         # the summary file stays {}; stdout shows the gap and its gate
         shown = ({"relative_gap": rec["relative_gap"],
-                  "tolerance": gap_tolerance}
+                  "tolerance": args.gap_tolerance}
                  if "relative_gap" in rec else {})
-    _emit(out_dir, "counterexample", result, args.format, vars(args))
+    out_dir = _emit(args, "counterexample", result)
     if args.mesh:
-        from quermass.grids import build_grid
-        domain = cx.build_counterexample(args.n, args.eps, args.kappa or 20.0)
-        K = domain.on_grid(build_grid(3, args.resolution or 128))
-        qio.export_obj(K, out_dir / "counterexample.obj")
+        qio.export_obj(mesh, out_dir / "counterexample.obj")
     print("PASS" if result["passed"] else "FAIL", json.dumps(shown, default=str))
     return 0 if result["passed"] else 3
 
 
-# conjecture's options, as typed -> maximize_ratio keyword (--n is positional)
-_CONJECTURE_OPTIONS = {"--degree-cap": "basis_cap", "--restarts": "restarts",
-                       "--seed": "seed", "--amplitude-cap": "amplitude_cap"}
-
-
 def cmd_conjecture(args) -> int:
     from quermass import conjecture
-    given = _given(args)
-    _refuse_unread(given, ("--n", *_CONJECTURE_OPTIONS), "conjecture")
-    out_dir = Path(args.out)
     # an omitted option leaves maximize_ratio's default
-    out = conjecture.maximize_ratio(
-        args.n, **{kw: given[opt] for opt, kw in _CONJECTURE_OPTIONS.items() if opt in given})
+    out = conjecture.maximize_ratio(**_keywords(args))
     best = out["best"]
     rows = [suites.conjecture_row(args.n, r["seed"], out["backend"].L, r["ratio"],
                                   r["constraint_margin"], r["grad_inf"])
@@ -245,7 +259,7 @@ def cmd_conjecture(args) -> int:
                           "conjectured_bound": conjecture.conjectured_bound(args.n),
                           "gradient_check_max_rel": check,
                           "recheck": out.get("high_resolution_recheck")}}
-    _emit(out_dir, "conjecture", result, args.format, vars(args))
+    out_dir = _emit(args, "conjecture", result)
     # persist the best candidate as a field / axial-profile file
     if args.n == 3:
         from quermass import fields
@@ -266,7 +280,6 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    _refuse_unread(_tolerances(args), (), "export-mesh")
     K = qio.load_domain(args.domain, resolution=args.resolution)
     path = Path(args.out) / "mesh.obj"
     qio.export_obj(K, path)
@@ -274,72 +287,50 @@ def cmd_export_mesh(args) -> int:
     return 0
 
 
+def _declare(parser, options: dict, defaults: dict, one_of: tuple = ()) -> None:
+    """Declare on parser the options it reads, and --out."""
+    group = parser.add_mutually_exclusive_group(required=True) if one_of else None
+    for opt, dest in options.items():
+        flag, _, key = opt.partition(" ")
+        spec = dict(OPTIONS[flag], type=_tolerance(key)) if key else OPTIONS[flag]
+        (group if opt in one_of else parser).add_argument(
+            flag, dest=dest, default=defaults.get(opt, argparse.SUPPRESS), **spec)
+    parser.add_argument("--out", default="quermass-out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quermass",
         description="curvature functionals and deficit inequalities of "
                     "near-ball star-shaped domains")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--resolution", type=int, default=None)
-    common.add_argument("--degree-cap", type=int, default=None)
-    common.add_argument("--lambda-cut", type=float, default=None)
-    common.add_argument("--eps", type=float, default=None)
-    common.add_argument("--kappa", type=float, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--restarts", type=int, default=None)
-    common.add_argument("--out", default="quermass-out")
-    common.add_argument("--tolerance", action="append", metavar="KEY=VAL")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("functionals", parents=[common],
-                       help="volume, perimeter and curvature integrals of a domain file")
-    p.add_argument("domain")
-    p.set_defaults(func=cmd_functionals)
-
-    p = sub.add_parser("deficits", parents=[common],
-                       help="deficit reports for a domain file")
-    p.add_argument("domain")
-    p.add_argument("--which", default="all",
-                   help="comma list: minkowski,volumetric,nuclear")
-    p.set_defaults(func=cmd_deficits)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a randomized verification suite")
-    p.add_argument("lemma", help=f"one of {sorted(VERIFY_CHECKS)} "
-                                 f"(aliases {sorted(VERIFY_ALIASES)})")
-    p.add_argument("--count", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("counterexample", parents=[common],
-                       help="dented near-ball domains with negative total mean curvature")
-    p.add_argument("--sweep", default=None, help="comma list of kappa values")
-    p.add_argument("--kappa-max", type=float, default=1e5)
-    p.add_argument("--mesh", action="store_true",
-                   help="also write counterexample.obj (n = 3 only)")
-    p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("conjecture", parents=[common],
-                       help="search for extremals of the gradient-energy ratio")
-    p.add_argument("--amplitude-cap", type=float, default=None)
-    p.set_defaults(func=cmd_conjecture)
-
-    p = sub.add_parser("export-mesh", parents=[common],
-                       help="OBJ mesh of a domain file (n = 3)")
-    p.add_argument("domain")
-    p.set_defaults(func=cmd_export_mesh)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.domain:
+            p.add_argument("domain")
+        _declare(p, command.options, command.defaults, command.one_of)
+    p = sub.add_parser("verify", help="run a randomized verification suite")
+    checks = p.add_subparsers(metavar="CHECK", required=True)
+    for name, check in VERIFY_CHECKS.items():
+        p = checks.add_parser(name, aliases=check.aliases, help=f"suites.{check.suite}")
+        _declare(p, check.options, _VERIFY_DEFAULTS)
+        p.set_defaults(lemma=name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for dest, value in _OWN_DEFAULTS.get(args.command, {}).items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
     try:
-        return args.func(args)
+        args, unread = build_parser().parse_known_args(argv)
+    except SystemExit as exc:       # argparse's refusals (2), and --help (0)
+        return exc.code
+    try:
+        if unread:
+            what = f"verify {args.lemma}" if args.command == "verify" else args.command
+            flags = [a.partition("=")[0] for a in unread if a.startswith("--")] or unread
+            raise ValueError(f"{what} does not read {', '.join(dict.fromkeys(flags))}; "
+                             f"it reads {', '.join(sorted([*_reads(args), '--out']))}")
+        # looked up at call time, so that a patched cmd_* is the one called
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

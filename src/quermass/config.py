@@ -1,11 +1,13 @@
 """Central configuration: the fixed numerical tolerances and run parameters.
 
 Each tolerance is a module constant, read directly where it is used.
-Two checks also take theirs as a keyword, which the command line sets
-with ``--tolerance KEY=VAL``: ``verify curvature-routes`` reads
-``mean_curvature_agree`` (``route_agreement_suite(tolerance=...)``) and
-``counterexample`` reads ``dent_cross_check_rel``
-(``dent_sweep_suite(gap_tolerance=...)`` and the single-kappa verdict).
+Two checks also take theirs as a keyword, and only their commands
+declare ``--tolerance KEY=VAL``, for that one key:
+``verify curvature-routes --tolerance mean_curvature_agree=VAL``
+(``route_agreement_suite(tolerance=...)``) and ``counterexample
+--tolerance dent_cross_check_rel=VAL`` (``dent_sweep_suite(gap_tolerance=...)``
+and the single-kappa verdict).  Any other key, and ``--tolerance`` on
+any other command, exits with status 2.
 """
 
 from __future__ import annotations

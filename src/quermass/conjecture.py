@@ -400,8 +400,7 @@ def _start_point(backend: _Backend, seed: int) -> np.ndarray:
 
 
 def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
-                   seed: int = 0, amplitude_cap: float | None = None,
-                   iterations: int = 250) -> dict:
+                   seed: int = 0, iterations: int = 250) -> dict:
     """Penalized gradient ascent on R(u) under lap(u) <= 1.
 
     Restart r starts from a random vector drawn with seed + 7919 r,
@@ -414,10 +413,9 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
     climb, each restart's analytic gradient is checked against central
     differences with step 1e-7 at its start point; the largest relative
     error is meta["gradient_check_max_rel"].  Each end point is rescaled
-    onto the constraint set (and under amplitude_cap).  Deterministic
-    under the seed.  Returns the best feasible candidate and one row per
-    restart.  basis_cap below 1 leaves no nonconstant mode and raises
-    ValueError.
+    onto the constraint set.  Deterministic under the seed.  Returns the
+    best feasible candidate and one row per restart.  basis_cap below 1
+    leaves no nonconstant mode and raises ValueError.
     """
     if basis_cap < 1:
         raise ValueError(f"basis_cap {basis_cap} leaves no nonconstant mode; "
@@ -438,10 +436,6 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
         mx = 1.0 - feasibility(backend, c)
         if mx > 1.0:
             c = c / mx
-        if amplitude_cap is not None:
-            gi = backend.grad_inf(c)
-            if gi > amplitude_cap:
-                c = c * (amplitude_cap / gi)
         num, den = ratio_and_parts(backend, c)
         if den <= 1e-14:
             rows.append({"seed": s, "ratio": 0.0,

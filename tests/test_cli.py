@@ -1,17 +1,21 @@
 import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quermass import fields, io as qio, suites
+from quermass import cli, fields, io as qio, suites
 from quermass.cli import VERIFY_CHECKS, build_parser, main
 from quermass.config import DENT_CROSS_CHECK_REL
 from quermass.fields import ScalarField
 from quermass.grids import build_grid
 from quermass.stardomain import StarDomain
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import bench_workloads  # noqa: E402
 
 
 @pytest.fixture()
@@ -25,8 +29,6 @@ def test_functionals_on_unit_ball(ball_file, tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["functionals", str(ball_file), "--out", str(out)])
     assert code == 0
-    row = json.loads((out / "functionals.json").read_text()) \
-        if (out / "functionals.json").exists() else None
     csv_text = (out / "functionals.csv").read_bytes().decode()
     header, data = csv_text.strip().split("\r\n")
     vals = dict(zip(header.split(","), data.split(",")))
@@ -148,9 +150,8 @@ def test_bad_arguments_exit_code(tmp_path):
 
 
 def test_tolerance_override_rejects_unknown(ball_file, tmp_path):
-    with pytest.raises(SystemExit):
-        main(["functionals", str(ball_file), "--tolerance", "nope",
-              "--out", str(tmp_path / "y")])
+    assert main(["functionals", str(ball_file), "--tolerance", "nope",
+                 "--out", str(tmp_path / "y")]) == 2
 
 
 def test_verify_second_alias(tmp_path):
@@ -172,8 +173,7 @@ def _fake_suite(seen):
 def test_eps_default_is_per_subcommand(monkeypatch, tmp_path):
     # an omitted option reaches the suite as absent, so the suite's own
     # default applies; 0 counts as given; counterexample's own default
-    # (0.3) does not leak into the --eps that all subcommands share
-    assert build_parser().parse_args(["verify", "grad-normal"]).eps is None
+    # (0.3) belongs to its own parser and never reaches a suite
     seen = []
     monkeypatch.setattr(suites, "gradient_normal_suite", _fake_suite(seen))
     assert main(["verify", "grad-normal", "--out", str(tmp_path / "a")]) == 0
@@ -285,6 +285,7 @@ TOLERANCE_KEYS = ("mean_curvature_agree", "normalize_scale_rel", "normalize_cent
                   "pole_slack", "pole_constant", "dent_cross_check_rel")
 ACCEPTED = {("verify curvature-routes", "mean_curvature_agree"),
             ("counterexample", "dent_cross_check_rel")}
+READS_A_KEY = {command for command, _ in ACCEPTED}
 COMMANDS = {"functionals": ["functionals", "BALL"], "deficits": ["deficits", "BALL"],
             "export-mesh": ["export-mesh", "BALL"],
             "counterexample": ["counterexample", "--kappa", "4"],
@@ -312,8 +313,11 @@ def test_every_command_is_in_the_tolerance_table():
 def test_tolerance_keys_the_command_does_not_read_exit_2(argv, ball_file, tmp_path, capsys):
     argv = [str(ball_file) if a == "BALL" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
-    key = argv[-1].partition("=")[0]
-    assert f"does not read --tolerance {key}" in capsys.readouterr().err
+    # a command that declares --tolerance names the refused key; the others
+    # name only the flag
+    command = " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
+    key = argv[-1].partition("=")[0] if command in READS_A_KEY else ""
+    assert f"does not read --tolerance{key and ' ' + key};" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -342,7 +346,8 @@ def test_n_reaches_the_suites_that_take_it(check, n, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("argv, unread", [
-    (["verify", "radial-identity", "--count", "3", "--resolution", "8"],
+    # named in the order given
+    (["verify", "radial-identity", "--resolution", "8", "--count", "3"],
      "--resolution, --count"),
     (["verify", "radial-identity", "--seed", "9"], "--seed"),
     (["verify", "axial", "--count", "3", "--n", "4"], "--n"),
@@ -401,3 +406,100 @@ def test_conjecture_refuses_options_it_does_not_read(option, value, tmp_path, ca
                  "--out", str(tmp_path / "x")]) == 2
     assert f"conjecture does not read {option};" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def _leaf_parsers():
+    """(command as typed, its parser, the options its table entry declares)."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for name, command in cli.COMMANDS.items():
+        yield name, sub.choices[name], command.options
+    checks = next(a for a in sub.choices["verify"]._actions if a.choices)
+    for name, check in VERIFY_CHECKS.items():
+        yield f"verify {name}", checks.choices[name], check.options
+
+
+def test_each_parser_declares_only_the_options_its_command_reads():
+    for name, parser, options in _leaf_parsers():
+        declared = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert declared == {opt.split()[0] for opt in options} | {"--out"}, name
+
+
+# the (command, option) pairs that a parent parser shared by every command
+# once accepted and then dropped without a word
+DROPPED = [(command, option) for command, options in [
+    ("functionals", ("--n", "--degree-cap", "--lambda-cut", "--eps", "--kappa", "--seed",
+                     "--restarts")),
+    ("deficits", ("--n", "--degree-cap", "--lambda-cut", "--eps", "--kappa", "--restarts")),
+    ("counterexample", ("--degree-cap", "--lambda-cut", "--restarts")),
+    ("export-mesh", ("--n", "--degree-cap", "--lambda-cut", "--eps", "--kappa", "--seed",
+                     "--restarts", "--format"))] for option in options]
+VALUES = {"--n": "3", "--degree-cap": "3", "--lambda-cut": "2", "--eps": "0.1",
+          "--kappa": "5", "--seed": "1", "--restarts": "3", "--format": "csv"}
+
+
+@pytest.mark.parametrize("command, option", DROPPED)
+def test_options_once_dropped_exit_2(command, option, ball_file, tmp_path, capsys):
+    assert len(DROPPED) == 24
+    argv = [str(ball_file) if a == "BALL" else a for a in COMMANDS[command]]
+    out = tmp_path / "x"
+    assert main(argv + [option, VALUES[option], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # the flag is named, its value is not
+    assert f"error: {command} does not read {option}; it reads --" in err
+    assert VALUES[option] not in err.partition(";")[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["verify", "nosuch"], "invalid choice: 'nosuch'"),
+    (["counterexample", "--kappa", "4", "--tolerance", "nope"],
+     "does not read --tolerance nope; it reads --tolerance dent_cross_check_rel=VAL"),
+    (["verify", "curvature-routes", "--tolerance", "mean_curvature_agree=x"],
+     "invalid tolerance value"),
+    (["counterexample"], "one of the arguments --kappa --sweep is required"),
+    (["counterexample", "--kappa", "4", "--sweep", "4,8"],
+     "argument --sweep: not allowed with argument --kappa"),
+    (["counterexample", "--sweep", "4,x"], "invalid kappa_list value: '4,x'"),
+    (["counterexample", "--kappa", "4", "--mesh", "--resolution", "0"], "resolution 0"),
+    (["deficits", "BALL", "--which", "bogus"], "unknown deficit bogus"),
+    (["deficits", "BALL", "--which", "minkowski,all"], "unknown deficit all"),
+    (["conjecture", "--amplitude-cap", "1"], "conjecture does not read --amplitude-cap;"),
+    (["functionals", "BALL", "--format", "json"], "functionals does not read --format;"),
+    (["functionals", "BALL", "extra.json"], "functionals does not read extra.json;"),
+])
+def test_refusals_exit_2_before_writing(argv, says, ball_file, tmp_path, capsys):
+    argv = [str(ball_file) if a == "BALL" else a for a in argv]
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert says in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0_and_a_missing_check_2(capsys):
+    assert main(["verify", "pole", "--help"]) == 0
+    assert "--count" in capsys.readouterr().out
+    assert main(["verify"]) == 2
+    assert "required: CHECK" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workload", sorted(bench_workloads.WORKLOADS))
+def test_benchmark_commands_parse_with_nothing_left_over(workload):
+    # counterexample reads no --seed, but declares it for these commands
+    for cmd in bench_workloads.commands(workload, 0):
+        _, unread = build_parser().parse_known_args(list(cmd.argv))
+        assert unread == [], cmd.argv
+
+
+def test_config_lists_the_options_the_command_reads(monkeypatch, tmp_path):
+    monkeypatch.setattr(suites, "eigen_interpolation_suite", _fake_suite([]))
+    out = tmp_path / "v"
+    assert main(["verify", "4.2", "--eps", "0.05", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text()) == {
+        "command": "verify", "lemma": "eigen-interp", "seed": 0, "count": None,
+        "eps_scale": 0.05, "resolution": None, "out": str(out)}
+    out = tmp_path / "c"
+    assert main(["conjecture", "--n", "4", "--restarts", "1", "--degree-cap", "4",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text()) == {
+        "command": "conjecture", "n": 4, "basis_cap": 4, "restarts": 1, "seed": None,
+        "out": str(out)}
