@@ -110,8 +110,6 @@ VERIFY_CHECKS = {
     "axial": Check("axial_deficit_suite", _DRAWN),
     "stability": Check("stability_suite", {**_DRAWN, "--n": "n"}),
 }
-# a check that takes a seed always gets one from here
-_VERIFY_DEFAULTS = {"--seed": 0}
 
 COMMANDS = {
     "functionals": Command("volume, perimeter and curvature integrals of a domain file",
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     checks = p.add_subparsers(metavar="CHECK", required=True)
     for name, check in VERIFY_CHECKS.items():
         p = checks.add_parser(name, aliases=check.aliases, help=f"suites.{check.suite}")
-        _declare(p, check.options, _VERIFY_DEFAULTS)
+        _declare(p, check.options, {"--seed": 0})    # a seeded check always gets one
         p.set_defaults(lemma=name)
     return parser
 
