@@ -150,10 +150,15 @@ def _keywords(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _BOOKKEEPING}
 
 
-def _emit(args, name: str, result: dict) -> Path:
+def _echo_config(args) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo_config(out_dir, {**dict.fromkeys(_reads(args).values()), **vars(args)})
+    return out_dir
+
+
+def _emit(args, name: str, result: dict) -> Path:
+    out_dir = _echo_config(args)
     write_csv(out_dir / f"{name}.csv", result["rows"], result["columns"])
     write_json(out_dir / f"{name}_summary.json",
                {"passed": result.get("passed", True),
@@ -161,9 +166,13 @@ def _emit(args, name: str, result: dict) -> Path:
     return out_dir
 
 
-def _load_any_domain(path, resolution):
+def _is_axial_profile(path) -> bool:
     payload = json.loads(Path(path).read_text())
-    if "zonal_coeffs" in payload or "theta_nodes" in payload:
+    return "zonal_coeffs" in payload or "theta_nodes" in payload
+
+
+def _load_any_domain(path, resolution):
+    if _is_axial_profile(path):
         return AxialDomain(qio.load_axial_profile(path))
     return qio.load_domain(path, resolution=resolution)
 
@@ -278,9 +287,12 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
+    if _is_axial_profile(args.domain):
+        raise ValueError(f"export-mesh meshes a field or domain file of n = 3; "
+                         f"{args.domain} is an axial profile")
     K = qio.load_domain(args.domain, resolution=args.resolution)
-    path = Path(args.out) / "mesh.obj"
-    qio.export_obj(K, path)
+    path = qio.export_obj(K, Path(args.out) / "mesh.obj")
+    _echo_config(args)
     print(f"wrote {path}")
     return 0
 

@@ -41,7 +41,12 @@ def default_frequency_cutoff(n: int) -> float:
 
 
 def thread_count() -> int:
-    """Worker cap for suite-level parallel maps (QUERMASS_THREADS)."""
+    """Worker cap of the pooled suites (QUERMASS_THREADS, default 1).
+
+    The count of worker processes, the caller included: suites._pmap
+    forks count - 1 children where the fork start method exists and runs
+    serially elsewhere.  A value that is not an integer reads as 1.
+    """
     raw = os.environ.get("QUERMASS_THREADS", "1")
     try:
         k = int(raw)

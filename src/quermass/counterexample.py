@@ -47,8 +47,9 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 MEMORY_FRACTION = 0.75
 RING_WORK_LIMIT = 10**8
 # peak bytes per lattice point of pack_points(3, kappa) and per node of
-# total_mean_curvature_grid, measured (72; 72-124 over kappa 10-160, where
-# build_grid alone needs 72) and rounded up
+# total_mean_curvature_grid, measured (72; 72-124 over kappa 10-160 when
+# build_grid alone needed 72, before it dropped its angle meshes: it now
+# needs 32, and the kappa = 160 check 48) and rounded up
 _BYTES_PER_LATTICE_POINT = 80
 _BYTES_PER_GRID_NODE = 128
 _RING_PAD = 1e-12       # relative pad of the ring angles, against rounding

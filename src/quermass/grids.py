@@ -158,18 +158,16 @@ def build_grid(n: int, resolution: int) -> SphericalGrid:
     phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
 
     angles = tuple(np.arccos(t) for t in t_axes) + (phi,)
-    mesh = np.meshgrid(*angles, indexing="ij")
-    nodes = _embed(mesh, n)
-
-    wmesh = np.meshgrid(*w_axes, np.full(m_phi, 2.0 * math.pi / m_phi),
-                        indexing="ij")
-    weights = np.ones_like(wmesh[0])
-    for w in wmesh:
-        weights = weights * w
-    weights = weights.ravel()
+    nodes = _embed(angles, n)
+    # the product of the axis weights, in axis order, times the phi weight
+    weights = np.empty(tuple(len(a) for a in angles))
+    w_prod = np.ones((1,) * (n - 1))
+    for k, w in enumerate(w_axes):
+        w_prod = w_prod * _along(w, k, n - 1)
+    np.multiply(w_prod, 2.0 * math.pi / m_phi, out=weights)
 
     return SphericalGrid(
-        n=n, resolution=resolution, nodes=nodes, weights=weights,
+        n=n, resolution=resolution, nodes=nodes, weights=weights.ravel(),
         exact_degree=2 * resolution - 1,
         angles=angles,
         axis_nodes=tuple(t_axes),
@@ -177,19 +175,32 @@ def build_grid(n: int, resolution: int) -> SphericalGrid:
     )
 
 
-def _embed(mesh, n):
-    """Node coordinates from hyperspherical angle meshes.
+def _along(a, axis: int, ndim: int) -> np.ndarray:
+    """The 1-D array a as an ndim array that varies along axis only."""
+    shape = [1] * ndim
+    shape[axis] = -1
+    return a.reshape(shape)
+
+
+def _embed(angles, n):
+    """(N, n) node coordinates of the tensor lattice of the 1-D angles.
 
     x_j = sin(a_1)...sin(a_{j-1}) cos(a_j) for j <= n-1,
     x_n = sin(a_1)...sin(a_{n-1}), with a = (theta_1..theta_{n-2}, phi).
+    Each column is written into one preallocated array from per-axis
+    cos/sin factors, so no angle mesh is built.
     """
-    sin_prod = np.ones_like(mesh[0])
-    coords = []
-    for j in range(n - 1):
-        coords.append(sin_prod * np.cos(mesh[j]))
-        sin_prod = sin_prod * np.sin(mesh[j])
-    coords.append(sin_prod)
-    return np.stack([c.ravel() for c in coords], axis=1)
+    d = n - 1
+    x = np.empty(tuple(len(a) for a in angles) + (n,))
+    sin_prod = np.ones((1,) * d)
+    for j, a in enumerate(angles[:-1]):
+        a = _along(a, j, d)
+        np.multiply(sin_prod, np.cos(a), out=x[..., j])
+        sin_prod = sin_prod * np.sin(a)
+    phi = _along(angles[-1], d - 1, d)
+    np.multiply(sin_prod, np.cos(phi), out=x[..., d - 1])
+    np.multiply(sin_prod, np.sin(phi), out=x[..., d])
+    return x.reshape(-1, n)
 
 
 def quadrature(values: np.ndarray, grid: SphericalGrid) -> float:
@@ -222,21 +233,23 @@ def tangent_frames(grid: SphericalGrid) -> np.ndarray:
             phi = grid.angles[0]
             e = np.stack([-np.sin(phi), np.cos(phi)], axis=1)
             return e[:, None, :]
-        mesh = np.meshgrid(*grid.angles, indexing="ij")
-        shape = mesh[0].shape
-        x = _embed(mesh, n).reshape(shape + (n,))
+        shape = grid.shape
+        d = len(shape)
+        x = grid.nodes.reshape(shape + (n,))
         frames = np.zeros(shape + (n - 1, n))
-        sin_prod = np.ones(shape)
+        sin_prod = np.ones((1,) * d)
         for k in range(n - 2):
-            c, s = np.cos(mesh[k]), np.sin(mesh[k])
+            a = _along(grid.angles[k], k, d)
+            c, s = np.cos(a), np.sin(a)
             frames[..., k, k] = -s
             ratio = c / (s * sin_prod)
             for j in range(k + 1, n):
                 frames[..., k, j] = x[..., j] * ratio
             sin_prod = sin_prod * s
         # phi row: e_phi = (0, ..., 0, -sin(phi), cos(phi))
-        frames[..., n - 2, n - 2] = -np.sin(mesh[n - 2])
-        frames[..., n - 2, n - 1] = np.cos(mesh[n - 2])
+        phi = _along(grid.angles[n - 2], n - 2, d)
+        frames[..., n - 2, n - 2] = -np.sin(phi)
+        frames[..., n - 2, n - 1] = np.cos(phi)
         return frames.reshape(-1, n - 1, n)
 
     return grid.cache("frames", build)

@@ -5,13 +5,19 @@ checks, and returns {"rows", "columns", "passed", "summary"}; the rows
 serialize deterministically to CSV, so identical seeds give identical
 bytes.  The command-line `verify` subcommand and the acceptance tests
 both run these functions.
+
+The suites whose jobs are independent seeded domains run them through
+_pmap on up to QUERMASS_THREADS worker processes, the caller included:
+the caller computes one stride of the jobs and forked children the
+others.  Where the fork start method does not exist (Windows), they run
+serially.  The rows, and so the CSV bytes, do not depend on the count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,11 +48,68 @@ def _jobs(count: int, ns) -> list:
 
 
 def _pmap(fn, items):
-    workers = thread_count()
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], on up to thread_count() processes.
+
+    With w workers the caller computes items[0::w] and forked child j
+    computes items[j::w]: a stride gives every process jobs of every
+    dimension, and the caller's lazily built tables warm for the next
+    map's children.  fn and its stride reach a child through the fork,
+    so closures need not pickle; only the rows, or the exception that
+    stopped a stride, come back pickled.  The children are reaped before
+    _pmap returns or raises.  A process running a second Python thread
+    maps serially, since a fork copies the locks another thread holds.
+    """
+    items = list(items)
+    workers = min(thread_count(), len(items))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _forked_map(multiprocessing.get_context("fork"), fn, items, workers)
+    return [fn(x) for x in items]
+
+
+def _stride(fn, items, conn) -> None:
+    """A child's work: send (True, rows), or (False, the exception)."""
+    try:
+        reply = (True, [fn(x) for x in items])
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+
+
+def _forked_map(ctx, fn, items, workers: int) -> list:
+    rows = [None] * len(items)
+    children = []
+    try:
+        for j in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_stride, args=(fn, items[j::workers], send))
+            children.append((child, recv))
+            child.start()
+            send.close()        # so that a child that dies leaves its pipe at EOF
+        rows[0::workers] = [fn(x) for x in items[0::workers]]
+        for j, (child, recv) in enumerate(children, start=1):
+            try:
+                ok, reply = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"pooled worker {j} exited with status "
+                                   f"{child.exitcode} before returning its rows") from None
+            if not ok:
+                raise reply
+            rows[j::workers] = reply
+    except BaseException:
+        for child, _ in children:
+            if child.pid is not None:
+                child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            recv.close()
+            if child.pid is not None:
+                child.join()
+                child.close()
+    return rows
 
 
 # -- curvature-formula agreement (two mean-curvature routes) -------------------
@@ -68,8 +131,8 @@ def route_agreement_suite(count: int = 100, eps: float = 0.3, seed: int = 2024,
                 "slack_scale": tolerance, "margin": tolerance - b.max_route_disagreement,
                 "ratio": b.max_route_disagreement}
     # the route disagreement is the measured quantity here, so its
-    # warning is silenced; the filter state is process-global, so it is
-    # set once in the calling thread, never inside the pooled workers
+    # warning is silenced; set in the caller, the filter reaches the
+    # pooled workers through the fork
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ResolutionWarning)
         rows = _pmap(one, range(count))

@@ -141,6 +141,32 @@ def test_export_mesh_roundtrip(ball_file, tmp_path):
     nf = sum(1 for l in lines if l.startswith("f "))
     # closed surface: V - E + F = 2 with E = 3F/2 for a triangulation
     assert nv - 3 * nf / 2 + nf == 2
+    assert json.loads((out / "config.json").read_text()) == {
+        "command": "export-mesh", "domain": str(ball_file), "resolution": None,
+        "out": str(out)}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("as_values", [False, True], ids=["zonal_coeffs", "theta_nodes"])
+def test_export_mesh_refuses_an_axial_profile(n, as_values, tmp_path, capsys):
+    from quermass.axisym import AxialProfile
+    path = qio.save_axial_profile(
+        AxialProfile.from_zonal_coeffs(n, np.array([0.0, 0.0, 0.01])),
+        tmp_path / "profile.json", as_values=as_values)
+    out = tmp_path / "meshrun"
+    assert main(["export-mesh", str(path), "--out", str(out)]) == 2
+    assert (f"error: export-mesh meshes a field or domain file of n = 3; "
+            f"{path} is an axial profile") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_mesh_refuses_a_domain_outside_three_dimensions(tmp_path, capsys):
+    K = StarDomain(fields.constant_field(build_grid(4, 8), 0.0))
+    path = qio.save_domain(K, tmp_path / "ball4.json")
+    out = tmp_path / "meshrun"
+    assert main(["export-mesh", str(path), "--out", str(out)]) == 2
+    assert "mesh export is defined for n = 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_arguments_exit_code(tmp_path):

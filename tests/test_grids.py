@@ -92,3 +92,48 @@ def test_frames_orthonormal_tangent(n, res):
 def test_exact_degree_declared(grid3):
     assert grid3.exact_degree == 63
     assert grid3.max_degree == 31
+
+
+def _mesh_grid_oracle(n, res):
+    """Nodes, weights and tangent frames built from full angle meshes, the
+    construction build_grid and tangent_frames used before they switched
+    to per-axis factors."""
+    from quermass.grids import jacobi_rule
+    t_axes = [jacobi_rule(res, (n - 2 - k) / 2.0)[0] for k in range(1, n - 1)]
+    w_axes = [jacobi_rule(res, (n - 2 - k) / 2.0)[1] for k in range(1, n - 1)]
+    phi = 2.0 * math.pi * np.arange(2 * res) / (2 * res)
+    mesh = np.meshgrid(*[np.arccos(t) for t in t_axes], phi, indexing="ij")
+    sin_prod = np.ones_like(mesh[0])
+    coords = []
+    for j in range(n - 1):
+        coords.append(sin_prod * np.cos(mesh[j]))
+        sin_prod = sin_prod * np.sin(mesh[j])
+    coords.append(sin_prod)
+    nodes = np.stack([c.ravel() for c in coords], axis=1)
+    wmesh = np.meshgrid(*w_axes, np.full(2 * res, 2.0 * math.pi / (2 * res)), indexing="ij")
+    weights = np.ones_like(wmesh[0])
+    for w in wmesh:
+        weights = weights * w
+    shape = mesh[0].shape
+    x = nodes.reshape(shape + (n,))
+    frames = np.zeros(shape + (n - 1, n))
+    sin_prod = np.ones(shape)
+    for k in range(n - 2):
+        c, s = np.cos(mesh[k]), np.sin(mesh[k])
+        frames[..., k, k] = -s
+        ratio = c / (s * sin_prod)
+        for j in range(k + 1, n):
+            frames[..., k, j] = x[..., j] * ratio
+        sin_prod = sin_prod * s
+    frames[..., n - 2, n - 2] = -np.sin(mesh[n - 2])
+    frames[..., n - 2, n - 1] = np.cos(mesh[n - 2])
+    return nodes, weights.ravel(), frames.reshape(-1, n - 1, n)
+
+
+@pytest.mark.parametrize("n, res", [(3, 4), (3, 37), (3, 160), (4, 12), (5, 7)])
+def test_grid_is_bit_identical_to_the_mesh_construction(n, res):
+    nodes, weights, frames = _mesh_grid_oracle(n, res)
+    g = build_grid(n, res)
+    assert g.nodes.tobytes() == nodes.tobytes()
+    assert g.weights.tobytes() == weights.tobytes()
+    assert tangent_frames(g).tobytes() == frames.tobytes()

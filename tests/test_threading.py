@@ -1,8 +1,12 @@
+import multiprocessing
 import os
+import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 from quermass import axisym, suites
 from quermass.config import thread_count
@@ -21,29 +25,101 @@ def test_thread_cap_env(monkeypatch):
     assert thread_count() == 1
 
 
-def test_parallel_map_is_deterministic(monkeypatch):
-    def run():
-        out = suites.eigen_interpolation_suite(count=16, seed=99)
+# the six suites that map seeded jobs through _pmap, at small counts
+POOLED = {
+    "route": (suites.route_agreement_suite,
+              dict(count=4, eps=0.3, seed=7, resolution=16, L=6)),
+    "gradient_normal": (suites.gradient_normal_suite,
+                        dict(count=4, eps=0.1, seed=11, resolution=16)),
+    "eigen_interpolation": (suites.eigen_interpolation_suite,
+                            dict(count=4, seed=99, resolution=16, L=6)),
+    "nuclear": (suites.nuclear_deficit_suite, dict(count=4, seed=13, resolution=16)),
+    "axial": (suites.axial_deficit_suite, dict(count=6, seed=17)),
+    "stability": (suites.stability_suite, dict(count=4, seed=19)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED))
+def test_pooled_suites_match_serial(name, monkeypatch):
+    suite, kwargs = POOLED[name]
+
+    def run(workers):
+        monkeypatch.setenv("QUERMASS_THREADS", str(workers))
+        out = suite(**kwargs)
+        assert multiprocessing.active_children() == []
         return csv_bytes(out["rows"], out["columns"])
 
-    monkeypatch.setenv("QUERMASS_THREADS", "1")
-    serial = run()
+    serial = run(1)
+    assert run(2) == serial
+    assert run(kwargs["count"] + 3) == serial       # a cap above the job count
+
+
+def _fails_at(bad):
+    def fn(x):                                      # a closure: it does not pickle
+        if x == bad:
+            raise ValueError(f"job {x} refused")
+        return {"x": x, "square": float(x * x)}
+    return fn
+
+
+@pytest.mark.parametrize("bad", [0, 1, 5], ids=["caller", "child", "last_child"])
+def test_pool_error_reaches_the_caller_and_children_are_reaped(bad, monkeypatch):
+    # with 3 workers the caller maps jobs 0, 3, 6, child 1 jobs 1, 4, 7
+    # and child 2 jobs 2, 5
+    monkeypatch.setenv("QUERMASS_THREADS", "3")
+    with pytest.raises(ValueError, match=f"^job {bad} refused$"):
+        suites._pmap(_fails_at(bad), range(8))
+    assert multiprocessing.active_children() == []
+    assert suites._pmap(_fails_at(-1), range(8)) == [
+        {"x": x, "square": float(x * x)} for x in range(8)]
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_worker_that_dies_is_reported(monkeypatch):
+    caller = os.getpid()
+
+    def fn(x):
+        if x == 1 and os.getpid() != caller:
+            os._exit(7)
+        return x
     monkeypatch.setenv("QUERMASS_THREADS", "2")
-    threaded = run()
-    assert serial == threaded
+    with pytest.raises(RuntimeError, match="pooled worker 1 exited with status 7"):
+        suites._pmap(fn, range(4))
+    assert multiprocessing.active_children() == []
 
 
-def test_route_suite_threads_match_serial(monkeypatch):
-    # the suite silences its ResolutionWarning in the calling thread, so
-    # the pooled run neither warns nor differs from the serial one
-    import warnings
+def test_pool_runs_serially_beside_a_second_thread(monkeypatch):
+    monkeypatch.setenv("QUERMASS_THREADS", "2")
+    assert set(suites._pmap(lambda x: os.getpid(), range(4))) != {os.getpid()}
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pids = pool.submit(suites._pmap, lambda x: os.getpid(), range(4)).result(timeout=60)
+    assert pids == [os.getpid()] * 4
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    probe = ("import sys, quermass.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "[]"
+
+
+def test_route_suite_threads_match_serial(monkeypatch, capfd):
+    # the suite silences its ResolutionWarning in the caller, and the
+    # filter reaches the forked workers; a worker's warning never reaches
+    # a record list in this process, so every warning is printed and the
+    # check reads what reached file descriptor 2
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
     def run():
-        with warnings.catch_warnings(record=True) as seen:
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
+            warnings.showwarning = show             # restored on exit
             out = suites.route_agreement_suite(count=4, eps=0.3, seed=7,
                                                resolution=16, L=6)
-        assert not [w for w in seen if w.category is ResolutionWarning]
+        assert ResolutionWarning.__name__ not in capfd.readouterr().err
         return csv_bytes(out["rows"], out["columns"])
 
     monkeypatch.setenv("QUERMASS_THREADS", "1")
@@ -53,8 +129,9 @@ def test_route_suite_threads_match_serial(monkeypatch):
 
 
 def test_zonal_suites_from_a_cold_table_cache_match_serial(monkeypatch):
-    # two threads fill the shared zonal table cache from empty while the
-    # suites run; the rows must not depend on who built which table
+    # the caller and a forked worker each fill the zonal table cache from
+    # empty while the suites run; the rows must not depend on who built
+    # which table
     def run(threads):
         monkeypatch.setenv("QUERMASS_THREADS", threads)
         axisym._zonal_table.cache_clear()
