@@ -78,7 +78,6 @@ class StarDomain:
         self._grad = None
         self._normals = None
         self._points = None
-        self._radial = None
 
     # -- basic functionals -----------------------------------------------------
 
@@ -226,25 +225,20 @@ class StarDomain:
 
     # -- normal-deviation size ----------------------------------------------------
 
-    def _radial_products(self) -> tuple:
-        """(nu . y, |y|^2) per boundary point y, fixed for the domain."""
-        if self._radial is None:
-            y, nu = self.boundary_points(), self.normal_field()
-            self._radial = (np.einsum("ij,ij->i", nu, y), np.einsum("ij,ij->i", y, y))
-        return self._radial
+    def _coordinate_rows(self) -> tuple:
+        """(y, nu) as contiguous (n, N) rows: boundary points and outward normals."""
+        return (np.ascontiguousarray(self.boundary_points().T),
+                np.ascontiguousarray(self.normal_field().T))
 
     def deviation_values(self, center) -> np.ndarray:
         """|nu(y) - (y - center)/|y - center|| per node.
 
-        Both vectors are unit, so |nu - r| = sqrt(2 - 2 nu.r), and
-        nu.r = (nu.y - nu.c) / sqrt(|y|^2 - 2 y.c + |c|^2) needs only two
-        (N, n) x (n,) products per center.
+        Evaluated as |rho nu - w| / rho with w = y - center and rho = |w|:
+        the difference is formed before it is squared, so a deviation d
+        comes out with an error of a few ulps of 1, not the ~1e-8 floor
+        of sqrt(2 - 2 nu.r).
         """
-        c = np.asarray(center, dtype=float)
-        nu_y, y2 = self._radial_products()
-        dot = (nu_y - self.normal_field() @ c) / np.sqrt(
-            y2 - 2.0 * (self.boundary_points() @ c) + c @ c)
-        return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dot))
+        return _deviations(*self._coordinate_rows(), np.asarray(center, dtype=float))
 
     def profile_quadratics(self) -> tuple[float, float, float]:
         """(int u, int u^2, int |grad u|^2) over the sphere."""
@@ -379,6 +373,15 @@ class StarDomain:
         raise NotImplementedError(
             "off-grid profile evaluation needs a spectral (n=3) or analytic profile"
         )
+
+
+def _deviations(y: np.ndarray, nu: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """|rho nu - w| / rho per column, w = y - center, for (n, N) rows y and nu."""
+    w = y - center[:, None]
+    rho = np.sqrt(np.einsum("ij,ij->j", w, w))
+    d = nu * rho
+    d -= w
+    return np.sqrt(np.einsum("ij,ij->j", d, d)) / rho
 
 
 def fields_affine(f: ScalarField, a: float, b: float) -> ScalarField:

@@ -146,7 +146,7 @@ def _oracle_deviation(K, center):
     y, nu = K.boundary_points(), K.normal_field()
     rel = y - np.asarray(center, dtype=float)
     rel /= np.sqrt(np.einsum("ij,ij->i", rel, rel))[:, None]
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * np.einsum("ij,ij->i", nu, rel)))
+    return np.linalg.norm(nu - rel, axis=1)
 
 
 # -- tables ---------------------------------------------------------------------

@@ -46,7 +46,7 @@ def test_unit_ball_functionals(grid):
     b = K.curvatures()
     assert np.max(np.abs(b.H - 2.0)) < 1e-10
     assert np.max(np.abs(b.II_eigenvalues - 1.0)) < 1e-10
-    assert K.eps_size()[0] < 1e-7
+    assert K.eps_size()[0] <= 1e-14
 
 
 def test_round_sphere_scaling(grid):
