@@ -13,7 +13,7 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, nnls
 
 from quermass import fields, geometry
 from quermass.config import DEVIATION_RATIO_BOUND, MEAN_CURVATURE_AGREE
@@ -75,6 +75,7 @@ class StarDomain:
         self.center = np.zeros(self.n) if center is None else np.asarray(center, float)
         self._bundle = {}
         self._eps = {}
+        self._eps_certificate = None
         self._grad = None
         self._normals = None
         self._points = None
@@ -258,24 +259,42 @@ class StarDomain:
     def eps_size(self, optimize_center: bool = True):
         """Smallest sup-norm normal deviation over choices of the center.
 
-        Returns (value, center); Nelder-Mead seeded at the barycenter.
+        Returns (value, center) with value = max(deviation_values(center)),
+        cached per optimize_center; without it the center is the barycenter.
+        With it the center solves the epigraph problem: minimize t over
+        (c, t) subject to g_i(c) <= t, g_i = |nu_i - r_i(c)|^2 the squared
+        deviation.  An active-set loop starts from the barycenter with its
+        largest rows; SLSQP solves the problem on the active rows, with c
+        in the barycenter +- 0.3, and one full pass over all nodes adds the
+        rows that beat the active max, until the full max is the active
+        max.  Newton steps on the KKT system of the rows that stay active
+        then finish the center.  The barycenter is returned whenever it is
+        no worse.  center_certificate() reports how stationary the center is.
         """
         if optimize_center in self._eps:
             return self._eps[optimize_center]
-        seed = self.barycenter()
+        y, nu = self._coordinate_rows()
+        bary = self.barycenter()
+        dev = _deviations(y, nu, bary)
         if not optimize_center:
-            val = float(np.max(self.deviation_values(seed)))
-            self._eps[False] = (val, seed)
+            self._eps[False] = (float(np.max(dev)), bary)
             return self._eps[False]
-
-        def objective(c):
-            return np.max(self.deviation_values(c))
-
-        res = minimize(objective, seed, method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 200})
-        best = res.x if res.fun <= objective(seed) else seed
-        self._eps[True] = (float(min(res.fun, objective(seed))), np.asarray(best))
+        center, dev_c, passes = _minimax_center(y, nu, bary, dev,
+                                                float(np.mean(1.0 + self.profile.values)))
+        if np.max(dev) <= np.max(dev_c):
+            center, dev_c = bary, dev
+        value = float(np.max(dev_c))
+        active = np.flatnonzero(dev_c >= value * (1.0 - _ACTIVE_GAP))
+        _, grads = _row_terms(y[:, active].T, nu[:, active].T, center)
+        self._eps_certificate = CenterCertificate(
+            residual=_hull_point(grads)[0], active_rows=len(active), full_passes=passes)
+        self._eps[True] = (value, center)
         return self._eps[True]
+
+    def center_certificate(self) -> "CenterCertificate":
+        """Stationarity certificate of the optimized eps_size center."""
+        self.eps_size()
+        return self._eps_certificate
 
     # -- gradient-vs-normal comparison report --------------------------------------
 
@@ -373,6 +392,192 @@ class StarDomain:
         raise NotImplementedError(
             "off-grid profile evaluation needs a spectral (n=3) or analytic profile"
         )
+
+
+# -- the eps_size center: an active-set epigraph solve ------------------------------
+
+_FLAT_DEVIATION = 1e-10  # no search below this at the barycenter: rounding level
+_FIRST_ROWS = 512       # the barycenter's largest rows, from which the first set is drawn
+_ADDED_ROWS = 16        # rows taken per pass: the largest candidates ...
+_PEAKS = 8              # ... and the largest of up to this many spread-out peaks,
+_PEAK_COS = 0.9         # each at a cosine below this from the peaks taken before it
+_MAX_PASSES = 24        # full passes per center
+_CENTER_BOX = 0.3       # the center stays within the barycenter +- this per axis
+_SLSQP_FTOLS = (1e-6, 1e-10, 1e-14)  # tightened only when Newton fails to finish
+_NEAR_ACTIVE = 1e-5     # rows this close to the max (relative) enter the Newton solve
+_NEWTON_STEPS = 8
+_POLISH_SLACK = 1e-14   # relative: Newton may cost a few ulps of value
+_ACTIVE_GAP = 1e-9      # rows this close to the max (relative) are the active rows
+
+
+@dataclasses.dataclass(frozen=True)
+class CenterCertificate:
+    """How the optimized eps_size center was found, and how stationary it is."""
+
+    residual: float     # distance from 0 to the hull of the active rows' grad g_i
+    active_rows: int    # nodes within _ACTIVE_GAP of the max deviation
+    full_passes: int    # deviation evaluations over all nodes
+
+
+def _minimax_center(y, nu, bary, dev, radius) -> tuple:
+    """(center, deviations there, full passes) of the active-set solve.
+
+    y, nu are (n, N) rows and dev the deviations at the barycenter.  Each
+    SLSQP solve is followed by a full pass; when no row beats the active
+    max, Newton finishes on the near-active rows and one more full pass
+    checks it.  A Newton step that loses value retries SLSQP at a tighter
+    tolerance.  The SLSQP variables are scaled so that a unit move changes
+    g by about its max: the center by radius * max(dev), t by max(dev)^2.
+    """
+    top = float(np.max(dev))
+    if top <= _FLAT_DEVIATION:
+        return bary, dev, 1
+    scale = radius * top
+    rows = _new_rows(y, dev, np.argpartition(dev, -min(_FIRST_ROWS, dev.size))[-_FIRST_ROWS:])
+    center, passes, ftols = bary, 1, list(_SLSQP_FTOLS)
+    while passes < _MAX_PASSES:
+        center = _slsqp_center(y[:, rows].T, nu[:, rows].T, center, bary, scale,
+                               top * top, ftols[0])
+        dev = _deviations(y, nu, center)
+        passes += 1
+        beat = np.flatnonzero(dev > np.max(dev[rows]))
+        if beat.size:
+            rows = np.concatenate([rows, _new_rows(y, dev, beat)])
+            continue
+        near = rows[dev[rows] >= np.max(dev) * (1.0 - _NEAR_ACTIVE)]
+        polished = _newton_center(y[:, near].T, nu[:, near].T, center)
+        if polished is not None:
+            dev_p = _deviations(y, nu, polished)
+            passes += 1
+            if np.max(dev_p) <= np.max(dev) * (1.0 + _POLISH_SLACK):
+                center, dev = polished, dev_p
+                beat = np.flatnonzero(dev > np.max(dev[rows]))
+                if not beat.size:
+                    break
+                rows = np.concatenate([rows, _new_rows(y, dev, beat)])
+                continue
+        if len(ftols) == 1:
+            break
+        ftols.pop(0)
+    return center, dev, passes
+
+
+def _new_rows(y, dev, candidates) -> np.ndarray:
+    """The _ADDED_ROWS largest candidates and the tops of up to _PEAKS peaks.
+
+    A peak is the largest candidate left after those within cosine
+    _PEAK_COS of an earlier peak are set aside, so a pass also takes rows
+    from peaks below the largest one.
+    """
+    rows = candidates
+    if rows.size > _ADDED_ROWS:
+        rows = rows[np.argpartition(dev[rows], -_ADDED_ROWS)[-_ADDED_ROWS:]]
+    peaks = []
+    while candidates.size and len(peaks) < _PEAKS:
+        top = candidates[np.argmax(dev[candidates])]
+        peaks.append(top)
+        candidates = candidates[y[:, top] @ y[:, candidates]
+                                < _PEAK_COS * (y[:, top] @ y[:, top])]
+    return np.union1d(rows, peaks)
+
+
+def _slsqp_center(y, nu, center, bary, scale, t_scale, ftol) -> np.ndarray:
+    """SLSQP on min t s.t. g_i(c) <= t over the rows of (m, n) y, nu, from center."""
+    last = [None, None]
+
+    def parts(x):
+        if last[0] is None or not np.array_equal(last[0], x):
+            g, grads = _row_terms(y, nu, bary + scale * x[:-1])
+            jac = np.empty((len(g), len(x)))
+            jac[:, :-1] = grads * (-scale / t_scale)
+            jac[:, -1] = 1.0
+            last[:] = x.copy(), (x[-1] - g / t_scale, jac)
+        return last[1]
+
+    g, _ = _row_terms(y, nu, center)
+    x0 = np.append((center - bary) / scale, np.max(g) / t_scale)
+    unit_t = np.zeros(len(x0))
+    unit_t[-1] = 1.0
+    box = _CENTER_BOX / scale
+    res = minimize(lambda x: x[-1], x0, jac=lambda x: unit_t, method="SLSQP",
+                   bounds=[(-box, box)] * (len(x0) - 1) + [(0.0, None)],
+                   constraints={"type": "ineq", "fun": lambda x: parts(x)[0],
+                                "jac": lambda x: parts(x)[1]},
+                   options={"ftol": ftol, "maxiter": 100})
+    return bary + scale * res.x[:-1] if np.all(np.isfinite(res.x)) else center
+
+
+def _newton_center(y, nu, center):
+    """Newton on the KKT system of min t s.t. g_j(c) = t over the rows of y, nu.
+
+    The rows off the nearest point of the gradients' hull are dropped
+    first; their weights start the multipliers.  Returns None when the
+    iteration breaks down.
+    """
+    g, grads = _row_terms(y, nu, center)
+    lam = _hull_point(grads)[1]
+    keep = lam > 0.0
+    y, nu, lam = y[keep], nu[keep], lam[keep]
+    k, n = len(lam), len(center)
+    t = float(np.max(g))
+    kkt = np.zeros((n + 1 + k, n + 1 + k))
+    kkt[n, n + 1:] = 1.0
+    kkt[n + 1:, n] = -1.0
+    for _ in range(_NEWTON_STEPS):
+        g, grads, hess = _row_terms(y, nu, center, hessian=True)
+        kkt[:n, :n] = np.einsum("j,jab->ab", lam, hess)
+        kkt[:n, n + 1:] = grads.T
+        kkt[n + 1:, :n] = grads
+        rhs = -np.concatenate([lam @ grads, [lam.sum() - 1.0], g - t])
+        step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            return None
+        center, t, lam = center + step[:n], t + step[n], lam + step[n + 1:]
+        if np.max(np.abs(step[:n])) <= 1e-15 * (1.0 + np.max(np.abs(center))):
+            break
+    return center
+
+
+def _row_terms(y, nu, center, hessian=False) -> tuple:
+    """g = |rho nu - w|^2 / rho^2 and its center gradient (and Hessian) per row.
+
+    w = y - center, rho = |w|, r = w / rho for (m, n) rows y, nu: the
+    gradient is 2 (nu - (nu.r) r) / rho and, with q = nu - (nu.r) r, the
+    Hessian is 2 (r q^T + q r^T + (nu.r)(I - r r^T)) / rho^2.
+    """
+    w = y - center
+    rho = np.sqrt(np.einsum("ij,ij->i", w, w))
+    d = rho[:, None] * nu - w
+    g = np.einsum("ij,ij->i", d, d) / rho**2
+    r = w / rho[:, None]
+    nu_r = np.einsum("ij,ij->i", nu, r)
+    q = nu - nu_r[:, None] * r
+    grads = (2.0 / rho)[:, None] * q
+    if not hessian:
+        return g, grads
+    rq = r[:, :, None] * q[:, None, :]
+    proj = np.eye(len(center)) - r[:, :, None] * r[:, None, :]
+    hess = (2.0 / rho**2)[:, None, None] * (rq + rq.transpose(0, 2, 1)
+                                            + nu_r[:, None, None] * proj)
+    return g, grads, hess
+
+
+def _hull_point(grads) -> tuple:
+    """(|lam @ grads|, lam): lam on the simplex at the hull point nearest 0.
+
+    nnls on [grads^T; s 1^T] lam = [0; s], s the gradients' scale, holds
+    sum(lam) = 1 to rounding; lam is then normalized, so the distance is
+    that of a point of the hull.
+    """
+    s = float(np.max(np.abs(grads), initial=0.0))
+    if s == 0.0:
+        return 0.0, np.full(len(grads), 1.0 / len(grads))
+    a = np.vstack([grads.T, np.full(len(grads), s)])
+    b = np.zeros(len(a))
+    b[-1] = s
+    lam = nnls(a, b)[0]
+    lam /= lam.sum()
+    return float(np.linalg.norm(lam @ grads)), lam
 
 
 def _deviations(y: np.ndarray, nu: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -129,7 +129,8 @@ def route_agreement_suite(count: int = 100, eps: float = 0.3, seed: int = 2024,
                 "eps_scale": e, "lhs": float(np.max(np.abs(b.H))),
                 "rhs": float(np.max(np.abs(b.H_divergence))),
                 "slack_scale": tolerance, "margin": tolerance - b.max_route_disagreement,
-                "ratio": b.max_route_disagreement}
+                "ratio": b.max_route_disagreement,
+                "center_residual": K.center_certificate().residual}
     # the route disagreement is the measured quantity here, so its
     # warning is silenced; set in the caller, the filter reaches the
     # pooled workers through the fork
@@ -137,9 +138,11 @@ def route_agreement_suite(count: int = 100, eps: float = 0.3, seed: int = 2024,
         warnings.simplefilter("ignore", ResolutionWarning)
         rows = _pmap(one, range(count))
     worst = max(r["ratio"] for r in rows)
+    worst_center = max(r.pop("center_residual") for r in rows)
     return {"rows": rows, "columns": CUBIC_COLUMNS,
             "passed": worst <= tolerance,
-            "summary": {"worst_disagreement": worst, "tolerance": tolerance}}
+            "summary": {"worst_disagreement": worst, "tolerance": tolerance,
+                        "worst_center_residual": worst_center}}
 
 
 # -- gradient-vs-normal comparison ----------------------------------------------

@@ -22,9 +22,13 @@ def ball(grid, c=0.0):
 
 
 def translated_ball_profile(grid, t):
-    """Radial profile of the unit ball centered at t*e1."""
-    x1 = grid.nodes[:, 0]
-    vals = t * x1 + np.sqrt(1.0 - t * t + t * t * x1**2) - 1.0
+    """Radial profile of the unit ball centered at t*e1, or at t for a vector t."""
+    if np.ndim(t) == 0:
+        x1 = grid.nodes[:, 0]
+        vals = t * x1 + np.sqrt(1.0 - t * t + t * t * x1**2) - 1.0
+    else:
+        x = grid.nodes @ t
+        vals = x + np.sqrt(1.0 - t @ t + x**2) - 1.0
     return fields.analyze(ScalarField(grid, vals))
 
 
@@ -78,6 +82,27 @@ def test_translated_ball_curvatures(grid):
     eps, center = K.eps_size()
     assert eps < 1e-6
     assert_allclose(center, [t, 0, 0], atol=1e-5)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([0.05, 0.1, 0.3]),
+       s=st.floats(0.5, 2.0))
+def test_eps_size_is_scale_invariant(grid, seed, eps, s):
+    K = deficits.random_domain(3, eps, seed=seed, grid=grid)
+    value, center = K.eps_size()
+    scaled_value, scaled_center = K.scaled(s).eps_size()
+    assert abs(scaled_value - value) <= 1e-12 * value
+    assert np.max(np.abs(scaled_center - s * center)) <= 1e-9 * s
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.floats(0.0, 0.15))
+def test_translated_ball_eps_size_finds_the_center(grid, seed, length):
+    direction = np.random.default_rng(seed).standard_normal(3)
+    t = length * direction / np.linalg.norm(direction)
+    eps, center = StarDomain(translated_ball_profile(grid, t)).eps_size()
+    assert eps <= 1e-6
+    assert np.max(np.abs(center - t)) <= 1e-5
 
 
 def test_mean_curvature_routes_agree():
