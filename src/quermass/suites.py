@@ -16,6 +16,7 @@ serially.  The rows, and so the CSV bytes, do not depend on the count.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import warnings
 
@@ -54,8 +55,11 @@ def _pmap(fn, items):
     computes items[j::w]: a stride gives every process jobs of every
     dimension, and the caller's lazily built tables warm for the next
     map's children.  fn and its stride reach a child through the fork,
-    so closures need not pickle; only the rows, or the exception that
-    stopped a stride, come back pickled.  The children are reaped before
+    so closures need not pickle; only the rows and the warnings each job
+    raised, or the exception that stopped a stride, come back pickled.
+    Every process records its jobs' warnings, and the caller re-emits
+    them in job order once the rows are in, so its own filters decide
+    what is shown, as in a serial map.  The children are reaped before
     _pmap returns or raises.  A process running a second Python thread
     maps serially, since a fork copies the locks another thread holds.
     """
@@ -68,17 +72,41 @@ def _pmap(fn, items):
     return [fn(x) for x in items]
 
 
+def _recorded(fn, items) -> list:
+    """[(fn(x), the warnings it raised as (message, category, filename, lineno))]."""
+    out = []
+    for x in items:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = fn(x)
+        out.append((row, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+    return out
+
+
+def _warn_again(message, category, filename, lineno) -> None:
+    """warnings.warn_explicit with the module and registry warnings.warn uses."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+        return
+    globals_ = vars(module)
+    warnings.warn_explicit(message, category, filename, lineno, module=module.__name__,
+                           registry=globals_.setdefault("__warningregistry__", {}),
+                           module_globals=globals_)
+
+
 def _stride(fn, items, conn) -> None:
-    """A child's work: send (True, rows), or (False, the exception)."""
+    """A child's work: send (True, recorded rows), or (False, the exception)."""
     try:
-        reply = (True, [fn(x) for x in items])
+        reply = (True, _recorded(fn, items))
     except Exception as exc:
         reply = (False, exc)
     conn.send(reply)
 
 
 def _forked_map(ctx, fn, items, workers: int) -> list:
-    rows = [None] * len(items)
+    recorded = [None] * len(items)
     children = []
     try:
         for j in range(1, workers):
@@ -87,7 +115,7 @@ def _forked_map(ctx, fn, items, workers: int) -> list:
             children.append((child, recv))
             child.start()
             send.close()        # so that a child that dies leaves its pipe at EOF
-        rows[0::workers] = [fn(x) for x in items[0::workers]]
+        recorded[0::workers] = _recorded(fn, items[0::workers])
         for j, (child, recv) in enumerate(children, start=1):
             try:
                 ok, reply = recv.recv()
@@ -97,7 +125,7 @@ def _forked_map(ctx, fn, items, workers: int) -> list:
                                    f"{child.exitcode} before returning its rows") from None
             if not ok:
                 raise reply
-            rows[j::workers] = reply
+            recorded[j::workers] = reply
     except BaseException:
         for child, _ in children:
             if child.pid is not None:
@@ -109,7 +137,10 @@ def _forked_map(ctx, fn, items, workers: int) -> list:
             if child.pid is not None:
                 child.join()
                 child.close()
-    return rows
+    for _, caught in recorded:
+        for warning in caught:
+            _warn_again(*warning)
+    return [row for row, _ in recorded]
 
 
 # -- curvature-formula agreement (two mean-curvature routes) -------------------

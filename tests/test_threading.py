@@ -106,19 +106,15 @@ def test_importing_the_cli_loads_no_multiprocessing():
 
 
 def test_route_suite_threads_match_serial(monkeypatch, capfd):
-    # the suite silences its ResolutionWarning in the caller, and the
-    # filter reaches the forked workers; a worker's warning never reaches
-    # a record list in this process, so every warning is printed and the
-    # check reads what reached file descriptor 2
-    def show(message, category, filename, lineno, file=None, line=None):
-        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
+    # the suite silences its ResolutionWarning in the caller; a worker's
+    # warnings are re-emitted in the caller, where that filter drops them,
+    # and nothing a worker prints reaches file descriptor 2
     def run():
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            warnings.showwarning = show             # restored on exit
             out = suites.route_agreement_suite(count=4, eps=0.3, seed=7,
                                                resolution=16, L=6)
+        assert not [w for w in caught if issubclass(w.category, ResolutionWarning)]
         assert ResolutionWarning.__name__ not in capfd.readouterr().err
         return csv_bytes(out["rows"], out["columns"])
 
@@ -126,6 +122,42 @@ def test_route_suite_threads_match_serial(monkeypatch, capfd):
     serial = run()
     monkeypatch.setenv("QUERMASS_THREADS", "2")
     assert run() == serial
+
+
+def _warns_on_odd(x):
+    if x % 2:
+        warnings.warn(f"job {x} is odd", UserWarning)
+    return x
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_warnings_reach_the_caller_in_job_order(workers, monkeypatch):
+    def run(count):
+        monkeypatch.setenv("QUERMASS_THREADS", str(count))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = suites._pmap(_warns_on_odd, range(7))
+        assert rows == list(range(7))
+        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    serial = run(1)
+    assert [m for m, *_ in serial] == ["job 1 is odd", "job 3 is odd", "job 5 is odd"]
+    assert run(workers) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_warnings_obey_the_callers_filters(monkeypatch):
+    monkeypatch.setenv("QUERMASS_THREADS", "2")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", message="job 3")
+        suites._pmap(_warns_on_odd, range(6))
+    assert [str(w.message) for w in caught] == ["job 1 is odd", "job 5 is odd"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="job 1 is odd"):
+            suites._pmap(_warns_on_odd, range(6))
+    assert multiprocessing.active_children() == []
 
 
 def test_zonal_suites_from_a_cold_table_cache_match_serial(monkeypatch):
