@@ -46,12 +46,13 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # (n >= 4) refuse above RING_WORK_LIMIT circles (n = 4: kappa 5120, ~2 s).
 MEMORY_FRACTION = 0.75
 RING_WORK_LIMIT = 10**8
-# peak bytes per lattice point of pack_points(3, kappa) and per node of
-# total_mean_curvature_grid, measured (72; 72-124 over kappa 10-160 when
-# build_grid alone needed 72, before it dropped its angle meshes: it now
-# needs 32, and the kappa = 160 check 48) and rounded up
+# peak bytes per lattice point of pack_points(3, kappa) (72, measured, and
+# rounded up) and per node of total_mean_curvature_grid: tracemalloc over
+# kappa 10-160 gives 123 (kappa 10 and 20, the whole grid one chunk), 102
+# (40), 61 (80), 50 (120) and 48 (160, where the chunk's temporaries
+# spread over 8.7M nodes); the maximum plus a 10% margin
 _BYTES_PER_LATTICE_POINT = 80
-_BYTES_PER_GRID_NODE = 128
+_BYTES_PER_GRID_NODE = 136
 _RING_PAD = 1e-12       # relative pad of the ring angles, against rounding
 _RING_CHUNK = 1 << 16   # ring slices per numpy step, which bounds memory
 

@@ -204,6 +204,21 @@ def test_pack_points_fails_fast_over_budget():
         total_mean_curvature_grid(domain, resolution=100_000)
 
 
+def test_grid_check_peak_per_node_is_within_its_estimate():
+    # kappa = 10 runs the smallest grid (resolution 256, one chunk), where
+    # the chunk's temporaries weigh most per node
+    domain = build_counterexample(3, 0.3, 10.0)
+    nodes = 2 * 256 * 256
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        total_mean_curvature_grid(domain)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / nodes <= cx._BYTES_PER_GRID_NODE
+
+
 class _PastBudget(Exception):
     pass
 
