@@ -511,8 +511,8 @@ def _newton_center(y, nu, center):
     """Newton on the KKT system of min t s.t. g_j(c) = t over the rows of y, nu.
 
     The rows off the nearest point of the gradients' hull are dropped
-    first; their weights start the multipliers.  Returns None when the
-    iteration breaks down.
+    first (nnls leaves at most n + 1); their weights start the multipliers.
+    Returns None when the iteration breaks down.
     """
     g, grads = _row_terms(y, nu, center)
     lam = _hull_point(grads)[1]
@@ -529,7 +529,10 @@ def _newton_center(y, nu, center):
         kkt[:n, n + 1:] = grads.T
         kkt[n + 1:, :n] = grads
         rhs = -np.concatenate([lam @ grads, [lam.sum() - 1.0], g - t])
-        step = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        try:
+            step = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
         if not np.all(np.isfinite(step)):
             return None
         center, t, lam = center + step[:n], t + step[n], lam + step[n + 1:]
