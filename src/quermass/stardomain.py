@@ -264,12 +264,14 @@ class StarDomain:
         With it the center solves the epigraph problem: minimize t over
         (c, t) subject to g_i(c) <= t, g_i = |nu_i - r_i(c)|^2 the squared
         deviation.  An active-set loop starts from the barycenter with its
-        largest rows; SLSQP solves the problem on the active rows, with c
-        in the barycenter +- 0.3, and one full pass over all nodes adds the
-        rows that beat the active max, until the full max is the active
-        max.  Newton steps on the KKT system of the rows that stay active
-        then finish the center.  The barycenter is returned whenever it is
-        no worse.  center_certificate() reports how stationary the center is.
+        largest rows and the tops of its other peaks; SLSQP solves the
+        problem on the active rows, with c in the barycenter +- 0.3, and one
+        full pass over all nodes adds the rows that beat the active max,
+        until the full max is the active max.  Newton steps on the KKT
+        system of the rows that stay active then finish the center.  The
+        barycenter is returned whenever it is no worse, and unsearched when
+        its deviation is at rounding level (<= 1e-10).  center_certificate()
+        reports how stationary the center is.
         """
         if optimize_center in self._eps:
             return self._eps[optimize_center]
@@ -293,7 +295,8 @@ class StarDomain:
 
     def center_certificate(self) -> "CenterCertificate":
         """Stationarity certificate of the optimized eps_size center."""
-        self.eps_size()
+        if self._eps_certificate is None:
+            self.eps_size()
         return self._eps_certificate
 
     # -- gradient-vs-normal comparison report --------------------------------------
@@ -440,25 +443,20 @@ def _minimax_center(y, nu, bary, dev, radius) -> tuple:
                                top * top, ftols[0])
         dev = _deviations(y, nu, center)
         passes += 1
-        beat = np.flatnonzero(dev > np.max(dev[rows]))
-        if beat.size:
-            rows = np.concatenate([rows, _new_rows(y, dev, beat)])
-            continue
-        near = rows[dev[rows] >= np.max(dev) * (1.0 - _NEAR_ACTIVE)]
-        polished = _newton_center(y[:, near].T, nu[:, near].T, center)
-        if polished is not None:
-            dev_p = _deviations(y, nu, polished)
-            passes += 1
-            if np.max(dev_p) <= np.max(dev) * (1.0 + _POLISH_SLACK):
-                center, dev = polished, dev_p
-                beat = np.flatnonzero(dev > np.max(dev[rows]))
-                if not beat.size:
+        if np.max(dev) <= np.max(dev[rows]):
+            near = rows[dev[rows] >= np.max(dev) * (1.0 - _NEAR_ACTIVE)]
+            polished = _newton_center(y[:, near].T, nu[:, near].T, center)
+            dev_p = None if polished is None else _deviations(y, nu, polished)
+            passes += polished is not None
+            if dev_p is None or np.max(dev_p) > np.max(dev) * (1.0 + _POLISH_SLACK):
+                if len(ftols) == 1:
                     break
-                rows = np.concatenate([rows, _new_rows(y, dev, beat)])
+                ftols.pop(0)
                 continue
-        if len(ftols) == 1:
-            break
-        ftols.pop(0)
+            center, dev = polished, dev_p
+            if np.max(dev) <= np.max(dev[rows]):
+                break
+        rows = np.concatenate([rows, _new_rows(y, dev, np.flatnonzero(dev > np.max(dev[rows])))])
     return center, dev, passes
 
 
