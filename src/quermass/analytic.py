@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from quermass.geometry import POLE_SIN, zonal_laplacian
+from quermass.geometry import (POLE_SIN, area_jacobian, mean_curvature_from_scalars,
+                               zonal_laplacian)
 from quermass.grids import SphericalGrid, tangent_frames
 
 # nodes per block when a per-grid method walks the whole grid
@@ -304,6 +305,38 @@ class GeodesicRadialField:
         """
         for start, stop, idx, _, _, d in self.grid_members(grid, block):
             yield start, stop, idx - start, self._invariants(d, grid.n)
+
+    def integrated_mean_curvature(self, grid: SphericalGrid, chunk: int) -> float:
+        """Integral of H over the radial graph of the field, in one member pass.
+
+        Streamed over node chunks of chunk nodes: the curvature is
+        evaluated at the members of the supports only, and every other
+        node gets that of the round sphere u = offset.  Each chunk is
+        summed in node order, so the result does not depend on how the
+        members were found.  Raises ValueError where 1 + u <= 0 at a
+        node (the graph is not star-shaped), from the same values the
+        pass integrates.
+        """
+        n, weights = grid.n, grid.weights
+
+        def integrand(u, grad2, lap, cubic):
+            if u.size and np.min(1.0 + u) <= 0.0:
+                raise ValueError("profile violates 1 + u > 0: not star-shaped")
+            H = mean_curvature_from_scalars(u, grad2, lap, cubic, n)
+            return H, area_jacobian(u, grad2, n)
+
+        outside = None      # (H, J) off the supports, once a node needs it
+        total = 0.0
+        for start, stop, idx, inv in self.grid_scalar_invariants(grid, chunk):
+            H, J = np.empty(stop - start), np.empty(stop - start)
+            if len(idx) < stop - start:
+                if outside is None:
+                    outside = integrand(*(np.array([v]) for v in self.outside_invariants()))
+                H.fill(outside[0][0])
+                J.fill(outside[1][0])
+            H[idx], J[idx] = integrand(*inv)
+            total += float(np.sum(weights[start:stop] * H * J))
+        return total
 
 
 def zonal_field(f, fd, fdd, axis=None, n: int = 3) -> GeodesicRadialField:

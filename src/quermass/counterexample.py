@@ -11,18 +11,21 @@ kappa large.
 The dent centers on S^2 are a thinned spherical Fibonacci lattice: for
 the index offset m the height gap and the azimuth step are fixed, so an
 exact certificate over offsets finds every pair closer than 2/kappa in
-O(N log kappa) time and O(N) memory, with no KD-tree (Keinert et al.,
-Spherical Fibonacci Mapping, ACM TOG 34(6), 2015); the dense-grid check
-reads its coordinates.  On S^{n-1}, n >= 4, only the zonal total runs,
-which needs only the number of dents: that of a recursive latitude-ring
-packing (after the EQ partition, Leopardi, ETNA 25, 2006), counted
-without coordinates.  Lattices and grid checks above memory_budget(),
-and ring counts above RING_WORK_LIMIT, fail fast.
+O(N log kappa) time, with no KD-tree (Keinert et al., Spherical
+Fibonacci Mapping, ACM TOG 34(6), 2015).  It streams the lattice in
+index blocks, so the count takes O(block) memory; only the dense-grid
+check and the mesh export read the coordinates.  On S^{n-1}, n >= 4,
+only the zonal total runs, which needs only the number of dents: that
+of a recursive latitude-ring packing (after the EQ partition, Leopardi,
+ETNA 25, 2006), counted without coordinates.  Counts above WORK_LIMIT
+lattice points or circles, and grid checks or coordinates above
+memory_budget(), fail fast.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 
@@ -39,26 +42,37 @@ from quermass.grids import build_grid, panel_rule, sphere_area
 FIB_MIN_DIST = 3.0921
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-# Packings and dense-grid checks refuse to start (MemoryBudgetError) when
-# their estimated working set exceeds MEMORY_FRACTION of the machine's
-# physical memory (memory_budget()); on 8 GB that admits the kappa = 5120
-# lattice (62.6M points) and the kappa = 320 grid check.  Ring counts
-# (n >= 4) refuse above RING_WORK_LIMIT circles (n = 4: kappa 5120, ~2 s).
+# Dense-grid checks, and the coordinates of a lattice when read, refuse to
+# start (MemoryBudgetError) when their estimated working set exceeds
+# MEMORY_FRACTION of the machine's physical memory (memory_budget()); on
+# 8 GB that admits the kappa = 640 grid check (138M nodes, ~4.7 GiB).
+# Counts refuse above WORK_LIMIT lattice points (n = 3) or circles
+# (n >= 4), whatever the machine: both admit kappa 5120 (n = 3: 62.6M
+# points, ~6 s; n = 4: ~2 s).
 MEMORY_FRACTION = 0.75
-RING_WORK_LIMIT = 10**8
-# peak bytes per lattice point of pack_points(3, kappa) (72, measured, and
-# rounded up) and per node of total_mean_curvature_grid: tracemalloc over
-# kappa 10-160 gives 123 (kappa 10 and 20, the whole grid one chunk), 102
-# (40), 61 (80), 50 (120) and 48 (160, where the chunk's temporaries
-# spread over 8.7M nodes); the maximum plus a 10% margin
-_BYTES_PER_LATTICE_POINT = 80
-_BYTES_PER_GRID_NODE = 136
+WORK_LIMIT = 10**8
+# lattice points per block of the streamed lattice: its coordinates,
+# temporaries and pair distances take O(block) memory
+_LATTICE_BLOCK = 1 << 16
+_SLICED_RANGE = 4096    # index ranges this long are sliced, shorter ones gathered
+# peak bytes of the lattice coordinates (PackedPoints.points) and of the
+# dense-grid check: per point or node of the output, plus per point or
+# node of one block or chunk.  tracemalloc gives 24 B per point and at
+# most 65 B per block point (kappa 10-2560); for the grid check, a fit
+# over kappa 10-160 gives 32.4 B per node (nodes and weights) and
+# 113 B per chunk node (its temporaries), and never underestimates the
+# peak.  The estimates add a 10% margin to the temporaries and the fit.
+_BYTES_PER_LATTICE_POINT = 24
+_BYTES_PER_BLOCK_POINT = 72
+_BYTES_PER_GRID_NODE = 36
+_BYTES_PER_CHUNK_NODE = 125
 _RING_PAD = 1e-12       # relative pad of the ring angles, against rounding
 _RING_CHUNK = 1 << 16   # ring slices per numpy step, which bounds memory
 
 
 class MemoryBudgetError(ValueError):
-    """A packing or grid check over memory_budget(), or rings over RING_WORK_LIMIT."""
+    """A grid check or lattice coordinates over memory_budget(), or a count
+    over WORK_LIMIT."""
 
 
 def _physical_memory() -> int:
@@ -70,6 +84,17 @@ def memory_budget() -> int:
     return int(MEMORY_FRACTION * _physical_memory())
 
 
+def _points_bytes(count: int, lattice: int) -> int:
+    """Estimated peak of building count points of a lattice of that size."""
+    return (count * _BYTES_PER_LATTICE_POINT
+            + min(lattice, _LATTICE_BLOCK) * _BYTES_PER_BLOCK_POINT)
+
+
+def _grid_check_bytes(nodes: int, chunk: int) -> int:
+    """Estimated peak of a dense-grid check over nodes in chunks of chunk."""
+    return nodes * _BYTES_PER_GRID_NODE + min(nodes, chunk) * _BYTES_PER_CHUNK_NODE
+
+
 def _check_budget(what: str, items: int, unit: str, nbytes: int) -> None:
     budget = memory_budget()
     if nbytes > budget:
@@ -77,6 +102,13 @@ def _check_budget(what: str, items: int, unit: str, nbytes: int) -> None:
             f"{what} needs {items:,} {unit}, about {nbytes / 2**30:.1f} GiB, "
             f"above the {budget / 2**30:.1f} GiB budget ({MEMORY_FRACTION:g} "
             f"of physical memory, quermass.counterexample.MEMORY_FRACTION)")
+
+
+def _check_work(what: str, items: int, unit: str) -> None:
+    if items > WORK_LIMIT:
+        raise MemoryBudgetError(
+            f"{what} would count {items:,} {unit}, above the work budget of "
+            f"{WORK_LIMIT:.0e} (quermass.counterexample.WORK_LIMIT)")
 
 
 # -- the radial dent profile -----------------------------------------------------
@@ -198,35 +230,75 @@ def make_bump(kappa: float, eps: float) -> BumpProfile:
 class PackedPoints:
     """Dent centers on S^{n-1}, pairwise at least 2/kappa apart.
 
-    min_distance is the exact minimum of the n = 3 lattice; a ring count
-    (n >= 4) has points None and min_distance 2/kappa, its proved bound.
+    Three kinds: explicit coordinates; the thinned n = 3 Fibonacci
+    lattice, fibonacci_sphere(lattice) without the rows dropped, whose
+    points are built on first read (MemoryBudgetError over
+    memory_budget()); and a ring count (n >= 4), whose points are None.
+    min_distance is the exact minimum of the lattice; a ring count has
+    2/kappa, its proved bound.
     """
 
     n: int
     kappa: float
-    points: np.ndarray | None
+    coordinates: np.ndarray | None
     min_distance: float
     count: int | None = None
+    lattice: int = 0
+    dropped: np.ndarray | None = None
 
     def __post_init__(self):
         if self.count is None:
-            object.__setattr__(self, "count", len(self.points))
+            count = (len(self.coordinates) if self.lattice == 0
+                     else self.lattice - len(self.dropped))
+            object.__setattr__(self, "count", count)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray | None:
+        if self.lattice == 0:
+            return self.coordinates
+        _check_budget(f"the points of pack_points(3, {self.kappa:g})", self.count,
+                      "points", _points_bytes(self.count, self.lattice))
+        return fibonacci_sphere(self.lattice, self.dropped)
 
     @property
     def packing_constant(self) -> float:
         return self.count / self.kappa ** (self.n - 1)
 
 
-def fibonacci_sphere(count: int) -> np.ndarray:
-    i = np.arange(count)
+def _fibonacci_block(count: int, start: int, stop: int) -> tuple:
+    """(z, x, y) of the points [start, stop) of fibonacci_sphere(count).
+
+    Every value is computed elementwise from its index alone, so a block
+    holds the same bits as the corresponding rows of the whole lattice.
+    """
+    i = np.arange(start, stop)
     z = 1.0 - (2.0 * i + 1.0) / count
     phi = 2.0 * math.pi * i / GOLDEN
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([z, r * np.cos(phi), r * np.sin(phi)], axis=1)
+    return z, r * np.cos(phi), r * np.sin(phi)
 
 
-def _close_pairs(points: np.ndarray, reach: float):
-    """All pairs i < j of points = fibonacci_sphere(N) closer than reach.
+def fibonacci_sphere(count: int, dropped=()) -> np.ndarray:
+    """The count-point spherical Fibonacci lattice as (N, 3) rows (z, x, y),
+    without the rows whose indices are in dropped (sorted).
+
+    Filled block by block, so the peak is the output plus O(block).
+    """
+    dropped = np.asarray(dropped, dtype=np.int64)
+    out = np.empty((count - len(dropped), 3))
+    row = 0
+    for start in range(0, count, _LATTICE_BLOCK):
+        stop = min(start + _LATTICE_BLOCK, count)
+        gone = dropped[np.searchsorted(dropped, start):np.searchsorted(dropped, stop)]
+        rows = stop - start - len(gone)
+        for k, column in enumerate(_fibonacci_block(count, start, stop)):
+            out[row:row + rows, k] = np.delete(column, gone - start)
+        row += rows
+    return out
+
+
+def _close_pairs(N: int, reach: float):
+    """All pairs i < j of fibonacci_sphere(N) closer than reach.
 
     Returns (i, j, d2), d2 being the squared distance summed over the
     coordinates in order, as a KD-tree sums it.  For j = i + m the
@@ -235,12 +307,17 @@ def _close_pairs(points: np.ndarray, reach: float):
     rho = min(r_i, r_j).  Hence only offsets m < reach N / 2 can hold a
     close pair, and for each only the i with an end in one of the polar
     caps r < R_m, where R_m follows from the bound: two contiguous index
-    ranges.  Exact distances are evaluated on those ranges, one offset
-    at a time.  The bound is padded for the rounding of the computed
-    angles and radii, so no pair closer than reach is skipped.
+    ranges.  Exact distances are evaluated on those ranges: the long
+    ones one offset at a time, the short ones gathered together.  The
+    bound is padded for the rounding of the computed angles and radii,
+    so no pair closer than reach is skipped.
+
+    The lattice is streamed: the points of each block of _LATTICE_BLOCK
+    indices, and as many more as the largest offset, come from
+    _fibonacci_block, so memory is O(block + pairs) and the pairs do not
+    depend on the block size.
     """
-    N = len(points)
-    z, x, y = points[:, 0], points[:, 1], points[:, 2]
+    block = _LATTICE_BLOCK
     bound = reach * (1.0 + 1e-6)
     m = np.arange(1, min(N - 1, int(bound * N / 2.0) + 1) + 1)
     turns = m / GOLDEN
@@ -252,54 +329,75 @@ def _close_pairs(points: np.ndarray, reach: float):
         cap_r2 = np.minimum(room / (4.0 * np.sin(0.5 * step) ** 2), 1.0)
     # indices i with r_i < R lie in i < N (1 - sqrt(1 - R^2)) / 2
     caps = np.ceil(0.5 * N * cap_r2 / (1.0 + np.sqrt(1.0 - cap_r2))) + 2
-    caps = np.where(room > 0.0, np.where(cap_r2 < 1.0, caps, N), 0).astype(int)
+    caps = np.where(room > 0.0, np.where(cap_r2 < 1.0, caps, N), 0).astype(np.int64)
+    # per offset, i runs over [0, last): the two caps [0, cap) and
+    # [last - cap, last), or all of it where they meet
+    last = N - m
+    whole = 2 * caps >= last
+    first = np.concatenate([np.zeros_like(m), np.where(whole, last, last - caps)])
+    stop = np.concatenate([np.where(whole, last, caps), last])
+    off = np.concatenate([m, m])
+    overlap = int(m[-1]) if len(m) else 0
     limit = reach * reach
-    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
-    for off, cap in zip(m.tolist(), caps.tolist()):
-        last = N - off            # i runs over [0, last)
-        if cap == 0:
-            continue
-        if 2 * cap >= last:
-            ranges = ((0, last),)
-        else:
-            ranges = ((0, cap), (last - cap, last))
-        for a, b in ranges:
-            t = z[a + off:b + off] - z[a:b]
-            d2 = t * t
-            np.subtract(x[a + off:b + off], x[a:b], out=t)
-            d2 += t * t
-            np.subtract(y[a + off:b + off], y[a:b], out=t)
-            d2 += t * t
+    found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for b0 in range(0, N, block):
+        b1 = min(b0 + block, N)
+        # the ranges within the block, local to it: long ones as slices,
+        # the short ones gathered, at most about a block of pairs at a time
+        lo = np.maximum(first, b0) - b0
+        size = np.maximum(np.minimum(stop, b1) - b0 - lo, 0)
+        if not size.any():
+            continue            # a block between the caps: no point is built
+        zxy = _fibonacci_block(N, b0, min(b1 + overlap, N))
+        for k in np.flatnonzero(size >= _SLICED_RANGE).tolist():
+            a, b, o = int(lo[k]), int(lo[k] + size[k]), int(off[k])
+            d2 = _squared_distances(zxy, slice(a, b), slice(a + o, b + o))
             hit = np.flatnonzero(d2 < limit)
-            if hit.size:
-                found.append((hit + a, hit + (a + off), d2[hit]))
+            found.append((hit + (b0 + a), hit + (b0 + a + o), d2[hit]))
+        short = np.flatnonzero((size > 0) & (size < _SLICED_RANGE))
+        total = np.cumsum(size[short])
+        cuts = np.searchsorted(total, np.arange(block, total[-1] if len(total) else 0, block))
+        for part in np.split(short, cuts):
+            i = _ranges(lo[part], size[part])
+            j = i + np.repeat(off[part], size[part])
+            d2 = _squared_distances(zxy, i, j)
+            hit = np.flatnonzero(d2 < limit)
+            found.append((i[hit] + b0, j[hit] + b0, d2[hit]))
     return tuple(np.concatenate(column) for column in zip(*found))
 
 
+def _squared_distances(zxy, i, j) -> np.ndarray:
+    """|p_j - p_i|^2 summed over z, x, y in order; i, j slices or indices."""
+    t = zxy[0][j] - zxy[0][i]
+    d2 = t * t
+    for c in zxy[1:]:
+        np.subtract(c[j], c[i], out=t)
+        d2 += t * t
+    return d2
+
+
 def _thinned_fibonacci(count: int, min_d: float):
-    """fibonacci_sphere(count) without the later point of each pair closer
-    than min_d, and the exact minimal distance of what remains.
+    """The indices fibonacci_sphere(count) drops to keep its points min_d
+    apart (the later point of each closer pair, sorted), and the exact
+    minimal distance of what remains.
 
     Deleting points creates no new pair, so one pass over the close pairs
     of the full lattice thins it completely.  The minimal distance comes
     from the same evaluated pairs; when none of them survives, the reach
     doubles until it covers all pairs.  Returns None below two points.
     """
-    pts = fibonacci_sphere(count)
     cut = min_d * (1.0 - 1e-12)
     reach = 1.05 * min_d
-    i, j, d2 = _close_pairs(pts, reach)
-    keep = np.ones(count, dtype=bool)
-    keep[j[d2 <= cut * cut]] = False
-    if np.count_nonzero(keep) < 2:
+    i, j, d2 = _close_pairs(count, reach)
+    dropped = np.unique(j[d2 <= cut * cut])
+    if count - len(dropped) < 2:
         return None
-    both = keep[i] & keep[j]
+    both = ~(np.isin(i, dropped) | np.isin(j, dropped))
     while not both.any():
         reach *= 2.0
-        i, j, d2 = _close_pairs(pts, reach)
-        both = keep[i] & keep[j]
-    points = pts if keep.all() else pts[keep]
-    return points, float(np.sqrt(d2[both].min()))
+        i, j, d2 = _close_pairs(count, reach)
+        both = ~(np.isin(i, dropped) | np.isin(j, dropped))
+    return dropped, float(np.sqrt(d2[both].min()))
 
 
 def _half_gaps(radius: np.ndarray, kappa: float) -> np.ndarray:
@@ -355,32 +453,29 @@ def pack_points(n: int, kappa: float) -> PackedPoints:
 
     n = 3 thins the Fibonacci lattice sized from its measured minimal
     distance: an exact certificate over index offsets (_close_pairs)
-    finds every pair closer than 2/kappa in O(N log kappa) time and O(N)
-    memory, drops the later point of each, and gives the exact minimal
-    distance of the rest.  Other dimensions count the latitude rings
-    (ring_circles) without coordinates, in work growing like kappa^{n-2}
-    (n = 4: about 2.47 kappa^3 points).  Below two points the result is
-    the antipodal pair.  Raises MemoryBudgetError up front when the
-    lattice would need more than memory_budget() or the rings more than
-    RING_WORK_LIMIT circles.
+    finds every pair closer than 2/kappa in O(N log kappa) time and
+    O(block) memory, drops the later point of each, and gives the exact
+    minimal distance of the rest; the points are built only when read.
+    Other dimensions count the latitude rings (ring_circles) without
+    coordinates, in work growing like kappa^{n-2} (n = 4: about
+    2.47 kappa^3 points).  Below two points the result is the antipodal
+    pair.  Raises MemoryBudgetError up front when the lattice holds more
+    than WORK_LIMIT points or the rings more than WORK_LIMIT circles.
     """
     if n < 2:
         raise ValueError(f"pack_points needs n >= 2, got {n}")
     min_d = 2.0 / kappa
     what = f"pack_points({n}, {kappa:g})"
     if n == 3:
-        count = max(2, int((FIB_MIN_DIST * kappa / 2.0) ** 2 * 0.999))
-        _check_budget(what, count, "points", count * _BYTES_PER_LATTICE_POINT)
-        packed = _thinned_fibonacci(count, min_d)
+        lattice = max(2, int((FIB_MIN_DIST * kappa / 2.0) ** 2 * 0.999))
+        _check_work(what, lattice, "lattice points")
+        packed = _thinned_fibonacci(lattice, min_d)
         if packed is not None:
-            return PackedPoints(n, kappa, *packed)
+            dropped, d_min = packed
+            return PackedPoints(n, kappa, None, d_min, lattice=lattice, dropped=dropped)
     else:
         slices = math.floor(0.5 * math.pi / _half_gaps(np.ones(1), kappa)[0]) + 1
-        work = slices ** (n - 2)
-        if work > RING_WORK_LIMIT:
-            raise MemoryBudgetError(
-                f"{what} would count about {work:.3g} circles, above the work budget "
-                f"of {RING_WORK_LIMIT:.0e} (quermass.counterexample.RING_WORK_LIMIT)")
+        _check_work(what, slices ** (n - 2), "circles")
         count = sum(int(_circle_capacity(radius, kappa).sum())
                     for _, radius in ring_circles(n, kappa, coordinates=False))
         if count >= 2:
@@ -511,11 +606,12 @@ def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = Non
                               chunk: int = 400_000) -> float:
     """Independent check on a dense 2-D grid (n = 3).
 
-    Every node is integrated, in chunks of chunk nodes: the curvature of
-    the dented profile at the nodes inside a dent, which the provider
-    finds by latitude bands, and that of the round sphere elsewhere.
-    Raises MemoryBudgetError, before building the grid, when its nodes
-    would need more than memory_budget().
+    Every node is integrated in one pass over the provider's members,
+    in chunks of chunk nodes: the curvature of the dented profile at the
+    nodes inside a dent, which the provider finds by latitude bands, and
+    that of the round sphere elsewhere.  Raises MemoryBudgetError, before
+    building the grid, when the check would need more than
+    memory_budget().
     """
     if domain.n != 3:
         raise ValueError("the full-grid route is built for n = 3")
@@ -524,11 +620,10 @@ def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = Non
         # against the dent lattice and inflate the quadrature error
         resolution = max(256, int(math.ceil(13 * domain.kappa)))
     nodes = 2 * resolution * resolution
-    _check_budget(f"the dense-grid check at resolution {resolution}", nodes,
-                  "nodes", nodes * _BYTES_PER_GRID_NODE)
+    _check_budget(f"the dense-grid check at resolution {resolution}", nodes, "nodes",
+                  _grid_check_bytes(nodes, chunk))
     grid = build_grid(3, resolution)
-    K = domain.on_grid(grid)
-    return K.integrated_mean_curvature(chunk=chunk)
+    return domain.provider().integrated_mean_curvature(grid, chunk)
 
 
 def total_mean_curvature(n: int, eps: float, kappa: float, method: str = "zonal",
@@ -589,8 +684,7 @@ def find_negative_mean_curvature(n: int, eps: float, threshold: float = -1.0,
 
     Never silent: returns found=False with the full history and the
     reason when kappa_max is passed or the next packing would exceed
-    memory_budget() or RING_WORK_LIMIT (the history then ends at the
-    last kappa within it).
+    WORK_LIMIT (the history then ends at the last kappa within it).
     """
     history = []
     kappa = float(kappa_start)

@@ -198,31 +198,15 @@ class StarDomain:
     def integrated_mean_curvature(self, chunk: int = 200_000) -> float:
         """Integral of H over the boundary using the scalar fast path.
 
-        For analytic profiles the evaluation is streamed over node
-        chunks, which keeps memory flat on very fine diagnostic grids.
-        The curvature is evaluated only at the nodes inside the
-        provider's supports; every other node gets that of the round
-        sphere u = offset.  Each chunk is summed in node order, so the
-        result does not depend on how the members were found.
+        Analytic profiles are streamed over node chunks by the provider
+        (GeodesicRadialField.integrated_mean_curvature), which keeps
+        memory flat on very fine diagnostic grids.
         """
         prof = self.profile
         if prof.analytic is None:
             f = self.curvature_integrals()
             return f.int_H
-        n, weights = self.n, self.grid.weights
-
-        def integrand(u, grad2, lap, cubic):
-            H = geometry.mean_curvature_from_scalars(u, grad2, lap, cubic, n)
-            return H, geometry.area_jacobian(u, grad2, n)
-
-        H0, J0 = integrand(*(np.array([v]) for v in prof.analytic.outside_invariants()))
-        total = 0.0
-        for start, stop, idx, inv in prof.analytic.grid_scalar_invariants(self.grid, chunk):
-            H = np.full(stop - start, H0[0])
-            J = np.full(stop - start, J0[0])
-            H[idx], J[idx] = integrand(*inv)
-            total += float(np.sum(weights[start:stop] * H * J))
-        return total
+        return prof.analytic.integrated_mean_curvature(self.grid, chunk)
 
     # -- normal-deviation size ----------------------------------------------------
 

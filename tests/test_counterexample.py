@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from quermass import counterexample as cx, geometry
+from quermass.analytic import GeodesicRadialField
 from quermass.axisym import axial_functionals
 from quermass.counterexample import (
     FIB_MIN_DIST,
@@ -28,7 +29,9 @@ from quermass.counterexample import (
     total_mean_curvature_grid,
     total_mean_curvature_zonal,
 )
+from quermass.fields import ScalarField
 from quermass.grids import build_grid, panel_rule, sphere_area
+from quermass.stardomain import StarDomain
 
 
 # -- reference packer: the KD-tree thinning that pack_points(3, kappa)
@@ -108,10 +111,83 @@ def test_oversized_lattice_loses_the_same_points(kappa):
     # certificate must find and drop many close pairs
     count = int(1.2 * _lattice_count(kappa))
     ref_pts, ref_min = _reference_thinning(count, 2.0 / kappa)
-    pts, d_min = _thinned_fibonacci(count, 2.0 / kappa)
+    dropped, d_min = _thinned_fibonacci(count, 2.0 / kappa)
+    pts = fibonacci_sphere(count, dropped)
     assert len(pts) < 0.9 * count
     assert np.array_equal(pts, ref_pts)
     assert d_min == ref_min
+
+
+def _one_shot_fibonacci(count):
+    i = np.arange(count)
+    z = 1.0 - (2.0 * i + 1.0) / count
+    phi = 2.0 * math.pi * i / cx.GOLDEN
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([z, r * np.cos(phi), r * np.sin(phi)], axis=1)
+
+
+def test_blockwise_lattice_is_bit_identical_to_the_whole_array():
+    count = 3 * cx._LATTICE_BLOCK + 17
+    whole = _one_shot_fibonacci(count)
+    assert np.array_equal(fibonacci_sphere(count), whole)
+    dropped = np.array([0, 5, cx._LATTICE_BLOCK - 1, cx._LATTICE_BLOCK, count - 1])
+    assert np.array_equal(fibonacci_sphere(count, dropped),
+                          np.delete(whole, dropped, axis=0))
+
+
+def _sorted_pairs(pairs):
+    i, j, d2 = pairs
+    order = np.lexsort((j, i))
+    return i[order], j[order], d2[order]
+
+
+def _streamed(count, min_d, block, monkeypatch):
+    monkeypatch.setattr(cx, "_LATTICE_BLOCK", block)
+    return (_sorted_pairs(cx._close_pairs(count, 1.05 * min_d)),
+            _thinned_fibonacci(count, min_d))
+
+
+@pytest.mark.parametrize("oversize", [1.0, 1.2])
+@pytest.mark.parametrize("kappa", [10.0, 80.0])
+def test_streamed_certificate_does_not_depend_on_the_block(monkeypatch, kappa, oversize):
+    # a prime block cuts the lattice at arbitrary indices, within the
+    # reach of the largest offset
+    count = int(oversize * _lattice_count(kappa))
+    pairs, (dropped, d_min) = _streamed(count, 2.0 / kappa, 9_973, monkeypatch)
+    one_pairs, (one_dropped, one_min) = _streamed(count, 2.0 / kappa, count, monkeypatch)
+    for got, want in zip(pairs, one_pairs):
+        assert np.array_equal(got, want)
+    assert np.array_equal(dropped, one_dropped)
+    assert d_min == one_min
+    assert (len(dropped) > 0.1 * count) == (oversize > 1.0)
+
+
+def test_lattice_count_reads_no_coordinates():
+    # measured 7.5 MB; the coordinates alone would take 376 MB
+    tracemalloc.start()
+    try:
+        packed = pack_points(3, 2560.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert packed.count == 15_649_212 and "points" not in vars(packed)
+
+
+@pytest.mark.parametrize("oversize", [1.0, 1.2])
+def test_lattice_points_peak_is_within_its_estimate(oversize):
+    # kappa = 640: 978,075 points in 15 blocks
+    count = int(oversize * _lattice_count(640.0))
+    dropped, d_min = _thinned_fibonacci(count, 2.0 / 640.0)
+    packed = PackedPoints(3, 640.0, None, d_min, lattice=count, dropped=dropped)
+    tracemalloc.start()
+    try:
+        points = packed.points
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == packed.count
+    assert peak <= cx._points_bytes(packed.count, count)
 
 
 def _brute_force_min_distance(pts):
@@ -174,7 +250,7 @@ def test_ring_packing_has_counts_but_no_provider():
 
 def test_ring_count_refused_over_its_work_budget():
     t0 = time.perf_counter()
-    with pytest.raises(MemoryBudgetError, match="RING_WORK_LIMIT"):
+    with pytest.raises(MemoryBudgetError, match="WORK_LIMIT"):
         pack_points(4, 1e5)
     assert time.perf_counter() - t0 < 1.0
 
@@ -216,7 +292,7 @@ def test_grid_check_peak_per_node_is_within_its_estimate():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak / nodes <= cx._BYTES_PER_GRID_NODE
+    assert peak <= cx._grid_check_bytes(nodes, 400_000)
 
 
 class _PastBudget(Exception):
@@ -228,30 +304,46 @@ def _raise_past_budget(*args, **kwargs):
 
 
 def test_budget_follows_physical_memory(monkeypatch):
-    # on 8 GiB the kappa = 5120 lattice (62.6M points, ~4.7 GiB) and the
-    # kappa = 320 grid check (34.6M nodes, ~4.1 GiB) are let through to
-    # the allocation, which is stubbed out; on 4 GiB both are refused
+    # on 2 GiB the kappa = 320 grid check (34.6M nodes, ~1.2 GiB) and the
+    # coordinates of the kappa = 5120 lattice (62.6M points, ~1.4 GiB) are
+    # let through to the allocation, which is stubbed out; on 1 GiB both
+    # are refused
     domain = build_counterexample(3, 0.3, 320.0)
+    lattice = PackedPoints(3, 5120.0, None, 2.0 / 5120.0, lattice=62_596_850,
+                           dropped=np.zeros(0, dtype=np.int64))
     monkeypatch.setattr(cx, "fibonacci_sphere", _raise_past_budget)
     monkeypatch.setattr(cx, "build_grid", _raise_past_budget)
-    monkeypatch.setattr(cx, "_physical_memory", lambda: 8 * 2**30)
-    assert cx.memory_budget() == 6 * 2**30
+    monkeypatch.setattr(cx, "_physical_memory", lambda: 2 * 2**30)
+    assert cx.memory_budget() == 1.5 * 2**30
     with pytest.raises(_PastBudget):
-        pack_points(3, 5120.0)
+        lattice.points
     with pytest.raises(_PastBudget):
         total_mean_curvature_grid(domain)
-    monkeypatch.setattr(cx, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(cx, "_physical_memory", lambda: 2**30)
     with pytest.raises(MemoryBudgetError, match="62,596,850 points"):
-        pack_points(3, 5120.0)
+        lattice.points
     with pytest.raises(MemoryBudgetError, match="34,611,200 nodes"):
         total_mean_curvature_grid(domain)
 
 
+@pytest.mark.parametrize("memory", [2**30, 64 * 2**30])
+def test_lattice_count_follows_the_work_limit(monkeypatch, memory):
+    # the kappa = 5120 lattice (62.6M points) is let through to the count,
+    # which is stubbed out, and kappa = 10240 (250M points) is refused
+    # fast, whatever the machine's memory
+    monkeypatch.setattr(cx, "_close_pairs", _raise_past_budget)
+    monkeypatch.setattr(cx, "_physical_memory", lambda: memory)
+    with pytest.raises(_PastBudget):
+        pack_points(3, 5120.0)
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryBudgetError, match="250,387,400 lattice points"):
+        pack_points(3, 10240.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_search_stops_at_the_last_kappa_within_budget(monkeypatch):
-    # a budget that admits the kappa = 80 lattice (15282 points) but not 160
-    monkeypatch.setattr(cx, "_physical_memory",
-                        lambda: 20_000 * cx._BYTES_PER_LATTICE_POINT
-                        / cx.MEMORY_FRACTION)
+    # a work limit that admits the kappa = 80 lattice (15282 points) but not 160
+    monkeypatch.setattr(cx, "WORK_LIMIT", 20_000)
     out = find_negative_mean_curvature(3, 0.3, kappa_start=20.0)
     assert not out["found"]
     assert [r["kappa"] for r in out["history"]] == [20.0, 40.0, 80.0]
@@ -490,6 +582,38 @@ def test_dented_profile_on_grid_is_bit_identical():
     assert np.array_equal(values, _kdtree_profile(domain, grid.nodes)[0])
 
 
+def _flat_cap(height, offset, support):
+    """u = offset + height on the cap of this radius about e_1, offset elsewhere."""
+    zero = lambda r: 0.0 * r
+    return GeodesicRadialField(np.array([[1.0, 0.0, 0.0]]), lambda r: height + zero(r),
+                               zero, zero, support, offset=offset)
+
+
+@pytest.mark.parametrize("height, offset", [(-1.5, 0.0), (1.5, -1.0)])
+def test_grid_check_refuses_a_profile_that_is_not_star_shaped(monkeypatch, height, offset):
+    # 1 + u <= 0 inside the cap, then only outside it: refused as the
+    # StarDomain of the same field refuses it
+    grid = build_grid(3, 64)
+    prov = _flat_cap(height, offset, 0.3)
+    with pytest.raises(ValueError, match=r"1 \+ u > 0"):
+        StarDomain(ScalarField(grid, prov.values(grid), analytic=prov))
+    with pytest.raises(ValueError, match=r"1 \+ u > 0"):
+        prov.integrated_mean_curvature(grid, 9_973)
+    monkeypatch.setattr(cx.DentedSphere, "provider", lambda self: prov)
+    with pytest.raises(ValueError, match=r"1 \+ u > 0"):
+        total_mean_curvature_grid(build_counterexample(3, 0.3, 10.0), resolution=64)
+
+
+def test_grid_check_ignores_an_outside_value_no_node_takes():
+    # the cap covers the sphere, so u = 0.5 at every node: the sphere of
+    # radius 1.5, int H = 2/1.5 * 4 pi 1.5^2
+    grid = build_grid(3, 64)
+    prov = _flat_cap(2.5, -2.0, np.pi + 1.0)
+    assert_allclose(prov.integrated_mean_curvature(grid, 9_973), 12.0 * math.pi,
+                    rtol=1e-13)
+    assert StarDomain(ScalarField(grid, prov.values(grid), analytic=prov))
+
+
 def test_grid_check_memory_within_its_budget():
     # kappa = 40: resolution 520, 540,800 nodes
     domain = build_counterexample(3, 0.3, 40.0)
@@ -500,4 +624,4 @@ def test_grid_check_memory_within_its_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= cx._BYTES_PER_GRID_NODE * nodes
+    assert peak <= cx._grid_check_bytes(nodes, 400_000)
