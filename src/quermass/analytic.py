@@ -13,13 +13,20 @@ every other point gets the value of the profile's constant offset and
 no slope.  Members of a grid come from grid_members: on the n = 3
 Gauss-Legendre x equiangular grid the nodes near each center are read
 off its latitude bands, with no search; other grids and arbitrary
-points go through a KD-tree over the centers.
+points go through a KD-tree over the centers, built (with its
+scipy.spatial import) on the first nearest-center query.
+
+Overlap is refused on first use, from a proven lower bound on the
+centers' separation where the caller has one (the dented sphere passes
+its lattice's exact min_distance, so its n = 3 grid check never builds
+a tree), and otherwise by querying each center's nearest neighbour.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.spatial import cKDTree
 
 from quermass.geometry import (POLE_SIN, area_jacobian, mean_curvature_from_scalars,
                                zonal_laplacian)
@@ -32,6 +39,11 @@ _GRID_BLOCK = 200_000
 _BAND_MIN_SIN2 = 1e-7
 
 
+def _gap(chord: float) -> float:
+    """Geodesic distance of two unit vectors a Euclidean chord apart."""
+    return 2.0 * np.arcsin(min(0.5 * chord, 1.0))
+
+
 def _ranges(first, count):
     """Concatenation of the integer ranges first[i] + arange(count[i])."""
     return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
@@ -42,24 +54,40 @@ class GeodesicRadialField:
 
     f, fd, fdd are callables on [0, pi] (profile and its two derivatives);
     support is the geodesic support radius (pi for a global zonal profile).
+    separation, when given, is a proven lower bound on the Euclidean
+    distance between any two centers.
     """
 
     def __init__(self, centers: np.ndarray, f, fd, fdd, support: float,
-                 offset: float = 0.0):
+                 offset: float = 0.0, separation: float | None = None):
         self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
         self.f, self.fd, self.fdd = f, fd, fdd
         self.support = float(support)
         self.offset = float(offset)
-        self._tree = cKDTree(self.centers) if len(self.centers) > 1 else None
-        self._disjoint = self._tree is None
+        self.separation = separation
+        self._single = len(self.centers) == 1
+        self._disjoint = self._single
+
+    @functools.cached_property
+    def _tree(self):
+        """KD-tree over the centers, built on the first nearest-center query."""
+        from scipy.spatial import cKDTree
+        return cKDTree(self.centers)
 
     def _require_disjoint(self):
-        """Refuse overlapping supports (ValueError), checked once."""
+        """Refuse overlapping supports (ValueError), checked once.
+
+        A separation whose geodesic gap is at least twice the support
+        proves the supports disjoint; without one the KD-tree finds the
+        closest pair of centers.
+        """
+        if not self._disjoint and self.separation is not None:
+            self._disjoint = _gap(self.separation) >= 2.0 * self.support
         if not self._disjoint:
             chord, idx = self._tree.query(self.centers, k=2)
             i = int(np.argmin(chord[:, 1]))
             j = int(idx[i, 1] if idx[i, 1] != i else idx[i, 0])
-            gap = 2.0 * np.arcsin(min(0.5 * chord[i, 1], 1.0))
+            gap = _gap(chord[i, 1])
             if gap < 2.0 * self.support:
                 raise ValueError(
                     f"supports overlap: centers {min(i, j)} and {max(i, j)} are "
@@ -73,7 +101,7 @@ class GeodesicRadialField:
         return self._nearest(np.asarray(points, dtype=float))[2]
 
     def _nearest(self, points):
-        if self._tree is None:
+        if self._single:
             centers = np.broadcast_to(self.centers[0], points.shape)
         else:
             _, idx = self._tree.query(points, k=1)
@@ -112,7 +140,7 @@ class GeodesicRadialField:
         """(index, center, dots, d) of grid_members for the nodes [start, stop)."""
         if bands is None:
             node = np.arange(start, stop)
-            center = (np.zeros(len(node), dtype=np.int64) if self._tree is None
+            center = (np.zeros(len(node), dtype=np.int64) if self._single
                       else self._tree.query(grid.nodes[start:stop], k=1)[1])
         else:
             node, center = self._band_candidates(grid, bands, start, stop)

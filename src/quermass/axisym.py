@@ -16,7 +16,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from quermass import geometry
 from quermass.config import POLE_CONSTANT, POLE_SLACK
@@ -488,6 +487,7 @@ class AxialDomain:
         seed = self.barycenter()[0]
         best_b, best = seed, section.sup_deviation(seed)
         if optimize_center:
+            from scipy.optimize import minimize_scalar
             res = minimize_scalar(section.sup_deviation,
                                   bounds=(seed - 0.3, seed + 0.3),
                                   method="bounded", options={"xatol": 1e-11})

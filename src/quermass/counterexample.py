@@ -538,7 +538,8 @@ class DentedSphere:
                              "coordinates; only the zonal total runs on it")
         return GeodesicRadialField(self.centers.points, self.bump.depth,
                                    self.bump.slope, self.bump.slope_derivative,
-                                   support=self.bump.radius)
+                                   support=self.bump.radius,
+                                   separation=self.centers.min_distance)
 
     def on_grid(self, grid):
         from quermass.stardomain import StarDomain

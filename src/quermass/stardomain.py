@@ -13,7 +13,6 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from quermass import fields, geometry
 from quermass.config import DEVIATION_RATIO_BOUND, MEAN_CURVATURE_AGREE
@@ -465,6 +464,7 @@ def _new_rows(y, dev, candidates) -> np.ndarray:
 
 def _slsqp_center(y, nu, center, bary, scale, t_scale, ftol) -> np.ndarray:
     """SLSQP on min t s.t. g_i(c) <= t over the rows of (m, n) y, nu, from center."""
+    from scipy.optimize import minimize
     last = [None, None]
 
     def parts(x):
@@ -554,6 +554,7 @@ def _hull_point(grads) -> tuple:
     sum(lam) = 1 to rounding; lam is then normalized, so the distance is
     that of a point of the hull.
     """
+    from scipy.optimize import nnls
     s = float(np.max(np.abs(grads), initial=0.0))
     if s == 0.0:
         return 0.0, np.full(len(grads), 1.0 / len(grads))
@@ -600,4 +601,5 @@ def _scaled_provider(provider, a, b):
         lambda r: a * fdd(r),
         provider.support,
         offset=a * provider.offset + b,
+        separation=provider.separation,
     )

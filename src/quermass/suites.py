@@ -41,6 +41,22 @@ def _require_count(count: int, minimum: int = 1) -> None:
                          f"a count of at least {minimum}")
 
 
+def _target_miss(K, eps: float) -> float:
+    """|eps_size - eps| / eps of a zonal draw sized to the target eps.
+
+    The draw's eps_size is cached by random_domain's last rescale, so
+    this costs nothing.  A zero target (the ball) gives eps_size itself.
+    """
+    e, _ = K.eps_size()
+    return abs(e - eps) / eps if eps > 0 else e
+
+
+def _worst_target_miss(rows) -> float | None:
+    """Pop each row's target_miss; the largest, or None where no row has one."""
+    misses = [m for m in (r.pop("target_miss", None) for r in rows) if m is not None]
+    return max(misses, default=None)
+
+
 def _jobs(count: int, ns) -> list:
     """count // len(ns) seeds per dimension, as (n, i) pairs."""
     _require_count(count, len(ns))
@@ -54,9 +70,12 @@ def _pmap(fn, items):
     With w workers the caller computes items[0::w] and forked child j
     computes items[j::w]: a stride gives every process jobs of every
     dimension, and the caller's lazily built tables warm for the next
-    map's children.  fn and its stride reach a child through the fork,
-    so closures need not pickle; only the rows and the warnings each job
-    raised, or the exception that stopped a stride, come back pickled.
+    map's children.  The children inherit the caller's imports, and
+    scipy.optimize is imported before the fork so that no child loads
+    it again at its first eps_size.  fn and its stride reach a child
+    through the fork, so closures need not pickle; only the rows and the
+    warnings each job raised, or the exception that stopped a stride,
+    come back pickled.
     Every process records its jobs' warnings, and the caller re-emits
     them in job order once the rows are in, so its own filters decide
     what is shown, as in a serial map.  The children are reaped before
@@ -68,6 +87,7 @@ def _pmap(fn, items):
     if workers > 1 and threading.active_count() == 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
+            import scipy.optimize  # noqa: F401
             return _forked_map(multiprocessing.get_context("fork"), fn, items, workers)
     return [fn(x) for x in items]
 
@@ -302,10 +322,12 @@ def pole_bound_suite(n: int = 3, seed: int = 6001, count: int = 20,
     for i in range(count):
         K = deficits.random_domain(n if n > 3 else 4, eps, seed=seed + i)
         record(K.profile, "random", seed + i)
+        rows[-1]["target_miss"] = _target_miss(K, eps)
     bump = counterexample.make_bump(20.0, 0.3)
     record(bump.axial_profile(n), "dent", 0)
     return {"rows": rows, "columns": CUBIC_COLUMNS, "passed": passed,
-            "summary": {"worst_margin": min(r["margin"] for r in rows)}}
+            "summary": {"worst_margin": min(r["margin"] for r in rows),
+                        "worst_target_miss": _worst_target_miss(rows)}}
 
 
 # -- deficit suites ----------------------------------------------------------------------
@@ -321,11 +343,15 @@ def nuclear_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7001,
         n, i = job
         K = deficits.random_domain(n, eps, seed=seed + i,
                                    grid=grid if n == 3 else None)
-        return deficits.nuclear_minkowski_deficit(K, seed=seed + i).row()
+        row = deficits.nuclear_minkowski_deficit(K, seed=seed + i).row()
+        if n > 3:
+            row["target_miss"] = _target_miss(K, eps)
+        return row
     rows = _pmap(one, jobs)
     worst = min(r["margin"] for r in rows)
     return {"rows": rows, "columns": DEFICIT_COLUMNS, "passed": worst >= -tolerance,
-            "summary": {"worst_margin": worst}}
+            "summary": {"worst_margin": worst,
+                        "worst_target_miss": _worst_target_miss(rows)}}
 
 
 def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
@@ -335,11 +361,14 @@ def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
     def one(job):
         n, i = job
         K = deficits.random_domain(n, eps, seed=seed + i, zonal=True)
-        return axial_minkowski_deficit(K, seed=seed + i).row()
+        row = axial_minkowski_deficit(K, seed=seed + i).row()
+        row["target_miss"] = _target_miss(K, eps)
+        return row
     rows = _pmap(one, jobs)
     worst = min(r["margin"] for r in rows)
     return {"rows": rows, "columns": DEFICIT_COLUMNS, "passed": worst >= -tolerance,
-            "summary": {"worst_margin": worst}}
+            "summary": {"worst_margin": worst,
+                        "worst_target_miss": _worst_target_miss(rows)}}
 
 
 def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
@@ -352,6 +381,8 @@ def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
         ratio = deficits.stability_ratio(K)
         row = rep.row()
         row["stability_ratio"] = ratio
+        if n > 3:
+            row["target_miss"] = _target_miss(K, eps)
         return row
     rows = _pmap(one, range(count))
     worst_margin = min(r["margin"] for r in rows)
@@ -360,7 +391,8 @@ def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
     return {"rows": rows, "columns": DEFICIT_COLUMNS + ["stability_ratio"],
             "passed": worst_margin >= -tolerance and min_ratio > 0,
             "summary": {"worst_margin": worst_margin,
-                        "empirical_stability_constant": min_ratio}}
+                        "empirical_stability_constant": min_ratio,
+                        "worst_target_miss": _worst_target_miss(rows)}}
 
 
 # -- dented-sphere runs ----------------------------------------------------------------

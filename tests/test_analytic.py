@@ -135,6 +135,44 @@ def test_overlapping_supports_are_refused():
     assert np.array_equal(field.values(grid), field.values_at(grid.nodes))
 
 
+def _far_pair():
+    return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_tree_is_built_on_the_first_nearest_center_query():
+    field = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3)
+    assert "_tree" not in vars(field)
+    field.geodesic_distance(_far_pair())
+    assert "_tree" in vars(field)
+
+
+def test_proven_separation_replaces_the_tree_check():
+    # sqrt(2) apart: a geodesic gap of pi/2 proves supports of 0.3
+    # disjoint, so the n = 3 band route needs no tree; an arbitrary
+    # point still queries it for the nearest center
+    grid = build_grid(3, 64)
+    proven = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3,
+                                 separation=math.sqrt(2.0))
+    checked = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3)
+    assert np.array_equal(proven.values(grid), checked.values(grid))
+    assert "_tree" not in vars(proven)
+    assert "_tree" in vars(checked)
+    assert np.array_equal(proven.values_at(grid.nodes), proven.values(grid))
+    assert "_tree" in vars(proven)
+
+
+@pytest.mark.parametrize("separation", [None, 1e-3, 0.5])
+def test_a_separation_that_proves_nothing_leaves_the_tree_check(separation):
+    # centers pi/6 apart (chord 0.5176): no bound below it shows supports
+    # of 0.3 disjoint, and the tree finds the overlap
+    centers = np.array([[1.0, 0.0, 0.0],
+                        [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]])
+    field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.3,
+                                separation=separation)
+    with pytest.raises(ValueError, match="centers 0 and 1 are 0.523599 apart"):
+        field.values(build_grid(3, 32))
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_per_grid_methods_equal_the_points_api(n):
     # the per-grid methods find members by latitude bands (n = 3) or the

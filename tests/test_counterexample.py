@@ -31,7 +31,7 @@ from quermass.counterexample import (
 )
 from quermass.fields import ScalarField
 from quermass.grids import build_grid, panel_rule, sphere_area
-from quermass.stardomain import StarDomain
+from quermass.stardomain import StarDomain, fields_affine
 
 
 # -- reference packer: the KD-tree thinning that pack_points(3, kappa)
@@ -580,6 +580,26 @@ def test_dented_profile_on_grid_is_bit_identical():
     grid = build_grid(3, 128)
     values = domain.on_grid(grid).profile.values
     assert np.array_equal(values, _kdtree_profile(domain, grid.nodes)[0])
+
+
+def test_dent_grid_check_takes_the_lattice_proof():
+    # build_counterexample has proved the supports disjoint from the
+    # lattice's exact min_distance: the provider and its rescaled copy
+    # carry that proof, the band route builds no tree, and the total
+    # is that of a provider checked by the tree
+    domain = build_counterexample(3, 0.3, 20.0)
+    grid = build_grid(3, 260)
+    prov = domain.provider()
+    assert prov.separation == domain.centers.min_distance
+    checked = GeodesicRadialField(prov.centers, prov.f, prov.fd, prov.fdd, prov.support)
+    total = prov.integrated_mean_curvature(grid, 400_000)
+    assert total == checked.integrated_mean_curvature(grid, 400_000)
+    assert total == total_mean_curvature_grid(domain, resolution=260)
+    assert "_tree" not in vars(prov) and "_tree" in vars(checked)
+    scaled = fields_affine(ScalarField(grid, prov.values(grid), analytic=prov), 0.5, 0.1)
+    assert scaled.analytic.separation == prov.separation
+    scaled.analytic.values(grid)
+    assert "_tree" not in vars(prov) and "_tree" not in vars(scaled.analytic)
 
 
 def _flat_cap(height, offset, support):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from quermass import deficits, fields, harmonics
+from quermass import deficits, fields, harmonics, suites
 from quermass.axisym import AxialDomain, AxialProfile, axial_minkowski_deficit
 from quermass.fields import ScalarField
 from quermass.grids import build_grid, sphere_area
+from quermass.reporting import DEFICIT_COLUMNS
 from quermass.stardomain import StarDomain, fields_affine
 
 
@@ -233,6 +234,27 @@ def test_random_domain_damps_a_step_out_of_the_star_shaped_class(n, seed):
     K = deficits.random_domain(n, 0.3, seed=seed)
     assert isinstance(K, AxialDomain)
     assert abs(K.eps_size()[0] - 0.3) <= 0.02 * 0.3
+
+
+def test_zonal_suites_report_their_worst_target_miss():
+    # the n = 3 draw of seed 29 ends 63% off its target of 0.3; the
+    # summary reports the worst miss, and the rows keep their CSV columns
+    def miss(n, seed):
+        K = deficits.random_domain(n, 0.3, seed=seed, zonal=True)
+        return abs(K.eps_size()[0] - 0.3) / 0.3
+
+    out = suites.axial_deficit_suite(count=6, eps=0.3, seed=28)
+    assert all(list(r) == DEFICIT_COLUMNS for r in out["rows"])
+    assert out["summary"]["worst_target_miss"] == max(
+        miss(n, s) for n in (3, 4, 5) for s in (28, 29)) > 0.6
+    # pole and stability draw at n = 4
+    assert suites.pole_bound_suite(count=2, eps=0.3, seed=28)[
+        "summary"]["worst_target_miss"] == max(miss(4, 28), miss(4, 29)) > 0.3
+    assert suites.stability_suite(count=2, eps=0.3, seed=29)[
+        "summary"]["worst_target_miss"] == max(miss(4, 29), miss(4, 30))
+    # only the zonal draws (n >= 4) have a target miss to report
+    assert suites.nuclear_deficit_suite(count=1, ns=(3,), resolution=16)[
+        "summary"]["worst_target_miss"] is None
 
 
 def _undamped_zonal_draw(n, target_eps, seed, L=8):

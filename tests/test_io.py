@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from quermass import fields, harmonics, io as qio
 from quermass.axisym import AxialProfile
 from quermass.fields import ScalarField
 from quermass.grids import build_grid
-from quermass.stardomain import StarDomain
+from quermass.stardomain import StarDomain, fields_affine
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,21 @@ def test_field_values_roundtrip(grid, tmp_path):
     assert set(payload) == {"n", "grid_resolution", "values"}
     g = qio.load_field(path)
     assert np.max(np.abs(g.values - 0.25)) < 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 8),
+       amp=st.floats(0.01, 0.25), as_values=st.booleans())
+def test_saved_field_loads_as_a_domain_with_the_same_functionals(grid, tmp_path_factory,
+                                                                  seed, L, amp, as_values):
+    f = fields.random_band_limited(grid, L, np.random.default_rng(seed))
+    f = fields_affine(f, amp / np.max(np.abs(f.values)), 0.0)
+    path = qio.save_field(f, tmp_path_factory.mktemp("io") / "f.json", as_values=as_values)
+    F = StarDomain(f).curvature_integrals(check_routes=False)
+    G = qio.load_domain(path).curvature_integrals(check_routes=False)
+    for name in ("volume", "perimeter", "int_H", "int_H_plus", "int_nuclear"):
+        assert_allclose(getattr(G, name), getattr(F, name), rtol=1e-12)
+    assert_allclose(G.int_sigma, F.int_sigma, rtol=1e-12)
 
 
 def test_domain_center_roundtrip(grid, tmp_path):

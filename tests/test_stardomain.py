@@ -182,10 +182,10 @@ def test_gradient_frame_is_computed_once_per_domain(grid, monkeypatch):
     assert sum(f is K.profile for f in calls) == 1
 
 
-def test_rotation_invariance(grid):
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((3, 3))
-    R, _ = np.linalg.qr(A)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rotation_invariance(grid, seed):
+    R, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
     if np.linalg.det(R) < 0:
         R[:, 0] *= -1
 
@@ -199,7 +199,8 @@ def test_rotation_invariance(grid):
     assert_allclose(FR.int_sigma[1], F.int_sigma[1], rtol=1e-8)
     # |.|-type integrands have kinks where a principal curvature crosses
     # zero; a rotation moves the kink relative to the nodes, so these are
-    # grid-exact only when the sign is uniform
+    # grid-exact only when the sign is uniform (3.5e-6 the largest seen
+    # over 300 random rotations)
     assert_allclose(FR.int_nuclear, F.int_nuclear, rtol=1e-5)
 
     Kc = band_limited_domain(grid, 31, amp=0.02)

@@ -96,13 +96,64 @@ def test_pool_runs_serially_beside_a_second_thread(monkeypatch):
     assert pids == [os.getpid()] * 4
 
 
+def _probe(code: str, **env) -> str:
+    """stdout of code run in a fresh interpreter that sees this test's sys.path."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), **env))
+    return out.stdout
+
+
 def test_importing_the_cli_loads_no_multiprocessing():
     probe = ("import sys, quermass.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert out.stdout.strip() == "[]"
+    assert _probe(probe).strip() == "[]"
+
+
+_HEAVY = """
+import sys
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'spatial']))
+"""
+
+
+def test_commands_without_a_center_load_no_optimizer_or_tree(tmp_path):
+    # counterexample and conjecture solve no eps_size center, and the dent
+    # grid check takes its disjointness from the lattice's min_distance,
+    # so neither command loads scipy.optimize or scipy.spatial
+    probe = _HEAVY + f"""
+import quermass.cli
+seen = [heavy()]
+quermass.cli.main(["counterexample", "--n", "3", "--kappa", "10",
+                   "--out", {str(tmp_path / "dent")!r}])
+seen.append(heavy())
+quermass.cli.main(["conjecture", "--n", "4", "--restarts", "1",
+                   "--out", {str(tmp_path / "conj")!r}])
+seen.append(heavy())
+print(seen)
+"""
+    assert _probe(probe).splitlines()[-1] == "[[], [], []]"
+    assert (tmp_path / "dent" / "counterexample.csv").exists()
+    assert (tmp_path / "conj" / "conjecture.csv").exists()
+
+
+def test_pooled_verify_from_a_cold_interpreter_matches_serial(tmp_path):
+    # the forked child imports scipy.optimize itself, after the fork, at its
+    # first eps_size; the pytest process has it loaded, so the in-process
+    # pool tests above do not reach this path
+    def run(workers):
+        out = tmp_path / f"axial{workers}"
+        probe = _HEAVY + f"""
+import quermass.cli
+assert heavy() == []
+quermass.cli.main(["verify", "axial", "--count", "6", "--eps", "0.05", "--seed", "5",
+                   "--out", {str(out)!r}])
+"""
+        _probe(probe, QUERMASS_THREADS=str(workers))
+        return (out / "verify_axial.csv").read_bytes()
+
+    assert run(2) == run(1)
 
 
 def test_route_suite_threads_match_serial(monkeypatch, capfd):
