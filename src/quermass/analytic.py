@@ -16,10 +16,11 @@ off its latitude bands, with no search; other grids and arbitrary
 points go through a KD-tree over the centers, built (with its
 scipy.spatial import) on the first nearest-center query.
 
-Overlap is refused on first use, from a proven lower bound on the
+Overlap is refused on every use, from a proven lower bound on the
 centers' separation where the caller has one (the dented sphere passes
 its lattice's exact min_distance, so its n = 3 grid check never builds
-a tree), and otherwise by querying each center's nearest neighbour.
+a tree), and otherwise from the closest pair of centers, found once by
+querying each center's nearest neighbour.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class GeodesicRadialField:
         self.offset = float(offset)
         self.separation = separation
         self._single = len(self.centers) == 1
-        self._disjoint = self._single
+        self._closest = (np.inf, 0, 0) if self._single else None   # (gap, i, j)
 
     @functools.cached_property
     def _tree(self):
@@ -75,24 +76,32 @@ class GeodesicRadialField:
         return cKDTree(self.centers)
 
     def _require_disjoint(self):
-        """Refuse overlapping supports (ValueError), checked once.
+        """Refuse overlapping supports (ValueError), on every use.
 
         A separation whose geodesic gap is at least twice the support
-        proves the supports disjoint; without one the KD-tree finds the
-        closest pair of centers.
+        proves the supports disjoint; otherwise the KD-tree finds the
+        closest pair of centers once, and its gap is checked against the
+        support of the time, so an enlarged support is checked again.
         """
-        if not self._disjoint and self.separation is not None:
-            self._disjoint = _gap(self.separation) >= 2.0 * self.support
-        if not self._disjoint:
+        if self._closest is None:
+            if self.separation is not None and _gap(self.separation) >= 2.0 * self.support:
+                return
             chord, idx = self._tree.query(self.centers, k=2)
             i = int(np.argmin(chord[:, 1]))
             j = int(idx[i, 1] if idx[i, 1] != i else idx[i, 0])
-            gap = _gap(chord[i, 1])
-            if gap < 2.0 * self.support:
-                raise ValueError(
-                    f"supports overlap: centers {min(i, j)} and {max(i, j)} are "
-                    f"{gap:.6g} apart, less than twice the support {self.support:.6g}")
-            self._disjoint = True
+            self._closest = (_gap(chord[i, 1]), min(i, j), max(i, j))
+        gap, i, j = self._closest
+        if gap < 2.0 * self.support:
+            raise ValueError(
+                f"supports overlap: centers {i} and {j} are {gap:.6g} apart, "
+                f"less than twice the support {self.support:.6g}")
+
+    def affine(self, a: float, b: float) -> "GeodesicRadialField":
+        """The field a u + b: same centers, support and separation."""
+        f, fd, fdd = self.f, self.fd, self.fdd
+        return GeodesicRadialField(self.centers, lambda r: a * f(r), lambda r: a * fd(r),
+                                   lambda r: a * fdd(r), self.support,
+                                   offset=a * self.offset + b, separation=self.separation)
 
     # -- distances ----------------------------------------------------------
 

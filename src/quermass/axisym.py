@@ -22,7 +22,7 @@ from quermass.config import POLE_CONSTANT, POLE_SLACK
 from quermass.grids import jacobi_rule, panel_rule, sphere_area
 from quermass.harmonics import ZonalBasis
 from quermass.reporting import DeficitReport
-from quermass.stardomain import Functionals
+from quermass.stardomain import Functionals, RadialGraph, radial_functionals
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -254,38 +254,14 @@ def zonal_frames(profile: AxialProfile, theta: np.ndarray):
     return V, grad, hess, H
 
 
-def _shape_eigen(profile: AxialProfile, theta: np.ndarray):
-    """Principal curvatures along theta via the shared shape-operator kernel."""
-    V, grad, hess, H = zonal_frames(profile, theta)
-    eigs = np.linalg.eigvalsh(geometry.shape_operator_frame(V, grad, hess))
-    return V, grad[:, 0], eigs, H
-
-
-def _volume(w: np.ndarray, V: np.ndarray, n: int) -> float:
-    return float(np.sum(w * (1.0 + V) ** n / n))
-
-
 def axial_functionals(profile: AxialProfile) -> Functionals:
     """All scalar functionals of the axisymmetric domain by 1-D quadrature."""
     n = profile.n
     theta, w = profile.quadrature_rule()
-    V, Vd, eigs, H = _shape_eigen(profile, theta)
-    J = geometry.area_jacobian(V, Vd * Vd, n)
-    wj = w * J
-    sigma = geometry.elementary_symmetric(eigs)
-    Hp, Hm = np.maximum(H, 0.0), np.maximum(-H, 0.0)
-    return Functionals(
-        n=n,
-        volume=_volume(w, V, n),
-        perimeter=float(np.sum(wj)),
-        int_H=float(np.sum(wj * H)),
-        int_H_plus=float(np.sum(wj * Hp)),
-        int_H_minus=float(np.sum(wj * Hm)),
-        int_nuclear=float(np.sum(wj * np.abs(eigs).sum(axis=1))),
-        int_sigma=wj @ sigma,
-        int_sigma_abs=wj @ np.abs(sigma),
-        min_principal_curvature=float(np.min(eigs)),
-    )
+    V, grad, hess, H = zonal_frames(profile, theta)
+    eigs = np.linalg.eigvalsh(geometry.shape_operator_frame(V, grad, hess))
+    return radial_functionals(n, float(np.sum(w * (1.0 + V) ** n / n)), w, V,
+                              grad[:, 0] ** 2, H, eigs)
 
 
 def pole_gradient_bound(profile: AxialProfile, theta0: float | None = None) -> dict:
@@ -380,11 +356,9 @@ class _Section:
     along the axis varies between evaluations.
     """
 
-    def __init__(self, profile: AxialProfile, theta: np.ndarray):
-        self.V = profile.value(theta)
-        self.Vd = profile.slope(theta)
-        opu = 1.0 + self.V
-        v = self.Vd / opu
+    def __init__(self, theta: np.ndarray, V: np.ndarray, Vd: np.ndarray):
+        opu = 1.0 + V
+        v = Vd / opu
         s = np.sqrt(1.0 + v * v)
         cos, sin = np.cos(theta), np.sin(theta)
         self.nu1 = (cos + v * sin) / s
@@ -434,56 +408,61 @@ class _Section:
         return float(np.max(self.deviation(offset, keep)))
 
 
-class AxialDomain:
-    """Axisymmetric star-shaped domain; mirrors the StarDomain surface."""
+class AxialDomain(RadialGraph):
+    """Axisymmetric star-shaped domain of a zonal profile, for every n >= 3.
+
+    The RadialGraph surface runs on the profile's quadrature rule, whose
+    weights, V and (once needed) V' are kept; the functionals come from
+    axial_functionals, eps_size from a Brent search along the axis.
+    """
 
     def __init__(self, profile: AxialProfile):
-        theta, _ = profile.quadrature_rule()
-        if np.min(1.0 + profile.value(theta)) <= 0:
+        theta, w = profile.quadrature_rule()
+        V = profile.value(theta)
+        if np.min(1.0 + V) <= 0:
             raise ValueError("profile violates 1 + V > 0: not star-shaped")
         self.profile = profile
         self.n = profile.n
-        self._eps = {}
+        self._theta, self._w, self._V = theta, w, V
         self._functionals = None
 
-    def functionals(self) -> Functionals:
+    @functools.cached_property
+    def _Vd(self) -> np.ndarray:
+        return self.profile.slope(self._theta)
+
+    def _rule(self) -> tuple:
+        return self._w, self._V
+
+    def _grad2(self) -> np.ndarray:
+        return self._Vd * self._Vd
+
+    def volume(self) -> float:
+        return float(np.sum(self._w * (1.0 + self._V) ** self.n / self.n))
+
+    def curvature_integrals(self, check_routes: bool = True) -> Functionals:
         if self._functionals is None:
             self._functionals = axial_functionals(self.profile)
         return self._functionals
 
-    def volume(self) -> float:
-        return self.functionals().volume
-
-    def perimeter(self) -> float:
-        return self.functionals().perimeter
-
-    def curvature_integrals(self, check_routes: bool = True) -> Functionals:
-        return self.functionals()
-
     def barycenter(self) -> np.ndarray:
         n = self.n
-        theta, w = self.profile.quadrature_rule()
-        V = self.profile.value(theta)
-        b1 = float(np.sum(w * (1.0 + V) ** (n + 1) * np.cos(theta)))
+        b1 = float(np.sum(self._w * (1.0 + self._V) ** (n + 1) * np.cos(self._theta)))
         out = np.zeros(n)
-        # the volume by the functionals' own sum, without their curvature work
-        out[0] = b1 / ((n + 1) * _volume(w, V, n))
+        out[0] = b1 / ((n + 1) * self.volume())
         return out
 
     # -- planar deviation geometry -------------------------------------------------
 
-    def eps_size(self, optimize_center: bool = True):
-        """Smallest sup-norm normal deviation over centers on the axis.
+    def _eps_search(self, optimize_center: bool):
+        """Bounded Brent search for the axial offset within 0.3 of the
+        barycenter, on 4096 polar angles.
 
-        Returns (value, center), cached per optimize_center; bounded Brent
-        search for the axial offset within 0.3 of the barycenter, on 4096
-        polar angles.  Each evaluation screens the angles with a cheap
-        form of the deviation and runs the exact hypot form only near the
-        cheap maximum, so it returns the exact form's maximum bit for bit.
+        Each evaluation screens the angles with a cheap form of the
+        deviation and runs the exact hypot form only near the cheap
+        maximum, so it returns the exact form's maximum bit for bit.
         """
-        if optimize_center in self._eps:
-            return self._eps[optimize_center]
-        section = _Section(self.profile, _DEVIATION_THETA)
+        th = _DEVIATION_THETA
+        section = _Section(th, self.profile.value(th), self.profile.slope(th))
         seed = self.barycenter()[0]
         best_b, best = seed, section.sup_deviation(seed)
         if optimize_center:
@@ -495,22 +474,13 @@ class AxialDomain:
                 best_b, best = res.x, res.fun
         center = np.zeros(self.n)
         center[0] = best_b
-        self._eps[optimize_center] = (best, center)
-        return self._eps[optimize_center]
-
-    def profile_quadratics(self) -> tuple[float, float, float]:
-        """(int V, int V^2, int |grad V|^2) over the sphere."""
-        theta, w = self.profile.quadrature_rule()
-        V, Vd = self.profile.value(theta), self.profile.slope(theta)
-        return (float(np.sum(w * V)), float(np.sum(w * V * V)),
-                float(np.sum(w * Vd * Vd)))
+        return best, center
 
     def deviation_mean_square(self, center) -> float:
         """Average square normal deviation over the boundary."""
-        theta, w = self.profile.quadrature_rule()
-        section = _Section(self.profile, theta)
-        dev = section.deviation(np.asarray(center).ravel()[0])
-        J = geometry.area_jacobian(section.V, section.Vd * section.Vd, self.n)
+        V, Vd, w = self._V, self._Vd, self._w
+        dev = _Section(self._theta, V, Vd).deviation(np.asarray(center).ravel()[0])
+        J = geometry.area_jacobian(V, Vd * Vd, self.n)
         return float(np.sum(w * J * dev**2) / np.sum(w * J))
 
     # -- transforms ------------------------------------------------------------------
@@ -529,26 +499,18 @@ class AxialDomain:
                 resolution=prof.resolution)
         return AxialDomain(newp)
 
-    def translated(self, shift) -> "AxialDomain":
-        """Shift along the symmetry axis and re-parametrize radially."""
-        b = float(np.asarray(shift).ravel()[0])
+    def _chart(self, shift) -> tuple:
+        """The section's directions (cos, sin) at the Gauss-Jacobi nodes; the
+        zonal refit would smooth a callable (compactly supported) profile."""
         prof = self.profile
-        theta = prof.theta
-        z1, z2 = np.cos(theta), np.sin(theta)
-        t = np.full(theta.shape, 1.0 + float(np.mean(prof.value(theta))))
-        for _ in range(60):
-            p1, p2 = t * z1 + b, t * z2
-            norm = np.hypot(p1, p2)
-            ang = np.arctan2(p2, p1)
-            g = norm - (1.0 + prof.value(ang))
-            t = t - g
-            if np.max(np.abs(g)) < 1e-14:
-                break
-        else:
-            raise RuntimeError("axial re-centering did not converge")
-        if np.min(t) <= 0:
-            raise ValueError("translation destroys star-shapedness")
-        newp = AxialProfile.from_values(self.n, theta, t - 1.0,
-                                        degree=min(prof.resolution - 1, 256),
-                                        resolution=prof.resolution)
-        return AxialDomain(newp)
+        if prof.callables is not None:
+            raise ValueError("translated refits the profile in the zonal basis, which "
+                             "smooths a compactly supported (callable) profile")
+        z = np.column_stack([np.cos(self._theta), np.sin(self._theta)])
+        rho = lambda d: 1.0 + prof.value(np.arctan2(d[:, 1], d[:, 0]))
+        return z, np.array([shift.ravel()[0], 0.0]), rho
+
+    def _refit(self, u, shift) -> "AxialDomain":
+        res = self.profile.resolution
+        return AxialDomain(AxialProfile.from_values(
+            self.n, self._theta, u, degree=min(res - 1, 256), resolution=res))

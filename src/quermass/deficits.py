@@ -6,8 +6,8 @@ They are formed from scale-invariant ratios, so no normalization error
 enters the margins; perimeter/volume/barycenter normalization is still
 provided for the expansions that require it.
 
-Every operation accepts either a StarDomain (full grid) or an
-AxialDomain (zonal 1-D); both expose the same functional surface.
+Every operation accepts a StarDomain (grid) or an AxialDomain (zonal
+1-D), through the stardomain.RadialGraph surface the two share.
 """
 
 from __future__ import annotations

@@ -5,11 +5,14 @@ boundary is the radial graph T(x) = (1+u(x)) x.  This module evaluates
 volume, perimeter, normals, the full curvature bundle (shape operator,
 principal curvatures, mean curvature by two independent routes), the
 curvature integrals, and the normal-deviation size of the domain.
+RadialGraph and radial_functionals hold what StarDomain (a grid of the
+sphere) and axisym.AxialDomain (a 1-D zonal rule) compute alike.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -30,10 +33,7 @@ class CurvatureBundle:
 
     second_fundamental: np.ndarray   # (N, n-1, n-1), symmetric
     H: np.ndarray                    # trace route
-    H_plus: np.ndarray
-    H_minus: np.ndarray
     II_eigenvalues: np.ndarray       # (N, n-1), ascending
-    jacobian: np.ndarray
     H_divergence: np.ndarray         # independent divergence-form route
     max_route_disagreement: float
 
@@ -62,8 +62,85 @@ class Functionals:
         return self.min_principal_curvature >= -1e-12
 
 
-class StarDomain:
-    """Immutable star-shaped domain given by a profile field."""
+def radial_functionals(n, volume, w, u, grad2, H, eigs) -> Functionals:
+    """Functionals of the radial graph of u by a quadrature rule of the sphere.
+
+    w are the rule's weights; u, |grad u|^2, the mean curvature H and the
+    ascending principal curvatures eigs (one row per node) are taken at
+    its nodes, and volume is the kind's own.
+    """
+    wj = w * geometry.area_jacobian(u, grad2, n)
+    sigma = geometry.elementary_symmetric(eigs)
+    return Functionals(
+        n=n,
+        volume=volume,
+        perimeter=float(np.sum(wj)),
+        int_H=float(np.sum(wj * H)),
+        int_H_plus=float(np.sum(wj * np.maximum(H, 0.0))),
+        int_H_minus=float(np.sum(wj * np.maximum(-H, 0.0))),
+        int_nuclear=float(np.sum(wj * np.abs(eigs).sum(axis=1))),
+        int_sigma=wj @ sigma,
+        int_sigma_abs=wj @ np.abs(sigma),
+        min_principal_curvature=float(np.min(eigs)),
+    )
+
+
+class RadialGraph:
+    """The surface both domain kinds share, over a quadrature rule of the sphere.
+
+    A kind supplies n, _rule() -> (weights, u) and _grad2() -> |grad u|^2 at
+    the rule's nodes, _eps_search(optimize_center), and for translated
+    _chart(shift) and _refit(u, shift).
+    """
+
+    def perimeter(self) -> float:
+        w, u = self._rule()
+        return float(np.sum(w * geometry.area_jacobian(u, self._grad2(), self.n)))
+
+    def profile_quadratics(self) -> tuple[float, float, float]:
+        """(int u, int u^2, int |grad u|^2) over the sphere."""
+        w, u = self._rule()
+        return (float(np.sum(w * u)), float(np.sum(w * u**2)),
+                float(np.sum(w * self._grad2())))
+
+    def eps_size(self, optimize_center: bool = True):
+        """Smallest sup-norm normal deviation over choices of the center.
+
+        Returns (value, center), cached per optimize_center; without it the
+        center is the barycenter.  The kind's _eps_search finds it.
+        """
+        cache = self.__dict__.setdefault("_eps", {})
+        if optimize_center not in cache:
+            cache[optimize_center] = self._eps_search(optimize_center)
+        return cache[optimize_center]
+
+    def translated(self, shift: np.ndarray):
+        """Domain K - shift, re-parametrized as a radial graph.
+
+        For the kind's unit directions z, shift s in their coordinates and
+        radius rho of K per direction (_chart), solves |t z + s| = rho per
+        node by the undamped fixed-point iteration t <- t - (|t z + s| - rho)
+        from t = 1 + mean(u), in at most 60 steps, to a residual below 1e-14.
+        """
+        shift = np.asarray(shift, dtype=float)
+        z, s, rho = self._chart(shift)
+        t = np.full(len(z), 1.0 + float(np.mean(self._rule()[1])))
+        for _ in range(60):
+            p = t[:, None] * z + s
+            norm = np.linalg.norm(p, axis=1)
+            g = norm - rho(p / norm[:, None])
+            t = t - g
+            if np.max(np.abs(g)) < 1e-14:
+                break
+        else:
+            raise RuntimeError("re-centering root-find did not converge")
+        if np.min(t) <= 0:
+            raise ValueError("translation destroys star-shapedness")
+        return self._refit(t - 1.0, shift)
+
+
+class StarDomain(RadialGraph):
+    """Immutable star-shaped domain given by a profile field on a grid."""
 
     def __init__(self, profile: ScalarField, center=None):
         if np.min(1.0 + profile.values) <= 0.0:
@@ -73,9 +150,7 @@ class StarDomain:
         self.grid = profile.grid
         self.center = np.zeros(self.n) if center is None else np.asarray(center, float)
         self._bundle = {}
-        self._eps = {}
         self._eps_certificate = None
-        self._grad = None
         self._normals = None
         self._points = None
 
@@ -85,17 +160,17 @@ class StarDomain:
         u = self.profile.values
         return quadrature((1.0 + u) ** self.n / self.n, self.grid)
 
+    @functools.cached_property
     def _gradient(self) -> tuple:
-        """(grad u in the chart frame, |grad u|^2) per node, fixed for the domain."""
-        if self._grad is None:
-            grad_fr = fields.grad_frame(self.profile)
-            self._grad = (grad_fr, np.einsum("ik,ik->i", grad_fr, grad_fr))
-        return self._grad
+        """(grad u in the chart frame, |grad u|^2) per node."""
+        grad_fr = fields.grad_frame(self.profile)
+        return grad_fr, np.einsum("ik,ik->i", grad_fr, grad_fr)
 
-    def perimeter(self) -> float:
-        u = self.profile.values
-        _, grad2 = self._gradient()
-        return quadrature(geometry.area_jacobian(u, grad2, self.n), self.grid)
+    def _rule(self) -> tuple:
+        return self.grid.weights, self.profile.values
+
+    def _grad2(self) -> np.ndarray:
+        return self._gradient[1]
 
     def boundary_points(self) -> np.ndarray:
         if self._points is None:
@@ -104,7 +179,7 @@ class StarDomain:
 
     def normal_field(self) -> np.ndarray:
         if self._normals is None:
-            g = np.einsum("ik,ikj->ij", self._gradient()[0], tangent_frames(self.grid))
+            g = np.einsum("ik,ikj->ij", self._gradient[0], tangent_frames(self.grid))
             self._normals = geometry.outward_normal(
                 self.grid.nodes, self.profile.values, g)
         return self._normals
@@ -128,13 +203,12 @@ class StarDomain:
         if (not check_routes) and True in self._bundle:
             return self._bundle[True]
         u = self.profile.values
-        grad_fr, grad2 = self._gradient()
+        grad_fr, grad2 = self._gradient
         hess_fr = fields.hessian_frame(self.profile)
 
         S = geometry.shape_operator_frame(u, grad_fr, hess_fr)
         eigs = np.linalg.eigvalsh(S)
         H = np.trace(S, axis1=1, axis2=2)
-        J = geometry.area_jacobian(u, grad2, self.n)
 
         if check_routes:
             H_div = self._divergence_route(u, grad_fr, grad2)
@@ -148,16 +222,8 @@ class StarDomain:
                 )
         else:
             H_div, disagree = H, 0.0
-        bundle = CurvatureBundle(
-            second_fundamental=S,
-            H=H,
-            H_plus=np.maximum(H, 0.0),
-            H_minus=np.maximum(-H, 0.0),
-            II_eigenvalues=eigs,
-            jacobian=J,
-            H_divergence=H_div,
-            max_route_disagreement=disagree,
-        )
+        bundle = CurvatureBundle(second_fundamental=S, H=H, II_eigenvalues=eigs,
+                                 H_divergence=H_div, max_route_disagreement=disagree)
         self._bundle[check_routes] = bundle
         return bundle
 
@@ -179,20 +245,8 @@ class StarDomain:
 
     def curvature_integrals(self, check_routes: bool = True) -> Functionals:
         b = self.curvatures(check_routes=check_routes)
-        w = self.grid.weights * b.jacobian
-        sigma = geometry.elementary_symmetric(b.II_eigenvalues)
-        return Functionals(
-            n=self.n,
-            volume=self.volume(),
-            perimeter=float(np.sum(w)),
-            int_H=float(np.sum(w * b.H)),
-            int_H_plus=float(np.sum(w * b.H_plus)),
-            int_H_minus=float(np.sum(w * b.H_minus)),
-            int_nuclear=float(np.sum(w * b.nuclear)),
-            int_sigma=w @ sigma,
-            int_sigma_abs=w @ np.abs(sigma),
-            min_principal_curvature=float(np.min(b.II_eigenvalues)),
-        )
+        return radial_functionals(self.n, self.volume(), *self._rule(), self._grad2(),
+                                  b.H, b.II_eigenvalues)
 
     def integrated_mean_curvature(self, chunk: int = 200_000) -> float:
         """Integral of H over the boundary using the scalar fast path.
@@ -224,27 +278,16 @@ class StarDomain:
         """
         return _deviations(*self._coordinate_rows(), np.asarray(center, dtype=float))
 
-    def profile_quadratics(self) -> tuple[float, float, float]:
-        """(int u, int u^2, int |grad u|^2) over the sphere."""
-        prof = self.profile
-        _, grad2 = self._gradient()
-        return (quadrature(prof.values, self.grid),
-                quadrature(prof.values**2, self.grid),
-                quadrature(grad2, self.grid))
-
     def deviation_mean_square(self, center) -> float:
         """Average square normal deviation over the boundary."""
         dev = self.deviation_values(center)
-        _, grad2 = self._gradient()
-        J = geometry.area_jacobian(self.profile.values, grad2, self.n)
+        J = geometry.area_jacobian(self.profile.values, self._grad2(), self.n)
         return quadrature(dev**2 * J, self.grid) / quadrature(J, self.grid)
 
-    def eps_size(self, optimize_center: bool = True):
-        """Smallest sup-norm normal deviation over choices of the center.
+    def _eps_search(self, optimize_center: bool):
+        """(value, center) of eps_size, value = max(deviation_values(center)).
 
-        Returns (value, center) with value = max(deviation_values(center)),
-        cached per optimize_center; without it the center is the barycenter.
-        With it the center solves the epigraph problem: minimize t over
+        The optimized center solves the epigraph problem: minimize t over
         (c, t) subject to g_i(c) <= t, g_i = |nu_i - r_i(c)|^2 the squared
         deviation.  An active-set loop starts from the barycenter with its
         largest rows and the tops of its other peaks; SLSQP solves the
@@ -256,14 +299,11 @@ class StarDomain:
         its deviation is at rounding level (<= 1e-10).  center_certificate()
         reports how stationary the center is.
         """
-        if optimize_center in self._eps:
-            return self._eps[optimize_center]
         y, nu = self._coordinate_rows()
         bary = self.barycenter()
         dev = _deviations(y, nu, bary)
         if not optimize_center:
-            self._eps[False] = (float(np.max(dev)), bary)
-            return self._eps[False]
+            return float(np.max(dev)), bary
         center, dev_c, passes = _minimax_center(y, nu, bary, dev,
                                                 float(np.mean(1.0 + self.profile.values)))
         if np.max(dev) <= np.max(dev_c):
@@ -273,8 +313,7 @@ class StarDomain:
         _, grads = _row_terms(y[:, active].T, nu[:, active].T, center)
         self._eps_certificate = CenterCertificate(
             residual=_hull_point(grads)[0], active_rows=len(active), full_passes=passes)
-        self._eps[True] = (value, center)
-        return self._eps[True]
+        return value, center
 
     def center_certificate(self) -> "CenterCertificate":
         """Stationarity certificate of the optimized eps_size center."""
@@ -288,7 +327,7 @@ class StarDomain:
         """Two-sided pointwise, oscillation and mean-square comparisons
         between |grad u|/(1+u) and the normal deviation from radial."""
         u = self.profile.values
-        _, grad2 = self._gradient()
+        _, grad2 = self._gradient
         vmag = np.sqrt(grad2) / (1.0 + u)
         dev = self.deviation_values(np.zeros(self.n))
 
@@ -301,11 +340,8 @@ class StarDomain:
         osc = float(np.max(1.0 + u) / np.min(1.0 + u) - 1.0)
         oscillation_ratio = osc / vmax if vmax > 0 else 0.0
 
-        area = sphere_area(self.n)
-        mean_v2 = quadrature(vmag**2, self.grid) / area
-        J = geometry.area_jacobian(u, grad2, self.n)
-        per = quadrature(J, self.grid)
-        mean_dev2 = quadrature(dev**2 * J, self.grid) / per
+        mean_v2 = quadrature(vmag**2, self.grid) / sphere_area(self.n)
+        mean_dev2 = self.deviation_mean_square(np.zeros(self.n))
         if mean_dev2 > 0 and mean_v2 > 0:
             ms_a, ms_b = mean_v2 / mean_dev2, mean_dev2 / mean_v2
         else:
@@ -339,45 +375,25 @@ class StarDomain:
         prof = fields.analyze(ScalarField(self.grid, vals), self.profile.truncation)
         return StarDomain(prof, center=self.center @ R.T)
 
-    def translated(self, shift: np.ndarray) -> "StarDomain":
-        """Domain K - shift, re-parametrized as a radial graph.
+    def _chart(self, shift) -> tuple:
+        return self.grid.nodes, shift, self._radius_evaluator()
 
-        Solves |t z + shift| = 1 + u(direction) per node direction z by the
-        undamped fixed-point iteration t <- t - (|t z + shift| - rho), with
-        rho the radius in the current direction (at most 60 steps, until the
-        residual is below 1e-14); requires an off-grid evaluable profile.
-        """
-        shift = np.asarray(shift, dtype=float)
-        rho = self._radius_evaluator()
-        z = self.grid.nodes
-        t = np.full(self.grid.num_nodes, 1.0 + float(np.mean(self.profile.values)))
-        for _ in range(60):
-            p = t[:, None] * z + shift
-            norm = np.linalg.norm(p, axis=1)
-            g = norm - rho(p / norm[:, None])
-            t = t - g
-            if np.max(np.abs(g)) < 1e-14:
-                break
-        else:
-            raise RuntimeError("re-centering root-find did not converge")
-        if np.min(t) <= 0:
-            raise ValueError("translation destroys star-shapedness")
-        prof = ScalarField(self.grid, t - 1.0)
+    def _radius_evaluator(self):
+        """1 + u at unit vectors: needs an analytic or an n = 3 spectral profile."""
+        from quermass.harmonics import sh_values_at_points
+        prof = self.profile
+        if prof.analytic is not None:
+            return lambda pts: 1.0 + prof.analytic.values_at(pts)
+        if prof.coeffs is not None and self.n == 3:
+            return lambda pts: 1.0 + sh_values_at_points(prof.coeffs, pts)
+        raise NotImplementedError(
+            "off-grid profile evaluation needs a spectral (n=3) or analytic profile")
+
+    def _refit(self, u, shift) -> "StarDomain":
+        prof = ScalarField(self.grid, u)
         if self.profile.coeffs is not None:
             prof = fields.analyze(prof, self.profile.truncation)
         return StarDomain(prof, center=self.center - shift)
-
-    def _radius_evaluator(self):
-        from quermass.harmonics import sh_values_at_points
-        if self.profile.analytic is not None:
-            prov = self.profile.analytic
-            return lambda pts: 1.0 + prov.values_at(pts)
-        if self.profile.coeffs is not None and self.n == 3:
-            c = self.profile.coeffs
-            return lambda pts: 1.0 + sh_values_at_points(c, pts)
-        raise NotImplementedError(
-            "off-grid profile evaluation needs a spectral (n=3) or analytic profile"
-        )
 
 
 # -- the eps_size center: an active-set epigraph solve ------------------------------
@@ -582,24 +598,6 @@ def fields_affine(f: ScalarField, a: float, b: float) -> ScalarField:
     if f.coeffs is not None:
         coeffs = a * f.coeffs.copy()
         coeffs[0] += b * np.sqrt(sphere_area(f.grid.n))
-    analytic = None
-    if f.analytic is not None:
-        analytic = _scaled_provider(f.analytic, a, b)
+    analytic = None if f.analytic is None else f.analytic.affine(a, b)
     return ScalarField(f.grid, values, coeffs=coeffs, truncation=f.truncation,
                        analytic=analytic)
-
-
-def _scaled_provider(provider, a, b):
-    from quermass.analytic import GeodesicRadialField
-    if not isinstance(provider, GeodesicRadialField):
-        raise NotImplementedError("cannot rescale this analytic provider")
-    f, fd, fdd = provider.f, provider.fd, provider.fdd
-    return GeodesicRadialField(
-        provider.centers,
-        lambda r: a * f(r),
-        lambda r: a * fd(r),
-        lambda r: a * fdd(r),
-        provider.support,
-        offset=a * provider.offset + b,
-        separation=provider.separation,
-    )

@@ -173,6 +173,37 @@ def test_a_separation_that_proves_nothing_leaves_the_tree_check(separation):
         field.values(build_grid(3, 32))
 
 
+@pytest.mark.parametrize("separation", [None, 2.0 * math.sin(math.pi / 12)])
+def test_a_support_enlarged_after_use_is_checked_again(separation):
+    # centers pi/6 apart: supports of 0.2 are disjoint, from the tree or
+    # from the exact chord, and supports of 0.3 overlap, so the enlarged
+    # field is refused on both routes
+    centers = np.array([[1.0, 0.0, 0.0],
+                        [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]])
+    grid = build_grid(3, 64)
+    field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.2,
+                                separation=separation)
+    assert np.array_equal(field.values(grid), field.values_at(grid.nodes))
+    field.support = 0.3
+    with pytest.raises(ValueError, match="centers 0 and 1 are 0.523599 apart"):
+        field.values(grid)
+    with pytest.raises(ValueError, match="supports overlap"):
+        field.values_at(grid.nodes)
+
+
+def test_affine_rescales_the_field_and_keeps_the_separation_proof():
+    grid = build_grid(3, 32)
+    field = GeodesicRadialField(_far_pair(), np.cos, lambda r: -np.sin(r),
+                                lambda r: -np.cos(r), support=0.3, offset=0.1,
+                                separation=math.sqrt(2.0))
+    moved = field.affine(0.5, -0.2)
+    assert (moved.support, moved.separation) == (field.support, field.separation)
+    assert np.allclose(moved.values(grid), 0.5 * field.values(grid) - 0.2,
+                       rtol=0.0, atol=1e-16)
+    assert np.array_equal(moved.grad_frame(grid), 0.5 * field.grad_frame(grid))
+    assert "_tree" not in vars(moved)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_per_grid_methods_equal_the_points_api(n):
     # the per-grid methods find members by latitude bands (n = 3) or the

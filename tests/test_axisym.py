@@ -180,9 +180,9 @@ def test_circle_cubic_identity():
 def test_axial_domain_scaling_and_recentering():
     prof = random_zonal(4, 55, amp=0.05, L=8)
     K = AxialDomain(prof)
-    F = K.functionals()
+    F = K.curvature_integrals()
     Ks = K.scaled(2.0)
-    Fs = Ks.functionals()
+    Fs = Ks.curvature_integrals()
     assert_allclose(Fs.volume, 2.0**4 * F.volume, rtol=1e-9)
     assert_allclose(Fs.perimeter, 2.0**3 * F.perimeter, rtol=1e-9)
     assert_allclose(Fs.int_H, 2.0**2 * F.int_H, rtol=1e-9)
@@ -190,6 +190,14 @@ def test_axial_domain_scaling_and_recentering():
     b = K.barycenter()
     K0 = K.translated(b)
     assert abs(K0.barycenter()[0]) < 1e-8
+
+
+def test_translated_refuses_a_callable_profile():
+    # the zonal refit at degree <= 256 would smooth the dent: at kappa = 20
+    # a shift of 1e-3 moved its int H^- by 14%
+    K = AxialDomain(make_bump(20.0, 0.3).axial_profile(4))
+    with pytest.raises(ValueError, match="compactly supported"):
+        K.translated([1e-3, 0.0, 0.0, 0.0])
 
 
 def test_axial_eps_size_of_offset_ball():
@@ -304,9 +312,9 @@ def test_dent_eps_size_is_bit_identical_to_the_oracle(n):
 
 
 def assert_screen_is_exact(prof, offsets):
-    section = axisym._Section(prof, axisym._DEVIATION_THETA)
     theta = axisym._DEVIATION_THETA
     V, Vd = prof.value(theta), prof.slope(theta)
+    section = axisym._Section(theta, V, Vd)
     for b in offsets:
         assert section.sup_deviation(b) == float(np.max(old_deviation(b, theta, V, Vd)))
 
@@ -331,8 +339,8 @@ def test_screen_pad_covers_centers_near_the_boundary(n, L, seed, amp, pole, gaps
     # cosine loses digits as 1/|p|, and the pad must grow with it
     prof = random_zonal(n, seed, amp=amp, L=L)
     theta = axisym._DEVIATION_THETA
-    section = axisym._Section(prof, theta)
     V, Vd = prof.value(theta), prof.slope(theta)
+    section = axisym._Section(theta, V, Vd)
     end = (1.0 + V[pole]) * math.cos(theta[pole])
     offsets = [end - math.copysign(10.0**g, end) for g in gaps]
     for b in offsets:
@@ -352,7 +360,8 @@ def test_screened_deviation_max_is_exact_on_dents(kappa):
 def test_screen_keeps_every_node_at_the_ball(n, monkeypatch):
     # every deviation of the ball about its center is rounding noise
     # below the pad, so the exact form runs on all 4096 angles
-    section = axisym._Section(const_profile(n, 0.0), axisym._DEVIATION_THETA)
+    prof, theta = const_profile(n, 0.0), axisym._DEVIATION_THETA
+    section = axisym._Section(theta, prof.value(theta), prof.slope(theta))
     full = section.deviation(0.0)
     assert np.max(full) < 1e-15
     exact_sizes = []
@@ -414,7 +423,7 @@ def test_caller_supplied_angles_add_no_tables(cold_tables):
     prof = random_zonal(4, 5, L=8)
     K = AxialDomain(prof)
     K.eps_size()
-    K.functionals()
+    K.curvature_integrals()
     prof.c1_norm()
     misses = cold_tables.cache_info().misses
     axisym.pole_gradient_bound(prof)
