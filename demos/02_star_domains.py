@@ -16,7 +16,7 @@ grid = build_grid(3, 32)
 
 print("== the unit ball ==")
 K = StarDomain(analyze(constant_field(grid, 0.0), L=4))
-F = K.curvature_integrals(check_routes=False)
+F = K.curvature_integrals()
 print(f"  |K| = {F.volume:.12f}  (4pi/3 = {4 * math.pi / 3:.12f})")
 print(f"  Per = {F.perimeter:.12f}  int H = {F.int_H:.12f}  int sigma_2 = {F.int_sigma[1]:.12f}")
 

@@ -34,7 +34,7 @@ prof = AxialProfile.from_zonal_coeffs(3, c)
 
 F1 = axial_functionals(prof)
 K = StarDomain(lift_to_sphere(prof, build_grid(3, 32)))
-F2 = K.curvature_integrals(check_routes=False)
+F2 = K.curvature_integrals()
 for name in ("volume", "perimeter", "int_H", "int_H_plus", "int_nuclear"):
     a, b = getattr(F1, name), getattr(F2, name)
     print(f"  {name:<12} 1-D {a:+.10f}   2-D {b:+.10f}   rel diff {abs(a - b) / abs(a):.1e}")

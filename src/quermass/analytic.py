@@ -376,10 +376,8 @@ class GeodesicRadialField:
         return total
 
 
-def zonal_field(f, fd, fdd, axis=None, n: int = 3) -> GeodesicRadialField:
-    """Global zonal profile V(theta) about the given axis (default e_1)."""
-    if axis is None:
-        axis = np.zeros(n)
-        axis[0] = 1.0
-    return GeodesicRadialField(np.asarray(axis, dtype=float)[None, :],
-                               f, fd, fdd, support=np.pi + 1.0)
+def zonal_field(f, fd, fdd, n: int = 3) -> GeodesicRadialField:
+    """Global zonal profile V(theta) about the axis e_1."""
+    axis = np.zeros((1, n))
+    axis[0, 0] = 1.0
+    return GeodesicRadialField(axis, f, fd, fdd, support=np.pi + 1.0)

@@ -59,13 +59,13 @@ def _zonal_table(n: int, L: int, derivative: int, nodes) -> np.ndarray:
     return _read_only(ZonalBasis(n, L).values(np.cos(theta), derivative=derivative))
 
 
-def coarea_integral(f, n: int, resolution: int = 512) -> float:
+def coarea_integral(f, n: int) -> float:
     """Integral over S^{n-1} of a function of the polar angle.
 
     f is a callable of theta; the sin^{n-2} coarea weight and the
-    |S^{n-2}| equatorial factor are applied here.
+    |S^{n-2}| equatorial factor are applied here, on 512 Gauss-Jacobi nodes.
     """
-    t, w = jacobi_rule(resolution, (n - 3) / 2.0)
+    t, w = jacobi_rule(512, (n - 3) / 2.0)
     theta = np.arccos(t)
     return float(sphere_area(n - 1) * np.sum(w * f(theta)))
 
@@ -439,7 +439,7 @@ class AxialDomain(RadialGraph):
     def volume(self) -> float:
         return float(np.sum(self._w * (1.0 + self._V) ** self.n / self.n))
 
-    def curvature_integrals(self, check_routes: bool = True) -> Functionals:
+    def curvature_integrals(self) -> Functionals:
         if self._functionals is None:
             self._functionals = axial_functionals(self.profile)
         return self._functionals
@@ -501,14 +501,19 @@ class AxialDomain(RadialGraph):
 
     def _chart(self, shift) -> tuple:
         """The section's directions (cos, sin) at the Gauss-Jacobi nodes; the
-        zonal refit would smooth a callable (compactly supported) profile."""
+        zonal refit would smooth a callable (compactly supported) profile, and
+        a shift off the axis would leave the axisymmetric class."""
         prof = self.profile
         if prof.callables is not None:
             raise ValueError("translated refits the profile in the zonal basis, which "
                              "smooths a compactly supported (callable) profile")
+        shift = shift.ravel()
+        if np.any(shift[1:] != 0.0):
+            raise ValueError(f"an axisymmetric domain moves along its axis only; "
+                             f"the shift {shift.tolist()} has off-axis components")
         z = np.column_stack([np.cos(self._theta), np.sin(self._theta)])
         rho = lambda d: 1.0 + prof.value(np.arctan2(d[:, 1], d[:, 0]))
-        return z, np.array([shift.ravel()[0], 0.0]), rho
+        return z, np.array([shift[0], 0.0]), rho
 
     def _refit(self, u, shift) -> "AxialDomain":
         res = self.profile.resolution

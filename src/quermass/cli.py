@@ -179,7 +179,7 @@ def _load_any_domain(path, resolution):
 
 def cmd_functionals(args) -> int:
     K = _load_any_domain(args.domain, args.resolution)
-    F = K.curvature_integrals(check_routes=False)
+    F = K.curvature_integrals()
     eps, center = K.eps_size()
     row = {"n": F.n, "volume": F.volume, "perimeter": F.perimeter,
            "int_H": F.int_H, "int_H_plus": F.int_H_plus,

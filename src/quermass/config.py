@@ -29,6 +29,8 @@ POLE_SLACK = 1.1
 POLE_CONSTANT = 3.0
 # dented sphere: relative gap of the dense grid to the zonal total
 DENT_CROSS_CHECK_REL = 1e-2
+# deficit and stability suites: a margin above -this passes
+DEFICIT_MARGIN_SLACK = 1e-8
 
 
 def default_frequency_cutoff(n: int) -> float:

@@ -628,21 +628,18 @@ def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = Non
 
 
 def total_mean_curvature(n: int, eps: float, kappa: float, method: str = "zonal",
-                         resolution: int | None = None,
-                         centers: PackedPoints | None = None,
                          packing_cache: dict | None = None) -> dict:
     """Total boundary mean curvature of the dented sphere.
 
     method "zonal" uses the exact per-dent decomposition; "both" adds
-    the dense-grid evaluation (n = 3) and reports their relative gap.
-    packing_cache maps (n, kappa) to PackedPoints: packings do not
-    depend on eps, so sweeps over eps can share the expensive part.
+    the dense-grid evaluation (n = 3, at total_mean_curvature_grid's
+    default resolution) and reports their relative gap.  packing_cache
+    maps (n, kappa) to PackedPoints: packings do not depend on eps, so
+    sweeps over eps can share the expensive part.
     """
-    if centers is None and packing_cache is not None:
-        key = (n, kappa)
-        if key not in packing_cache:
-            packing_cache[key] = pack_points(n, kappa)
-        centers = packing_cache[key]
+    if packing_cache is not None and (n, kappa) not in packing_cache:
+        packing_cache[n, kappa] = pack_points(n, kappa)
+    centers = None if packing_cache is None else packing_cache[n, kappa]
     domain = build_counterexample(n, eps, kappa, centers=centers)
     out = {
         "n": n, "eps": eps, "kappa": kappa,
@@ -653,7 +650,7 @@ def total_mean_curvature(n: int, eps: float, kappa: float, method: str = "zonal"
         "eps_size": domain.eps_size(),
     }
     if method == "both":
-        out["int_H_grid"] = total_mean_curvature_grid(domain, resolution)
+        out["int_H_grid"] = total_mean_curvature_grid(domain)
         scale = max(abs(out["int_H_zonal"]), (n - 1.0) * sphere_area(n))
         out["relative_gap"] = abs(out["int_H_grid"] - out["int_H_zonal"]) / scale
     elif method != "zonal":

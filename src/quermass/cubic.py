@@ -227,30 +227,20 @@ def integration_by_parts_residual(u) -> float:
 # -- randomized suites ---------------------------------------------------------------
 
 
-def random_c1_field(n: int, eps_scale: float, seed: int, L: int = 12,
-                    resolution: int = 32, grid=None, l_min: int = 1):
-    """Seeded random field with C1 norm eps_scale (full basis for n = 3,
-    zonal for n >= 4)."""
+def random_c1_field(n: int, eps_scale: float, seed: int, L: int = 12, grid=None):
+    """Seeded random field of degrees 1..L with C1 norm eps_scale: full basis
+    for n = 3 (on grid, default build_grid(3, 32)), zonal for n >= 4."""
     rng = np.random.default_rng(seed)
-    if n in (2, 3):
+    if n == 3:
         from quermass.grids import build_grid
-        if grid is None:
-            grid = build_grid(n, resolution)
-        f = fields.random_band_limited(grid, L, rng, l_min=l_min) if n == 3 else None
-        if n == 2:
-            c = np.zeros(2 * L + 1)
-            for l in range(1, L + 1):
-                c[2 * l - 1:2 * l + 1] = rng.standard_normal(2) * l**-2.0
-            f = fields.synthesize(c, grid)
-        d = _field_data(f)
-        c1 = d.c1_norm()
         from quermass.stardomain import fields_affine
-        return fields_affine(f, eps_scale / c1, 0.0)
+        f = fields.random_band_limited(build_grid(3, 32) if grid is None else grid, L, rng)
+        return fields_affine(f, eps_scale / _field_data(f).c1_norm(), 0.0)
     from quermass.axisym import AxialProfile
     c = np.zeros(L + 1)
-    for l in range(l_min, L + 1):
+    for l in range(1, L + 1):
         c[l] = rng.standard_normal() * l**-2.0
-    prof = AxialProfile.from_zonal_coeffs(n, c, resolution=max(resolution, 256))
+    prof = AxialProfile.from_zonal_coeffs(n, c, resolution=256)
     return AxialProfile.from_zonal_coeffs(n, c * (eps_scale / prof.c1_norm()),
                                           resolution=prof.resolution)
 

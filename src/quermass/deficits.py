@@ -83,7 +83,7 @@ def volume_constraint_residual(K) -> dict:
 def _deficit(K, which: str, use_nuclear: bool = False, volumetric: bool = False,
              delta: float = 0.0, seed=None) -> DeficitReport:
     n = K.n
-    F = K.curvature_integrals(check_routes=False)
+    F = K.curvature_integrals()
     numerator = F.int_nuclear if use_nuclear else F.int_H_plus
     extra = {}
     if numerator <= 0.0:
@@ -157,7 +157,7 @@ def quermassintegral_ratio(K, k: int, seed=None) -> DeficitReport:
     n = K.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be between 1 and n-1, got {k}")
-    F = K.curvature_integrals(check_routes=False)
+    F = K.curvature_integrals()
     area = sphere_area(n)
     sig = lambda j: F.int_sigma_abs[j - 1] if j >= 1 else F.perimeter
     if k == n - 1:
@@ -179,13 +179,14 @@ def quermassintegral_ratio(K, k: int, seed=None) -> DeficitReport:
 
 
 def random_domain(n: int, target_eps: float, seed: int, L: int = 8,
-                  resolution: int = 32, grid=None, zonal: bool = False):
+                  grid=None, zonal: bool = False):
     """Seeded random smooth domain rescaled to a target normal-deviation size.
 
-    n = 3 draws a full band-limited profile (per-degree variance l^-4)
-    unless zonal is requested; n >= 4 always draws a zonal profile,
-    where the general-dimension content of the theory lives.  A zonal
-    draw rescales its coefficients by target/eps at most five times; a
+    n = 3 draws a full band-limited profile (per-degree variance l^-4,
+    on grid, default build_grid(3, 32)) unless zonal is requested; n >= 4
+    always draws a zonal profile (resolution 256), where the
+    general-dimension content of the theory lives.  A zonal draw
+    rescales its coefficients by target/eps at most five times; a
     step that would leave the star-shaped class is damped instead.  A
     target of 0 gives the ball; a negative one is refused.
     """
@@ -195,7 +196,7 @@ def random_domain(n: int, target_eps: float, seed: int, L: int = 8,
     safe_amp = min(0.3, 2.0 * target_eps)
     if n == 3 and not zonal:
         if grid is None:
-            grid = build_grid(3, resolution)
+            grid = build_grid(3, 32)
         f = fields.random_band_limited(grid, L, rng)
         g = fields.grad_frame(f)
         c1 = max(np.max(np.abs(f.values)), np.max(np.abs(g)))
@@ -214,13 +215,12 @@ def random_domain(n: int, target_eps: float, seed: int, L: int = 8,
     c = np.zeros(L + 1)
     for l in range(1, L + 1):
         c[l] = rng.standard_normal() * l**-2.0
-    resolution = max(resolution, 256)
-    step = safe_amp / AxialProfile.from_zonal_coeffs(n, c, resolution=resolution).c1_norm()
+    step = safe_amp / AxialProfile.from_zonal_coeffs(n, c, resolution=256).c1_norm()
     K, damped, rescales = None, False, 0
     while rescales < 5:
         trial = c * step
         try:
-            K_trial = AxialDomain(AxialProfile.from_zonal_coeffs(n, trial, resolution=resolution))
+            K_trial = AxialDomain(AxialProfile.from_zonal_coeffs(n, trial, resolution=256))
         except ValueError:
             if K is None:
                 raise

@@ -2,9 +2,9 @@
 
 A field holds node values on a grid, optionally spectral coefficients
 (n = 3 full basis, n = 2 Fourier), optionally an analytic derivative
-provider.  Derivatives are computed spectrally when coefficients are
-available, analytically when a provider is attached, and by finite
-differences on the tensor grid otherwise.
+provider.  Derivatives are exact: from the provider when one is
+attached, from the coefficients otherwise.  A field with values only
+has no derivatives; analyze() gives it coefficients.
 
 Gradients are returned either as ambient tangent vectors (N, n) or as
 components in the per-node orthonormal chart frame (N, n-1); Hessians
@@ -149,9 +149,17 @@ def split_frequencies(f: ScalarField, lam: float) -> tuple[ScalarField, ScalarFi
 
 # -- derivative dispatch ------------------------------------------------------
 
-def _chart_derivatives_spectral(f: ScalarField, second: bool):
+def _coefficients(f: ScalarField) -> np.ndarray:
+    if f.coeffs is None:
+        raise ValueError("a field with values only has no derivatives: give it "
+                         "coefficients with fields.analyze, or an analytic provider")
+    return f.coeffs
+
+
+def _spectral_derivatives(f: ScalarField, second: bool):
+    """Chart derivatives from the coefficients, keyed u, t, p, tt, tp, pp (n = 2: p, pp)."""
     grid = f.grid
-    c = f.coeffs
+    c = _coefficients(f)
     if grid.n == 3:
         keys = ("u", "t", "p", "tt", "tp", "pp")
         return dict(zip(keys, harmonics.sh_chart_derivatives(grid, c, second)))
@@ -161,46 +169,11 @@ def _chart_derivatives_spectral(f: ScalarField, second: bool):
     return d
 
 
-def _chart_derivatives_fd(f: ScalarField, second: bool):
-    grid = f.grid
-    shape = grid.shape
-    vals = f.values.reshape(shape)
-    d = {}
-    if grid.n == 2:
-        h = grid.angles[0][1] - grid.angles[0][0]
-        d["p"] = ((np.roll(vals, -1) - np.roll(vals, 1)) / (2 * h)).ravel()
-        if second:
-            d["pp"] = ((np.roll(vals, -1) - 2 * vals + np.roll(vals, 1)) / h**2).ravel()
-        return d
-    if grid.n != 3:
-        raise NotImplementedError(
-            "finite-difference derivatives on the full tensor grid are "
-            "implemented for n in {2, 3}; use zonal or analytic fields for n >= 4"
-        )
-    theta = grid.angles[0]
-    h = grid.angles[1][1] - grid.angles[1][0]
-    dt = np.gradient(vals, theta, axis=0)
-    dp = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2 * h)
-    d["t"], d["p"] = dt.ravel(), dp.ravel()
-    if second:
-        d["tt"] = np.gradient(dt, theta, axis=0).ravel()
-        d["tp"] = ((np.roll(dt, -1, axis=1) - np.roll(dt, 1, axis=1)) / (2 * h)).ravel()
-        d["pp"] = ((np.roll(vals, -1, axis=1) - 2 * vals + np.roll(vals, 1, axis=1))
-                   / h**2).ravel()
-    return d
-
-
-def _chart(f: ScalarField, second: bool):
-    if f.coeffs is not None:
-        return _chart_derivatives_spectral(f, second)
-    return _chart_derivatives_fd(f, second)
-
-
 def grad_frame(f: ScalarField) -> np.ndarray:
     """Gradient components in the orthonormal chart frame, (N, n-1)."""
     if f.analytic is not None:
         return f.analytic.grad_frame(f.grid)
-    d = _chart(f, second=False)
+    d = _spectral_derivatives(f, second=False)
     if f.n == 2:
         return d["p"][:, None]
     s, _ = node_angles(f.grid)
@@ -218,15 +191,9 @@ def hessian_frame(f: ScalarField) -> np.ndarray:
     """Covariant Hessian in the orthonormal chart frame, (N, n-1, n-1)."""
     if f.analytic is not None:
         return f.analytic.hessian_frame(f.grid)
+    d = _spectral_derivatives(f, second=True)
     if f.n == 2:
-        d = _chart(f, second=True)
         return d["pp"][:, None, None]
-    if f.n != 3:
-        raise NotImplementedError(
-            "full-grid Hessians are implemented for n in {2, 3}; "
-            "zonal and analytic fields cover higher dimensions"
-        )
-    d = _chart(f, second=True)
     s, c = node_angles(f.grid)
     h = np.empty((f.grid.num_nodes, 2, 2))
     h[:, 0, 0] = d["tt"]
@@ -236,28 +203,20 @@ def hessian_frame(f: ScalarField) -> np.ndarray:
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    """Laplace-Beltrami of the field.
-
-    Spectral fields use the exact eigenvalue action; analytic fields ask
-    their provider; otherwise the chart-derivative trace is used.
-    """
-    if f.coeffs is not None:
-        lap = -degree_eigenvalues(f) * f.coeffs
-        out = synthesize(lap, f.grid)
-        return out
-    if f.analytic is not None:
+    """Laplace-Beltrami of the field: the exact eigenvalue action on the
+    coefficients, or the analytic provider's."""
+    if f.analytic is not None and f.coeffs is None:
         return ScalarField(f.grid, f.analytic.laplacian(f.grid))
-    h = hessian_frame(f)
-    return ScalarField(f.grid, np.trace(h, axis1=1, axis2=2))
+    c = _coefficients(f)
+    return synthesize(-degree_eigenvalues(f) * c, f.grid)
 
 
-def random_band_limited(grid: SphericalGrid, L: int, rng: np.random.Generator,
-                        l_min: int = 1) -> ScalarField:
-    """Random smooth field of degrees l_min..L: per-degree coefficient variance l^-4."""
+def random_band_limited(grid: SphericalGrid, L: int, rng: np.random.Generator) -> ScalarField:
+    """Random smooth field of degrees 1..L: per-degree coefficient variance l^-4."""
     if grid.n != 3:
         raise ValueError("random full-basis fields are built for n = 3")
     coeffs = np.zeros(harmonics.coeff_count(L))
-    for l in range(l_min, L + 1):
+    for l in range(1, L + 1):
         block = rng.standard_normal(2 * l + 1) * (l ** -2.0)
         coeffs[l * l:(l + 1) ** 2] = block
     return synthesize(coeffs, grid)

@@ -93,16 +93,15 @@ def save_axial_profile(prof: AxialProfile, path, as_values: bool = False) -> Pat
     return path
 
 
-def load_axial_profile(path, resolution: int = 512) -> AxialProfile:
+def load_axial_profile(path) -> AxialProfile:
     payload = json.loads(Path(path).read_text())
     n = int(payload["n"])
     if "zonal_coeffs" in payload:
         return AxialProfile.from_zonal_coeffs(
-            n, np.asarray(payload["zonal_coeffs"], dtype=float),
-            resolution=resolution)
+            n, np.asarray(payload["zonal_coeffs"], dtype=float))
     return AxialProfile.from_values(
         n, np.asarray(payload["theta_nodes"], dtype=float),
-        np.asarray(payload["values"], dtype=float), resolution=resolution)
+        np.asarray(payload["values"], dtype=float))
 
 
 def export_obj(K: StarDomain, path) -> Path:

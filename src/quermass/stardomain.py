@@ -121,6 +121,11 @@ class RadialGraph:
         radius rho of K per direction (_chart), solves |t z + s| = rho per
         node by the undamped fixed-point iteration t <- t - (|t z + s| - rho)
         from t = 1 + mean(u), in at most 60 steps, to a residual below 1e-14.
+        The kind's _refit fits the moved profile in its smooth basis (spherical
+        harmonics of the same truncation, or zonal harmonics), which would
+        smooth a compactly supported dent; so a StarDomain refuses an
+        analytic profile and an AxialDomain a callable one, and an AxialDomain
+        also refuses a shift off its axis, with a ValueError.
         """
         shift = np.asarray(shift, dtype=float)
         z, s, rho = self._chart(shift)
@@ -235,16 +240,14 @@ class StarDomain(RadialGraph):
             dot = prof.analytic.phi_gradient_dot_grad(self.grid)
             lap = prof.analytic.laplacian(self.grid)
         else:
-            phi = ScalarField(self.grid, (1.0 + v2) ** -0.5)
-            if prof.coeffs is not None:
-                phi = fields.analyze(phi)
-            grad_phi = fields.grad_frame(phi)
-            dot = np.einsum("ik,ik->i", grad_phi, grad_fr)
+            phi = fields.analyze(ScalarField(self.grid, (1.0 + v2) ** -0.5))
+            dot = np.einsum("ik,ik->i", fields.grad_frame(phi), grad_fr)
             lap = fields.laplacian(prof).values
         return geometry.divergence_form_mean_curvature(u, grad2, lap, dot, self.n)
 
-    def curvature_integrals(self, check_routes: bool = True) -> Functionals:
-        b = self.curvatures(check_routes=check_routes)
+    def curvature_integrals(self) -> Functionals:
+        """The Functionals of the trace route (curvatures(check_routes=False))."""
+        b = self.curvatures(check_routes=False)
         return radial_functionals(self.n, self.volume(), *self._rule(), self._grad2(),
                                   b.H, b.II_eigenvalues)
 
@@ -257,8 +260,7 @@ class StarDomain(RadialGraph):
         """
         prof = self.profile
         if prof.analytic is None:
-            f = self.curvature_integrals()
-            return f.int_H
+            return self.curvature_integrals().int_H
         return prof.analytic.integrated_mean_curvature(self.grid, chunk)
 
     # -- normal-deviation size ----------------------------------------------------
@@ -376,6 +378,11 @@ class StarDomain(RadialGraph):
         return StarDomain(prof, center=self.center @ R.T)
 
     def _chart(self, shift) -> tuple:
+        """The grid's nodes; the spectral refit would smooth an analytic
+        (compactly supported) profile."""
+        if self.profile.analytic is not None:
+            raise ValueError("translated refits the profile in spherical harmonics, which "
+                             "smooths a compactly supported (analytic) profile")
         return self.grid.nodes, shift, self._radius_evaluator()
 
     def _radius_evaluator(self):
@@ -390,9 +397,7 @@ class StarDomain(RadialGraph):
             "off-grid profile evaluation needs a spectral (n=3) or analytic profile")
 
     def _refit(self, u, shift) -> "StarDomain":
-        prof = ScalarField(self.grid, u)
-        if self.profile.coeffs is not None:
-            prof = fields.analyze(prof, self.profile.truncation)
+        prof = fields.analyze(ScalarField(self.grid, u), self.profile.truncation)
         return StarDomain(prof, center=self.center - shift)
 
 

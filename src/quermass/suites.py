@@ -24,8 +24,9 @@ import numpy as np
 
 from quermass import conjecture, counterexample, cubic, deficits
 from quermass.axisym import axial_minkowski_deficit
-from quermass.config import (DENT_CROSS_CHECK_REL, DEVIATION_RATIO_BOUND,
-                             MEAN_CURVATURE_AGREE, POLE_CONSTANT, thread_count)
+from quermass.config import (DEFICIT_MARGIN_SLACK, DENT_CROSS_CHECK_REL,
+                             DEVIATION_RATIO_BOUND, MEAN_CURVATURE_AGREE, POLE_CONSTANT,
+                             thread_count)
 from quermass.grids import build_grid
 from quermass.reporting import DEFICIT_COLUMNS
 from quermass.stardomain import ResolutionWarning
@@ -334,8 +335,7 @@ def pole_bound_suite(n: int = 3, seed: int = 6001, count: int = 20,
 
 
 def nuclear_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7001,
-                          ns=(3, 4), resolution: int = 32,
-                          tolerance: float = 1e-8) -> dict:
+                          ns=(3, 4), resolution: int = 32) -> dict:
     jobs = _jobs(count, ns)
     grid = build_grid(3, resolution)
 
@@ -349,13 +349,14 @@ def nuclear_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7001,
         return row
     rows = _pmap(one, jobs)
     worst = min(r["margin"] for r in rows)
-    return {"rows": rows, "columns": DEFICIT_COLUMNS, "passed": worst >= -tolerance,
+    return {"rows": rows, "columns": DEFICIT_COLUMNS,
+            "passed": worst >= -DEFICIT_MARGIN_SLACK,
             "summary": {"worst_margin": worst,
                         "worst_target_miss": _worst_target_miss(rows)}}
 
 
 def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
-                        ns=(3, 4, 5), tolerance: float = 1e-8) -> dict:
+                        ns=(3, 4, 5)) -> dict:
     jobs = _jobs(count, ns)
 
     def one(job):
@@ -366,13 +367,14 @@ def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
         return row
     rows = _pmap(one, jobs)
     worst = min(r["margin"] for r in rows)
-    return {"rows": rows, "columns": DEFICIT_COLUMNS, "passed": worst >= -tolerance,
+    return {"rows": rows, "columns": DEFICIT_COLUMNS,
+            "passed": worst >= -DEFICIT_MARGIN_SLACK,
             "summary": {"worst_margin": worst,
                         "worst_target_miss": _worst_target_miss(rows)}}
 
 
 def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
-                    n: int = 4, tolerance: float = 1e-8) -> dict:
+                    n: int = 4) -> dict:
     _require_count(count)
 
     def one(i):
@@ -389,7 +391,7 @@ def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
     ratios = [r["stability_ratio"] for r in rows if math.isfinite(r["stability_ratio"])]
     min_ratio = min(ratios) if ratios else math.inf
     return {"rows": rows, "columns": DEFICIT_COLUMNS + ["stability_ratio"],
-            "passed": worst_margin >= -tolerance and min_ratio > 0,
+            "passed": worst_margin >= -DEFICIT_MARGIN_SLACK and min_ratio > 0,
             "summary": {"worst_margin": worst_margin,
                         "empirical_stability_constant": min_ratio,
                         "worst_target_miss": _worst_target_miss(rows)}}

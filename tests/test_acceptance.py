@@ -33,7 +33,7 @@ def grid32():
 def test_criterion_1_closed_forms(grid32):
     t0 = time.time()
     K = StarDomain(fields.analyze(fields.constant_field(grid32, 0.0), L=4))
-    F = K.curvature_integrals(check_routes=False)
+    F = K.curvature_integrals()
     assert abs(F.volume - 4 * math.pi / 3) <= 1e-10 * (4 * math.pi / 3)
     assert abs(F.perimeter - 4 * math.pi) <= 1e-10 * (4 * math.pi)
     assert abs(F.int_H - 8 * math.pi) <= 1e-10 * (8 * math.pi)
@@ -85,7 +85,7 @@ def test_criterion_4_mean_curvature_expansion_halving(grid32):
     pair = cubic.mean_curvature_pair(3)
     for eps in (0.02, 0.01):
         K = _quadratic_mode_domain(grid32, eps)
-        F = K.curvature_integrals(check_routes=False)
+        F = K.curvature_integrals()
         u = K.profile
         mu, mu2, mg2 = K.profile_quadratics()
         cub = cubic.cubic_term(u, pair.f)

@@ -86,7 +86,7 @@ def test_degree_one_zonal_matches_2d_grid():
     H_1d = axisym.axial_curvature(prof, theta)["H"]
     assert np.max(np.abs(b.H - H_1d)) < 1e-6
 
-    F2 = K.curvature_integrals(check_routes=False)
+    F2 = K.curvature_integrals()
     F1 = axisym.axial_functionals(prof)
     assert_allclose(F1.volume, F2.volume, rtol=1e-10)
     assert_allclose(F1.perimeter, F2.perimeter, rtol=1e-10)
@@ -98,7 +98,7 @@ def test_random_zonal_matches_2d_grid(seed):
     prof = random_zonal(3, seed, amp=0.15, L=8)
     grid = build_grid(3, 32)
     K = StarDomain(axisym.lift_to_sphere(prof, grid))
-    F2 = K.curvature_integrals(check_routes=False)
+    F2 = K.curvature_integrals()
     F1 = axisym.axial_functionals(prof)
     for name in ("volume", "perimeter", "int_H", "int_H_plus", "int_nuclear"):
         assert_allclose(getattr(F1, name), getattr(F2, name), rtol=1e-6)
@@ -198,6 +198,15 @@ def test_translated_refuses_a_callable_profile():
     K = AxialDomain(make_bump(20.0, 0.3).axial_profile(4))
     with pytest.raises(ValueError, match="compactly supported"):
         K.translated([1e-3, 0.0, 0.0, 0.0])
+
+
+def test_translated_refuses_a_shift_off_the_axis():
+    K = deficits.random_domain(4, 0.1, seed=1)
+    with pytest.raises(ValueError, match="off-axis"):
+        K.translated([0.0, 0.1, 0.0, 0.0])
+    with pytest.raises(ValueError, match="off-axis"):
+        K.translated([0.01, 0.0, 0.0, -1e-12])
+    assert K.translated([0.01, 0.0, 0.0, 0.0]).barycenter()[0] != K.barycenter()[0]
 
 
 def test_axial_eps_size_of_offset_ball():

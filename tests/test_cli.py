@@ -264,6 +264,14 @@ def test_verify_negative_eps_exits_2(tmp_path, capsys):
     assert "target_eps" in capsys.readouterr().err
 
 
+def test_verify_freq_split_on_the_circle_exits_2(tmp_path, capsys):
+    # the random fields of the suite are drawn for n >= 3 only
+    code = main(["verify", "freq-split", "--n", "2", "--count", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "n >= 3" in capsys.readouterr().err
+
+
 def test_single_kappa_dent_gap_gates_the_verdict(tmp_path, capsys):
     # the kappa = 10, eps = 0.45 grid check is 6.6e-3 from the zonal total
     argv = ["counterexample", "--n", "3", "--kappa", "10", "--eps", "0.45"]

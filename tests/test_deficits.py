@@ -298,7 +298,7 @@ def test_translation_keeps_volume_perimeter_and_curvature_integrals(grid, n, see
     if n > 3:
         s = np.r_[s[0], np.zeros(n - 1)]
     Kt = K.translated(s)
-    F, G = K.curvature_integrals(check_routes=False), Kt.curvature_integrals(check_routes=False)
+    F, G = K.curvature_integrals(), Kt.curvature_integrals()
     assert_allclose([Kt.volume(), Kt.perimeter(), G.int_H, G.int_nuclear],
                     [K.volume(), K.perimeter(), F.int_H, F.int_nuclear],
                     rtol=1e-5 if n == 3 else 1e-13)

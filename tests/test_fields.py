@@ -159,17 +159,15 @@ def test_analysis_rejects_excessive_truncation(grid):
         fields.analyze(f, L=grid.max_degree + 1)
 
 
-def test_finite_difference_gradient_close_to_spectral(grid):
-    rng = np.random.default_rng(11)
-    f = fields.random_band_limited(grid, 6, rng)
-    fd_field = fields.ScalarField(grid, f.values)  # no coeffs -> FD path
-    g_spec = fields.grad_frame(f)
-    g_fd = fields.grad_frame(fd_field)
-    scale = np.max(np.abs(g_spec))
-    # one-sided stencils on the stretched polar rows dominate the error
-    assert np.max(np.abs(g_spec - g_fd)) < 1e-1 * scale
-    interior = (np.abs(grid.nodes[:, 0]) < 0.9)
-    assert np.max(np.abs((g_spec - g_fd)[interior])) < 2e-2 * scale
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("derivative", [fields.grad_frame, fields.hessian_frame,
+                                        fields.laplacian])
+def test_a_field_with_values_only_has_no_derivatives(n, derivative):
+    g = build_grid(n, 16)
+    f = fields.ScalarField(g, g.nodes[:, 0])
+    with pytest.raises(ValueError, match="fields.analyze"):
+        derivative(f)
+    derivative(fields.analyze(f))
 
 
 def test_values_at_points_match_grid(grid):

@@ -46,8 +46,8 @@ def test_saved_field_loads_as_a_domain_with_the_same_functionals(grid, tmp_path_
     f = fields.random_band_limited(grid, L, np.random.default_rng(seed))
     f = fields_affine(f, amp / np.max(np.abs(f.values)), 0.0)
     path = qio.save_field(f, tmp_path_factory.mktemp("io") / "f.json", as_values=as_values)
-    F = StarDomain(f).curvature_integrals(check_routes=False)
-    G = qio.load_domain(path).curvature_integrals(check_routes=False)
+    F = StarDomain(f).curvature_integrals()
+    G = qio.load_domain(path).curvature_integrals()
     for name in ("volume", "perimeter", "int_H", "int_H_plus", "int_nuclear"):
         assert_allclose(getattr(G, name), getattr(F, name), rtol=1e-12)
     assert_allclose(G.int_sigma, F.int_sigma, rtol=1e-12)

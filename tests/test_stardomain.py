@@ -157,8 +157,8 @@ def test_scaling_covariance(grid, dim, seed, s):
     K = (band_limited_domain(grid, seed, amp=0.1) if dim == "grid"
          else deficits.random_domain(dim, 0.1, seed=seed, zonal=True))
     n = K.n
-    F = K.curvature_integrals(check_routes=False)
-    Fs = K.scaled(s).curvature_integrals(check_routes=False)
+    F = K.curvature_integrals()
+    Fs = K.scaled(s).curvature_integrals()
     assert_allclose(Fs.volume, s**n * F.volume, rtol=1e-8)
     assert_allclose(Fs.perimeter, s ** (n - 1) * F.perimeter, rtol=1e-8)
     assert_allclose(Fs.int_H, s ** (n - 2) * F.int_H, rtol=1e-8)
@@ -191,8 +191,8 @@ def test_rotation_invariance(grid, seed):
 
     K = band_limited_domain(grid, 31, amp=0.1)
     KR = K.rotated(R)
-    F = K.curvature_integrals(check_routes=False)
-    FR = KR.curvature_integrals(check_routes=False)
+    F = K.curvature_integrals()
+    FR = KR.curvature_integrals()
     assert_allclose(FR.volume, F.volume, rtol=1e-9)
     assert_allclose(FR.perimeter, F.perimeter, rtol=1e-9)
     assert_allclose(FR.int_H, F.int_H, rtol=1e-8)
@@ -205,8 +205,8 @@ def test_rotation_invariance(grid, seed):
 
     Kc = band_limited_domain(grid, 31, amp=0.02)
     KcR = Kc.rotated(R)
-    Fc = Kc.curvature_integrals(check_routes=False)
-    FcR = KcR.curvature_integrals(check_routes=False)
+    Fc = Kc.curvature_integrals()
+    FcR = KcR.curvature_integrals()
     assert Fc.is_convex
     assert_allclose(FcR.int_nuclear, Fc.int_nuclear, rtol=1e-8)
     assert_allclose(FcR.int_H_plus, Fc.int_H_plus, rtol=1e-8)
@@ -216,11 +216,11 @@ def test_nuclear_dominates_mean_curvature(grid):
     K = band_limited_domain(grid, 41, amp=0.3)
     b = K.curvatures(check_routes=False)
     assert np.all(b.nuclear >= np.abs(b.H) - 1e-12)
-    F = K.curvature_integrals(check_routes=False)
+    F = K.curvature_integrals()
     assert F.int_nuclear >= abs(F.int_H)
     # convex domain: nuclear norm integral equals mean curvature integral
     Kc = band_limited_domain(grid, 43, amp=0.01)
-    Fc = Kc.curvature_integrals(check_routes=False)
+    Fc = Kc.curvature_integrals()
     assert Fc.is_convex
     assert_allclose(Fc.int_nuclear, Fc.int_H, rtol=1e-9)
 
