@@ -290,6 +290,9 @@ def cmd_export_mesh(args) -> int:
     if _is_axial_profile(args.domain):
         raise ValueError(f"export-mesh meshes a field or domain file of n = 3; "
                          f"{args.domain} is an axial profile")
+    n = json.loads(Path(args.domain).read_text())["n"]
+    if n != 3:
+        raise ValueError(f"mesh export is defined for n = 3; {args.domain} has n = {n}")
     K = qio.load_domain(args.domain, resolution=args.resolution)
     path = qio.export_obj(K, Path(args.out) / "mesh.obj")
     _echo_config(args)

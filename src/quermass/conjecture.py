@@ -15,7 +15,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from quermass import fields, harmonics
 from quermass.grids import build_grid, jacobi_rule, sphere_area
@@ -500,7 +499,7 @@ def green_sequence(n: int, level: int) -> ConjectureCandidate:
     for l in range(1, level + 1):
         lam = l * (l + n - 2.0)
         # C_l^~(1) and the basis normalization, via log-Gamma for stability
-        log_c1 = gammaln(l + 2 * alpha) - gammaln(2 * alpha) - gammaln(l + 1.0)
+        log_c1 = math.lgamma(l + 2 * alpha) - math.lgamma(2 * alpha) - math.lgamma(l + 1.0)
         c[l] = -(multiplicity(l, n) / (lam * area)
                  * backend.basis.norms[l] / math.exp(log_c1))
     mx = float(np.max(backend.laplacian_values(c, dense=True)))

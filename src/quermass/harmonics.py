@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import eval_gegenbauer, gammaln
 
 from quermass.grids import sphere_area
 
@@ -298,8 +297,9 @@ class ZonalBasis:
         a = self.alpha
         log_h = (
             math.log(math.pi) + (1.0 - 2.0 * a) * math.log(2.0)
-            + gammaln(l + 2.0 * a) - gammaln(l + 1.0)
-            - np.log(l + a) - 2.0 * gammaln(a)
+            + np.array([math.lgamma(k + 2.0 * a) - math.lgamma(k + 1.0)
+                        for k in range(L + 1)])
+            - np.log(l + a) - 2.0 * math.lgamma(a)
         )
         self.norms = np.sqrt(sphere_area(n - 1) * np.exp(log_h))
         self.eigenvalues = l * (l + n - 2.0)
@@ -307,23 +307,32 @@ class ZonalBasis:
     def values(self, t: np.ndarray, derivative: int = 0) -> np.ndarray:
         """Matrix Z^{(derivative)}_l(t), shape (L+1, len(t)), built afresh.
 
-        derivative counts d/dt applications (not d/dtheta).  AxialProfile
-        caches read-only tables on its fixed node sets
-        (axisym._zonal_table), so there this runs once per
-        (n, L, derivative) and node set.
+        derivative counts d/dt applications (not d/dtheta), taken with
+        d/dt C_l^(a) = 2a C_{l-1}^(a+1).  AxialProfile caches read-only
+        tables on its fixed node sets (axisym._zonal_table), so there this
+        runs once per (n, L, derivative) and node set.
         """
+        if derivative not in (0, 1, 2):
+            raise ValueError("derivative order must be 0, 1 or 2")
         t = np.asarray(t, dtype=float)
         a = self.alpha
+        scale = math.prod(2.0 * (a + k) for k in range(derivative))
         out = np.zeros((self.L + 1, t.shape[0]))
-        for l in range(self.L + 1):
-            if derivative == 0:
-                v = eval_gegenbauer(l, a, t)
-            elif derivative == 1:
-                v = 2.0 * a * eval_gegenbauer(l - 1, a + 1.0, t) if l >= 1 else 0.0
-            elif derivative == 2:
-                v = (4.0 * a * (a + 1.0) * eval_gegenbauer(l - 2, a + 2.0, t)
-                     if l >= 2 else 0.0)
-            else:
-                raise ValueError("derivative order must be 0, 1 or 2")
-            out[l] = v / self.norms[l]
-        return out
+        out[derivative:] = scale * _gegenbauer_table(self.L - derivative, a + derivative, t)
+        return out / self.norms[:, None]
+
+
+def _gegenbauer_table(L: int, a: float, t: np.ndarray) -> np.ndarray:
+    """Rows C_0^(a)(t), ..., C_L^(a)(t) from the three-term recurrence.
+
+    l C_l = 2(l+a-1) t C_{l-1} - (l+2a-2) C_{l-2}; shape (L+1, len(t)),
+    no rows for L < 0.
+    """
+    C = np.empty((max(L + 1, 0), t.shape[0]))
+    if L >= 0:
+        C[0] = 1.0
+    if L >= 1:
+        C[1] = 2.0 * a * t
+    for l in range(2, L + 1):
+        C[l] = (2.0 * (l + a - 1.0) * t * C[l - 1] - (l + 2.0 * a - 2.0) * C[l - 2]) / l
+    return C

@@ -3,8 +3,10 @@
 Field files hold either spectral coefficients
 {"n": ..., "L": ..., "coeffs": [{"l": ..., "m_index": ..., "value": ...}]}
 or plain node values {"n": ..., "grid_resolution": ..., "values": [...]}.
-Domain files add an optional "center".  Axial profiles hold
-{"n", "theta_nodes", "values"} or {"n", "zonal_coeffs"}.
+Domain files add an optional "center".  Field and domain files are read
+for n = 2 and 3, where a field has spectral coefficients; axial
+profiles, the files of n >= 4 domains, hold {"n", "theta_nodes",
+"values"} or {"n", "zonal_coeffs"}.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ def save_field(f: ScalarField, path, as_values: bool = False) -> Path:
 def load_field(path, grid=None, resolution: int | None = None) -> ScalarField:
     payload = json.loads(Path(path).read_text())
     n = int(payload["n"])
+    if n not in (2, 3):
+        raise ValueError(
+            f"{path} holds a field of n = {n}; field and domain files are read for "
+            f"n = 2 and 3, and a domain of n >= 4 from an axial-profile file "
+            f"(\"zonal_coeffs\", or \"theta_nodes\" and \"values\")")
     if "coeffs" in payload:
         L = int(payload["L"])
         if grid is None:
@@ -56,13 +63,7 @@ def load_field(path, grid=None, resolution: int | None = None) -> ScalarField:
     if grid is None:
         grid = build_grid(n, res)
     values = np.asarray(payload["values"], dtype=float)
-    f = ScalarField(grid, values)
-    if grid.n in (2, 3):
-        try:
-            f = fields.analyze(f)
-        except ValueError:
-            pass
-    return f
+    return fields.analyze(ScalarField(grid, values))
 
 
 def save_domain(K: StarDomain, path) -> Path:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -463,17 +464,65 @@ def test_tables_over_the_size_limit_are_built_afresh(cold_tables):
     assert cold_tables.cache_info().currsize == entries + 1
 
 
+def _beta_moments(resolution, alpha):
+    """int t^{2j} (1-t^2)^alpha dt over [-1, 1] for j < resolution.
+
+    B(j+1/2, alpha+1): the mass times exact rational ratios, for an alpha
+    with a short binary fraction.
+    """
+    mass = 2.0 ** (2 * alpha + 1) * math.gamma(alpha + 1) ** 2 / math.gamma(2 * alpha + 2)
+    a, ratio, out = Fraction(alpha), Fraction(1), []
+    for j in range(resolution):
+        if j:
+            ratio *= Fraction(2 * j - 1, 2) / (j + a + Fraction(1, 2))
+        out.append(mass * float(ratio))
+    return np.array(out)
+
+
+def _assert_gauss_jacobi(t, w, resolution, alpha):
+    t_ref, _ = roots_jacobi(resolution, alpha, alpha)
+    assert np.max(np.abs(t - t_ref)) <= 4e-16
+    assert np.array_equal(t[::-1], -t) and np.all(np.diff(t) > 0) and np.all(w > 0)
+    if resolution % 2:
+        assert math.copysign(1.0, t[resolution // 2]) == 1.0 and t[resolution // 2] == 0.0
+    # every even moment the rule integrates exactly; a node one rounding
+    # unit off moves t^{2j} by 2j units, which the bound adds to 1e-14
+    j = np.arange(resolution)
+    moments = np.array([np.sum(w * t ** (2 * k)) for k in j])
+    exact = _beta_moments(resolution, alpha)
+    assert np.all(np.abs(moments - exact) <= (1e-14 + 2 * j * 2.0**-52) * exact)
+
+
 @pytest.mark.parametrize("resolution, alpha", [(16, 0.0), (64, 0.5), (256, 1.0),
                                                (512, 0.5), (7, 1.5)])
 def test_jacobi_rule_is_the_cached_read_only_gauss_jacobi_rule(resolution, alpha):
     t, w = jacobi_rule(resolution, alpha)
-    t_ref, w_ref = roots_jacobi(resolution, alpha, alpha)
-    assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+    _assert_gauss_jacobi(t, w, resolution, alpha)
     again = jacobi_rule(resolution, alpha)
     assert again[0] is t and again[1] is w
     for arr in (t, w):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(resolution=st.integers(1, 600), alpha=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]))
+def test_jacobi_rule_is_a_gauss_rule_at_every_resolution(resolution, alpha):
+    # the builder behind the cache, so that the examples leave it as it was
+    t, w = jacobi_rule.__wrapped__(resolution, alpha)
+    _assert_gauss_jacobi(t, w, resolution, alpha)
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_jacobi_rule_refuses_a_resolution_below_one(resolution):
+    with pytest.raises(ValueError, match=f"resolution >= 1, got {resolution}$"):
+        jacobi_rule(resolution, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -2.5, float("nan")])
+def test_jacobi_rule_refuses_a_weight_exponent_at_or_below_minus_one(alpha):
+    with pytest.raises(ValueError, match=f"alpha > -1, got {alpha}$"):
+        jacobi_rule(16, alpha)
 
 
 def test_every_zonal_rule_comes_from_jacobi_rule():

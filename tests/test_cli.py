@@ -169,6 +169,18 @@ def test_export_mesh_refuses_a_domain_outside_three_dimensions(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_a_domain_file_outside_two_and_three_dimensions_is_refused_at_load(tmp_path, capsys):
+    # a values file of n = 4 has no spectral coefficients to differentiate;
+    # a domain of n >= 4 is read from an axial-profile file
+    K = StarDomain(fields.constant_field(build_grid(4, 8), 0.0))
+    path = qio.save_domain(K, tmp_path / "ball4.json")
+    for command in ("functionals", "deficits"):
+        assert main([command, str(path), "--out", str(tmp_path / command)]) == 2
+        assert f"error: {path} holds a field of n = 4" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="from an axial-profile file"):
+        qio.load_domain(path)
+
+
 def test_bad_arguments_exit_code(tmp_path):
     code = main(["counterexample", "--kappa", "0.2", "--eps", "0.3",
                  "--out", str(tmp_path / "x")])

@@ -2,8 +2,9 @@
 
 The oracles below are the earlier implementations: the triple loop that
 built the Legendre tables, one synthesis or analysis per order m, the
-ascent step assembled from one transform per field, and the deviation
-formula written out with the relative vectors.
+per-degree scipy Gegenbauer evaluation of the zonal tables, the ascent
+step assembled from one transform per field, and the deviation formula
+written out with the relative vectors.
 """
 
 import math
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
+from scipy.special import eval_gegenbauer
 
 from quermass import conjecture, deficits, fields, harmonics
-from quermass.grids import build_grid
+from quermass.grids import build_grid, jacobi_rule, sphere_area
+from quermass.harmonics import ZonalBasis
 
 _SQRT2 = math.sqrt(2.0)
 DERIVATIVE_PAIRS = [(dt, dp) for dt in range(3) for dp in range(3)]
@@ -241,6 +244,35 @@ def test_off_grid_evaluation_matches_synthesis():
     c = np.random.default_rng(5).standard_normal(harmonics.coeff_count(15))
     assert _rel(harmonics.sh_values_at_points(c, grid.nodes),
                 harmonics.sh_synthesize(grid, c)) <= 1e-13
+
+
+# -- zonal tables ----------------------------------------------------------------
+
+
+def _oracle_zonal(basis, t, derivative):
+    """Z_l^(derivative) from one eval_gegenbauer per degree, as built before."""
+    a = basis.alpha
+    scale = math.prod(2.0 * (a + k) for k in range(derivative))
+    out = np.zeros((basis.L + 1, t.size))
+    for l in range(derivative, basis.L + 1):
+        out[l] = scale * eval_gegenbauer(l - derivative, a + derivative, t) / basis.norms[l]
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_zonal_tables_match_the_per_degree_gegenbauer_oracle(n):
+    basis = ZonalBasis(n, 64)
+    t, w = jacobi_rule(256, (n - 3) / 2.0)
+    points = np.concatenate([np.linspace(-1.0, 1.0, 201), t])
+    for derivative in range(3):
+        want = _oracle_zonal(basis, points, derivative)
+        got = basis.values(points, derivative=derivative)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    Z = basis.values(t)
+    gram = sphere_area(n - 1) * (Z * w) @ Z.T
+    assert np.max(np.abs(gram - np.eye(basis.L + 1))) <= 1e-12
+    with pytest.raises(ValueError, match="derivative order must be 0, 1 or 2"):
+        basis.values(t, derivative=3)
 
 
 # -- the conjecture ascent step ---------------------------------------------------

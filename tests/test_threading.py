@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,29 +114,33 @@ def test_importing_the_cli_loads_no_multiprocessing():
 _HEAVY = """
 import sys
 def heavy():
-    return sorted(m for m in sys.modules
-                  if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'spatial']))
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
 """
 
 
-def test_commands_without_a_center_load_no_optimizer_or_tree(tmp_path):
-    # counterexample and conjecture solve no eps_size center, and the dent
-    # grid check takes its disjointness from the lattice's min_distance,
-    # so neither command loads scipy.optimize or scipy.spatial
+def test_commands_without_a_center_load_no_scipy(tmp_path):
+    # the Gauss-Jacobi rules and zonal tables are numpy's, counterexample
+    # and conjecture solve no eps_size center, and the dent grid check
+    # takes its disjointness from the lattice's min_distance, so neither
+    # command, nor the freq-split check, loads any part of scipy
+    runs = [["counterexample", "--n", "3", "--kappa", "10"],   # with the grid check
+            ["counterexample", "--n", "4", "--kappa", "4"],
+            ["conjecture", "--n", "3", "--restarts", "1"],
+            ["conjecture", "--n", "4", "--restarts", "1"],
+            ["verify", "freq-split", "--count", "4"]]
+    outs = [str(tmp_path / str(i)) for i in range(len(runs))]
     probe = _HEAVY + f"""
 import quermass.cli
 seen = [heavy()]
-quermass.cli.main(["counterexample", "--n", "3", "--kappa", "10",
-                   "--out", {str(tmp_path / "dent")!r}])
-seen.append(heavy())
-quermass.cli.main(["conjecture", "--n", "4", "--restarts", "1",
-                   "--out", {str(tmp_path / "conj")!r}])
-seen.append(heavy())
+for argv, out in zip({runs!r}, {outs!r}):
+    assert quermass.cli.main(argv + ["--out", out]) == 0
+    seen.append(heavy())
 print(seen)
 """
-    assert _probe(probe).splitlines()[-1] == "[[], [], []]"
-    assert (tmp_path / "dent" / "counterexample.csv").exists()
-    assert (tmp_path / "conj" / "conjecture.csv").exists()
+    assert _probe(probe).splitlines()[-1] == repr([[]] * (len(runs) + 1))
+    for out, csv in zip(outs, ["counterexample", "counterexample", "conjecture",
+                               "conjecture", "verify_freq-split"]):
+        assert (Path(out) / f"{csv}.csv").exists()
 
 
 def test_pooled_verify_from_a_cold_interpreter_matches_serial(tmp_path):
