@@ -22,7 +22,9 @@ from quermass.config import POLE_CONSTANT, POLE_SLACK
 from quermass.grids import jacobi_rule, panel_rule, sphere_area
 from quermass.harmonics import ZonalBasis
 from quermass.reporting import DeficitReport
-from quermass.stardomain import Functionals, RadialGraph, radial_functionals
+from quermass.stardomain import (_CENTER_BOX, _FLAT_DEVIATION, _MAX_PASSES,
+                                 CenterCertificate, Functionals, RadialGraph,
+                                 _active_level, radial_functionals)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -34,6 +36,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # samples of c1_norm.  Together with each profile's Gauss-Jacobi nodes
 # they are the only angles whose zonal tables are cached.
 _DEVIATION_THETA = _read_only(np.linspace(0.0, math.pi, 4096))
+_DEVIATION_COS = _read_only(np.cos(_DEVIATION_THETA))
+_DEVIATION_SIN = _read_only(np.sin(_DEVIATION_THETA))
 _C1_THETA = _read_only(np.linspace(0.0, math.pi, 2048))
 
 
@@ -345,6 +349,8 @@ def lift_to_sphere(profile: AxialProfile, grid):
 # (|a| + |offset|)/|p| (see _Section.screen); the cheap form's error is at
 # most about 3e-16 per unit
 _SCREEN_PAD = 1e-12
+_CROSSING_STEPS = 64    # Newton or bisection steps per crossing of two nodes
+_CROSSING_TOL = 1e-15   # relative to 1 + |offset|: the last Newton step
 
 
 class _Section:
@@ -353,19 +359,25 @@ class _Section:
     In the section x = (cos th, sin th) the normal is
     nu = (x - v e_theta)/sqrt(1 + v^2) with v = V'/(1+V), and the
     boundary point is (a1, p2) = (1+V) x; only the offset of the center
-    along the axis varies between evaluations.
+    along the axis varies between evaluations.  With p = (a1 - offset, p2),
+    the cosine c = nu . p/|p| has the offset slope
+    c' = p2 (nu2 p1 - nu1 p2)/|p|^3.
     """
 
     def __init__(self, theta: np.ndarray, V: np.ndarray, Vd: np.ndarray):
         opu = 1.0 + V
         v = Vd / opu
         s = np.sqrt(1.0 + v * v)
-        cos, sin = np.cos(theta), np.sin(theta)
+        if theta is _DEVIATION_THETA:
+            cos, sin = _DEVIATION_COS, _DEVIATION_SIN
+        else:
+            cos, sin = np.cos(theta), np.sin(theta)
         self.nu1 = (cos + v * sin) / s
         self.nu2 = (sin - v * cos) / s
         self.a1, self.p2 = opu * cos, opu * sin
         self.reach = float(np.max(np.abs(opu)))
         self.p2_sq = self.p2 * self.p2
+        self.nu1_p2 = self.nu1 * self.p2
         self.nu_dot_a = self.nu1 * self.a1 + self.nu2 * self.p2
 
     def deviation(self, offset: float, idx=slice(None)) -> np.ndarray:
@@ -407,13 +419,174 @@ class _Section:
         keep = np.flatnonzero(c <= lowest + pad)
         return float(np.max(self.deviation(offset, keep)))
 
+    def cosine_slope(self, offset: float, idx) -> np.ndarray:
+        """c' on the nodes idx."""
+        p1 = self.a1[idx] - offset
+        p2 = self.p2[idx]
+        norm = np.hypot(p1, p2)
+        return p2 * (self.nu2[idx] * p1 - self.nu1_p2[idx]) / norm**3
+
+    def sides(self, offset: float):
+        """(c, pad, rise, fall) at the offset: the screen and the top of each side.
+
+        rise is (deviation, node) of the largest exact deviation among the
+        nodes whose deviation grows with the offset (c' < 0), and fall that
+        among the others, or (-inf, None) for an empty side.  Each side is
+        screened against its own smallest c, so the larger of the two is
+        sup_deviation(offset) bit for bit.
+        """
+        c, pad = self.screen(offset)
+        rising = self.p2 * (self.nu2 * (self.a1 - offset) - self.nu1_p2) < 0.0
+        return (c, pad, self._top(offset, c, pad, rising),
+                self._top(offset, c, pad, ~rising))
+
+    def _top(self, offset: float, c: np.ndarray, pad, members: np.ndarray) -> tuple:
+        side = np.where(members, c, np.inf)
+        lowest = float(np.min(side))
+        if lowest == math.inf:
+            return -math.inf, None
+        if pad is None or not math.isfinite(lowest):
+            keep = np.flatnonzero(members)
+        else:
+            keep = np.flatnonzero(side <= lowest + pad)
+        dev = self.deviation(offset, keep)
+        j = int(np.argmax(dev))
+        return float(dev[j]), int(keep[j])
+
+    def node(self, i: int) -> tuple:
+        """(nu1, nu2, a1, p2) of node i, as floats."""
+        return (float(self.nu1[i]), float(self.nu2[i]), float(self.a1[i]),
+                float(self.p2[i]))
+
+
+def _deviation_slope(nu1, nu2, a1, p2, offset):
+    """(d, d') of one node at the offset: the hypot form, and d' = -c'/d (0 at d = 0)."""
+    p1 = a1 - offset
+    norm = math.hypot(p1, p2)
+    d = math.hypot(nu1 - p1 / norm, nu2 - p2 / norm)
+    return d, (-p2 * (nu2 * p1 - nu1 * p2) / (norm**3 * d) if d > 0.0 else 0.0)
+
+
+def _crossing(section: _Section, r: int, f: int, x: float, lo: float, hi: float) -> float:
+    """The offset in [lo, hi] where the rising node r and the falling node f deviate alike.
+
+    On the stretch where r rises and f falls, h = d_r - d_f increases
+    through its one root; left of the stretch the root lies to the right,
+    and right of it to the left.  lo or hi is returned when the root lies
+    beyond it; otherwise Newton's method on h runs from x (lo or hi) until
+    its step is within _CROSSING_TOL, and a step that leaves the bracket of
+    the signs seen bisects it instead.
+    """
+    rise, fall = section.node(r), section.node(f)
+
+    def h(y):
+        """(sign-carrying h, Newton step) at y."""
+        d_r, s_r = _deviation_slope(*rise, y)
+        d_f, s_f = _deviation_slope(*fall, y)
+        if s_r <= 0.0:
+            return -1.0, math.nan
+        if s_f >= 0.0:
+            return 1.0, math.nan
+        return d_r - d_f, (d_r - d_f) / (s_r - s_f)
+
+    if h(lo)[0] >= 0.0:
+        return lo
+    if h(hi)[0] <= 0.0:
+        return hi
+    for _ in range(_CROSSING_STEPS):
+        g, step = h(x)
+        if g == 0.0:
+            return x
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        nxt = x - step
+        if lo <= nxt <= hi and abs(step) <= _CROSSING_TOL * (1.0 + abs(x)):
+            return nxt
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if nxt in (lo, hi):
+                return nxt
+        x = nxt
+    return x
+
+
+def _crossing_search(section: _Section, seed: float) -> tuple:
+    """(offset, value, certificate) of the smallest sup deviation along the axis.
+
+    Each node's deviation is V-shaped in the offset: it falls to 0 where
+    the center reaches the node's normal line and rises after.  So the sup
+    is the larger of R, the top of the rising nodes, which never falls,
+    and F, the top of the falling ones, which never rises, and its minimum
+    is where they cross.  A full pass at x (sides) finds the top rising
+    node r and falling node f and moves the end of the bracket, first the
+    seed +- _CENTER_BOX, on the side of the larger to x.  The next x is the
+    crossing of d_r and d_f in the bracket (_crossing), or the bracket's
+    midpoint where that offset has had its pass.  The search stops when a
+    pass returns the pair whose crossing it ran at, after _MAX_PASSES, or
+    at once when the seed's deviation is at most _FLAT_DEVIATION.  The
+    value at every x is the exact max over all nodes; the seed is kept
+    whenever it is no worse.
+    """
+    lo, hi = seed - _CENTER_BOX, seed + _CENTER_BOX
+    x, aimed, seen, passes, best = seed, None, set(), 0, None
+    while True:
+        c, pad, (up, r), (down, f) = section.sides(x)
+        passes += 1
+        seen.add(x)
+        value = max(up, down)
+        if best is None or value < best[1]:
+            best = x, value, c, pad
+        if value <= _FLAT_DEVIATION and passes == 1:
+            break
+        if (r, f) == aimed or up == down or passes == _MAX_PASSES:
+            break
+        if up > down:
+            hi = x
+        else:
+            lo = x
+        if r is None:
+            nxt = hi
+        elif f is None:
+            nxt = lo
+        else:
+            nxt = _crossing(section, r, f, x, lo, hi)
+        aimed = r, f
+        if nxt in seen:
+            nxt, aimed = 0.5 * (lo + hi), None
+            if nxt in seen:
+                break
+        x = nxt
+    x, value, c, pad = best
+    return x, value, _certificate(section, x, value, c, pad, passes)
+
+
+def _certificate(section: _Section, x: float, value: float, c, pad, passes: int):
+    """CenterCertificate at the offset x, from its screen (c, pad) and max value.
+
+    The active rows are the nodes whose deviation is at least
+    _active_level(value): the screen's error bound pad on 2 - 2c picks the
+    nodes that may be, and the exact form decides.  A node's gradient is
+    g' = -2c', so the residual is 0 when the active slopes straddle 0, else
+    the least |g'|.
+    """
+    t = _active_level(value)
+    near = (np.arange(c.size) if pad is None
+            else np.flatnonzero(c <= 1.0 - 0.5 * (t * t - pad)))
+    rows = near[section.deviation(x, near) >= t]
+    slopes = -2.0 * section.cosine_slope(x, rows)
+    straddle = np.min(slopes) <= 0.0 <= np.max(slopes)
+    return CenterCertificate(residual=0.0 if straddle else float(np.min(np.abs(slopes))),
+                             active_rows=int(rows.size), full_passes=passes)
+
 
 class AxialDomain(RadialGraph):
     """Axisymmetric star-shaped domain of a zonal profile, for every n >= 3.
 
     The RadialGraph surface runs on the profile's quadrature rule, whose
     weights, V and (once needed) V' are kept; the functionals come from
-    axial_functionals, eps_size from a Brent search along the axis.
+    axial_functionals, eps_size from an exact minimax search along the axis.
     """
 
     def __init__(self, profile: AxialProfile):
@@ -454,24 +627,22 @@ class AxialDomain(RadialGraph):
     # -- planar deviation geometry -------------------------------------------------
 
     def _eps_search(self, optimize_center: bool):
-        """Bounded Brent search for the axial offset within 0.3 of the
-        barycenter, on 4096 polar angles.
+        """(value, center) of eps_size on 4096 polar angles.
 
-        Each evaluation screens the angles with a cheap form of the
-        deviation and runs the exact hypot form only near the cheap
-        maximum, so it returns the exact form's maximum bit for bit.
+        value is the max of the exact hypot form of the deviation, found
+        bit for bit by screening the angles with a cheap form (see
+        _Section).  The optimized center is the axial offset within
+        _CENTER_BOX of the barycenter where the largest rising and falling
+        deviations cross (_crossing_search), which also sets the
+        center_certificate.
         """
         th = _DEVIATION_THETA
         section = _Section(th, self.profile.value(th), self.profile.slope(th))
         seed = self.barycenter()[0]
-        best_b, best = seed, section.sup_deviation(seed)
         if optimize_center:
-            from scipy.optimize import minimize_scalar
-            res = minimize_scalar(section.sup_deviation,
-                                  bounds=(seed - 0.3, seed + 0.3),
-                                  method="bounded", options={"xatol": 1e-11})
-            if res.fun < best:
-                best_b, best = res.x, res.fun
+            best_b, best, self._eps_certificate = _crossing_search(section, seed)
+        else:
+            best_b, best = seed, section.sup_deviation(seed)
         center = np.zeros(self.n)
         center[0] = best_b
         return best, center

@@ -85,12 +85,36 @@ def radial_functionals(n, volume, w, u, grad2, H, eigs) -> Functionals:
     )
 
 
+# -- the eps_size center search, shared by both kinds ---------------------------------
+
+_FLAT_DEVIATION = 1e-10  # no search below this at the barycenter: rounding level
+_MAX_PASSES = 24        # full passes per center
+_CENTER_BOX = 0.3       # the center stays within the barycenter +- this per axis
+_ACTIVE_GAP = 1e-9      # rows this close to the max (relative) are the active rows,
+_ACTIVE_FLOOR = 1e-15   # or this close: a deviation is rounded to a few ulps of 1
+
+
+@dataclasses.dataclass(frozen=True)
+class CenterCertificate:
+    """How the optimized eps_size center was found, and how stationary it is."""
+
+    residual: float     # distance from 0 to the hull of the active rows' grad g_i
+    active_rows: int    # nodes at or above _active_level of the max deviation
+    full_passes: int    # deviation evaluations over all nodes
+
+
+def _active_level(value: float) -> float:
+    """The deviation from which a row counts as active, at the max deviation value."""
+    return value - max(_ACTIVE_GAP * value, _ACTIVE_FLOOR)
+
+
 class RadialGraph:
     """The surface both domain kinds share, over a quadrature rule of the sphere.
 
     A kind supplies n, _rule() -> (weights, u) and _grad2() -> |grad u|^2 at
-    the rule's nodes, _eps_search(optimize_center), and for translated
-    _chart(shift) and _refit(u, shift).
+    the rule's nodes, _eps_search(optimize_center), which also sets
+    _eps_certificate when it optimizes, and for translated _chart(shift)
+    and _refit(u, shift).
     """
 
     def perimeter(self) -> float:
@@ -113,6 +137,15 @@ class RadialGraph:
         if optimize_center not in cache:
             cache[optimize_center] = self._eps_search(optimize_center)
         return cache[optimize_center]
+
+    def center_certificate(self) -> CenterCertificate:
+        """Stationarity certificate of the optimized eps_size center.
+
+        g_i is a node's squared deviation; the residual is the distance from
+        0 to the hull of the center gradients of g_i over the active rows.
+        """
+        self.eps_size()
+        return self._eps_certificate
 
     def translated(self, shift: np.ndarray):
         """Domain K - shift, re-parametrized as a radial graph.
@@ -155,7 +188,6 @@ class StarDomain(RadialGraph):
         self.grid = profile.grid
         self.center = np.zeros(self.n) if center is None else np.asarray(center, float)
         self._bundle = {}
-        self._eps_certificate = None
         self._normals = None
         self._points = None
 
@@ -311,17 +343,11 @@ class StarDomain(RadialGraph):
         if np.max(dev) <= np.max(dev_c):
             center, dev_c = bary, dev
         value = float(np.max(dev_c))
-        active = np.flatnonzero(dev_c >= value * (1.0 - _ACTIVE_GAP))
+        active = np.flatnonzero(dev_c >= _active_level(value))
         _, grads = _row_terms(y[:, active].T, nu[:, active].T, center)
         self._eps_certificate = CenterCertificate(
             residual=_hull_point(grads)[0], active_rows=len(active), full_passes=passes)
         return value, center
-
-    def center_certificate(self) -> "CenterCertificate":
-        """Stationarity certificate of the optimized eps_size center."""
-        if self._eps_certificate is None:
-            self.eps_size()
-        return self._eps_certificate
 
     # -- gradient-vs-normal comparison report --------------------------------------
 
@@ -403,27 +429,14 @@ class StarDomain(RadialGraph):
 
 # -- the eps_size center: an active-set epigraph solve ------------------------------
 
-_FLAT_DEVIATION = 1e-10  # no search below this at the barycenter: rounding level
 _FIRST_ROWS = 512       # the barycenter's largest rows, from which the first set is drawn
 _ADDED_ROWS = 16        # rows taken per pass: the largest candidates ...
 _PEAKS = 8              # ... and the largest of up to this many spread-out peaks,
 _PEAK_COS = 0.9         # each at a cosine below this from the peaks taken before it
-_MAX_PASSES = 24        # full passes per center
-_CENTER_BOX = 0.3       # the center stays within the barycenter +- this per axis
 _SLSQP_FTOLS = (1e-6, 1e-10, 1e-14)  # tightened only when Newton fails to finish
 _NEAR_ACTIVE = 1e-5     # rows this close to the max (relative) enter the Newton solve
 _NEWTON_STEPS = 8
 _POLISH_SLACK = 1e-14   # relative: Newton may cost a few ulps of value
-_ACTIVE_GAP = 1e-9      # rows this close to the max (relative) are the active rows
-
-
-@dataclasses.dataclass(frozen=True)
-class CenterCertificate:
-    """How the optimized eps_size center was found, and how stationary it is."""
-
-    residual: float     # distance from 0 to the hull of the active rows' grad g_i
-    active_rows: int    # nodes within _ACTIVE_GAP of the max deviation
-    full_passes: int    # deviation evaluations over all nodes
 
 
 def _minimax_center(y, nu, bary, dev, radius) -> tuple:

@@ -52,10 +52,10 @@ def _target_miss(K, eps: float) -> float:
     return abs(e - eps) / eps if eps > 0 else e
 
 
-def _worst_target_miss(rows) -> float | None:
-    """Pop each row's target_miss; the largest, or None where no row has one."""
-    misses = [m for m in (r.pop("target_miss", None) for r in rows) if m is not None]
-    return max(misses, default=None)
+def _pop_worst(rows, key: str) -> float | None:
+    """Pop key from each row; the largest value, or None where no row has one."""
+    values = [v for v in (r.pop(key, None) for r in rows) if v is not None]
+    return max(values, default=None)
 
 
 def _jobs(count: int, ns) -> list:
@@ -73,7 +73,8 @@ def _pmap(fn, items):
     dimension, and the caller's lazily built tables warm for the next
     map's children.  The children inherit the caller's imports, and
     scipy.optimize is imported before the fork so that no child loads
-    it again at its first eps_size.  fn and its stride reach a child
+    it again at its first n = 3 eps_size center (the axial centers need
+    no scipy).  fn and its stride reach a child
     through the fork, so closures need not pickle; only the rows and the
     warnings each job raised, or the exception that stopped a stride,
     come back pickled.
@@ -190,11 +191,10 @@ def route_agreement_suite(count: int = 100, eps: float = 0.3, seed: int = 2024,
         warnings.simplefilter("ignore", ResolutionWarning)
         rows = _pmap(one, range(count))
     worst = max(r["ratio"] for r in rows)
-    worst_center = max(r.pop("center_residual") for r in rows)
     return {"rows": rows, "columns": CUBIC_COLUMNS,
             "passed": worst <= tolerance,
             "summary": {"worst_disagreement": worst, "tolerance": tolerance,
-                        "worst_center_residual": worst_center}}
+                        "worst_center_residual": _pop_worst(rows, "center_residual")}}
 
 
 # -- gradient-vs-normal comparison ----------------------------------------------
@@ -323,12 +323,14 @@ def pole_bound_suite(n: int = 3, seed: int = 6001, count: int = 20,
     for i in range(count):
         K = deficits.random_domain(n if n > 3 else 4, eps, seed=seed + i)
         record(K.profile, "random", seed + i)
-        rows[-1]["target_miss"] = _target_miss(K, eps)
+        rows[-1].update(target_miss=_target_miss(K, eps),
+                        center_residual=K.center_certificate().residual)
     bump = counterexample.make_bump(20.0, 0.3)
     record(bump.axial_profile(n), "dent", 0)
     return {"rows": rows, "columns": CUBIC_COLUMNS, "passed": passed,
             "summary": {"worst_margin": min(r["margin"] for r in rows),
-                        "worst_target_miss": _worst_target_miss(rows)}}
+                        "worst_target_miss": _pop_worst(rows, "target_miss"),
+                        "worst_center_residual": _pop_worst(rows, "center_residual")}}
 
 
 # -- deficit suites ----------------------------------------------------------------------
@@ -352,7 +354,7 @@ def nuclear_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7001,
     return {"rows": rows, "columns": DEFICIT_COLUMNS,
             "passed": worst >= -DEFICIT_MARGIN_SLACK,
             "summary": {"worst_margin": worst,
-                        "worst_target_miss": _worst_target_miss(rows)}}
+                        "worst_target_miss": _pop_worst(rows, "target_miss")}}
 
 
 def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
@@ -363,14 +365,16 @@ def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
         n, i = job
         K = deficits.random_domain(n, eps, seed=seed + i, zonal=True)
         row = axial_minkowski_deficit(K, seed=seed + i).row()
-        row["target_miss"] = _target_miss(K, eps)
+        row.update(target_miss=_target_miss(K, eps),
+                   center_residual=K.center_certificate().residual)
         return row
     rows = _pmap(one, jobs)
     worst = min(r["margin"] for r in rows)
     return {"rows": rows, "columns": DEFICIT_COLUMNS,
             "passed": worst >= -DEFICIT_MARGIN_SLACK,
             "summary": {"worst_margin": worst,
-                        "worst_target_miss": _worst_target_miss(rows)}}
+                        "worst_target_miss": _pop_worst(rows, "target_miss"),
+                        "worst_center_residual": _pop_worst(rows, "center_residual")}}
 
 
 def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
@@ -383,6 +387,7 @@ def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
         ratio = deficits.stability_ratio(K)
         row = rep.row()
         row["stability_ratio"] = ratio
+        row["center_residual"] = K.center_certificate().residual
         if n > 3:
             row["target_miss"] = _target_miss(K, eps)
         return row
@@ -394,7 +399,8 @@ def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
             "passed": worst_margin >= -DEFICIT_MARGIN_SLACK and min_ratio > 0,
             "summary": {"worst_margin": worst_margin,
                         "empirical_stability_constant": min_ratio,
-                        "worst_target_miss": _worst_target_miss(rows)}}
+                        "worst_target_miss": _pop_worst(rows, "target_miss"),
+                        "worst_center_residual": _pop_worst(rows, "center_residual")}}
 
 
 # -- dented-sphere runs ----------------------------------------------------------------

@@ -258,6 +258,16 @@ def test_zonal_suites_report_their_worst_target_miss():
         "summary"]["worst_target_miss"] is None
 
 
+def test_zonal_suites_report_their_worst_center_residual():
+    # every axial center here is an exact crossing inside the box, so each
+    # certificate residual is 0; the rows keep their CSV columns
+    for out in (suites.axial_deficit_suite(count=3, eps=0.05, seed=7501),
+                suites.stability_suite(count=2, eps=0.05, seed=8001),
+                suites.pole_bound_suite(count=2, eps=0.05, seed=6001)):
+        assert all(list(r) == out["columns"] for r in out["rows"])
+        assert out["summary"]["worst_center_residual"] == 0.0
+
+
 def _undamped_zonal_draw(n, target_eps, seed, L=8):
     """Coefficients of random_domain's zonal draw with every step target/eps."""
     rng = np.random.default_rng(seed)

@@ -120,14 +120,19 @@ def heavy():
 
 def test_commands_without_a_center_load_no_scipy(tmp_path):
     # the Gauss-Jacobi rules and zonal tables are numpy's, counterexample
-    # and conjecture solve no eps_size center, and the dent grid check
-    # takes its disjointness from the lattice's min_distance, so neither
-    # command, nor the freq-split check, loads any part of scipy
+    # and conjecture solve no eps_size center, the dent grid check takes
+    # its disjointness from the lattice's min_distance, and the axial
+    # eps_size center is a numpy crossing search, so neither command, nor
+    # the freq-split check, nor the zonal checks on one thread (the pool
+    # imports scipy.optimize for the n = 3 centers), loads any part of scipy
     runs = [["counterexample", "--n", "3", "--kappa", "10"],   # with the grid check
             ["counterexample", "--n", "4", "--kappa", "4"],
             ["conjecture", "--n", "3", "--restarts", "1"],
             ["conjecture", "--n", "4", "--restarts", "1"],
-            ["verify", "freq-split", "--count", "4"]]
+            ["verify", "freq-split", "--count", "4"],
+            ["verify", "axial", "--count", "3", "--eps", "0.05"],
+            ["verify", "stability", "--count", "2", "--eps", "0.05"],
+            ["verify", "pole", "--count", "2", "--eps", "0.05"]]
     outs = [str(tmp_path / str(i)) for i in range(len(runs))]
     probe = _HEAVY + f"""
 import quermass.cli
@@ -137,16 +142,19 @@ for argv, out in zip({runs!r}, {outs!r}):
     seen.append(heavy())
 print(seen)
 """
-    assert _probe(probe).splitlines()[-1] == repr([[]] * (len(runs) + 1))
+    assert (_probe(probe, QUERMASS_THREADS="1").splitlines()[-1]
+            == repr([[]] * (len(runs) + 1)))
     for out, csv in zip(outs, ["counterexample", "counterexample", "conjecture",
-                               "conjecture", "verify_freq-split"]):
+                               "conjecture", "verify_freq-split", "verify_axial",
+                               "verify_stability", "verify_pole"]):
         assert (Path(out) / f"{csv}.csv").exists()
 
 
 def test_pooled_verify_from_a_cold_interpreter_matches_serial(tmp_path):
-    # the forked child imports scipy.optimize itself, after the fork, at its
-    # first eps_size; the pytest process has it loaded, so the in-process
-    # pool tests above do not reach this path
+    # from a cold interpreter, _pmap imports scipy.optimize before the fork
+    # (which only the n = 3 center solves need) and the children load no
+    # further module for their axial centers; the pytest process has every
+    # module loaded already, so the in-process pool tests do not reach this
     def run(workers):
         out = tmp_path / f"axial{workers}"
         probe = _HEAVY + f"""
