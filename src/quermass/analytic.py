@@ -13,19 +13,19 @@ every other point gets the value of the profile's constant offset and
 no slope.  Members of a grid come from grid_members: on the n = 3
 Gauss-Legendre x equiangular grid the nodes near each center are read
 off its latitude bands, with no search; other grids and arbitrary
-points go through a KD-tree over the centers, built (with its
-scipy.spatial import) on the first nearest-center query.
+points take the center of largest dot product, in blocks of at most
+_DOT_BLOCK products.  No point inside a support has two equally near
+centers, so the members and their distances do not depend on how the
+nearest center is found.
 
 Overlap is refused on every use, from a proven lower bound on the
 centers' separation where the caller has one (the dented sphere passes
-its lattice's exact min_distance, so its n = 3 grid check never builds
-a tree), and otherwise from the closest pair of centers, found once by
-querying each center's nearest neighbour.
+its lattice's exact min_distance, so its n = 3 grid check searches no
+pair), and otherwise from the closest pair of centers, found once by a
+sort-and-sweep along the first coordinate (_closest_pair).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -35,6 +35,8 @@ from quermass.grids import SphericalGrid, tangent_frames
 
 # nodes per block when a per-grid method walks the whole grid
 _GRID_BLOCK = 200_000
+# point-center dot products per block of a nearest-center query
+_DOT_BLOCK = 1 << 20
 # below this sin(theta_i) sin(theta_c) the phi-window of row i about a
 # center has no usable precision; the whole row is taken instead
 _BAND_MIN_SIN2 = 1e-7
@@ -48,6 +50,28 @@ def _gap(chord: float) -> float:
 def _ranges(first, count):
     """Concatenation of the integer ranges first[i] + arange(count[i])."""
     return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _closest_pair(points) -> tuple:
+    """(chord, i, j), i < j, of the two closest rows of points: a sort-and-sweep.
+
+    The rows are sorted by their first coordinate; offset s compares each
+    row with the one s places later, only where the two first coordinates
+    differ by less than the best chord so far, and the sweep ends at the
+    first offset with no such pair, as no later offset can have one.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    pts = points[order]
+    best, i, j = np.inf, 0, 1
+    for s in range(1, len(pts)):
+        near = np.flatnonzero(pts[s:, 0] - pts[:-s, 0] < best)
+        if not near.size:
+            break
+        chord = np.linalg.norm(pts[near + s] - pts[near], axis=1)
+        k = int(np.argmin(chord))
+        if chord[k] < best:
+            best, i, j = float(chord[k]), int(order[near[k]]), int(order[near[k] + s])
+    return best, min(i, j), max(i, j)
 
 
 class GeodesicRadialField:
@@ -69,27 +93,19 @@ class GeodesicRadialField:
         self._single = len(self.centers) == 1
         self._closest = (np.inf, 0, 0) if self._single else None   # (gap, i, j)
 
-    @functools.cached_property
-    def _tree(self):
-        """KD-tree over the centers, built on the first nearest-center query."""
-        from scipy.spatial import cKDTree
-        return cKDTree(self.centers)
-
     def _require_disjoint(self):
         """Refuse overlapping supports (ValueError), on every use.
 
         A separation whose geodesic gap is at least twice the support
-        proves the supports disjoint; otherwise the KD-tree finds the
+        proves the supports disjoint; otherwise _closest_pair finds the
         closest pair of centers once, and its gap is checked against the
         support of the time, so an enlarged support is checked again.
         """
         if self._closest is None:
             if self.separation is not None and _gap(self.separation) >= 2.0 * self.support:
                 return
-            chord, idx = self._tree.query(self.centers, k=2)
-            i = int(np.argmin(chord[:, 1]))
-            j = int(idx[i, 1] if idx[i, 1] != i else idx[i, 0])
-            self._closest = (_gap(chord[i, 1]), min(i, j), max(i, j))
+            chord, i, j = _closest_pair(self.centers)
+            self._closest = (_gap(chord), i, j)
         gap, i, j = self._closest
         if gap < 2.0 * self.support:
             raise ValueError(
@@ -109,12 +125,21 @@ class GeodesicRadialField:
         """Distance to the nearest center."""
         return self._nearest(np.asarray(points, dtype=float))[2]
 
+    def _nearest_index(self, points) -> np.ndarray:
+        """Row of the nearest center per unit point: the largest dot product."""
+        idx = np.zeros(len(points), dtype=np.int64)
+        if not self._single:
+            rows = max(1, _DOT_BLOCK // len(self.centers))
+            for start in range(0, len(points), rows):
+                idx[start:start + rows] = np.argmax(points[start:start + rows] @ self.centers.T,
+                                                    axis=1)
+        return idx
+
     def _nearest(self, points):
         if self._single:
             centers = np.broadcast_to(self.centers[0], points.shape)
         else:
-            _, idx = self._tree.query(points, k=1)
-            centers = self.centers[idx]
+            centers = self.centers[self._nearest_index(points)]
         dots = np.einsum("ij,ij->i", points, centers)
         d = np.arccos(np.clip(dots, -1.0, 1.0))
         return centers, dots, d
@@ -134,9 +159,9 @@ class GeodesicRadialField:
         indices of the block's nodes at geodesic distance d < support
         from a center, center the row of that center in self.centers and
         dots its dot product with the node.  The distances are those of
-        the KD-tree route, bit for bit.  On the n = 3 tensor grid the
-        candidates come from latitude bands (_band_candidates), in
-        O(members) work; other grids query the KD-tree.
+        the points API (_nearest), bit for bit.  On the n = 3 tensor grid
+        the candidates come from latitude bands (_band_candidates), in
+        O(members) work; other grids take each node's nearest center.
         """
         self._require_disjoint()
         N = grid.num_nodes
@@ -149,8 +174,7 @@ class GeodesicRadialField:
         """(index, center, dots, d) of grid_members for the nodes [start, stop)."""
         if bands is None:
             node = np.arange(start, stop)
-            center = (np.zeros(len(node), dtype=np.int64) if self._single
-                      else self._tree.query(grid.nodes[start:stop], k=1)[1])
+            center = self._nearest_index(grid.nodes[start:stop])
         else:
             node, center = self._band_candidates(grid, bands, start, stop)
         dots = np.einsum("ij,ij->i", grid.nodes[node], self.centers[center])
@@ -261,7 +285,7 @@ class GeodesicRadialField:
         phi_prime = -(1.0 + v**2) ** (-1.5) * v * vprime
         return phi_prime * fdv
 
-    # -- arbitrary points (KD-tree membership) ----------------------------------
+    # -- arbitrary points (nearest-center membership) ---------------------------
 
     def scalar_invariants(self, points: np.ndarray, n: int):
         """(u, |grad u|^2, lap u, grad^2 u[grad u, grad u]) at points."""

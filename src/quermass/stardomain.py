@@ -324,22 +324,22 @@ class StarDomain(RadialGraph):
         The optimized center solves the epigraph problem: minimize t over
         (c, t) subject to g_i(c) <= t, g_i = |nu_i - r_i(c)|^2 the squared
         deviation.  An active-set loop starts from the barycenter with its
-        largest rows and the tops of its other peaks; SLSQP solves the
-        problem on the active rows, with c in the barycenter +- 0.3, and one
-        full pass over all nodes adds the rows that beat the active max,
-        until the full max is the active max.  Newton steps on the KKT
-        system of the rows that stay active then finish the center.  The
-        barycenter is returned whenever it is no worse, and unsearched when
-        its deviation is at rounding level (<= 1e-10).  center_certificate()
-        reports how stationary the center is.
+        largest rows and the tops of its other peaks; SQP (_sqp_center, its
+        quadratic programs solved by a numpy NNLS) solves the problem on the
+        active rows, with c in the barycenter +- 0.3, and one full pass over
+        all nodes adds the rows that beat the active max, until the full max
+        is the active max.  Newton steps on the KKT system of the rows that
+        stay active then finish the center.  The barycenter is returned
+        whenever it is no worse, and unsearched when its deviation is at
+        rounding level (<= 1e-10).  center_certificate() reports how
+        stationary the center is.
         """
         y, nu = self._coordinate_rows()
         bary = self.barycenter()
         dev = _deviations(y, nu, bary)
         if not optimize_center:
             return float(np.max(dev)), bary
-        center, dev_c, passes = _minimax_center(y, nu, bary, dev,
-                                                float(np.mean(1.0 + self.profile.values)))
+        center, dev_c, passes = _minimax_center(y, nu, bary, dev)
         if np.max(dev) <= np.max(dev_c):
             center, dev_c = bary, dev
         value = float(np.max(dev_c))
@@ -433,47 +433,54 @@ _FIRST_ROWS = 512       # the barycenter's largest rows, from which the first se
 _ADDED_ROWS = 16        # rows taken per pass: the largest candidates ...
 _PEAKS = 8              # ... and the largest of up to this many spread-out peaks,
 _PEAK_COS = 0.9         # each at a cosine below this from the peaks taken before it
-_SLSQP_FTOLS = (1e-6, 1e-10, 1e-14)  # tightened only when Newton fails to finish
+_SQP_STEPS = 40         # SQP steps per active set
+_SQP_FLOOR = 1e-13      # relative: an SQP step predicting less decrease of max g is not taken,
+_SQP_STOP = 1e-8        # and one predicting less than this is the last
+_SQP_HALVINGS = 30      # backtracking halvings of one SQP step
+_SQP_ARMIJO = 1e-4      # share of the predicted decrease a step must realize
+_HESSIAN_FLOOR = 1e-3   # eigenvalues of W are clipped to this share of its largest
 _NEAR_ACTIVE = 1e-5     # rows this close to the max (relative) enter the Newton solve
 _NEWTON_STEPS = 8
-_POLISH_SLACK = 1e-14   # relative: Newton may cost a few ulps of value
+_DEPENDENT = 1e-9       # NNLS: a column this close (relative) to the passive span does
+_WARM_PIVOT = 1e-6      # not enter it, nor does a warm start whose pivots come this close
+_EPS = np.finfo(float).eps
+_NONE = np.zeros(0)
 
 
-def _minimax_center(y, nu, bary, dev, radius) -> tuple:
+def _minimax_center(y, nu, bary, dev) -> tuple:
     """(center, deviations there, full passes) of the active-set solve.
 
     y, nu are (n, N) rows and dev the deviations at the barycenter.  Each
-    SLSQP solve is followed by a full pass; when no row beats the active
-    max, Newton finishes on the near-active rows and one more full pass
-    checks it.  A Newton step that loses value retries SLSQP at a tighter
-    tolerance.  The SLSQP variables are scaled so that a unit move changes
-    g by about its max: the center by radius * max(dev), t by max(dev)^2.
+    SQP solve on the active rows (_sqp_center) is followed by a full pass;
+    when no row beats the active max, Newton finishes on the near-active
+    rows and one more full pass checks it; the Newton center is kept where
+    it is no worse.  The SQP multipliers carry over from one active set to
+    the next, the added rows at 0, and the near rows they weigh start the
+    Newton solve's hull point.
     """
     top = float(np.max(dev))
     if top <= _FLAT_DEVIATION:
         return bary, dev, 1
-    scale = radius * top
     rows = _new_rows(y, dev, np.argpartition(dev, -min(_FIRST_ROWS, dev.size))[-_FIRST_ROWS:])
-    center, passes, ftols = bary, 1, list(_SLSQP_FTOLS)
+    center, passes, lam = bary, 1, np.full(len(rows), 1.0 / len(rows))
     while passes < _MAX_PASSES:
-        center = _slsqp_center(y[:, rows].T, nu[:, rows].T, center, bary, scale,
-                               top * top, ftols[0])
+        center, lam = _sqp_center(y[:, rows].T, nu[:, rows].T, center, bary, lam)
         dev = _deviations(y, nu, center)
         passes += 1
         if np.max(dev) <= np.max(dev[rows]):
-            near = rows[dev[rows] >= np.max(dev) * (1.0 - _NEAR_ACTIVE)]
-            polished = _newton_center(y[:, near].T, nu[:, near].T, center)
+            near = dev[rows] >= np.max(dev) * (1.0 - _NEAR_ACTIVE)
+            polished = _newton_center(y[:, rows[near]].T, nu[:, rows[near]].T, center,
+                                      np.flatnonzero(lam[near]).tolist())
             dev_p = None if polished is None else _deviations(y, nu, polished)
             passes += polished is not None
-            if dev_p is None or np.max(dev_p) > np.max(dev) * (1.0 + _POLISH_SLACK):
-                if len(ftols) == 1:
-                    break
-                ftols.pop(0)
-                continue
+            if dev_p is None or np.max(dev_p) > np.max(dev):
+                break
             center, dev = polished, dev_p
             if np.max(dev) <= np.max(dev[rows]):
                 break
-        rows = np.concatenate([rows, _new_rows(y, dev, np.flatnonzero(dev > np.max(dev[rows])))])
+        added = _new_rows(y, dev, np.flatnonzero(dev > np.max(dev[rows])))
+        rows = np.concatenate([rows, added])
+        lam = np.concatenate([lam, np.zeros(len(added))])
     return center, dev, passes
 
 
@@ -496,42 +503,80 @@ def _new_rows(y, dev, candidates) -> np.ndarray:
     return np.union1d(rows, peaks)
 
 
-def _slsqp_center(y, nu, center, bary, scale, t_scale, ftol) -> np.ndarray:
-    """SLSQP on min t s.t. g_i(c) <= t over the rows of (m, n) y, nu, from center."""
-    from scipy.optimize import minimize
-    last = [None, None]
+def _sqp_center(y, nu, center, bary, lam) -> tuple:
+    """(center, multipliers) of SQP on min t s.t. g_i(c) <= t over the rows of y, nu.
 
-    def parts(x):
-        if last[0] is None or not np.array_equal(last[0], x):
-            g, grads = _row_terms(y, nu, bary + scale * x[:-1])
-            jac = np.empty((len(g), len(x)))
-            jac[:, :-1] = grads * (-scale / t_scale)
-            jac[:, -1] = 1.0
-            last[:] = x.copy(), (x[-1] - g / t_scale, jac)
-        return last[1]
+    At (c, t_k), t_k = max g, a step (d, t) solves the QP
+        min  1/2 d^T W d + t + 1/2 (t - t_k)^2 / t_k
+        s.t. g_i + grad g_i . d <= t,  |c + d - bary| <= _CENTER_BOX per axis,
+    with W = sum_i lam_i hess g_i (Nocedal and Wright, Numerical
+    Optimization, ch. 18), its eigenvalues clipped to at least
+    _HESSIAN_FLOOR of the largest.  The proximal term in t keeps the
+    minimax point a fixed point and makes the objective 1/2 |x|^2 + const
+    in x = (W^(1/2) d, t / sqrt(t_k)), so the QP is a least-distance
+    program (Lawson and Hanson, ch. 23): with its rows E x >= f as the
+    columns of e = [E^T; f^T], the NNLS solution u of e u = (0, 1) leaves
+    the residual r, and x = r[:-1] / -r[-1].  The NNLS starts from the
+    previous step's passive set, or from the rows lam weighs.  A
+    backtracking line search on max g takes the step, and the QP's row
+    multipliers, normalized, weigh the next W.  A step predicting a
+    decrease of max g below _SQP_FLOOR of it is not taken, and one below
+    _SQP_STOP is the last, as the next would be at rounding level.
+    """
+    m, n = y.shape
+    g, grads, hess = _row_terms(y, nu, center, lam)
+    e = np.zeros((n + 2, m + 2 * n))   # columns: the rows, then the box's two sides
+    unit = np.zeros(n + 2)
+    unit[-1] = 1.0
+    passive = np.flatnonzero(lam).tolist()
+    for _ in range(_SQP_STEPS):
+        t = float(g.max())
+        s, v = np.linalg.eigh(hess)
+        v /= np.sqrt(np.maximum(s, _HESSIAN_FLOOR * s[-1]))   # d = v @ x[:n]
+        off = center - bary
+        np.negative((grads @ v).T, out=e[:n, :m])
+        e[n, :m] = np.sqrt(t)
+        e[n + 1, :m] = g
+        np.negative(v.T, out=e[:n, m:m + n])
+        e[:n, m + n:] = v.T
+        e[n + 1, m:m + n] = off - _CENTER_BOX
+        e[n + 1, m + n:] = -off - _CENTER_BOX
+        u, passive = _nnls(e, unit, passive, refine=False)
+        r = e @ u - unit
+        if not r[-1] < 0.0:
+            break
+        x = r[:-1] / -r[-1]
+        decrease = t - np.sqrt(t) * x[n]
+        if not decrease > _SQP_FLOOR * t:
+            break
+        total = u[:m].sum()
+        if total > 0.0:
+            lam = u[:m] / total
+        d, step = v @ x[:n], 1.0
+        for _ in range(_SQP_HALVINGS):
+            trial = center + step * d
+            terms = _row_terms(y, nu, trial, lam)
+            if terms[0].max() <= t - _SQP_ARMIJO * step * decrease:
+                break
+            step *= 0.5
+        else:
+            break
+        center, (g, grads, hess) = trial, terms
+        if decrease <= _SQP_STOP * t:
+            break
+    return center, lam
 
-    g, _ = _row_terms(y, nu, center)
-    x0 = np.append((center - bary) / scale, np.max(g) / t_scale)
-    unit_t = np.zeros(len(x0))
-    unit_t[-1] = 1.0
-    box = _CENTER_BOX / scale
-    res = minimize(lambda x: x[-1], x0, jac=lambda x: unit_t, method="SLSQP",
-                   bounds=[(-box, box)] * (len(x0) - 1) + [(0.0, None)],
-                   constraints={"type": "ineq", "fun": lambda x: parts(x)[0],
-                                "jac": lambda x: parts(x)[1]},
-                   options={"ftol": ftol, "maxiter": 100})
-    return bary + scale * res.x[:-1] if np.all(np.isfinite(res.x)) else center
 
-
-def _newton_center(y, nu, center):
+def _newton_center(y, nu, center, passive=None):
     """Newton on the KKT system of min t s.t. g_j(c) = t over the rows of y, nu.
 
     The rows off the nearest point of the gradients' hull are dropped
-    first (nnls leaves at most n + 1); their weights start the multipliers.
-    Returns None when the iteration breaks down.
+    first (_hull_point, warm-started from the rows passive, leaves at most
+    n + 1); their weights start the multipliers.  Returns None when the
+    iteration breaks down.
     """
     g, grads = _row_terms(y, nu, center)
-    lam = _hull_point(grads)[1]
+    lam = _hull_point(grads, passive)[1]
     keep = lam > 0.0
     y, nu, lam = y[keep], nu[keep], lam[keep]
     k, n = len(lam), len(center)
@@ -540,8 +585,7 @@ def _newton_center(y, nu, center):
     kkt[n, n + 1:] = 1.0
     kkt[n + 1:, n] = -1.0
     for _ in range(_NEWTON_STEPS):
-        g, grads, hess = _row_terms(y, nu, center, hessian=True)
-        kkt[:n, :n] = np.einsum("j,jab->ab", lam, hess)
+        g, grads, kkt[:n, :n] = _row_terms(y, nu, center, lam)
         kkt[:n, n + 1:] = grads.T
         kkt[n + 1:, :n] = grads
         rhs = -np.concatenate([lam @ grads, [lam.sum() - 1.0], g - t])
@@ -557,47 +601,142 @@ def _newton_center(y, nu, center):
     return center
 
 
-def _row_terms(y, nu, center, hessian=False) -> tuple:
-    """g = |rho nu - w|^2 / rho^2 and its center gradient (and Hessian) per row.
+def _row_terms(y, nu, center, lam=None) -> tuple:
+    """g = |rho nu - w|^2 / rho^2 and its center gradient per row, and with
+    weights lam also sum_i lam_i hess g_i.
 
     w = y - center, rho = |w|, r = w / rho for (m, n) rows y, nu: the
     gradient is 2 (nu - (nu.r) r) / rho and, with q = nu - (nu.r) r, the
     Hessian is 2 (r q^T + q r^T + (nu.r)(I - r r^T)) / rho^2.
     """
     w = y - center
-    rho = np.sqrt(np.einsum("ij,ij->i", w, w))
+    rho2 = np.einsum("ij,ij->i", w, w)
+    rho = np.sqrt(rho2)
     d = rho[:, None] * nu - w
-    g = np.einsum("ij,ij->i", d, d) / rho**2
+    g = np.einsum("ij,ij->i", d, d) / rho2
     r = w / rho[:, None]
     nu_r = np.einsum("ij,ij->i", nu, r)
     q = nu - nu_r[:, None] * r
     grads = (2.0 / rho)[:, None] * q
-    if not hessian:
+    if lam is None:
         return g, grads
-    rq = r[:, :, None] * q[:, None, :]
-    proj = np.eye(len(center)) - r[:, :, None] * r[:, None, :]
-    hess = (2.0 / rho**2)[:, None, None] * (rq + rq.transpose(0, 2, 1)
-                                            + nu_r[:, None, None] * proj)
+    a = 2.0 * lam / rho2
+    ar = a[:, None] * r
+    rq = ar.T @ q
+    hess = rq + rq.T - (nu_r[:, None] * ar).T @ r
+    hess.reshape(-1)[::len(center) + 1] += a @ nu_r
     return g, grads, hess
 
 
-def _hull_point(grads) -> tuple:
+def _hull_point(grads, passive=None) -> tuple:
     """(|lam @ grads|, lam): lam on the simplex at the hull point nearest 0.
 
-    nnls on [grads^T; s 1^T] lam = [0; s], s the gradients' scale, holds
+    _nnls on [grads^T; s 1^T] lam = [0; s], s the gradients' scale, holds
     sum(lam) = 1 to rounding; lam is then normalized, so the distance is
-    that of a point of the hull.
+    that of a point of the hull.  The NNLS starts from the rows passive,
+    by default from all of them.  Where no weight comes out (all gradients
+    0), the weights are uniform.
     """
-    from scipy.optimize import nnls
+    k, n = grads.shape
     s = float(np.max(np.abs(grads), initial=0.0))
-    if s == 0.0:
-        return 0.0, np.full(len(grads), 1.0 / len(grads))
-    a = np.vstack([grads.T, np.full(len(grads), s)])
-    b = np.zeros(len(a))
-    b[-1] = s
-    lam = nnls(a, b)[0]
-    lam /= lam.sum()
+    lam = np.zeros(k)
+    if s > 0.0:
+        a = np.empty((n + 1, k))
+        a[:n] = grads.T
+        a[n] = s
+        b = np.zeros(n + 1)
+        b[n] = s
+        lam = _nnls(a, b, range(k) if passive is None else passive)[0]
+    if not np.sum(lam) > 0.0:
+        lam = np.ones(k)
+    lam /= np.sum(lam)
     return float(np.linalg.norm(lam @ grads)), lam
+
+
+def _nnls(a, b, passive=(), refine=True) -> tuple:
+    """(x, passive columns) of min |a x - b| over x >= 0: Lawson and Hanson's NNLS.
+
+    The active-set loop of Lawson and Hanson (Solving Least Squares
+    Problems, 1974, ch. 23): the column of largest dual w = a^T (b - a x)
+    enters the passive set, and least-squares solves on the passive
+    columns step back to the boundary while a coefficient is not
+    positive.  A column within _DEPENDENT (relative) of the passive span,
+    or whose own coefficient comes out non-positive, is set aside until x
+    moves: the passive columns stay independent, and their least-squares
+    solves are direct (_lstsq).  passive, a list of columns, warm-starts
+    the loop where they are no more than a's rows and independent
+    (_independent): those of positive least-squares coefficient form the
+    first passive set.  With refine, the final solve takes one step of
+    iterative refinement.
+    """
+    tol = _EPS * np.abs(a).max() * np.abs(b).max()
+    P, z = list(passive), _NONE
+    if len(P) > len(a) or (P and not _independent(a[:, P])):
+        P = []
+    while P:
+        z = _lstsq(a[:, P], b)
+        if z.min() > 0.0:
+            break
+        P = [j for j, zj in zip(P, z.tolist()) if zj > 0.0]
+    else:
+        z = _NONE
+    aside = []
+    for _ in range(3 * a.shape[1]):
+        w = (b - a[:, P] @ z) @ a
+        w[P + aside] = -np.inf
+        j = int(w.argmax())
+        if not w[j] > tol:
+            break
+        if P:
+            ap = a[:, P]
+            off = a[:, j] - ap @ _lstsq(ap, a[:, j])   # column j off the passive span
+            if off @ off <= _DEPENDENT**2 * (a[:, j] @ a[:, j]):
+                aside.append(j)
+                continue
+        P.append(j)
+        trial = _lstsq(a[:, P], b)
+        if not trial[-1] > 0.0:
+            aside.append(P.pop())
+            continue
+        x, aside = np.concatenate([z, [0.0]]), []
+        while P and trial.min() <= 0.0:
+            neg = np.flatnonzero(trial <= 0.0)
+            ratio = x[neg] / (x[neg] - trial[neg])
+            i = ratio.argmin()
+            x += ratio[i] * (trial - x)
+            x[neg[i]] = 0.0
+            keep = x > 0.0
+            P, x = [j for j, kj in zip(P, keep.tolist()) if kj], x[keep]
+            trial = _lstsq(a[:, P], b) if P else _NONE
+        z = trial
+    if P and refine:
+        # one step of iterative refinement: the normal equations square the
+        # condition number, and the corrected solve has a QR solve's residual
+        ap = a[:, P]
+        z = np.maximum(z + _lstsq(ap, b - ap @ z), 0.0)
+    out = np.zeros(a.shape[1])
+    out[P] = z
+    return out, P
+
+
+def _independent(a) -> bool:
+    """Whether each column of a is at least _WARM_PIVOT (relative) from the
+    span of those before it: the pivots of the Cholesky factor of a^T a."""
+    gram = a.T @ a
+    try:
+        pivots = np.linalg.cholesky(gram).diagonal() ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(pivots > _WARM_PIVOT**2 * gram.diagonal()))
+
+
+def _lstsq(a, b) -> np.ndarray:
+    """The least-squares solution of a x = b for independent columns of a.
+
+    _nnls keeps at most n + 2 of them, so the normal equations are solved
+    directly.
+    """
+    return np.linalg.solve(a.T @ a, a.T @ b)
 
 
 def _deviations(y: np.ndarray, nu: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -71,13 +71,11 @@ def _pmap(fn, items):
     With w workers the caller computes items[0::w] and forked child j
     computes items[j::w]: a stride gives every process jobs of every
     dimension, and the caller's lazily built tables warm for the next
-    map's children.  The children inherit the caller's imports, and
-    scipy.optimize is imported before the fork so that no child loads
-    it again at its first n = 3 eps_size center (the axial centers need
-    no scipy).  fn and its stride reach a child
-    through the fork, so closures need not pickle; only the rows and the
-    warnings each job raised, or the exception that stopped a stride,
-    come back pickled.
+    map's children.  The children inherit the caller's imports; none of
+    their jobs needs a module the caller has not loaded.  fn and its
+    stride reach a child through the fork, so closures need not pickle;
+    only the rows and the warnings each job raised, or the exception that
+    stopped a stride, come back pickled.
     Every process records its jobs' warnings, and the caller re-emits
     them in job order once the rows are in, so its own filters decide
     what is shown, as in a serial map.  The children are reaped before
@@ -89,7 +87,6 @@ def _pmap(fn, items):
     if workers > 1 and threading.active_count() == 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            import scipy.optimize  # noqa: F401
             return _forked_map(multiprocessing.get_context("fork"), fn, items, workers)
     return [fn(x) for x in items]
 
@@ -346,6 +343,7 @@ def nuclear_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7001,
         K = deficits.random_domain(n, eps, seed=seed + i,
                                    grid=grid if n == 3 else None)
         row = deficits.nuclear_minkowski_deficit(K, seed=seed + i).row()
+        row["center_residual"] = K.center_certificate().residual
         if n > 3:
             row["target_miss"] = _target_miss(K, eps)
         return row
@@ -354,7 +352,8 @@ def nuclear_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7001,
     return {"rows": rows, "columns": DEFICIT_COLUMNS,
             "passed": worst >= -DEFICIT_MARGIN_SLACK,
             "summary": {"worst_margin": worst,
-                        "worst_target_miss": _pop_worst(rows, "target_miss")}}
+                        "worst_target_miss": _pop_worst(rows, "target_miss"),
+                        "worst_center_residual": _pop_worst(rows, "center_residual")}}
 
 
 def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from quermass import analytic
 from quermass.analytic import GeodesicRadialField, zonal_field
 from quermass.counterexample import make_bump, pack_points
 from quermass.grids import build_grid, tangent_frames
@@ -139,32 +140,61 @@ def _far_pair():
     return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
-def test_tree_is_built_on_the_first_nearest_center_query():
+@pytest.fixture
+def pair_searches(monkeypatch):
+    """The calls of analytic._closest_pair made while the test runs."""
+    calls = []
+    search = analytic._closest_pair
+
+    def counted(points):
+        calls.append(len(points))
+        return search(points)
+    monkeypatch.setattr(analytic, "_closest_pair", counted)
+    return calls
+
+
+def test_closest_pair_is_searched_once_on_first_use(pair_searches):
+    grid = build_grid(3, 32)
     field = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3)
-    assert "_tree" not in vars(field)
     field.geodesic_distance(_far_pair())
-    assert "_tree" in vars(field)
+    assert pair_searches == [] and field._closest is None
+    field.values(grid)
+    field.values_at(grid.nodes)
+    field.grad_frame(grid)
+    assert pair_searches == [2]
+    assert field._closest[1:] == (0, 1) and abs(field._closest[0] - math.pi / 2) <= 1e-15
 
 
-def test_proven_separation_replaces_the_tree_check():
+def test_proven_separation_replaces_the_pair_search(pair_searches):
     # sqrt(2) apart: a geodesic gap of pi/2 proves supports of 0.3
-    # disjoint, so the n = 3 band route needs no tree; an arbitrary
-    # point still queries it for the nearest center
+    # disjoint, so neither the n = 3 band route nor an arbitrary point's
+    # nearest center needs the closest-pair search
     grid = build_grid(3, 64)
     proven = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3,
                                  separation=math.sqrt(2.0))
     checked = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3)
     assert np.array_equal(proven.values(grid), checked.values(grid))
-    assert "_tree" not in vars(proven)
-    assert "_tree" in vars(checked)
     assert np.array_equal(proven.values_at(grid.nodes), proven.values(grid))
-    assert "_tree" in vars(proven)
+    assert proven._closest is None and checked._closest is not None
+    assert pair_searches == [2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_closest_pair_matches_kdtree(seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((300, 3 + seed % 2))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    chord, idx = cKDTree(pts).query(pts, k=2)
+    i = int(np.argmin(chord[:, 1]))
+    want = (chord[i, 1], min(i, idx[i, 1]), max(i, idx[i, 1]))
+    got = analytic._closest_pair(pts)
+    assert got[1:] == want[1:] and abs(got[0] - want[0]) <= 1e-15
 
 
 @pytest.mark.parametrize("separation", [None, 1e-3, 0.5])
 def test_a_separation_that_proves_nothing_leaves_the_tree_check(separation):
     # centers pi/6 apart (chord 0.5176): no bound below it shows supports
-    # of 0.3 disjoint, and the tree finds the overlap
+    # of 0.3 disjoint, and the closest-pair search finds the overlap
     centers = np.array([[1.0, 0.0, 0.0],
                         [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]])
     field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.3,
@@ -175,9 +205,9 @@ def test_a_separation_that_proves_nothing_leaves_the_tree_check(separation):
 
 @pytest.mark.parametrize("separation", [None, 2.0 * math.sin(math.pi / 12)])
 def test_a_support_enlarged_after_use_is_checked_again(separation):
-    # centers pi/6 apart: supports of 0.2 are disjoint, from the tree or
-    # from the exact chord, and supports of 0.3 overlap, so the enlarged
-    # field is refused on both routes
+    # centers pi/6 apart: supports of 0.2 are disjoint, from the closest
+    # pair or from the exact chord, and supports of 0.3 overlap, so the
+    # enlarged field is refused on both routes
     centers = np.array([[1.0, 0.0, 0.0],
                         [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]])
     grid = build_grid(3, 64)
@@ -191,7 +221,7 @@ def test_a_support_enlarged_after_use_is_checked_again(separation):
         field.values_at(grid.nodes)
 
 
-def test_affine_rescales_the_field_and_keeps_the_separation_proof():
+def test_affine_rescales_the_field_and_keeps_the_separation_proof(pair_searches):
     grid = build_grid(3, 32)
     field = GeodesicRadialField(_far_pair(), np.cos, lambda r: -np.sin(r),
                                 lambda r: -np.cos(r), support=0.3, offset=0.1,
@@ -201,13 +231,14 @@ def test_affine_rescales_the_field_and_keeps_the_separation_proof():
     assert np.allclose(moved.values(grid), 0.5 * field.values(grid) - 0.2,
                        rtol=0.0, atol=1e-16)
     assert np.array_equal(moved.grad_frame(grid), 0.5 * field.grad_frame(grid))
-    assert "_tree" not in vars(moved)
+    assert pair_searches == []
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_per_grid_methods_equal_the_points_api(n):
-    # the per-grid methods find members by latitude bands (n = 3) or the
-    # KD-tree (n = 4); both must give the values of the points API
+    # the per-grid methods find members by latitude bands (n = 3) or each
+    # node's nearest center (n = 4); both must give the values of the
+    # points API
     grid = build_grid(n, 24)
     rng = np.random.default_rng(5)
     centers = rng.standard_normal((3, n))

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
-from quermass import counterexample as cx, geometry
+from quermass import analytic, counterexample as cx, geometry
 from quermass.analytic import GeodesicRadialField
 from quermass.axisym import axial_functionals
 from quermass.counterexample import (
@@ -582,11 +582,18 @@ def test_dented_profile_on_grid_is_bit_identical():
     assert np.array_equal(values, _kdtree_profile(domain, grid.nodes)[0])
 
 
-def test_dent_grid_check_takes_the_lattice_proof():
+def test_dent_grid_check_takes_the_lattice_proof(monkeypatch):
     # build_counterexample has proved the supports disjoint from the
     # lattice's exact min_distance: the provider and its rescaled copy
-    # carry that proof, the band route builds no tree, and the total
-    # is that of a provider checked by the tree
+    # carry that proof, the band route searches no closest pair, and the
+    # total is that of a provider checked by the closest-pair search
+    searched = []
+    search = analytic._closest_pair
+
+    def counted(points):
+        searched.append(len(points))
+        return search(points)
+    monkeypatch.setattr(analytic, "_closest_pair", counted)
     domain = build_counterexample(3, 0.3, 20.0)
     grid = build_grid(3, 260)
     prov = domain.provider()
@@ -595,11 +602,12 @@ def test_dent_grid_check_takes_the_lattice_proof():
     total = prov.integrated_mean_curvature(grid, 400_000)
     assert total == checked.integrated_mean_curvature(grid, 400_000)
     assert total == total_mean_curvature_grid(domain, resolution=260)
-    assert "_tree" not in vars(prov) and "_tree" in vars(checked)
+    assert searched == [len(prov.centers)]
+    assert prov._closest is None and checked._closest is not None
     scaled = fields_affine(ScalarField(grid, prov.values(grid), analytic=prov), 0.5, 0.1)
     assert scaled.analytic.separation == prov.separation
     scaled.analytic.values(grid)
-    assert "_tree" not in vars(prov) and "_tree" not in vars(scaled.analytic)
+    assert searched == [len(prov.centers)] and scaled.analytic._closest is None
 
 
 def _flat_cap(height, offset, support):

@@ -268,6 +268,16 @@ def test_zonal_suites_report_their_worst_center_residual():
         assert out["summary"]["worst_center_residual"] == 0.0
 
 
+def test_nuclear_suite_reports_its_worst_center_residual():
+    # one n = 3 grid center and one axial center; the summary gains the
+    # key, the rows keep their CSV columns
+    out = suites.nuclear_deficit_suite(count=2, eps=0.05, seed=7001)
+    assert all(list(r) == out["columns"] for r in out["rows"])
+    K = deficits.random_domain(3, 0.05, seed=7001, grid=build_grid(3, 32))
+    worst = out["summary"]["worst_center_residual"]
+    assert worst == K.center_certificate().residual <= 1e-15
+
+
 def _undamped_zonal_draw(n, target_eps, seed, L=8):
     """Coefficients of random_domain's zonal draw with every step target/eps."""
     rng = np.random.default_rng(seed)

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import nnls
 
-from quermass import deficits, fields, geometry, harmonics
+from quermass import deficits, fields, geometry, harmonics, stardomain
 from quermass.fields import ScalarField
 from quermass.grids import build_grid, quadrature
 from quermass.stardomain import StarDomain, fields_affine
@@ -268,3 +270,50 @@ def test_deviation_mean_square_is_the_jacobian_weighted_mean(grid):
         assert K.deviation_mean_square(center) == (quadrature(dev**2 * J, grid)
                                                    / quadrature(J, grid))
     assert K.deviation_mean_square(np.array([0.1, 0.0, 0.0])) < 1e-12
+
+
+def _nnls_problem(seed):
+    """A seeded NNLS problem of at most 6 rows: full rank, rank-deficient,
+    with repeated columns, or with a zero residual (kind = seed % 4)."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(2, 7)), int(rng.integers(1, 40))
+    kind = seed % 4
+    if kind == 1:
+        r = int(rng.integers(1, m))
+        a = rng.standard_normal((m, r)) @ rng.standard_normal((r, k))
+    else:
+        a = rng.standard_normal((m, k))
+    if kind == 2:
+        a = np.hstack([a, a[:, : k // 2 + 1]])
+    b = rng.standard_normal(m)
+    if kind == 3:
+        b = a @ np.abs(rng.standard_normal(a.shape[1]))
+    return a, b
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_nnls_matches_scipy(seed):
+    # the residual norm is unique where the solution need not be; a zero
+    # residual comes out at rounding level on both sides
+    a, b = _nnls_problem(seed)
+    want = nnls(a, b)[1]
+    rng = np.random.default_rng(seed + 1000)
+    for passive in ([], [j for j in range(a.shape[1]) if rng.random() < 0.2]):
+        x, kept = stardomain._nnls(a, b, passive)
+        assert np.min(x) >= 0.0 and np.all(x[kept] > 0.0)
+        assert np.count_nonzero(x) == len(kept) <= len(a)
+        got = float(np.linalg.norm(a @ x - b))
+        assert abs(got - want) <= 1e-12 * want + 1e-14 * np.max(np.abs(b))
+
+
+def test_ball_centers_raise_no_warning(grid):
+    # the active rows' gradients of a ball and a translated ball are at
+    # rounding level: their certificates come out with no 0/0 warning,
+    # and gradients that are all 0 take uniform weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K in (ball(grid), ball(grid, 0.2),
+                  StarDomain(translated_ball_profile(grid, 0.05))):
+            assert K.eps_size()[0] <= 1e-6
+            assert K.center_certificate().residual <= 1e-10
+        assert stardomain._hull_point(np.zeros((3, 3))) == (0.0, pytest.approx([1 / 3] * 3))

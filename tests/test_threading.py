@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quermass import axisym, suites
+from quermass import axisym, deficits, io as qio, suites
 from quermass.config import thread_count
-from quermass.grids import jacobi_rule
+from quermass.grids import build_grid, jacobi_rule
 from quermass.harmonics import ZonalBasis
 from quermass.reporting import csv_bytes
 from quermass.stardomain import ResolutionWarning
@@ -118,43 +118,72 @@ def heavy():
 """
 
 
-def test_commands_without_a_center_load_no_scipy(tmp_path):
-    # the Gauss-Jacobi rules and zonal tables are numpy's, counterexample
-    # and conjecture solve no eps_size center, the dent grid check takes
-    # its disjointness from the lattice's min_distance, and the axial
-    # eps_size center is a numpy crossing search, so neither command, nor
-    # the freq-split check, nor the zonal checks on one thread (the pool
-    # imports scipy.optimize for the n = 3 centers), loads any part of scipy
-    runs = [["counterexample", "--n", "3", "--kappa", "10"],   # with the grid check
-            ["counterexample", "--n", "4", "--kappa", "4"],
-            ["conjecture", "--n", "3", "--restarts", "1"],
-            ["conjecture", "--n", "4", "--restarts", "1"],
-            ["verify", "freq-split", "--count", "4"],
-            ["verify", "axial", "--count", "3", "--eps", "0.05"],
-            ["verify", "stability", "--count", "2", "--eps", "0.05"],
-            ["verify", "pole", "--count", "2", "--eps", "0.05"]]
+def _commands(tmp_path):
+    """One command line of every kind, and the CSV each writes."""
+    domain = qio.save_domain(deficits.random_domain(3, 0.1, seed=3, grid=build_grid(3, 32)),
+                             tmp_path / "domain.json")
+    return [(["counterexample", "--n", "3", "--kappa", "10"], "counterexample"),  # grid check
+            (["counterexample", "--n", "4", "--kappa", "4"], "counterexample"),
+            (["conjecture", "--n", "3", "--restarts", "1"], "conjecture"),
+            (["conjecture", "--n", "4", "--restarts", "1"], "conjecture"),
+            (["functionals", str(domain)], "functionals"),               # an n = 3 center
+            (["verify", "curvature-routes", "--count", "2", "--eps", "0.1", "--resolution", "32"],
+             "verify_curvature-routes"),
+            (["verify", "nuclear", "--count", "2", "--eps", "0.05"], "verify_nuclear"),
+            (["verify", "freq-split", "--count", "4"], "verify_freq-split"),
+            (["verify", "axial", "--count", "3", "--eps", "0.05"], "verify_axial"),
+            (["verify", "stability", "--count", "2", "--eps", "0.05"], "verify_stability"),
+            (["verify", "pole", "--count", "2", "--eps", "0.05"], "verify_pole")]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_no_command_loads_scipy(tmp_path, threads):
+    # the Gauss-Jacobi rules and zonal tables, the n = 3 (SQP and NNLS)
+    # and axial eps_size centers, and the disjointness of analytic supports
+    # are all numpy's, so no command loads any part of scipy, in one
+    # process or with forked workers
+    runs = _commands(tmp_path)
     outs = [str(tmp_path / str(i)) for i in range(len(runs))]
     probe = _HEAVY + f"""
 import quermass.cli
 seen = [heavy()]
-for argv, out in zip({runs!r}, {outs!r}):
+for argv, out in zip({[argv for argv, _ in runs]!r}, {outs!r}):
     assert quermass.cli.main(argv + ["--out", out]) == 0
     seen.append(heavy())
 print(seen)
 """
-    assert (_probe(probe, QUERMASS_THREADS="1").splitlines()[-1]
+    assert (_probe(probe, QUERMASS_THREADS=threads).splitlines()[-1]
             == repr([[]] * (len(runs) + 1)))
-    for out, csv in zip(outs, ["counterexample", "counterexample", "conjecture",
-                               "conjecture", "verify_freq-split", "verify_axial",
-                               "verify_stability", "verify_pole"]):
+    for out, (_, csv) in zip(outs, runs):
+        assert (Path(out) / f"{csv}.csv").exists()
+
+
+def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    # a finder that refuses scipy stands in for an install with numpy
+    # only; with two workers the forked children inherit it too
+    runs = [_commands(tmp_path)[i] for i in (0, 2, 5, 8)]
+    outs = [str(tmp_path / str(i)) for i in range(len(runs))]
+    probe = f"""
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split('.')[0] == 'scipy':
+            raise ImportError('scipy is not installed')
+sys.meta_path.insert(0, NoScipy())
+import quermass.cli
+for argv, out in zip({[argv for argv, _ in runs]!r}, {outs!r}):
+    assert quermass.cli.main(argv + ["--out", out]) == 0
+"""
+    _probe(probe, QUERMASS_THREADS="2")
+    for out, (_, csv) in zip(outs, runs):
         assert (Path(out) / f"{csv}.csv").exists()
 
 
 def test_pooled_verify_from_a_cold_interpreter_matches_serial(tmp_path):
-    # from a cold interpreter, _pmap imports scipy.optimize before the fork
-    # (which only the n = 3 center solves need) and the children load no
-    # further module for their axial centers; the pytest process has every
-    # module loaded already, so the in-process pool tests do not reach this
+    # from a cold interpreter the pool preloads nothing before the fork,
+    # and the children load no further module for their axial centers;
+    # the pytest process has every module loaded already, so the
+    # in-process pool tests do not reach this
     def run(workers):
         out = tmp_path / f"axial{workers}"
         probe = _HEAVY + f"""
