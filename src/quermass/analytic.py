@@ -35,6 +35,9 @@ from quermass.grids import SphericalGrid, tangent_frames
 
 # nodes per block when a per-grid method walks the whole grid
 _GRID_BLOCK = 200_000
+# nodes per member block of integrated_mean_curvature: with one chunk of
+# its terms, its working set, which does not grow with the grid
+_MEMBER_BLOCK = 1 << 16
 # point-center dot products per block of a nearest-center query
 _DOT_BLOCK = 1 << 20
 # below this sin(theta_i) sin(theta_c) the phi-window of row i about a
@@ -151,33 +154,41 @@ class GeodesicRadialField:
         idx = np.flatnonzero(d < self.support)
         return idx, centers[idx], dots[idx], d[idx]
 
-    def grid_members(self, grid: SphericalGrid, block: int):
+    def grid_members(self, grid: SphericalGrid, block: int, chunk: int | None = None):
         """Members of the supports among the grid nodes, block by block.
 
         Yields (start, stop, index, center, dots, d) for the node blocks
-        [start, stop) of length block, in order: index holds the global
+        [start, stop) of at most block nodes, in order, none of which
+        straddles a multiple of chunk (when given): index holds the global
         indices of the block's nodes at geodesic distance d < support
         from a center, center the row of that center in self.centers and
         dots its dot product with the node.  The distances are those of
         the points API (_nearest), bit for bit.  On the n = 3 tensor grid
         the candidates come from latitude bands (_band_candidates), in
         O(members) work; other grids take each node's nearest center.
+        The coordinates come from grid.points, so the pass builds no node
+        array.
         """
         self._require_disjoint()
         N = grid.num_nodes
+        chunk = chunk or N
         bands = self._latitude_bands(grid) if grid.n == 3 else None
-        for start in range(0, N, block):
-            stop = min(start + block, N)
-            yield (start, stop) + self._block_members(grid, bands, start, stop)
+        for first in range(0, N, chunk):
+            last = min(first + chunk, N)
+            for start in range(first, last, block):
+                stop = min(start + block, last)
+                yield (start, stop) + self._block_members(grid, bands, start, stop)
 
     def _block_members(self, grid, bands, start, stop):
         """(index, center, dots, d) of grid_members for the nodes [start, stop)."""
         if bands is None:
             node = np.arange(start, stop)
-            center = self._nearest_index(grid.nodes[start:stop])
+            points = grid.points(node)
+            center = self._nearest_index(points)
         else:
             node, center = self._band_candidates(grid, bands, start, stop)
-        dots = np.einsum("ij,ij->i", grid.nodes[node], self.centers[center])
+            points = grid.points(node)
+        dots = np.einsum("ij,ij->i", points, self.centers[center])
         d = np.arccos(np.clip(dots, -1.0, 1.0))
         inside = np.flatnonzero(d < self.support)
         return node[inside], center[inside], dots[inside], d[inside]
@@ -358,27 +369,21 @@ class GeodesicRadialField:
             out[idx] = self._phi_dot(d)
         return out
 
-    def grid_scalar_invariants(self, grid: SphericalGrid, block: int):
-        """Per node block: (start, stop, local member index, invariants).
-
-        The invariants are those of scalar_invariants at the block's
-        members; every other node has outside_invariants().
-        """
-        for start, stop, idx, _, _, d in self.grid_members(grid, block):
-            yield start, stop, idx - start, self._invariants(d, grid.n)
-
     def integrated_mean_curvature(self, grid: SphericalGrid, chunk: int) -> float:
         """Integral of H over the radial graph of the field, in one member pass.
 
-        Streamed over node chunks of chunk nodes: the curvature is
+        The terms weight * H * J are summed chunk by chunk, each chunk of
+        chunk nodes in node order, so the result does not depend on how
+        the members were found.  They are filled from member blocks of
+        at most _MEMBER_BLOCK nodes (grid_members): the curvature is
         evaluated at the members of the supports only, and every other
-        node gets that of the round sphere u = offset.  Each chunk is
-        summed in node order, so the result does not depend on how the
-        members were found.  Raises ValueError where 1 + u <= 0 at a
-        node (the graph is not star-shaped), from the same values the
-        pass integrates.
+        node gets that of the round sphere u = offset.  The weights come
+        from grid.node_weights, so the pass builds neither node array and
+        takes O(chunk + _MEMBER_BLOCK) memory whatever the grid.  Raises
+        ValueError where 1 + u <= 0 at a node (the graph is not
+        star-shaped), from the same values the pass integrates.
         """
-        n, weights = grid.n, grid.weights
+        n, N = grid.n, grid.num_nodes
 
         def integrand(u, grad2, lap, cubic):
             if u.size and np.min(1.0 + u) <= 0.0:
@@ -388,15 +393,20 @@ class GeodesicRadialField:
 
         outside = None      # (H, J) off the supports, once a node needs it
         total = 0.0
-        for start, stop, idx, inv in self.grid_scalar_invariants(grid, chunk):
+        for start, stop, idx, _, _, d in self.grid_members(grid, _MEMBER_BLOCK, chunk):
+            first = start - start % chunk
+            if start == first:
+                terms = np.empty(min(chunk, N - first))
             H, J = np.empty(stop - start), np.empty(stop - start)
             if len(idx) < stop - start:
                 if outside is None:
                     outside = integrand(*(np.array([v]) for v in self.outside_invariants()))
                 H.fill(outside[0][0])
                 J.fill(outside[1][0])
-            H[idx], J[idx] = integrand(*inv)
-            total += float(np.sum(weights[start:stop] * H * J))
+            H[idx - start], J[idx - start] = integrand(*self._invariants(d, n))
+            terms[start - first:stop - first] = grid.node_weights(slice(start, stop)) * H * J
+            if stop - first == len(terms):
+                total += float(np.sum(terms))
         return total
 
 

@@ -284,6 +284,11 @@ _PENALTIES = (1e2, 1e4, 1e6)    # the penalty weights every restart climbs in tu
 # truncation error is quadratic in it (1.06e-5 relative at 1e-6 and
 # 1.06e-7 at 1e-7 on the start points of --n 5 --degree-cap 16 --seed 4)
 _FD_STEP = 1e-7
+# gradient norm below which both sides of the check are rounding noise:
+# at n = 2, where the gradient vanishes, the difference quotient's norm
+# is 3e-10 to 1.2e-9 (caps 6-24) and the analytic one about 1e-14; the
+# n >= 3 gradients have norms of 5 and more at the start points
+_ROUNDING_NORM = 1e-8
 # perturbed vectors per batched pass of the check: at n = 3 a wider pass
 # leaves the caches (2 cores, BLAS on one thread: about 180-270 us per
 # vector at 8, 290-320 us at 32), and zonal passes gain little beyond 8
@@ -341,13 +346,20 @@ def _gradient_check(backend: _Backend, C: np.ndarray, mu: float) -> list:
     chunks = (vectors[i:i + _CHECK_CHUNK] for i in range(0, len(vectors), _CHECK_CHUNK))
     values = np.concatenate([_objective(backend, v, mu)[0] for v in chunks])
     fp, fm = values.reshape(R, 2, K).transpose(1, 0, 2)
-    checks = []
-    for ga, gf in zip(grad, (fp - fm) / (2 * h)):
-        diff = float(np.linalg.norm(ga - gf))
-        # both sides at rounding level: the gradient vanishes identically
-        # (n = 2) and the relative test is ill-posed
-        checks.append(0.0 if diff <= 1e-8 else diff / float(np.linalg.norm(gf)))
-    return checks
+    return [_relative_error(ga, gf) for ga, gf in zip(grad, (fp - fm) / (2 * h))]
+
+
+def _relative_error(analytic: np.ndarray, differenced: np.ndarray) -> float:
+    """|analytic - differenced| / |differenced|, or 0.0 when both are at
+    rounding level (|.| <= _ROUNDING_NORM): the gradient vanishes
+    identically (n = 2) and the relative test is ill-posed.  An analytic
+    gradient above that level against a vanishing difference is an error
+    of at least (|analytic| - _ROUNDING_NORM) / _ROUNDING_NORM.
+    """
+    fd = float(np.linalg.norm(differenced))
+    if max(fd, float(np.linalg.norm(analytic))) <= _ROUNDING_NORM:
+        return 0.0
+    return float(np.linalg.norm(analytic - differenced)) / max(fd, _ROUNDING_NORM)
 
 
 def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None:

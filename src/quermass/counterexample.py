@@ -18,8 +18,9 @@ check and the mesh export read the coordinates.  On S^{n-1}, n >= 4,
 only the zonal total runs, which needs only the number of dents: that
 of a recursive latitude-ring packing (after the EQ partition, Leopardi,
 ETNA 25, 2006), counted without coordinates.  Counts above WORK_LIMIT
-lattice points or circles, and grid checks or coordinates above
-memory_budget(), fail fast.
+lattice points or circles, and dense-grid checks above WORK_LIMIT nodes,
+fail fast on any machine; the check takes O(chunk) memory whatever its
+node count.  Coordinates above memory_budget() fail fast too.
 """
 
 from __future__ import annotations
@@ -42,36 +43,32 @@ from quermass.grids import build_grid, panel_rule, sphere_area
 FIB_MIN_DIST = 3.0921
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-# Dense-grid checks, and the coordinates of a lattice when read, refuse to
-# start (MemoryBudgetError) when their estimated working set exceeds
+# The coordinates of a lattice, when read, refuse to be built
+# (MemoryBudgetError) when their estimated working set exceeds
 # MEMORY_FRACTION of the machine's physical memory (memory_budget()); on
-# 8 GB that admits the kappa = 640 grid check (138M nodes, ~4.7 GiB).
+# 2 GiB that admits those of kappa 5120 (62.6M points, ~1.4 GiB).
 # Counts refuse above WORK_LIMIT lattice points (n = 3) or circles
-# (n >= 4), whatever the machine: both admit kappa 5120 (n = 3: 62.6M
-# points, ~6 s; n = 4: ~2 s).
+# (n >= 4), and dense-grid checks above WORK_LIMIT nodes, whatever the
+# machine: counts admit kappa 5120 (n = 3: 62.6M points, ~6 s; n = 4:
+# ~2 s), grid checks kappa 543 (99.7M nodes) but not 640 (138M nodes).
 MEMORY_FRACTION = 0.75
 WORK_LIMIT = 10**8
 # lattice points per block of the streamed lattice: its coordinates,
 # temporaries and pair distances take O(block) memory
 _LATTICE_BLOCK = 1 << 16
 _SLICED_RANGE = 4096    # index ranges this long are sliced, shorter ones gathered
-# peak bytes of the lattice coordinates (PackedPoints.points) and of the
-# dense-grid check: per point or node of the output, plus per point or
-# node of one block or chunk.  tracemalloc gives 24 B per point and at
-# most 65 B per block point (kappa 10-2560); for the grid check, a fit
-# over kappa 10-160 gives 32.4 B per node (nodes and weights) and
-# 113 B per chunk node (its temporaries), and never underestimates the
-# peak.  The estimates add a 10% margin to the temporaries and the fit.
+# peak bytes of the lattice coordinates (PackedPoints.points): per point
+# of the output, plus per point of one block.  tracemalloc gives 24 B per
+# point and at most 65 B per block point (kappa 10-2560); the estimate
+# adds a 10% margin to the block's temporaries.
 _BYTES_PER_LATTICE_POINT = 24
 _BYTES_PER_BLOCK_POINT = 72
-_BYTES_PER_GRID_NODE = 36
-_BYTES_PER_CHUNK_NODE = 125
 _RING_PAD = 1e-12       # relative pad of the ring angles, against rounding
 _RING_CHUNK = 1 << 16   # ring slices per numpy step, which bounds memory
 
 
 class MemoryBudgetError(ValueError):
-    """A grid check or lattice coordinates over memory_budget(), or a count
+    """Lattice coordinates over memory_budget(), or a count or grid check
     over WORK_LIMIT."""
 
 
@@ -80,7 +77,7 @@ def _physical_memory() -> int:
 
 
 def memory_budget() -> int:
-    """Bytes a packing or grid check may use: MEMORY_FRACTION of RAM."""
+    """Bytes the coordinates of a packing may use: MEMORY_FRACTION of RAM."""
     return int(MEMORY_FRACTION * _physical_memory())
 
 
@@ -88,11 +85,6 @@ def _points_bytes(count: int, lattice: int) -> int:
     """Estimated peak of building count points of a lattice of that size."""
     return (count * _BYTES_PER_LATTICE_POINT
             + min(lattice, _LATTICE_BLOCK) * _BYTES_PER_BLOCK_POINT)
-
-
-def _grid_check_bytes(nodes: int, chunk: int) -> int:
-    """Estimated peak of a dense-grid check over nodes in chunks of chunk."""
-    return nodes * _BYTES_PER_GRID_NODE + min(nodes, chunk) * _BYTES_PER_CHUNK_NODE
 
 
 def _check_budget(what: str, items: int, unit: str, nbytes: int) -> None:
@@ -608,23 +600,29 @@ def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = Non
     """Independent check on a dense 2-D grid (n = 3).
 
     Every node is integrated in one pass over the provider's members,
-    in chunks of chunk nodes: the curvature of the dented profile at the
-    nodes inside a dent, which the provider finds by latitude bands, and
-    that of the round sphere elsewhere.  Raises MemoryBudgetError, before
-    building the grid, when the check would need more than
-    memory_budget().
+    summed in chunks of chunk nodes: the curvature of the dented profile
+    at the nodes inside a dent, which the provider finds by latitude
+    bands, and that of the round sphere elsewhere.  The grid's node
+    arrays are never built, so the pass takes O(chunk) memory whatever
+    the resolution.  Raises MemoryBudgetError, before any work, when the
+    grid has more than WORK_LIMIT nodes.
     """
     if domain.n != 3:
         raise ValueError("the full-grid route is built for n = 3")
-    if resolution is None:
-        # ~13 polar nodes per dent radius; even multiples of kappa can beat
-        # against the dent lattice and inflate the quadrature error
-        resolution = max(256, int(math.ceil(13 * domain.kappa)))
-    nodes = 2 * resolution * resolution
-    _check_budget(f"the dense-grid check at resolution {resolution}", nodes, "nodes",
-                  _grid_check_bytes(nodes, chunk))
-    grid = build_grid(3, resolution)
+    grid = build_grid(3, _grid_resolution(domain.kappa, resolution))
     return domain.provider().integrated_mean_curvature(grid, chunk)
+
+
+def _grid_resolution(kappa: float, resolution: int | None = None) -> int:
+    """The resolution of the dense-grid check, by default about 13 polar
+    nodes per dent radius; MemoryBudgetError above WORK_LIMIT nodes."""
+    if resolution is None:
+        # even multiples of kappa can beat against the dent lattice and
+        # inflate the quadrature error
+        resolution = max(256, int(math.ceil(13 * kappa)))
+    _check_work(f"the dense-grid check at resolution {resolution}",
+                2 * resolution * resolution, "nodes")
+    return resolution
 
 
 def total_mean_curvature(n: int, eps: float, kappa: float, method: str = "zonal",
@@ -635,8 +633,11 @@ def total_mean_curvature(n: int, eps: float, kappa: float, method: str = "zonal"
     the dense-grid evaluation (n = 3, at total_mean_curvature_grid's
     default resolution) and reports their relative gap.  packing_cache
     maps (n, kappa) to PackedPoints: packings do not depend on eps, so
-    sweeps over eps can share the expensive part.
+    sweeps over eps can share the expensive part.  A grid over
+    WORK_LIMIT nodes is refused before the packing.
     """
+    if method == "both":
+        _grid_resolution(kappa)
     if packing_cache is not None and (n, kappa) not in packing_cache:
         packing_cache[n, kappa] = pack_points(n, kappa)
     centers = None if packing_cache is None else packing_cache[n, kappa]

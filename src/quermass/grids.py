@@ -162,32 +162,97 @@ def monomial_sphere_integral(exponents) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class SphericalGrid:
-    """Immutable quadrature grid on S^{n-1}.
+    """Immutable quadrature grid on S^{n-1}, the tensor lattice of 1-D angle rules.
 
-    nodes    -- (N, n) unit vectors
-    weights  -- (N,) positive, summing to |S^{n-1}|
+    nodes    -- (N, n) unit vectors, built on first read
+    weights  -- (N,) positive, summing to |S^{n-1}|, built on first read
     exact_degree -- ambient polynomial degree integrated exactly
     angles   -- tuple of 1-D angle arrays (theta_1, ..., theta_{n-2}, phi)
     axis_nodes / axis_weights -- Gauss nodes t_k = cos(theta_k) and weights
+
+    points(index) and node_weights(index) give the rows of nodes and
+    weights at flat node indices, bit for bit, from the per-axis factors,
+    so a pass over the grid in blocks never builds the whole arrays.
     """
 
     n: int
     resolution: int
-    nodes: np.ndarray
-    weights: np.ndarray
     exact_degree: int
     angles: tuple = ()
     axis_nodes: tuple = ()
     axis_weights: tuple = ()
 
     def __post_init__(self):
-        self.nodes.flags.writeable = False
-        self.weights.flags.writeable = False
         object.__setattr__(self, "_cache", {})
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        d = self.n - 1
+        cos, sin = self._factors
+        x = _embed([_along(c, k, d) for k, c in enumerate(cos)],
+                   [_along(s, k, d) for k, s in enumerate(sin)], self.shape)
+        x = x.reshape(-1, self.n)
+        x.flags.writeable = False
+        return x
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        d = self.n - 1
+        w = _weight_product([_along(a, k, d) for k, a in enumerate(self.axis_weights)],
+                            self._phi_weight, self.shape).ravel()
+        w.flags.writeable = False
+        return w
+
+    def points(self, index) -> np.ndarray:
+        """Rows index of nodes, (len(index), n), without building nodes."""
+        cos, sin = self._factors
+        axes = self._axis_indices(index)
+        return _embed([c[i] for c, i in zip(cos, axes)],
+                      [s[i] for s, i in zip(sin, axes)], np.shape(index))
+
+    def node_weights(self, index) -> np.ndarray:
+        """Entries index (flat indices or a slice) of weights, without building weights.
+
+        A weight does not depend on the phi index, so a slice of step 1
+        repeats the weights of the phi rows it meets.
+        """
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self.num_nodes)
+            if step != 1:
+                raise ValueError(f"node_weights takes slices of step 1, got {step}")
+            m = self.shape[-1]
+            first = start - start % m
+            rows = self.node_weights(np.arange(first, max(first, stop), m))
+            return np.repeat(rows, m)[start - first:stop - first]
+        axes = self._axis_indices(index)
+        return _weight_product([w[i] for w, i in zip(self.axis_weights, axes)],
+                               self._phi_weight, np.shape(index))
+
+    def _axis_indices(self, index) -> list:
+        """Per-axis indices of flat node indices in [0, num_nodes), those of
+        np.unravel_index, by one divmod per axis after the first, which
+        takes about half its time."""
+        index = np.asarray(index)
+        axes = []
+        for size in self.shape[:0:-1]:
+            index, i = np.divmod(index, size)
+            axes.append(i)
+        axes.append(index)
+        return axes[::-1]
+
+    @functools.cached_property
+    def _factors(self) -> tuple:
+        """(cos, sin) of every angle axis: the 1-D factors of the coordinates."""
+        return (tuple(np.cos(a) for a in self.angles),
+                tuple(np.sin(a) for a in self.angles))
+
+    @property
+    def _phi_weight(self) -> float:
+        return 2.0 * math.pi / len(self.angles[-1])
 
     @property
     def num_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return math.prod(self.shape)
 
     @property
     def shape(self) -> tuple:
@@ -206,23 +271,13 @@ class SphericalGrid:
         return store[key]
 
 
-def _circle_grid(resolution: int) -> SphericalGrid:
-    m = 2 * resolution
-    phi = 2.0 * math.pi * np.arange(m) / m
-    nodes = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    weights = np.full(m, 2.0 * math.pi / m)
-    return SphericalGrid(
-        n=2, resolution=resolution, nodes=nodes, weights=weights,
-        exact_degree=m - 1, angles=(phi,),
-    )
-
-
 def build_grid(n: int, resolution: int) -> SphericalGrid:
     """Tensor-product quadrature grid on S^{n-1}.
 
     resolution is the per-angle Gauss order; the azimuthal circle gets
-    2*resolution equispaced nodes.  Polynomials of ambient degree up to
-    2*resolution - 1 are integrated exactly.
+    2*resolution equispaced nodes (for n = 2 it is the whole grid).
+    Polynomials of ambient degree up to 2*resolution - 1 are integrated
+    exactly.
     """
     if n < 2:
         raise ValueError(f"dimension n must be >= 2, got {n}")
@@ -230,9 +285,6 @@ def build_grid(n: int, resolution: int) -> SphericalGrid:
         raise ValueError(
             f"resolution {resolution} too small to integrate degree-2 polynomials"
         )
-    if n == 2:
-        return _circle_grid(resolution)
-
     # theta_k carries coarea weight sin(theta_k)^{n-1-k}; in t = cos(theta)
     # this is the Gauss-Jacobi weight (1-t^2)^{(n-2-k)/2}.
     t_axes, w_axes = [], []
@@ -244,19 +296,10 @@ def build_grid(n: int, resolution: int) -> SphericalGrid:
     m_phi = 2 * resolution
     phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
 
-    angles = tuple(np.arccos(t) for t in t_axes) + (phi,)
-    nodes = _embed(angles, n)
-    # the product of the axis weights, in axis order, times the phi weight
-    weights = np.empty(tuple(len(a) for a in angles))
-    w_prod = np.ones((1,) * (n - 1))
-    for k, w in enumerate(w_axes):
-        w_prod = w_prod * _along(w, k, n - 1)
-    np.multiply(w_prod, 2.0 * math.pi / m_phi, out=weights)
-
     return SphericalGrid(
-        n=n, resolution=resolution, nodes=nodes, weights=weights.ravel(),
+        n=n, resolution=resolution,
         exact_degree=2 * resolution - 1,
-        angles=angles,
+        angles=tuple(np.arccos(t) for t in t_axes) + (phi,),
         axis_nodes=tuple(t_axes),
         axis_weights=tuple(w_axes),
     )
@@ -269,25 +312,37 @@ def _along(a, axis: int, ndim: int) -> np.ndarray:
     return a.reshape(shape)
 
 
-def _embed(angles, n):
-    """(N, n) node coordinates of the tensor lattice of the 1-D angles.
+def _embed(cos, sin, shape) -> np.ndarray:
+    """Node coordinates, shape + (n,), from the per-axis factors cos(a_k), sin(a_k).
 
     x_j = sin(a_1)...sin(a_{j-1}) cos(a_j) for j <= n-1,
     x_n = sin(a_1)...sin(a_{n-1}), with a = (theta_1..theta_{n-2}, phi).
-    Each column is written into one preallocated array from per-axis
-    cos/sin factors, so no angle mesh is built.
+    The factors are arrays broadcasting to shape: the 1-D factors laid
+    along their axes for the whole lattice, or gathered at the nodes of
+    an index set.  The products are taken in the same order either way,
+    so a node has the same bits in both.
     """
-    d = n - 1
-    x = np.empty(tuple(len(a) for a in angles) + (n,))
-    sin_prod = np.ones((1,) * d)
-    for j, a in enumerate(angles[:-1]):
-        a = _along(a, j, d)
-        np.multiply(sin_prod, np.cos(a), out=x[..., j])
-        sin_prod = sin_prod * np.sin(a)
-    phi = _along(angles[-1], d - 1, d)
-    np.multiply(sin_prod, np.cos(phi), out=x[..., d - 1])
-    np.multiply(sin_prod, np.sin(phi), out=x[..., d])
-    return x.reshape(-1, n)
+    d = len(cos)
+    x = np.empty(tuple(shape) + (d + 1,))
+    sin_prod = 1.0
+    for j in range(d - 1):
+        np.multiply(sin_prod, cos[j], out=x[..., j])
+        sin_prod = sin_prod * sin[j]
+    np.multiply(sin_prod, cos[-1], out=x[..., d - 1])
+    np.multiply(sin_prod, sin[-1], out=x[..., d])
+    return x
+
+
+def _weight_product(weights, phi_weight: float, shape) -> np.ndarray:
+    """The product of the per-axis weights, in axis order, times the phi weight.
+
+    The weights broadcast to shape, laid along their axes or gathered at
+    an index set, as the factors of _embed.
+    """
+    w_prod = 1.0
+    for w in weights:
+        w_prod = w_prod * w
+    return np.multiply(w_prod, phi_weight, out=np.empty(tuple(shape)))
 
 
 def quadrature(values: np.ndarray, grid: SphericalGrid) -> float:

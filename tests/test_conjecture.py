@@ -160,8 +160,7 @@ def _serial_search(n, basis_cap, restarts, seed, iterations):
             cm[b] -= h
             gf[b] = (_serial_objective_and_gradient(backend, cp, 1e2)[0]
                      - _serial_objective_and_gradient(backend, cm, 1e2)[0]) / (2 * h)
-        diff = float(np.linalg.norm(ga - gf))
-        checks.append(0.0 if diff <= 1e-8 else diff / float(np.linalg.norm(gf)))
+        checks.append(conjecture._relative_error(ga, gf))
 
         taken = []
         for mu in (1e2, 1e4, 1e6):
@@ -254,6 +253,20 @@ def test_start_points_lie_inside_the_constraint_set(n):
         assert backend.constraint_max(c) <= 0.9 * (1 + 1e-12)
         num, den = ratio_and_parts(backend, c)
         assert num >= -1e-12 * den      # n = 2: the ratio is rounding noise
+
+
+@pytest.mark.parametrize("seed", [901, 1, 2])
+def test_gradient_check_reports_the_n3_error(seed):
+    # at n = 3 the differences are about 1e-10 of gradients of norm 25, which
+    # an absolute clamp at 1e-8 once reported as 0.0; at n = 2 the gradient
+    # vanishes and both sides are rounding noise
+    backend = make_backend(3, 12)
+    C = np.array([conjecture._start_point(backend, seed + 7919 * r) for r in range(2)])
+    checks = conjecture._gradient_check(backend, C, 1e2)
+    assert all(0.0 < c <= 1e-5 for c in checks)
+    circle = make_backend(2, 12)
+    C = np.array([conjecture._start_point(circle, seed + 7919 * r) for r in range(2)])
+    assert conjecture._gradient_check(circle, C, 1e2) == [0.0, 0.0]
 
 
 def test_gradient_check_catches_one_component_off_by_1e_4(monkeypatch):

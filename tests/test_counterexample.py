@@ -30,7 +30,7 @@ from quermass.counterexample import (
     total_mean_curvature_zonal,
 )
 from quermass.fields import ScalarField
-from quermass.grids import build_grid, panel_rule, sphere_area
+from quermass.grids import SphericalGrid, build_grid, panel_rule, sphere_area
 from quermass.stardomain import StarDomain, fields_affine
 
 
@@ -276,23 +276,10 @@ def test_pack_points_fails_fast_over_budget():
     with pytest.raises(MemoryBudgetError):
         pack_points(4, 1e5)
     domain = build_counterexample(3, 0.3, 20.0)
-    with pytest.raises(MemoryBudgetError, match="nodes"):
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryBudgetError, match="20,000,000,000 nodes"):
         total_mean_curvature_grid(domain, resolution=100_000)
-
-
-def test_grid_check_peak_per_node_is_within_its_estimate():
-    # kappa = 10 runs the smallest grid (resolution 256, one chunk), where
-    # the chunk's temporaries weigh most per node
-    domain = build_counterexample(3, 0.3, 10.0)
-    nodes = 2 * 256 * 256
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        total_mean_curvature_grid(domain)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= cx._grid_check_bytes(nodes, 400_000)
+    assert time.perf_counter() - t0 < 1.0
 
 
 class _PastBudget(Exception):
@@ -304,26 +291,43 @@ def _raise_past_budget(*args, **kwargs):
 
 
 def test_budget_follows_physical_memory(monkeypatch):
-    # on 2 GiB the kappa = 320 grid check (34.6M nodes, ~1.2 GiB) and the
-    # coordinates of the kappa = 5120 lattice (62.6M points, ~1.4 GiB) are
-    # let through to the allocation, which is stubbed out; on 1 GiB both
-    # are refused
-    domain = build_counterexample(3, 0.3, 320.0)
+    # on 2 GiB the coordinates of the kappa = 5120 lattice (62.6M points,
+    # ~1.4 GiB) are let through to the allocation, which is stubbed out;
+    # on 1 GiB they are refused
     lattice = PackedPoints(3, 5120.0, None, 2.0 / 5120.0, lattice=62_596_850,
                            dropped=np.zeros(0, dtype=np.int64))
     monkeypatch.setattr(cx, "fibonacci_sphere", _raise_past_budget)
-    monkeypatch.setattr(cx, "build_grid", _raise_past_budget)
     monkeypatch.setattr(cx, "_physical_memory", lambda: 2 * 2**30)
     assert cx.memory_budget() == 1.5 * 2**30
     with pytest.raises(_PastBudget):
         lattice.points
-    with pytest.raises(_PastBudget):
-        total_mean_curvature_grid(domain)
     monkeypatch.setattr(cx, "_physical_memory", lambda: 2**30)
     with pytest.raises(MemoryBudgetError, match="62,596,850 points"):
         lattice.points
-    with pytest.raises(MemoryBudgetError, match="34,611,200 nodes"):
-        total_mean_curvature_grid(domain)
+
+
+@pytest.mark.parametrize("memory", [2**30, 64 * 2**30])
+def test_grid_check_follows_the_work_limit(monkeypatch, memory):
+    # the kappa = 543 check (resolution 7059, 99.7M nodes) is let through
+    # to the grid, which is stubbed out, and the kappa = 640 check
+    # (resolution 8320, 138M nodes) is refused fast, whatever the
+    # machine's memory, also by total_mean_curvature before it packs;
+    # the lattices are given, not packed
+    def dented(kappa):
+        lattice = PackedPoints(3, kappa, None, 2.0 / kappa, lattice=2,
+                               dropped=np.zeros(0, dtype=np.int64))
+        return build_counterexample(3, 0.3, kappa, centers=lattice)
+    monkeypatch.setattr(cx, "build_grid", _raise_past_budget)
+    monkeypatch.setattr(cx, "_close_pairs", _raise_past_budget)
+    monkeypatch.setattr(cx, "_physical_memory", lambda: memory)
+    with pytest.raises(_PastBudget):
+        total_mean_curvature_grid(dented(543.0))
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryBudgetError, match="138,444,800 nodes"):
+        total_mean_curvature_grid(dented(640.0))
+    with pytest.raises(MemoryBudgetError, match="138,444,800 nodes"):
+        total_mean_curvature(3, 0.3, 640.0, method="both")
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("memory", [2**30, 64 * 2**30])
@@ -650,14 +654,30 @@ def test_translated_refuses_an_analytic_profile():
         K.translated([1e-3, 0.0, 0.0])
 
 
-def test_grid_check_memory_within_its_budget():
-    # kappa = 40: resolution 520, 540,800 nodes
+@pytest.mark.parametrize("resolution", [520, 1040])
+def test_grid_check_peak_does_not_grow_with_the_grid(resolution):
+    # kappa = 40 at its default resolution 520 (540,800 nodes) and at 1040
+    # (2.16M nodes): the pass builds no node array, so its traced peak is
+    # the 400,000-node chunk of terms and one member block, about 10 MB
+    # at both, where building the grid took 51 and 111 MB
     domain = build_counterexample(3, 0.3, 40.0)
-    nodes = 2 * 520 * 520
+    domain.centers.points
     tracemalloc.start()
     try:
-        total_mean_curvature_grid(domain)
-        _, peak = tracemalloc.get_traced_memory()
+        base = tracemalloc.get_traced_memory()[0]
+        total_mean_curvature_grid(domain, resolution)
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= cx._grid_check_bytes(nodes, 400_000)
+    assert peak < 20e6
+
+
+def test_grid_check_builds_no_node_array(monkeypatch):
+    domain = build_counterexample(3, 0.3, 20.0)
+    expected = _kdtree_grid_total(domain, chunk=9_973)
+
+    def refuse(self):
+        raise AssertionError("the grid check read a whole node array")
+    monkeypatch.setattr(SphericalGrid, "nodes", property(refuse))
+    monkeypatch.setattr(SphericalGrid, "weights", property(refuse))
+    assert total_mean_curvature_grid(domain, chunk=9_973) == expected

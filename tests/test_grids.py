@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from quermass.grids import (
@@ -137,3 +138,33 @@ def test_grid_is_bit_identical_to_the_mesh_construction(n, res):
     assert g.nodes.tobytes() == nodes.tobytes()
     assert g.weights.tobytes() == weights.tobytes()
     assert tangent_frames(g).tobytes() == frames.tobytes()
+
+
+@st.composite
+def _grid_and_index(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    res = draw(st.sampled_from([4, 9, 33]))
+    size = res ** (n - 2) * 2 * res
+    index = draw(st.lists(st.integers(0, size - 1), max_size=300))
+    return n, res, np.array(index, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_and_index(), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_index_lookups_are_bit_identical_to_the_node_arrays(case, a, b):
+    # points and node_weights rebuild rows of nodes and weights from the
+    # per-axis factors, for any index set (unsorted, repeated or empty)
+    n, res, index = case
+    g = build_grid(n, res)
+    assert g.points(index).tobytes() == g.nodes[index].tobytes()
+    assert g.node_weights(index).tobytes() == g.weights[index].tobytes()
+    lo, hi = sorted((a % (g.num_nodes + 1), b % (g.num_nodes + 1)))
+    assert g.node_weights(slice(lo, hi)).tobytes() == g.weights[lo:hi].tobytes()
+
+
+def test_grid_builds_its_node_arrays_on_first_read():
+    g = build_grid(3, 16)
+    assert g.num_nodes == 2 * 16 * 16
+    assert "nodes" not in vars(g) and "weights" not in vars(g)
+    assert g.nodes is g.nodes and not g.nodes.flags.writeable
+    assert not g.weights.flags.writeable
