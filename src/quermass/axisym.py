@@ -165,14 +165,14 @@ class AxialProfile:
         return self.coeffs @ self._table(theta, 0)
 
     def slope(self, theta) -> np.ndarray:
-        """dV/dtheta."""
+        """dV/d(theta)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.callables is not None:
             return self._eval_callable(1, theta)
         return -np.sin(theta) * (self.coeffs @ self._table(theta, 1))
 
     def curvature_slope(self, theta) -> np.ndarray:
-        """d^2 V/dtheta^2."""
+        """d^2 V/d(theta)^2."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if self.callables is not None:
             return self._eval_callable(2, theta)
@@ -258,14 +258,75 @@ def zonal_frames(profile: AxialProfile, theta: np.ndarray):
     return V, grad, hess, H
 
 
+def _shape(profile: AxialProfile, theta: np.ndarray):
+    """(V, |grad u|^2, H, S) along theta; S is the shape operator."""
+    V, grad, hess, H = zonal_frames(profile, theta)
+    return V, grad[:, 0] ** 2, H, geometry.shape_operator_frame(V, grad, hess)
+
+
+def _kinked(H: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """One column per integrand whose absolute value or positive part a
+    functional takes, each kinked where it changes sign: the meridian and
+    parallel curvatures, H and sigma_1..sigma_{n-1}.  S is diagonal in the
+    zonal frame, the parallel curvature S[:, 1, 1] taken n - 2 times."""
+    kappa = np.column_stack([S[:, 0, 0]] + [S[:, 1, 1]] * (S.shape[1] - 1))
+    return np.column_stack([kappa[:, :2], H, geometry.elementary_symmetric(kappa)])
+
+
+def _sign_change_roots(profile: AxialProfile, theta: np.ndarray, G: np.ndarray):
+    """The angles where a column of G = _kinked along theta changes sign
+    between consecutive nodes, each narrowed to rounding on the pointwise
+    G: every evaluation cuts each bracket into 16 and keeps the part where
+    the sign first changes, four halvings for one evaluation's overhead."""
+    order = np.argsort(theta)
+    below = G[order] < 0.0
+    i, k = np.nonzero(below[1:] != below[:-1])
+    lo, hi, low_side = theta[order][i], theta[order][i + 1], below[i, k]
+    rows = np.arange(len(k))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        cuts = np.column_stack([lo, lo[:, None] + np.outer(hi - lo, np.arange(1, 16) / 16.0),
+                                hi])
+        inner = _kinked(*_shape(profile, cuts[:, 1:-1].ravel())[2:]).reshape(len(k), 15, -1)
+        # cuts[j] is the last cut on lo's side, cuts[j + 1] the first past it
+        j = np.cumprod((inner[rows, :, k] < 0.0) == low_side[:, None], axis=1).sum(axis=1)
+        lo, hi = cuts[rows, j], cuts[rows, j + 1]
+
+
 def axial_functionals(profile: AxialProfile) -> Functionals:
-    """All scalar functionals of the axisymmetric domain by 1-D quadrature."""
+    """All scalar functionals of the axisymmetric domain by 1-D quadrature.
+
+    The profile's rule integrates smooth integrands, but |kappa_i|, H^+-
+    and |sigma_k| are kinked where their field changes sign, and there
+    the rule converges only algebraically.  When some field changes sign
+    between rule nodes, int |f| = int f - 2 int_{f<0} f: the signed
+    integral from the rule, the negative part from Gauss-Legendre panels
+    between the roots and the profile's breakpoints.
+    """
     n = profile.n
     theta, w = profile.quadrature_rule()
-    V, grad, hess, H = zonal_frames(profile, theta)
-    eigs = np.linalg.eigvalsh(geometry.shape_operator_frame(V, grad, hess))
-    return radial_functionals(n, float(np.sum(w * (1.0 + V) ** n / n)), w, V,
-                              grad[:, 0] ** 2, H, eigs)
+    V, grad2, H, S = _shape(profile, theta)
+    out = radial_functionals(n, float(np.sum(w * (1.0 + V) ** n / n)), w, V,
+                             grad2, H, np.linalg.eigvalsh(S))
+    if out.min_principal_curvature >= 0.0:
+        return out          # no field is negative at a node
+    G = _kinked(H, S)
+    roots = _sign_change_roots(profile, theta, G)
+    if not len(roots):
+        return out
+    edges = np.sort(np.minimum(np.concatenate(
+        [[0.0, *profile.breakpoints, profile.support, math.pi], roots]), math.pi))
+    t, pw = panel_rule(edges[np.diff(edges, prepend=-1.0) > 0.0], 48, 1)
+    Vt, grad2_t, Ht, St = _shape(profile, t)
+    pw = pw * np.sin(t) ** (n - 2) * sphere_area(n - 1) * geometry.area_jacobian(
+        Vt, grad2_t, n)
+    negative = pw @ np.minimum(_kinked(Ht, St), 0.0)
+    absolute = (w * geometry.area_jacobian(V, grad2, n)) @ G - 2.0 * negative
+    return dataclasses.replace(
+        out, int_H_plus=out.int_H - float(negative[2]), int_H_minus=-float(negative[2]),
+        int_nuclear=float(absolute[0] + (n - 2) * absolute[1]), int_sigma_abs=absolute[3:])
 
 
 def pole_gradient_bound(profile: AxialProfile, theta0: float | None = None) -> dict:
@@ -303,22 +364,6 @@ def axial_minkowski_deficit(K: "AxialDomain", seed=None) -> DeficitReport:
     """
     from quermass.deficits import minkowski_deficit
     return dataclasses.replace(minkowski_deficit(K, seed=seed), which="axial_minkowski")
-
-
-def periodic_cubic_integral(values: np.ndarray) -> float:
-    """Circle identity check: integral of V'' V'^2 over a 2pi-periodic profile.
-
-    Fourier differentiation on the uniform grid; the integrand is the
-    exact derivative of V'^3/3, so the result vanishes for resolved
-    profiles.
-    """
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
-    k = np.fft.rfftfreq(m, d=1.0 / m)
-    F = np.fft.rfft(values)
-    vd = np.fft.irfft(1j * k * F, n=m)
-    vdd = np.fft.irfft(-(k * k) * F, n=m)
-    return float(np.sum(vdd * vd * vd) * (2.0 * math.pi / m))
 
 
 def lift_to_sphere(profile: AxialProfile, grid):
@@ -403,22 +448,6 @@ class _Section:
         pad = 0.5 * _SCREEN_PAD * (self.reach + abs(offset)) / floor if floor > 0 else None
         return c, pad
 
-    def sup_deviation(self, offset: float) -> float:
-        """max of deviation(offset), bit for bit, from a screened evaluation.
-
-        Every node where the exact form attains its maximum has c within
-        the pad of the smallest c (see screen), so the exact hypot form
-        runs on those nodes only: on all of them at the ball, where every
-        c is 1 to within rounding, and on more of them the nearer the
-        center is to the boundary.
-        """
-        c, pad = self.screen(offset)
-        lowest = float(np.min(c))
-        if pad is None or not math.isfinite(lowest):
-            return float(np.max(self.deviation(offset)))
-        keep = np.flatnonzero(c <= lowest + pad)
-        return float(np.max(self.deviation(offset, keep)))
-
     def cosine_slope(self, offset: float, idx) -> np.ndarray:
         """c' on the nodes idx."""
         p1 = self.a1[idx] - offset
@@ -432,8 +461,10 @@ class _Section:
         rise is (deviation, node) of the largest exact deviation among the
         nodes whose deviation grows with the offset (c' < 0), and fall that
         among the others, or (-inf, None) for an empty side.  Each side is
-        screened against its own smallest c, so the larger of the two is
-        sup_deviation(offset) bit for bit.
+        screened against its own smallest c: every node where the exact
+        form attains the side's maximum has c within the pad of that c (see
+        screen), so the exact hypot form runs on those nodes only, and the
+        larger of the two is the max of deviation(offset) bit for bit.
         """
         c, pad = self.screen(offset)
         rising = self.p2 * (self.nu2 * (self.a1 - offset) - self.nu1_p2) < 0.0
@@ -626,7 +657,7 @@ class AxialDomain(RadialGraph):
 
     # -- planar deviation geometry -------------------------------------------------
 
-    def _eps_search(self, optimize_center: bool):
+    def _eps_search(self):
         """(value, center) of eps_size on 4096 polar angles.
 
         value is the max of the exact hypot form of the deviation, found
@@ -638,11 +669,8 @@ class AxialDomain(RadialGraph):
         """
         th = _DEVIATION_THETA
         section = _Section(th, self.profile.value(th), self.profile.slope(th))
-        seed = self.barycenter()[0]
-        if optimize_center:
-            best_b, best, self._eps_certificate = _crossing_search(section, seed)
-        else:
-            best_b, best = seed, section.sup_deviation(seed)
+        best_b, best, self._eps_certificate = _crossing_search(
+            section, self.barycenter()[0])
         center = np.zeros(self.n)
         center[0] = best_b
         return best, center

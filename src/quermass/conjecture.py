@@ -263,19 +263,6 @@ def trivial_bound_margin(backend: _Backend, c: np.ndarray) -> float:
     return den - num
 
 
-def reject_constant_laplacian(target: float):
-    """A constant nonzero Laplacian is impossible on a closed manifold."""
-    if abs(target) > 0:
-        raise ValueError(
-            f"lap(u) = {target} everywhere is infeasible: the Laplacian "
-            "integrates to zero on the sphere"
-        )
-
-
-def mean_laplacian(backend: _Backend, c: np.ndarray) -> float:
-    return backend.integrate(backend.laplacian_values(c))
-
-
 # -- penalized ascent -----------------------------------------------------------------
 
 

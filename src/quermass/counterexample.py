@@ -20,7 +20,9 @@ of a recursive latitude-ring packing (after the EQ partition, Leopardi,
 ETNA 25, 2006), counted without coordinates.  Counts above WORK_LIMIT
 lattice points or circles, and dense-grid checks above WORK_LIMIT nodes,
 fail fast on any machine; the check takes O(chunk) memory whatever its
-node count.  Coordinates above memory_budget() fail fast too.
+node count.  The coordinates are built only for a kappa whose dense-grid
+check is within WORK_LIMIT (kappa <= 543, at most about 706k points),
+so every input is admitted or refused the same way on every machine.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
 
 import numpy as np
 
@@ -43,57 +44,22 @@ from quermass.grids import build_grid, panel_rule, sphere_area
 FIB_MIN_DIST = 3.0921
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-# The coordinates of a lattice, when read, refuse to be built
-# (MemoryBudgetError) when their estimated working set exceeds
-# MEMORY_FRACTION of the machine's physical memory (memory_budget()); on
-# 2 GiB that admits those of kappa 5120 (62.6M points, ~1.4 GiB).
 # Counts refuse above WORK_LIMIT lattice points (n = 3) or circles
 # (n >= 4), and dense-grid checks above WORK_LIMIT nodes, whatever the
 # machine: counts admit kappa 5120 (n = 3: 62.6M points, ~6 s; n = 4:
 # ~2 s), grid checks kappa 543 (99.7M nodes) but not 640 (138M nodes).
-MEMORY_FRACTION = 0.75
+# Lattice coordinates are admitted by the grid check's rule.
 WORK_LIMIT = 10**8
 # lattice points per block of the streamed lattice: its coordinates,
 # temporaries and pair distances take O(block) memory
 _LATTICE_BLOCK = 1 << 16
 _SLICED_RANGE = 4096    # index ranges this long are sliced, shorter ones gathered
-# peak bytes of the lattice coordinates (PackedPoints.points): per point
-# of the output, plus per point of one block.  tracemalloc gives 24 B per
-# point and at most 65 B per block point (kappa 10-2560); the estimate
-# adds a 10% margin to the block's temporaries.
-_BYTES_PER_LATTICE_POINT = 24
-_BYTES_PER_BLOCK_POINT = 72
 _RING_PAD = 1e-12       # relative pad of the ring angles, against rounding
 _RING_CHUNK = 1 << 16   # ring slices per numpy step, which bounds memory
 
 
 class MemoryBudgetError(ValueError):
-    """Lattice coordinates over memory_budget(), or a count or grid check
-    over WORK_LIMIT."""
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def memory_budget() -> int:
-    """Bytes the coordinates of a packing may use: MEMORY_FRACTION of RAM."""
-    return int(MEMORY_FRACTION * _physical_memory())
-
-
-def _points_bytes(count: int, lattice: int) -> int:
-    """Estimated peak of building count points of a lattice of that size."""
-    return (count * _BYTES_PER_LATTICE_POINT
-            + min(lattice, _LATTICE_BLOCK) * _BYTES_PER_BLOCK_POINT)
-
-
-def _check_budget(what: str, items: int, unit: str, nbytes: int) -> None:
-    budget = memory_budget()
-    if nbytes > budget:
-        raise MemoryBudgetError(
-            f"{what} needs {items:,} {unit}, about {nbytes / 2**30:.1f} GiB, "
-            f"above the {budget / 2**30:.1f} GiB budget ({MEMORY_FRACTION:g} "
-            f"of physical memory, quermass.counterexample.MEMORY_FRACTION)")
+    """A count, a grid check or lattice coordinates over WORK_LIMIT."""
 
 
 def _check_work(what: str, items: int, unit: str) -> None:
@@ -224,8 +190,9 @@ class PackedPoints:
 
     Three kinds: explicit coordinates; the thinned n = 3 Fibonacci
     lattice, fibonacci_sphere(lattice) without the rows dropped, whose
-    points are built on first read (MemoryBudgetError over
-    memory_budget()); and a ring count (n >= 4), whose points are None.
+    points are built on first read (MemoryBudgetError when kappa's
+    dense-grid check is over WORK_LIMIT); and a ring count (n >= 4),
+    whose points are None.
     min_distance is the exact minimum of the lattice; a ring count has
     2/kappa, its proved bound.
     """
@@ -248,8 +215,14 @@ class PackedPoints:
     def points(self) -> np.ndarray | None:
         if self.lattice == 0:
             return self.coordinates
-        _check_budget(f"the points of pack_points(3, {self.kappa:g})", self.count,
-                      "points", _points_bytes(self.count, self.lattice))
+        # only the dense-grid check and the mesh read them, and a grid
+        # within WORK_LIMIT nodes cannot resolve the dents of a larger kappa
+        try:
+            _grid_resolution(self.kappa)
+        except MemoryBudgetError as exc:
+            raise MemoryBudgetError(
+                f"the points of pack_points(3, {self.kappa:g}) are built only for a "
+                f"kappa whose dense-grid check runs; {exc}") from None
         return fibonacci_sphere(self.lattice, self.dropped)
 
     @property
@@ -625,23 +598,17 @@ def _grid_resolution(kappa: float, resolution: int | None = None) -> int:
     return resolution
 
 
-def total_mean_curvature(n: int, eps: float, kappa: float, method: str = "zonal",
-                         packing_cache: dict | None = None) -> dict:
+def total_mean_curvature(n: int, eps: float, kappa: float, method: str = "zonal") -> dict:
     """Total boundary mean curvature of the dented sphere.
 
     method "zonal" uses the exact per-dent decomposition; "both" adds
     the dense-grid evaluation (n = 3, at total_mean_curvature_grid's
-    default resolution) and reports their relative gap.  packing_cache
-    maps (n, kappa) to PackedPoints: packings do not depend on eps, so
-    sweeps over eps can share the expensive part.  A grid over
+    default resolution) and reports their relative gap.  A grid over
     WORK_LIMIT nodes is refused before the packing.
     """
     if method == "both":
         _grid_resolution(kappa)
-    if packing_cache is not None and (n, kappa) not in packing_cache:
-        packing_cache[n, kappa] = pack_points(n, kappa)
-    centers = None if packing_cache is None else packing_cache[n, kappa]
-    domain = build_counterexample(n, eps, kappa, centers=centers)
+    domain = build_counterexample(n, eps, kappa)
     out = {
         "n": n, "eps": eps, "kappa": kappa,
         "count": domain.centers.count,
@@ -677,8 +644,7 @@ def affine_fit(x, y) -> dict:
 
 def find_negative_mean_curvature(n: int, eps: float, threshold: float = -1.0,
                                  kappa_start: float = 20.0,
-                                 kappa_max: float = 1e5,
-                                 packing_cache: dict | None = None) -> dict:
+                                 kappa_max: float = 1e5) -> dict:
     """Double kappa until the total mean curvature drops below the threshold.
 
     Never silent: returns found=False with the full history and the
@@ -690,8 +656,7 @@ def find_negative_mean_curvature(n: int, eps: float, threshold: float = -1.0,
     reason = f"kappa exceeds kappa_max = {kappa_max:g}"
     while kappa <= kappa_max:
         try:
-            rec = total_mean_curvature(n, eps, kappa, method="zonal",
-                                       packing_cache=packing_cache)
+            rec = total_mean_curvature(n, eps, kappa, method="zonal")
         except MemoryBudgetError as exc:
             reason = str(exc)
             break

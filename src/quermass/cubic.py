@@ -27,8 +27,6 @@ class NonlinearityPair:
 
     f: callable
     g: callable
-    f_s: callable
-    f_t: callable
     g_s: callable
     g_t: callable
     name: str = "custom"
@@ -52,17 +50,9 @@ def mean_curvature_pair(n: int) -> NonlinearityPair:
     def f(s, t):
         return (1.0 + s) ** p / ((1.0 + s) ** 2 + t)
 
-    def f_s(s, t):
-        den = (1.0 + s) ** 2 + t
-        return (p * (1.0 + s) ** (p - 1.0) * den
-                - (1.0 + s) ** p * 2.0 * (1.0 + s)) / den**2
-
-    def f_t(s, t):
-        return -((1.0 + s) ** p) / ((1.0 + s) ** 2 + t) ** 2
-
     one = lambda s, t: np.ones_like(np.asarray(s, dtype=float))
     zero = lambda s, t: np.zeros_like(np.asarray(s, dtype=float))
-    return NonlinearityPair(f, one, f_s, f_t, zero, zero, name="unit_g")
+    return NonlinearityPair(f, one, zero, zero, name="unit_g")
 
 
 def volumetric_pair(n: int) -> NonlinearityPair:
@@ -78,8 +68,7 @@ def volumetric_pair(n: int) -> NonlinearityPair:
     def g_t(s, t):
         return -0.5 * (1.0 + t / (1.0 + s) ** 2) ** -1.5 / (1.0 + s) ** 2
 
-    return NonlinearityPair(base.f, g, base.f_s, base.f_t, g_s, g_t,
-                            name="slope_g")
+    return NonlinearityPair(base.f, g, g_s, g_t, name="slope_g")
 
 
 # -- uniform access to per-node derivative data --------------------------------
@@ -156,12 +145,6 @@ def cubic_term(u, f=None) -> float:
     return float(np.sum(d.weights * fv * d.cubic_form))
 
 
-def hessian_eigenfields(u) -> np.ndarray:
-    """Sorted per-node eigenvalues of the covariant Hessian."""
-    d = _field_data(u)
-    return np.linalg.eigvalsh(d.hess)
-
-
 def high_frequency_bound_check(u, pair: NonlinearityPair,
                                lam: float | None = None,
                                eps_cap: float = 0.35) -> dict:
@@ -208,13 +191,6 @@ def eigenvalue_interpolation_check(u) -> dict:
     rhs = -(1.0 / 3.0) * float(np.sum(d.weights * upper_sum * d.grad2))
     scale = float(np.sum(d.weights * d.grad2)) * max(1.0, float(np.max(np.abs(eigs))))
     return {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "scale": scale}
-
-
-def trace_identity_residual(u) -> float:
-    """max |sum of Hessian eigenvalues - laplacian| over nodes."""
-    d = _field_data(u)
-    eigs = np.linalg.eigvalsh(d.hess)
-    return float(np.max(np.abs(eigs.sum(axis=1) - d.lap)))
 
 
 def integration_by_parts_residual(u) -> float:

@@ -93,10 +93,9 @@ def _deficit(K, which: str, use_nuclear: bool = False, volumetric: bool = False,
         denom = F.volume ** (1.0 / n) if volumetric else F.perimeter ** (1.0 / (n - 1))
         lhs = numerator ** (1.0 / (n - 2)) / denom
     rhs = (ball_volumetric_constant(n) if volumetric else ball_minkowski_constant(n)) - delta
-    eps, center = K.eps_size()
+    eps, _ = K.eps_size()
     return DeficitReport(which=which, n=n, lhs=lhs, rhs=rhs,
-                         normalization="none", center_used=tuple(center),
-                         eps_size=eps, seed=seed, extra=extra)
+                         normalization="none", eps_size=eps, seed=seed, extra=extra)
 
 
 def minkowski_deficit(K, seed=None) -> DeficitReport:
@@ -167,10 +166,10 @@ def quermassintegral_ratio(K, k: int, seed=None) -> DeficitReport:
         lhs = sig(k) ** (1.0 / (n - 1 - k)) / sig(k - 1) ** (1.0 / (n - k))
         rhs = ((math.comb(n - 1, k) * area) ** (1.0 / (n - 1 - k))
                / (math.comb(n - 1, k - 1) * area) ** (1.0 / (n - k)))
-    eps, center = K.eps_size()
+    eps, _ = K.eps_size()
     return DeficitReport(
         which=f"quermass_k{k}", n=n, lhs=lhs, rhs=rhs, normalization="none",
-        center_used=tuple(center), eps_size=eps, seed=seed,
+        eps_size=eps, seed=seed,
         extra={"convex": bool(F.is_convex)},
     )
 

@@ -190,20 +190,17 @@ def _to_nodes(grid, spectra) -> np.ndarray:
     return np.fft.irfft(full, n=m_phi, axis=-1).reshape(F, B, -1)
 
 
-def sh_synthesize(grid, coeffs: np.ndarray, dtheta: int = 0, dphi: int = 0) -> np.ndarray:
-    """Evaluate coefficients (or one chart derivative) at the grid nodes.
+def sh_synthesize(grid, coeffs: np.ndarray) -> np.ndarray:
+    """Evaluate coefficients at the grid nodes.
 
-    coeffs is (K,) or (..., K) with K = (L+1)^2; dtheta in {0,1,2}
-    selects the Legendre table, dphi in {0,1,2} multiplies order m by
-    (i m)^dphi.  Returns (N,) or (..., N) node values.
+    coeffs is (K,) or (..., K) with K = (L+1)^2.  Returns (N,) or (..., N)
+    node values; sh_chart_derivatives gives the chart derivatives.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     batch, L = _coeff_shape(coeffs)
     data = sh_tables_for_grid(grid, L)
     (z,) = _order_sums(data, coeffs.reshape(-1, coeffs.shape[-1]),
-                       [data["tables"][dtheta]])
-    if dphi:
-        z *= (data["i_m"] ** dphi)[:, None, None]
+                       [data["tables"][0]])
     return _to_nodes(grid, z[None])[0].reshape(batch + (-1,))
 
 
@@ -307,7 +304,7 @@ class ZonalBasis:
     def values(self, t: np.ndarray, derivative: int = 0) -> np.ndarray:
         """Matrix Z^{(derivative)}_l(t), shape (L+1, len(t)), built afresh.
 
-        derivative counts d/dt applications (not d/dtheta), taken with
+        derivative counts d/dt applications (not d/d(theta)), taken with
         d/dt C_l^(a) = 2a C_{l-1}^(a+1).  AxialProfile caches read-only
         tables on its fixed node sets (axisym._zonal_table), so there this
         runs once per (n, L, derivative) and node set.

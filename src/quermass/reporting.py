@@ -25,7 +25,6 @@ class DeficitReport:
     lhs: float
     rhs: float
     normalization: str = "none"
-    center_used: tuple = ()
     eps_size: float = float("nan")
     seed: int | None = None
     extra: dict = dataclasses.field(default_factory=dict)

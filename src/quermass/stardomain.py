@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 
 from quermass import fields, geometry
+from quermass.analytic import _GRID_BLOCK
 from quermass.config import DEVIATION_RATIO_BOUND, MEAN_CURVATURE_AGREE
 from quermass.fields import ScalarField
 from quermass.grids import quadrature, sphere_area, tangent_frames
@@ -112,9 +113,8 @@ class RadialGraph:
     """The surface both domain kinds share, over a quadrature rule of the sphere.
 
     A kind supplies n, _rule() -> (weights, u) and _grad2() -> |grad u|^2 at
-    the rule's nodes, _eps_search(optimize_center), which also sets
-    _eps_certificate when it optimizes, and for translated _chart(shift)
-    and _refit(u, shift).
+    the rule's nodes, _eps_search(), which also sets _eps_certificate, and
+    for translated _chart(shift) and _refit(u, shift).
     """
 
     def perimeter(self) -> float:
@@ -127,16 +127,14 @@ class RadialGraph:
         return (float(np.sum(w * u)), float(np.sum(w * u**2)),
                 float(np.sum(w * self._grad2())))
 
-    def eps_size(self, optimize_center: bool = True):
+    def eps_size(self):
         """Smallest sup-norm normal deviation over choices of the center.
 
-        Returns (value, center), cached per optimize_center; without it the
-        center is the barycenter.  The kind's _eps_search finds it.
+        Returns (value, center), cached.  The kind's _eps_search finds it.
         """
-        cache = self.__dict__.setdefault("_eps", {})
-        if optimize_center not in cache:
-            cache[optimize_center] = self._eps_search(optimize_center)
-        return cache[optimize_center]
+        if "_eps" not in self.__dict__:
+            self._eps = self._eps_search()
+        return self._eps
 
     def center_certificate(self) -> CenterCertificate:
         """Stationarity certificate of the optimized eps_size center.
@@ -283,17 +281,17 @@ class StarDomain(RadialGraph):
         return radial_functionals(self.n, self.volume(), *self._rule(), self._grad2(),
                                   b.H, b.II_eigenvalues)
 
-    def integrated_mean_curvature(self, chunk: int = 200_000) -> float:
+    def integrated_mean_curvature(self) -> float:
         """Integral of H over the boundary using the scalar fast path.
 
-        Analytic profiles are streamed over node chunks by the provider
-        (GeodesicRadialField.integrated_mean_curvature), which keeps
-        memory flat on very fine diagnostic grids.
+        Analytic profiles are streamed over chunks of _GRID_BLOCK nodes by
+        the provider (GeodesicRadialField.integrated_mean_curvature), which
+        keeps memory flat on very fine diagnostic grids.
         """
         prof = self.profile
         if prof.analytic is None:
             return self.curvature_integrals().int_H
-        return prof.analytic.integrated_mean_curvature(self.grid, chunk)
+        return prof.analytic.integrated_mean_curvature(self.grid, _GRID_BLOCK)
 
     # -- normal-deviation size ----------------------------------------------------
 
@@ -318,7 +316,7 @@ class StarDomain(RadialGraph):
         J = geometry.area_jacobian(self.profile.values, self._grad2(), self.n)
         return quadrature(dev**2 * J, self.grid) / quadrature(J, self.grid)
 
-    def _eps_search(self, optimize_center: bool):
+    def _eps_search(self):
         """(value, center) of eps_size, value = max(deviation_values(center)).
 
         The optimized center solves the epigraph problem: minimize t over
@@ -337,8 +335,6 @@ class StarDomain(RadialGraph):
         y, nu = self._coordinate_rows()
         bary = self.barycenter()
         dev = _deviations(y, nu, bary)
-        if not optimize_center:
-            return float(np.max(dev)), bary
         center, dev_c, passes = _minimax_center(y, nu, bary, dev)
         if np.max(dev) <= np.max(dev_c):
             center, dev_c = bary, dev

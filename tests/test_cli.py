@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,19 @@ def test_counterexample_over_budget_exits_2(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_counterexample_mesh_past_the_grid_check_work_limit_exits_2(tmp_path, capsys):
+    # a kappa = 600 mesh needs the lattice's coordinates, which are built
+    # only where the dense-grid check is within WORK_LIMIT (kappa <= 543)
+    out = tmp_path / "x"
+    t0 = time.perf_counter()
+    code = main(["counterexample", "--kappa", "600", "--mesh", "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "pack_points(3, 600)" in err and "WORK_LIMIT" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("check, count, minimum", [
     ("axial", 2, 3), ("nuclear", 0, 2), ("stability", 0, 1), ("eigen-interp", 1, 2),
     ("curvature-routes", 0, 1), ("grad-normal", 0, 1), ("freq-split", 0, 1)])
@@ -294,16 +308,20 @@ def test_single_kappa_dent_gap_gates_the_verdict(tmp_path, capsys):
     verdict, _, shown = capsys.readouterr().out.splitlines()[-1].partition(" ")
     assert verdict == "FAIL"
     summary = json.loads((tmp_path / "b" / "counterexample_summary.json").read_text())
-    assert summary == {"passed": False, "summary": {}}
     row = (tmp_path / "b" / "counterexample.csv").read_text().splitlines()[1]
     gap = float(row.split(",")[5])
     assert 1e-9 < gap <= 1e-2
-    # the stdout line carries the gap and the tolerance it was held to
-    assert json.loads(shown) == {"relative_gap": gap, "tolerance": 1e-9}
+    # the summary and the stdout line carry the gap and the tolerance it
+    # was held to
+    gated = {"relative_gap": gap, "tolerance": 1e-9}
+    assert summary == {"passed": False, "summary": gated}
+    assert json.loads(shown) == gated
     # n = 4 has no grid check, so no gap to gate
     assert main(["counterexample", "--n", "4", "--kappa", "2", "--eps", "0.3",
                  "--tolerance", "dent_cross_check_rel=1e-9",
                  "--out", str(tmp_path / "c")]) == 0
+    summary = json.loads((tmp_path / "c" / "counterexample_summary.json").read_text())
+    assert summary == {"passed": True, "summary": {}}
 
 
 def test_sweep_gap_tolerance_comes_from_the_tolerances(monkeypatch, tmp_path):

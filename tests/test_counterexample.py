@@ -176,10 +176,12 @@ def test_lattice_count_reads_no_coordinates():
 
 @pytest.mark.parametrize("oversize", [1.0, 1.2])
 def test_lattice_points_peak_is_within_its_estimate(oversize):
-    # kappa = 640: 978,075 points in 15 blocks
-    count = int(oversize * _lattice_count(640.0))
-    dropped, d_min = _thinned_fibonacci(count, 2.0 / 640.0)
-    packed = PackedPoints(3, 640.0, None, d_min, lattice=count, dropped=dropped)
+    # kappa = 543, the largest whose coordinates are built: 704,064 points
+    # in 11 blocks; tracemalloc gives 24 B per output point and at most
+    # 65 B per point of one block (kappa 10-2560), 72 B with a 10% margin
+    count = int(oversize * _lattice_count(543.0))
+    dropped, d_min = _thinned_fibonacci(count, 2.0 / 543.0)
+    packed = PackedPoints(3, 543.0, None, d_min, lattice=count, dropped=dropped)
     tracemalloc.start()
     try:
         points = packed.points
@@ -187,7 +189,7 @@ def test_lattice_points_peak_is_within_its_estimate(oversize):
     finally:
         tracemalloc.stop()
     assert len(points) == packed.count
-    assert peak <= cx._points_bytes(packed.count, count)
+    assert peak <= 24 * packed.count + 72 * cx._LATTICE_BLOCK
 
 
 def _brute_force_min_distance(pts):
@@ -290,36 +292,33 @@ def _raise_past_budget(*args, **kwargs):
     raise _PastBudget
 
 
-def test_budget_follows_physical_memory(monkeypatch):
-    # on 2 GiB the coordinates of the kappa = 5120 lattice (62.6M points,
-    # ~1.4 GiB) are let through to the allocation, which is stubbed out;
-    # on 1 GiB they are refused
-    lattice = PackedPoints(3, 5120.0, None, 2.0 / 5120.0, lattice=62_596_850,
-                           dropped=np.zeros(0, dtype=np.int64))
+def test_coordinates_follow_the_grid_check_work_limit(monkeypatch):
+    # the coordinates of a lattice are built exactly where kappa's default
+    # dense-grid check is within WORK_LIMIT: kappa = 543 (resolution 7059,
+    # 99.7M nodes) is let through to the coordinates, which are stubbed
+    # out, and kappa = 640 (138M nodes) is refused before any is built
     monkeypatch.setattr(cx, "fibonacci_sphere", _raise_past_budget)
-    monkeypatch.setattr(cx, "_physical_memory", lambda: 2 * 2**30)
-    assert cx.memory_budget() == 1.5 * 2**30
     with pytest.raises(_PastBudget):
-        lattice.points
-    monkeypatch.setattr(cx, "_physical_memory", lambda: 2**30)
-    with pytest.raises(MemoryBudgetError, match="62,596,850 points"):
-        lattice.points
+        pack_points(3, 543.0).points
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryBudgetError,
+                       match=r"pack_points\(3, 640\).*138,444,800 nodes.*WORK_LIMIT"):
+        pack_points(3, 640.0).points
+    assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("memory", [2**30, 64 * 2**30])
-def test_grid_check_follows_the_work_limit(monkeypatch, memory):
+def test_grid_check_follows_the_work_limit(monkeypatch):
     # the kappa = 543 check (resolution 7059, 99.7M nodes) is let through
     # to the grid, which is stubbed out, and the kappa = 640 check
-    # (resolution 8320, 138M nodes) is refused fast, whatever the
-    # machine's memory, also by total_mean_curvature before it packs;
-    # the lattices are given, not packed
+    # (resolution 8320, 138M nodes) is refused fast, also by
+    # total_mean_curvature before it packs; the lattices are given, not
+    # packed
     def dented(kappa):
         lattice = PackedPoints(3, kappa, None, 2.0 / kappa, lattice=2,
                                dropped=np.zeros(0, dtype=np.int64))
         return build_counterexample(3, 0.3, kappa, centers=lattice)
     monkeypatch.setattr(cx, "build_grid", _raise_past_budget)
     monkeypatch.setattr(cx, "_close_pairs", _raise_past_budget)
-    monkeypatch.setattr(cx, "_physical_memory", lambda: memory)
     with pytest.raises(_PastBudget):
         total_mean_curvature_grid(dented(543.0))
     t0 = time.perf_counter()
@@ -330,13 +329,10 @@ def test_grid_check_follows_the_work_limit(monkeypatch, memory):
     assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("memory", [2**30, 64 * 2**30])
-def test_lattice_count_follows_the_work_limit(monkeypatch, memory):
+def test_lattice_count_follows_the_work_limit(monkeypatch):
     # the kappa = 5120 lattice (62.6M points) is let through to the count,
-    # which is stubbed out, and kappa = 10240 (250M points) is refused
-    # fast, whatever the machine's memory
+    # which is stubbed out, and kappa = 10240 (250M points) is refused fast
     monkeypatch.setattr(cx, "_close_pairs", _raise_past_budget)
-    monkeypatch.setattr(cx, "_physical_memory", lambda: memory)
     with pytest.raises(_PastBudget):
         pack_points(3, 5120.0)
     t0 = time.perf_counter()
@@ -410,7 +406,7 @@ def test_c1_norm_within_eps():
 def test_eps_size_of_dented_sphere():
     domain = build_counterexample(3, 0.3, 20.0)
     K = domain.on_grid(build_grid(3, 192))
-    eps, _ = K.eps_size(optimize_center=False)
+    eps, _ = K.eps_size()
     assert eps <= 0.3 * 1.05
 
 
@@ -449,30 +445,11 @@ def test_affine_fit_exact_line():
 
 def test_threshold_kappa_monotone_in_eps():
     # a deeper dent profile reaches the negative-curvature threshold at a
-    # smaller packing scale; packings are shared across the two searches
-    cache = {}
-    out_deep = find_negative_mean_curvature(3, 0.35, kappa_start=160.0,
-                                            packing_cache=cache)
-    out_shallow = find_negative_mean_curvature(3, 0.3, kappa_start=160.0,
-                                               packing_cache=cache)
+    # smaller packing scale
+    out_deep = find_negative_mean_curvature(3, 0.35, kappa_start=160.0)
+    out_shallow = find_negative_mean_curvature(3, 0.3, kappa_start=160.0)
     assert out_deep["found"] and out_shallow["found"]
     assert out_deep["kappa_star"] <= out_shallow["kappa_star"]
-
-
-def test_packing_cache_is_keyed_by_dimension_and_kappa():
-    # one dict shared across dimensions hands every call its own packing,
-    # never one cached for another n at the same kappa, and reuses it for
-    # another eps
-    cache = {}
-    for n in (3, 4):
-        rec = total_mean_curvature(n, 0.3, 4.0, packing_cache=cache)
-        assert rec["count"] == cache[(n, 4.0)].count == pack_points(n, 4.0).count
-    assert sorted(cache) == [(3, 4.0), (4, 4.0)]
-    assert np.array_equal(cache[(3, 4.0)].points, pack_points(3, 4.0).points)
-    assert cache[(4, 4.0)].points is None
-    packed = cache[(4, 4.0)]
-    total_mean_curvature(4, 0.2, 4.0, packing_cache=cache)
-    assert cache[(4, 4.0)] is packed and len(cache) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

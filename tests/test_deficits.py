@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from quermass import deficits, fields, harmonics, suites
@@ -308,11 +308,14 @@ def test_random_domain_keeps_the_bits_of_draws_that_stay_in_the_class(n, eps):
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from([3, 4, 5]), seed=st.integers(0, 2**16), eps=st.floats(0.01, 0.1),
        shift=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3))
+@example(n=4, seed=2931, eps=0.09375, shift=[0.03125, 0.0, 0.0])
 def test_translation_keeps_volume_perimeter_and_curvature_integrals(grid, n, seed, eps,
                                                                     shift):
     # |shift| <= 0.05, along the axis for the zonal kind; largest relative
     # errors measured over 60 draws: 2.9e-6 on the n = 3 grid (resolution
-    # 32, L = 8: truncation of the moved profile), 8.1e-15 zonal (n = 4, 5)
+    # 32, L = 8: truncation of the moved profile), 8.1e-15 zonal (n = 4, 5).
+    # The example's principal curvatures change sign (min -0.286): summing
+    # |kappa_i| on the rule alone left its nuclear integral 7.4e-8 off
     K = deficits.random_domain(n, eps, seed=seed, grid=grid if n == 3 else None)
     s = np.array(shift) * min(1.0, 0.05 / max(np.linalg.norm(shift), 1e-300))
     if n > 3:
