@@ -1,4 +1,5 @@
 import math
+import os
 import time
 import tracemalloc
 
@@ -292,6 +293,14 @@ def _raise_past_budget(*args, **kwargs):
     raise _PastBudget
 
 
+def _report_memory(monkeypatch, memory):
+    # the machine reports memory bytes of RAM, in 4 KiB pages
+    sysconf = os.sysconf
+    pages = {"SC_PHYS_PAGES": memory // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: pages[name] if name in pages else sysconf(name))
+
+
 def test_coordinates_follow_the_grid_check_work_limit(monkeypatch):
     # the coordinates of a lattice are built exactly where kappa's default
     # dense-grid check is within WORK_LIMIT: kappa = 543 (resolution 7059,
@@ -307,18 +316,20 @@ def test_coordinates_follow_the_grid_check_work_limit(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_grid_check_follows_the_work_limit(monkeypatch):
+@pytest.mark.parametrize("memory", [2**30, 64 * 2**30])
+def test_grid_check_follows_the_work_limit(monkeypatch, memory):
     # the kappa = 543 check (resolution 7059, 99.7M nodes) is let through
     # to the grid, which is stubbed out, and the kappa = 640 check
-    # (resolution 8320, 138M nodes) is refused fast, also by
-    # total_mean_curvature before it packs; the lattices are given, not
-    # packed
+    # (resolution 8320, 138M nodes) is refused fast, whatever the
+    # machine's memory, also by total_mean_curvature before it packs;
+    # the lattices are given, not packed
     def dented(kappa):
         lattice = PackedPoints(3, kappa, None, 2.0 / kappa, lattice=2,
                                dropped=np.zeros(0, dtype=np.int64))
         return build_counterexample(3, 0.3, kappa, centers=lattice)
     monkeypatch.setattr(cx, "build_grid", _raise_past_budget)
     monkeypatch.setattr(cx, "_close_pairs", _raise_past_budget)
+    _report_memory(monkeypatch, memory)
     with pytest.raises(_PastBudget):
         total_mean_curvature_grid(dented(543.0))
     t0 = time.perf_counter()
@@ -329,10 +340,13 @@ def test_grid_check_follows_the_work_limit(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_lattice_count_follows_the_work_limit(monkeypatch):
+@pytest.mark.parametrize("memory", [2**30, 64 * 2**30])
+def test_lattice_count_follows_the_work_limit(monkeypatch, memory):
     # the kappa = 5120 lattice (62.6M points) is let through to the count,
-    # which is stubbed out, and kappa = 10240 (250M points) is refused fast
+    # which is stubbed out, and kappa = 10240 (250M points) is refused
+    # fast, whatever the machine's memory
     monkeypatch.setattr(cx, "_close_pairs", _raise_past_budget)
+    _report_memory(monkeypatch, memory)
     with pytest.raises(_PastBudget):
         pack_points(3, 5120.0)
     t0 = time.perf_counter()
