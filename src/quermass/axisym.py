@@ -390,115 +390,39 @@ def lift_to_sphere(profile: AxialProfile, grid):
     return synthesize(full, grid)
 
 
-# pad of the screen in eps_size on the squared deviation, per unit of
-# (|a| + |offset|)/|p| (see _Section.screen); the cheap form's error is at
-# most about 3e-16 per unit
-_SCREEN_PAD = 1e-12
 _CROSSING_STEPS = 64    # Newton or bisection steps per crossing of two nodes
 _CROSSING_TOL = 1e-15   # relative to 1 + |offset|: the last Newton step
 
 
-class _Section:
-    """Normal and boundary point of the 2-D section on a theta grid.
+def _section_rows(theta: np.ndarray, V: np.ndarray, Vd: np.ndarray) -> tuple:
+    """(y, nu) as (2, M) rows of the meridian section along theta.
 
-    In the section x = (cos th, sin th) the normal is
-    nu = (x - v e_theta)/sqrt(1 + v^2) with v = V'/(1+V), and the
-    boundary point is (a1, p2) = (1+V) x; only the offset of the center
-    along the axis varies between evaluations.  With p = (a1 - offset, p2),
-    the cosine c = nu . p/|p| has the offset slope
-    c' = p2 (nu2 p1 - nu1 p2)/|p|^3.
+    In the section x = (cos th, sin th) the boundary point is y = (1+V) x
+    and the normal nu = (x - v e_theta)/sqrt(1 + v^2) with v = V'/(1+V);
+    the deviation about an axial center (offset, 0) is
+    geometry.normal_deviation of these rows.
     """
-
-    def __init__(self, theta: np.ndarray, V: np.ndarray, Vd: np.ndarray):
-        opu = 1.0 + V
-        v = Vd / opu
-        s = np.sqrt(1.0 + v * v)
-        if theta is _DEVIATION_THETA:
-            cos, sin = _DEVIATION_COS, _DEVIATION_SIN
-        else:
-            cos, sin = np.cos(theta), np.sin(theta)
-        self.nu1 = (cos + v * sin) / s
-        self.nu2 = (sin - v * cos) / s
-        self.a1, self.p2 = opu * cos, opu * sin
-        self.reach = float(np.max(np.abs(opu)))
-        self.p2_sq = self.p2 * self.p2
-        self.nu1_p2 = self.nu1 * self.p2
-        self.nu_dot_a = self.nu1 * self.a1 + self.nu2 * self.p2
-
-    def deviation(self, offset: float, idx=slice(None)) -> np.ndarray:
-        """|nu - radial direction from (offset, 0, ...)| on the nodes idx."""
-        p1 = self.a1[idx] - offset
-        p2 = self.p2[idx]
-        norm = np.hypot(p1, p2)
-        return np.hypot(self.nu1[idx] - p1 / norm, self.nu2[idx] - p2 / norm)
-
-    def screen(self, offset: float):
-        """(c, pad): the cheap cosine c = nu . p/|p| on every node, and its pad.
-
-        The squared deviation is 2 - 2c.  Computed, 2 - 2c and the square
-        of the hypot form differ by a few ulp of (|a| + |offset|)/|p|,
-        which grows as the center nears a boundary point a; so the pad on
-        c is _SCREEN_PAD / 2 times that ratio at its largest (None when
-        some |p| is 0).
-        """
-        p1 = self.a1 - offset
-        norm = np.sqrt(p1 * p1 + self.p2_sq)
-        c = (self.nu_dot_a - offset * self.nu1) / norm
-        floor = float(np.min(norm))
-        pad = 0.5 * _SCREEN_PAD * (self.reach + abs(offset)) / floor if floor > 0 else None
-        return c, pad
-
-    def cosine_slope(self, offset: float, idx) -> np.ndarray:
-        """c' on the nodes idx."""
-        p1 = self.a1[idx] - offset
-        p2 = self.p2[idx]
-        norm = np.hypot(p1, p2)
-        return p2 * (self.nu2[idx] * p1 - self.nu1_p2[idx]) / norm**3
-
-    def sides(self, offset: float):
-        """(c, pad, rise, fall) at the offset: the screen and the top of each side.
-
-        rise is (deviation, node) of the largest exact deviation among the
-        nodes whose deviation grows with the offset (c' < 0), and fall that
-        among the others, or (-inf, None) for an empty side.  Each side is
-        screened against its own smallest c: every node where the exact
-        form attains the side's maximum has c within the pad of that c (see
-        screen), so the exact hypot form runs on those nodes only, and the
-        larger of the two is the max of deviation(offset) bit for bit.
-        """
-        c, pad = self.screen(offset)
-        rising = self.p2 * (self.nu2 * (self.a1 - offset) - self.nu1_p2) < 0.0
-        return (c, pad, self._top(offset, c, pad, rising),
-                self._top(offset, c, pad, ~rising))
-
-    def _top(self, offset: float, c: np.ndarray, pad, members: np.ndarray) -> tuple:
-        side = np.where(members, c, np.inf)
-        lowest = float(np.min(side))
-        if lowest == math.inf:
-            return -math.inf, None
-        if pad is None or not math.isfinite(lowest):
-            keep = np.flatnonzero(members)
-        else:
-            keep = np.flatnonzero(side <= lowest + pad)
-        dev = self.deviation(offset, keep)
-        j = int(np.argmax(dev))
-        return float(dev[j]), int(keep[j])
-
-    def node(self, i: int) -> tuple:
-        """(nu1, nu2, a1, p2) of node i, as floats."""
-        return (float(self.nu1[i]), float(self.nu2[i]), float(self.a1[i]),
-                float(self.p2[i]))
+    opu = 1.0 + V
+    v = Vd / opu
+    s = np.sqrt(1.0 + v * v)
+    if theta is _DEVIATION_THETA:
+        cos, sin = _DEVIATION_COS, _DEVIATION_SIN
+    else:
+        cos, sin = np.cos(theta), np.sin(theta)
+    return (np.array([opu * cos, opu * sin]),
+            np.array([(cos + v * sin) / s, (sin - v * cos) / s]))
 
 
 def _deviation_slope(nu1, nu2, a1, p2, offset):
-    """(d, d') of one node at the offset: the hypot form, and d' = -c'/d (0 at d = 0)."""
+    """(d, d') of one node at the offset: the normal_deviation form, and
+    d' = g'/(2d) with g = d^2 (0 at d = 0)."""
     p1 = a1 - offset
-    norm = math.hypot(p1, p2)
-    d = math.hypot(nu1 - p1 / norm, nu2 - p2 / norm)
-    return d, (-p2 * (nu2 * p1 - nu1 * p2) / (norm**3 * d) if d > 0.0 else 0.0)
+    rho = math.sqrt(p1 * p1 + p2 * p2)
+    d = math.sqrt((nu1 * rho - p1) ** 2 + (nu2 * rho - p2) ** 2) / rho
+    return d, (p2 * (nu1 * p2 - nu2 * p1) / (rho**3 * d) if d > 0.0 else 0.0)
 
 
-def _crossing(section: _Section, r: int, f: int, x: float, lo: float, hi: float) -> float:
+def _crossing(y, nu, r: int, f: int, x: float, lo: float, hi: float) -> float:
     """The offset in [lo, hi] where the rising node r and the falling node f deviate alike.
 
     On the stretch where r rises and f falls, h = d_r - d_f increases
@@ -508,7 +432,8 @@ def _crossing(section: _Section, r: int, f: int, x: float, lo: float, hi: float)
     its step is within _CROSSING_TOL, and a step that leaves the bracket of
     the signs seen bisects it instead.
     """
-    rise, fall = section.node(r), section.node(f)
+    rise, fall = ((float(nu[0, i]), float(nu[1, i]), float(y[0, i]), float(y[1, i]))
+                  for i in (r, f))
 
     def h(y):
         """(sign-carrying h, Newton step) at y."""
@@ -543,32 +468,50 @@ def _crossing(section: _Section, r: int, f: int, x: float, lo: float, hi: float)
     return x
 
 
-def _crossing_search(section: _Section, seed: float) -> tuple:
+def _tops(dev: np.ndarray, rising: np.ndarray) -> tuple:
+    """((up, r), (down, f)): the largest deviation and its node among the
+    rising nodes and among the others, (-inf, None) for an empty side."""
+    j = int(np.argmax(dev))
+    other = np.where(rising, -math.inf, dev) if rising[j] else np.where(rising, dev, -math.inf)
+    k = int(np.argmax(other))
+    top, second = (float(dev[j]), j), (float(other[k]), k)
+    if second[0] == -math.inf:
+        second = -math.inf, None
+    return (top, second) if rising[j] else (second, top)
+
+
+def _crossing_search(y, nu, seed: float) -> tuple:
     """(offset, value, certificate) of the smallest sup deviation along the axis.
 
-    Each node's deviation is V-shaped in the offset: it falls to 0 where
-    the center reaches the node's normal line and rises after.  So the sup
-    is the larger of R, the top of the rising nodes, which never falls,
-    and F, the top of the falling ones, which never rises, and its minimum
-    is where they cross.  A full pass at x (sides) finds the top rising
-    node r and falling node f and moves the end of the bracket, first the
-    seed +- _CENTER_BOX, on the side of the larger to x.  The next x is the
-    crossing of d_r and d_f in the bracket (_crossing), or the bracket's
-    midpoint where that offset has had its pass.  The search stops when a
-    pass returns the pair whose crossing it ran at, after _MAX_PASSES, or
-    at once when the seed's deviation is at most _FLAT_DEVIATION.  The
-    value at every x is the exact max over all nodes; the seed is kept
-    whenever it is no worse.
+    y, nu are the section's (2, M) rows.  Each node's deviation is
+    V-shaped in the offset: it falls to 0 where the center reaches the
+    node's normal line and rises after.  So the sup is the larger of R,
+    the top of the rising nodes, which never falls, and F, the top of the
+    falling ones, which never rises, and its minimum is where they cross.
+    A full pass at x (geometry.normal_deviation on every node) finds the
+    top rising node r and falling node f and moves the end of the bracket,
+    first the seed +- _CENTER_BOX, on the side of the larger to x.  The
+    next x is the crossing of d_r and d_f in the bracket (_crossing), or
+    the bracket's midpoint where that offset has had its pass.  The search
+    stops when a pass returns the pair whose crossing it ran at, after
+    _MAX_PASSES, or at once when the seed's deviation is at most
+    _FLAT_DEVIATION.  The value at every x is the max of its pass; the
+    seed is kept whenever it is no worse.
     """
     lo, hi = seed - _CENTER_BOX, seed + _CENTER_BOX
+    # a node's squared deviation g rises with the offset where its slope
+    # g' = 2 p2 (nu1 p2 - nu2 p1)/|p|^3 > 0, p = y - (x, 0); as p2 = y[1] >= 0,
+    # that is where p2 > 0 and nu2 p1 < nu1 p2
+    nu1_p2, off_axis = nu[0] * y[1], y[1] > 0.0
     x, aimed, seen, passes, best = seed, None, set(), 0, None
     while True:
-        c, pad, (up, r), (down, f) = section.sides(x)
+        dev = geometry.normal_deviation(y, nu, np.array([x, 0.0]))
+        (up, r), (down, f) = _tops(dev, (nu[1] * (y[0] - x) < nu1_p2) & off_axis)
         passes += 1
         seen.add(x)
         value = max(up, down)
         if best is None or value < best[1]:
-            best = x, value, c, pad
+            best = x, value, dev
         if value <= _FLAT_DEVIATION and passes == 1:
             break
         if (r, f) == aimed or up == down or passes == _MAX_PASSES:
@@ -582,34 +525,23 @@ def _crossing_search(section: _Section, seed: float) -> tuple:
         elif f is None:
             nxt = lo
         else:
-            nxt = _crossing(section, r, f, x, lo, hi)
+            nxt = _crossing(y, nu, r, f, x, lo, hi)
         aimed = r, f
         if nxt in seen:
             nxt, aimed = 0.5 * (lo + hi), None
             if nxt in seen:
                 break
         x = nxt
-    x, value, c, pad = best
-    return x, value, _certificate(section, x, value, c, pad, passes)
-
-
-def _certificate(section: _Section, x: float, value: float, c, pad, passes: int):
-    """CenterCertificate at the offset x, from its screen (c, pad) and max value.
-
-    The active rows are the nodes whose deviation is at least
-    _active_level(value): the screen's error bound pad on 2 - 2c picks the
-    nodes that may be, and the exact form decides.  A node's gradient is
-    g' = -2c', so the residual is 0 when the active slopes straddle 0, else
-    the least |g'|.
-    """
-    t = _active_level(value)
-    near = (np.arange(c.size) if pad is None
-            else np.flatnonzero(c <= 1.0 - 0.5 * (t * t - pad)))
-    rows = near[section.deviation(x, near) >= t]
-    slopes = -2.0 * section.cosine_slope(x, rows)
+    x, value, dev = best
+    # the active rows are the nodes at or above _active_level(value); the
+    # residual is 0 when their slopes g' straddle 0, else the least |g'|
+    rows = np.flatnonzero(dev >= _active_level(value))
+    p1, p2 = y[0, rows] - x, y[1, rows]
+    slopes = 2.0 * p2 * (nu[0, rows] * p2 - nu[1, rows] * p1) / (p1 * p1 + p2 * p2) ** 1.5
     straddle = np.min(slopes) <= 0.0 <= np.max(slopes)
-    return CenterCertificate(residual=0.0 if straddle else float(np.min(np.abs(slopes))),
-                             active_rows=int(rows.size), full_passes=passes)
+    return x, value, CenterCertificate(
+        residual=0.0 if straddle else float(np.min(np.abs(slopes))),
+        active_rows=int(rows.size), full_passes=passes)
 
 
 class AxialDomain(RadialGraph):
@@ -655,32 +587,34 @@ class AxialDomain(RadialGraph):
         out[0] = b1 / ((n + 1) * self.volume())
         return out
 
-    # -- planar deviation geometry -------------------------------------------------
+    # -- the meridian section's normal deviation ---------------------------------------
+
+    def _coordinate_rows(self) -> tuple:
+        return _section_rows(self._theta, self._V, self._Vd)
+
+    def _row_center(self, center) -> np.ndarray:
+        """(offset, 0) in the section's coordinates; ValueError off the axis."""
+        center = np.asarray(center, dtype=float).ravel()
+        if np.any(center[1:] != 0.0):
+            raise ValueError(f"an axisymmetric domain's normal deviation is taken about a "
+                             f"center on its axis; {center.tolist()} is off it")
+        return np.array([center[0], 0.0])
 
     def _eps_search(self):
         """(value, center) of eps_size on 4096 polar angles.
 
-        value is the max of the exact hypot form of the deviation, found
-        bit for bit by screening the angles with a cheap form (see
-        _Section).  The optimized center is the axial offset within
-        _CENTER_BOX of the barycenter where the largest rising and falling
-        deviations cross (_crossing_search), which also sets the
-        center_certificate.
+        value is the max of geometry.normal_deviation of the section's rows
+        on those angles at the center.  The optimized center is the axial
+        offset within _CENTER_BOX of the barycenter where the largest
+        rising and falling deviations cross (_crossing_search), which also
+        sets the center_certificate.
         """
         th = _DEVIATION_THETA
-        section = _Section(th, self.profile.value(th), self.profile.slope(th))
-        best_b, best, self._eps_certificate = _crossing_search(
-            section, self.barycenter()[0])
+        y, nu = _section_rows(th, self.profile.value(th), self.profile.slope(th))
+        best_b, best, self._eps_certificate = _crossing_search(y, nu, self.barycenter()[0])
         center = np.zeros(self.n)
         center[0] = best_b
         return best, center
-
-    def deviation_mean_square(self, center) -> float:
-        """Average square normal deviation over the boundary."""
-        V, Vd, w = self._V, self._Vd, self._w
-        dev = _Section(self._theta, V, Vd).deviation(np.asarray(center).ravel()[0])
-        J = geometry.area_jacobian(V, Vd * Vd, self.n)
-        return float(np.sum(w * J * dev**2) / np.sum(w * J))
 
     # -- transforms ------------------------------------------------------------------
 

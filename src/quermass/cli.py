@@ -173,7 +173,7 @@ def _is_axial_profile(path) -> bool:
 
 def _load_any_domain(path, resolution):
     if _is_axial_profile(path):
-        return AxialDomain(qio.load_axial_profile(path))
+        return AxialDomain(qio.load_axial_profile(path, resolution))
     return qio.load_domain(path, resolution=resolution)
 
 
@@ -216,9 +216,11 @@ def cmd_counterexample(args) -> int:
     if args.mesh and args.n != 3:
         raise ValueError(f"--mesh exports the dented sphere of n = 3 only, got --n {args.n}")
     from quermass import counterexample as cx
-    if args.mesh:       # built first, so that a resolution it refuses writes nothing
+    if args.mesh:       # built first, so that a kappa or resolution it refuses writes nothing
         from quermass.grids import build_grid
-        mesh = cx.build_counterexample(args.n, args.eps, args.kappa or 20.0).on_grid(
+        kappa = args.kappa or 20.0
+        cx.check_points(kappa)      # before the packing, which can take seconds
+        mesh = cx.build_counterexample(args.n, args.eps, kappa).on_grid(
             build_grid(3, args.resolution))
     if args.kappas:
         result = suites.dent_sweep_suite(eps=args.eps, kappas=args.kappas, n=args.n,

@@ -195,7 +195,6 @@ class ZonalBackend(_Backend):
         self.num_coeffs = L + 1
         # dense evaluation set for sup norms, poles included
         td = np.cos(np.linspace(0.0, math.pi, 4 * resolution + 1))
-        self.t_dense = td
         self.Z_dense = self.basis.values(td)
         self.Z_theta_dense = -np.sqrt(np.maximum(0.0, 1 - td * td))[None, :] \
             * self.basis.values(td, derivative=1)

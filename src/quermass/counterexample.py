@@ -35,7 +35,7 @@ import numpy as np
 
 from quermass import geometry
 from quermass.analytic import GeodesicRadialField, _ranges
-from quermass.axisym import AxialProfile, _pointwise_curvature
+from quermass.axisym import AxialProfile, _pointwise_curvature, _section_rows
 from quermass.fields import ScalarField
 from quermass.grids import build_grid, panel_rule, sphere_area
 
@@ -215,19 +215,27 @@ class PackedPoints:
     def points(self) -> np.ndarray | None:
         if self.lattice == 0:
             return self.coordinates
-        # only the dense-grid check and the mesh read them, and a grid
-        # within WORK_LIMIT nodes cannot resolve the dents of a larger kappa
-        try:
-            _grid_resolution(self.kappa)
-        except MemoryBudgetError as exc:
-            raise MemoryBudgetError(
-                f"the points of pack_points(3, {self.kappa:g}) are built only for a "
-                f"kappa whose dense-grid check runs; {exc}") from None
+        check_points(self.kappa)
         return fibonacci_sphere(self.lattice, self.dropped)
 
     @property
     def packing_constant(self) -> float:
         return self.count / self.kappa ** (self.n - 1)
+
+
+def check_points(kappa: float) -> None:
+    """MemoryBudgetError unless the points of pack_points(3, kappa) are built.
+
+    Only the dense-grid check and the mesh read them, and a grid within
+    WORK_LIMIT nodes cannot resolve the dents of a larger kappa; callers
+    that will read the points check before packing.
+    """
+    try:
+        _grid_resolution(kappa)
+    except MemoryBudgetError as exc:
+        raise MemoryBudgetError(
+            f"the points of pack_points(3, {kappa:g}) are built only for a "
+            f"kappa whose dense-grid check runs; {exc}") from None
 
 
 def _fibonacci_block(count: int, start: int, stop: int) -> tuple:
@@ -521,11 +529,12 @@ class DentedSphere:
 
         The deviation field vanishes off the dents and is identical on
         every dent by rotational symmetry, so the global sup equals the
-        sup over a single cap, evaluated on a dense 1-D sample.
+        sup over a single cap: geometry.normal_deviation of the cap's
+        meridian section on 8001 geodesic radii, at center 0.
         """
         r = np.linspace(0.0, self.bump.radius, 8001)
-        v2 = (self.bump.slope(r) / (1.0 + self.bump.depth(r))) ** 2
-        return float(np.sqrt(np.max(geometry.normal_deviation_sq(v2))))
+        y, nu = _section_rows(r, self.bump.depth(r), self.bump.slope(r))
+        return float(np.max(geometry.normal_deviation(y, nu, np.zeros(2))))
 
 
 def build_counterexample(n: int, eps: float, kappa: float,

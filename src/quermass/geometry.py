@@ -1,9 +1,10 @@
 """Pointwise curvature algebra for radial graphs over S^{n-1}.
 
 The boundary is parametrized as T(x) = (1+u(x)) x.  All routines here
-are pure per-node algebra on (u, gradient, Hessian); they are shared by
-the 2-D grid pipeline and the 1-D axisymmetric pipeline so that the two
-agree by construction wherever the derivative inputs agree.
+are pure per-node algebra on (u, gradient, Hessian), or on boundary
+points and normals for the normal deviation; they are shared by the 2-D
+grid pipeline and the 1-D axisymmetric pipeline so that the two agree by
+construction wherever the derivative inputs agree.
 """
 
 from __future__ import annotations
@@ -77,10 +78,19 @@ def shape_operator_frame(u: np.ndarray, grad_fr: np.ndarray,
     return S / ((1.0 + u) * s)[:, None, None]
 
 
-def normal_deviation_sq(v2: np.ndarray) -> np.ndarray:
-    """|nu(T(x)) - x|^2 as an exact function of |v|^2."""
-    s = np.sqrt(1.0 + v2)
-    return v2 / (1.0 + v2) + v2**2 / ((1.0 + v2) * (1.0 + s) ** 2)
+def normal_deviation(y: np.ndarray, nu: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """|nu - w/rho| per column, w = y - center, rho = |w|, for (m, N) rows y, nu.
+
+    y are boundary points and nu their unit outer normals.  Evaluated as
+    |rho nu - w| / rho: the difference is formed before it is squared, so
+    a deviation d comes out with an error of a few ulps of 1, not the
+    ~1e-8 floor of sqrt(2 - 2 nu.r).
+    """
+    w = y - center[:, None]
+    rho = np.sqrt(np.einsum("ij,ij->j", w, w))
+    d = nu * rho
+    d -= w
+    return np.sqrt(np.einsum("ij,ij->j", d, d)) / rho
 
 
 def outward_normal(nodes: np.ndarray, u: np.ndarray,

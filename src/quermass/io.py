@@ -2,7 +2,8 @@
 
 Field files hold either spectral coefficients
 {"n": ..., "L": ..., "coeffs": [{"l": ..., "m_index": ..., "value": ...}]}
-or plain node values {"n": ..., "grid_resolution": ..., "values": [...]}.
+or plain node values {"n": ..., "grid_resolution": ..., "values": [...]},
+which are read on their own grid only.
 Domain files add an optional "center".  Field and domain files are read
 for n = 2 and 3, where a field has spectral coefficients; axial
 profiles, the files of n >= 4 domains, hold {"n", "theta_nodes",
@@ -60,6 +61,9 @@ def load_field(path, grid=None, resolution: int | None = None) -> ScalarField:
                 float(entry["value"])
         return fields.synthesize(coeffs, grid)
     res = int(payload["grid_resolution"])
+    if resolution is not None and resolution != res:
+        raise ValueError(f"{path} holds node values on a grid of resolution {res}; "
+                         f"they cannot be read at resolution {resolution}")
     if grid is None:
         grid = build_grid(n, res)
     values = np.asarray(payload["values"], dtype=float)
@@ -94,15 +98,18 @@ def save_axial_profile(prof: AxialProfile, path, as_values: bool = False) -> Pat
     return path
 
 
-def load_axial_profile(path) -> AxialProfile:
+def load_axial_profile(path, resolution: int | None = None) -> AxialProfile:
+    """The profile of an axial-profile file, its Gauss-Jacobi rule of
+    resolution nodes (AxialProfile's default when None)."""
     payload = json.loads(Path(path).read_text())
     n = int(payload["n"])
+    rule = {} if resolution is None else {"resolution": resolution}
     if "zonal_coeffs" in payload:
         return AxialProfile.from_zonal_coeffs(
-            n, np.asarray(payload["zonal_coeffs"], dtype=float))
+            n, np.asarray(payload["zonal_coeffs"], dtype=float), **rule)
     return AxialProfile.from_values(
         n, np.asarray(payload["theta_nodes"], dtype=float),
-        np.asarray(payload["values"], dtype=float))
+        np.asarray(payload["values"], dtype=float), **rule)
 
 
 def export_obj(K: StarDomain, path) -> Path:

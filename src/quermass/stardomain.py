@@ -113,8 +113,11 @@ class RadialGraph:
     """The surface both domain kinds share, over a quadrature rule of the sphere.
 
     A kind supplies n, _rule() -> (weights, u) and _grad2() -> |grad u|^2 at
-    the rule's nodes, _eps_search(), which also sets _eps_certificate, and
-    for translated _chart(shift) and _refit(u, shift).
+    the rule's nodes, _coordinate_rows() -> (y, nu) there as (m, N) rows of
+    boundary points and outward normals, _eps_search(), which also sets
+    _eps_certificate, and for translated _chart(shift) and _refit(u, shift).
+    A kind whose rows have fewer than n coordinates maps a center to them
+    in _row_center(center).
     """
 
     def perimeter(self) -> float:
@@ -126,6 +129,20 @@ class RadialGraph:
         w, u = self._rule()
         return (float(np.sum(w * u)), float(np.sum(w * u**2)),
                 float(np.sum(w * self._grad2())))
+
+    def deviation_values(self, center) -> np.ndarray:
+        """|nu(y) - (y - center)/|y - center|| per node (geometry.normal_deviation)."""
+        return geometry.normal_deviation(*self._coordinate_rows(), self._row_center(center))
+
+    def _row_center(self, center) -> np.ndarray:
+        return np.asarray(center, dtype=float)
+
+    def deviation_mean_square(self, center) -> float:
+        """Average square normal deviation over the boundary."""
+        w, u = self._rule()
+        dev = self.deviation_values(center)
+        J = geometry.area_jacobian(u, self._grad2(), self.n)
+        return float(np.sum(w * (dev**2 * J))) / float(np.sum(w * J))
 
     def eps_size(self):
         """Smallest sup-norm normal deviation over choices of the center.
@@ -300,22 +317,6 @@ class StarDomain(RadialGraph):
         return (np.ascontiguousarray(self.boundary_points().T),
                 np.ascontiguousarray(self.normal_field().T))
 
-    def deviation_values(self, center) -> np.ndarray:
-        """|nu(y) - (y - center)/|y - center|| per node.
-
-        Evaluated as |rho nu - w| / rho with w = y - center and rho = |w|:
-        the difference is formed before it is squared, so a deviation d
-        comes out with an error of a few ulps of 1, not the ~1e-8 floor
-        of sqrt(2 - 2 nu.r).
-        """
-        return _deviations(*self._coordinate_rows(), np.asarray(center, dtype=float))
-
-    def deviation_mean_square(self, center) -> float:
-        """Average square normal deviation over the boundary."""
-        dev = self.deviation_values(center)
-        J = geometry.area_jacobian(self.profile.values, self._grad2(), self.n)
-        return quadrature(dev**2 * J, self.grid) / quadrature(J, self.grid)
-
     def _eps_search(self):
         """(value, center) of eps_size, value = max(deviation_values(center)).
 
@@ -334,7 +335,7 @@ class StarDomain(RadialGraph):
         """
         y, nu = self._coordinate_rows()
         bary = self.barycenter()
-        dev = _deviations(y, nu, bary)
+        dev = geometry.normal_deviation(y, nu, bary)
         center, dev_c, passes = _minimax_center(y, nu, bary, dev)
         if np.max(dev) <= np.max(dev_c):
             center, dev_c = bary, dev
@@ -461,13 +462,13 @@ def _minimax_center(y, nu, bary, dev) -> tuple:
     center, passes, lam = bary, 1, np.full(len(rows), 1.0 / len(rows))
     while passes < _MAX_PASSES:
         center, lam = _sqp_center(y[:, rows].T, nu[:, rows].T, center, bary, lam)
-        dev = _deviations(y, nu, center)
+        dev = geometry.normal_deviation(y, nu, center)
         passes += 1
         if np.max(dev) <= np.max(dev[rows]):
             near = dev[rows] >= np.max(dev) * (1.0 - _NEAR_ACTIVE)
             polished = _newton_center(y[:, rows[near]].T, nu[:, rows[near]].T, center,
                                       np.flatnonzero(lam[near]).tolist())
-            dev_p = None if polished is None else _deviations(y, nu, polished)
+            dev_p = None if polished is None else geometry.normal_deviation(y, nu, polished)
             passes += polished is not None
             if dev_p is None or np.max(dev_p) > np.max(dev):
                 break
@@ -733,15 +734,6 @@ def _lstsq(a, b) -> np.ndarray:
     directly.
     """
     return np.linalg.solve(a.T @ a, a.T @ b)
-
-
-def _deviations(y: np.ndarray, nu: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """|rho nu - w| / rho per column, w = y - center, for (n, N) rows y and nu."""
-    w = y - center[:, None]
-    rho = np.sqrt(np.einsum("ij,ij->j", w, w))
-    d = nu * rho
-    d -= w
-    return np.sqrt(np.einsum("ij,ij->j", d, d)) / rho
 
 
 def fields_affine(f: ScalarField, a: float, b: float) -> ScalarField:

@@ -247,6 +247,12 @@ def test_zonal_eigenfunction_relation():
 
 # -- oracles for the zonal center optimizer ---------------------------------------
 
+# eps_size sits within two ulps of 1 of the first-written deviation's max;
+# per node, where a deviation can reach 2, each form is within about two
+# ulps of 1 of the exact value, so the two differ by at most four
+TWO_ULPS = 2.0 * np.finfo(float).eps
+FOUR_ULPS = 2.0 * TWO_ULPS
+
 
 def old_deviation(offset, theta, V, Vd):
     """The deviation as first written: all geometry recomputed per offset."""
@@ -261,13 +267,19 @@ def old_deviation(offset, theta, V, Vd):
     return np.hypot(nu1 - p1 / norm, nu2 - p2 / norm)
 
 
+def kernel_deviation(offset, theta, V, Vd):
+    """The shipped deviation: geometry.normal_deviation of the section's rows."""
+    y, nu = axisym._section_rows(theta, V, Vd)
+    return geometry.normal_deviation(y, nu, np.array([offset, 0.0]))
+
+
 def old_eps_size(K, optimize_center):
-    """eps_size as first written: a bounded Brent search over the axial offset."""
+    """eps_size by a bounded Brent search over the axial offset."""
     theta = np.linspace(0.0, math.pi, 4096)
     V, Vd = K.profile.value(theta), K.profile.slope(theta)
 
     def objective(b):
-        return float(np.max(old_deviation(b, theta, V, Vd)))
+        return float(np.max(kernel_deviation(b, theta, V, Vd)))
 
     seed = K.barycenter()[0]
     if optimize_center:
@@ -279,22 +291,31 @@ def old_eps_size(K, optimize_center):
     return objective(best_b), best_b
 
 
-def old_deviation_mean_square(K, offset):
+def mean_square_oracle(K, offset, deviation):
     theta, w = K.profile.quadrature_rule()
     V, Vd = K.profile.value(theta), K.profile.slope(theta)
-    dev = old_deviation(offset, theta, V, Vd)
+    dev = deviation(offset, theta, V, Vd)
     J = geometry.area_jacobian(V, Vd * Vd, K.n)
-    return float(np.sum(w * J * dev**2) / np.sum(w * J))
+    return float(np.sum(w * (dev**2 * J))) / float(np.sum(w * J)), float(np.max(dev))
+
+
+def assert_kernel_matches_the_hypot_oracle(prof, offsets):
+    theta = axisym._DEVIATION_THETA
+    V, Vd = prof.value(theta), prof.slope(theta)
+    for b in offsets:
+        kernel = kernel_deviation(b, theta, V, Vd)
+        assert np.max(np.abs(kernel - old_deviation(b, theta, V, Vd))) <= FOUR_ULPS
 
 
 def assert_certified_against_the_oracle(K):
-    # the optimized value is the exact max at its center and no worse than
-    # Brent's
+    # the optimized value is the kernel's max at its center, within two
+    # ulps of the hypot form's, and no worse than Brent's
     eps, center = K.eps_size()
     brent, _ = old_eps_size(K, True)
     theta = axisym._DEVIATION_THETA
     V, Vd = K.profile.value(theta), K.profile.slope(theta)
-    assert eps == float(np.max(old_deviation(center[0], theta, V, Vd)))
+    assert eps == float(np.max(kernel_deviation(center[0], theta, V, Vd)))
+    assert abs(eps - float(np.max(old_deviation(center[0], theta, V, Vd)))) <= TWO_ULPS
     assert eps <= brent
     assert not np.any(center[1:])
     eps_b, bary = old_eps_size(K, False)
@@ -303,8 +324,10 @@ def assert_certified_against_the_oracle(K):
     if eps_b > stardomain._FLAT_DEVIATION and abs(center[0] - bary) < stardomain._CENTER_BOX:
         assert cert.residual == 0.0
     for offset in (center[0], center[0] + 0.01):
-        assert (K.deviation_mean_square([offset] + [0.0] * (K.n - 1))
-                == old_deviation_mean_square(K, offset))
+        ms = K.deviation_mean_square([offset] + [0.0] * (K.n - 1))
+        assert ms == mean_square_oracle(K, offset, kernel_deviation)[0]
+        hypot_ms, top = mean_square_oracle(K, offset, old_deviation)
+        assert abs(ms - hypot_ms) <= 2.0 * TWO_ULPS * (top + TWO_ULPS) + 1e-14 * hypot_ms
 
 
 @settings(max_examples=12, deadline=None)
@@ -338,72 +361,78 @@ def test_axial_eps_size_is_scale_invariant(n, L, seed, amp, s):
     assert np.max(np.abs(center_s - s * center)) <= 1e-15
 
 
-def assert_screen_is_exact(prof, offsets):
-    theta = axisym._DEVIATION_THETA
-    V, Vd = prof.value(theta), prof.slope(theta)
-    section = axisym._Section(theta, V, Vd)
-    for b in offsets:
-        _, _, (rise, _), (fall, _) = section.sides(b)
-        assert max(rise, fall) == float(np.max(old_deviation(b, theta, V, Vd)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 6), L=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
        amp=st.floats(1e-6, 0.3), u=st.lists(st.floats(-1.0, 1.0), min_size=1,
                                             max_size=6))
-def test_screened_deviation_max_is_the_exact_max(n, L, seed, amp, u):
+def test_kernel_matches_the_hypot_oracle(n, L, seed, amp, u):
     # offsets across the search bracket of eps_size: the barycenter +- 0.3
     K = AxialDomain(random_zonal(n, seed, amp=amp, L=L))
     b0 = K.barycenter()[0]
-    assert_screen_is_exact(K.profile, [b0] + [b0 + 0.3 * x for x in u])
+    assert_kernel_matches_the_hypot_oracle(K.profile, [b0] + [b0 + 0.3 * x for x in u])
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 6), L=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
        amp=st.floats(1e-6, 0.3), pole=st.sampled_from([0, -1]),
        gaps=st.lists(st.floats(-9.0, -1.0), min_size=1, max_size=6))
-def test_screen_pad_covers_centers_near_the_boundary(n, L, seed, amp, pole, gaps):
-    # a center 10^gap from the boundary point on the axis: the cheap
-    # cosine loses digits as 1/|p|, and the pad must grow with it
+def test_kernel_matches_the_hypot_oracle_near_the_boundary(n, L, seed, amp, pole, gaps):
+    # a center 10^gap from the boundary point on the axis, where |y - center|
+    # is small at the nodes near the pole
     prof = random_zonal(n, seed, amp=amp, L=L)
     theta = axisym._DEVIATION_THETA
-    V, Vd = prof.value(theta), prof.slope(theta)
-    section = axisym._Section(theta, V, Vd)
-    end = (1.0 + V[pole]) * math.cos(theta[pole])
-    offsets = [end - math.copysign(10.0**g, end) for g in gaps]
-    for b in offsets:
-        c, pad = section.screen(b)
-        dev = old_deviation(b, theta, V, Vd)
-        assert np.max(np.abs((2.0 - 2.0 * c) - dev * dev)) <= pad
-    assert_screen_is_exact(prof, offsets)
+    end = (1.0 + prof.value(theta)[pole]) * math.cos(theta[pole])
+    assert_kernel_matches_the_hypot_oracle(
+        prof, [end - math.copysign(10.0**g, end) for g in gaps])
 
 
 @pytest.mark.parametrize("kappa", [5.0, 20.0, 80.0, 320.0])
-def test_screened_deviation_max_is_exact_on_dents(kappa):
+def test_kernel_matches_the_hypot_oracle_on_dents(kappa):
     prof = make_bump(kappa, 0.3).axial_profile(4)
-    assert_screen_is_exact(prof, np.linspace(-0.3, 0.3, 13))
+    assert_kernel_matches_the_hypot_oracle(prof, np.linspace(-0.3, 0.3, 13))
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_screen_keeps_every_node_at_the_ball(n, monkeypatch):
-    # every deviation of the ball about its center is rounding noise
-    # below the pad, so the exact form runs on all 4096 angles, split
-    # between the two sides
-    prof, theta = const_profile(n, 0.0), axisym._DEVIATION_THETA
-    section = axisym._Section(theta, prof.value(theta), prof.slope(theta))
-    full = section.deviation(0.0)
-    assert np.max(full) < 1e-15
-    exact_sizes = []
-    exact = axisym._Section.deviation
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([3, 4, 6]), radius=st.floats(0.1, 10.0))
+def test_ball_deviations_are_rounding_level_for_both_kinds(n, radius):
+    # every deviation of a ball about its center is rounding noise, on the
+    # axial section and, for n = 3, on the grid; eps_size is taken about the
+    # barycenter, itself a rounded center
+    coeffs = np.array([(radius - 1.0) * math.sqrt(sphere_area(n))])
+    domains = [AxialDomain(AxialProfile.from_zonal_coeffs(n, coeffs, resolution=64))]
+    if n == 3:
+        domains.append(StarDomain(fields.synthesize(coeffs, build_grid(3, 16))))
+    for K in domains:
+        center = np.zeros(n)
+        assert np.max(K.deviation_values(center)) <= TWO_ULPS
+        assert K.eps_size()[0] <= FOUR_ULPS
+        assert K.deviation_mean_square(center) <= TWO_ULPS**2
 
-    def spy(self, offset, idx=slice(None)):
-        out = exact(self, offset, idx)
-        exact_sizes.append(out.size)
-        return out
-    monkeypatch.setattr(axisym._Section, "deviation", spy)
-    _, _, (rise, _), (fall, _) = section.sides(0.0)
-    assert max(rise, fall) == float(np.max(full))
-    assert sum(exact_sizes) == 4096
+
+def test_axial_deviation_refuses_an_off_axis_center():
+    K = AxialDomain(random_zonal(4, 5, amp=0.1, L=6))
+    with pytest.raises(ValueError, match="axis"):
+        K.deviation_mean_square([0.0, 0.1, 0.0, 0.0])
+    with pytest.raises(ValueError, match="axis"):
+        K.deviation_values([0.01, 0.0, 0.0, -1e-12])
+    assert K.deviation_mean_square([0.01, 0.0, 0.0, 0.0]) > 0.0
+
+
+@pytest.mark.parametrize("resolution", [16, 33])
+def test_axial_and_grid_deviations_agree_per_polar_node(resolution):
+    # the lifted profile's grid shares the axial rule's polar nodes
+    # (jacobi_rule(resolution, 0)), so about a common axial center every
+    # azimuth of a polar node deviates as the section does there
+    prof = random_zonal(3, 17, amp=0.2, L=8, resolution=resolution)
+    grid = build_grid(3, resolution)
+    KA = AxialDomain(prof)
+    KS = StarDomain(axisym.lift_to_sphere(prof, grid))
+    assert np.array_equal(grid.angles[0], KA._theta)
+    for offset in (0.0, 0.04, -0.1):
+        center = np.array([offset, 0.0, 0.0])
+        axial = KA.deviation_values(center)
+        star = KS.deviation_values(center).reshape(grid.shape)
+        assert np.max(np.abs(star - axial[:, None])) <= 1e-13
 
 
 # -- the zonal table cache ---------------------------------------------------------

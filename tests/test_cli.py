@@ -271,6 +271,56 @@ def test_counterexample_mesh_past_the_grid_check_work_limit_exits_2(tmp_path, ca
     assert not out.exists()
 
 
+def test_counterexample_mesh_refuses_before_packing(tmp_path, capsys, monkeypatch):
+    # kappa = 5120 is within the count's WORK_LIMIT, so its lattice takes
+    # seconds to pack; the points' admission rule refuses the mesh first
+    from quermass import counterexample as cx
+
+    def packing(*args):
+        raise AssertionError("packed before the refusal")
+    monkeypatch.setattr(cx, "pack_points", packing)
+    out = tmp_path / "x"
+    t0 = time.perf_counter()
+    code = main(["counterexample", "--kappa", "5120", "--mesh", "--out", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "pack_points(3, 5120)" in err and "WORK_LIMIT" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("as_values", [False, True], ids=["zonal_coeffs", "theta_nodes"])
+def test_functionals_reads_an_axial_profile_at_the_given_resolution(as_values, tmp_path):
+    from quermass.axisym import AxialDomain, AxialProfile
+    path = qio.save_axial_profile(
+        AxialProfile.from_zonal_coeffs(4, np.array([0.0, 0.03, 0.05]), resolution=64),
+        tmp_path / "profile.json", as_values=as_values)
+    perimeters = {}
+    for res in (16, 64):
+        out = tmp_path / f"run{res}"
+        assert main(["functionals", str(path), "--resolution", str(res),
+                     "--out", str(out)]) == 0
+        header, data = (out / "functionals.csv").read_text().strip().split("\n")
+        perimeters[res] = float(dict(zip(header.split(","), data.split(",")))["perimeter"])
+        K = AxialDomain(qio.load_axial_profile(path, res))
+        assert K.profile.resolution == res
+        assert perimeters[res] == K.perimeter()
+        assert json.loads((out / "config.json").read_text())["resolution"] == res
+    assert perimeters[16] != perimeters[64]
+
+
+def test_functionals_refuses_another_resolution_for_a_node_value_file(tmp_path, capsys):
+    grid = build_grid(3, 16)
+    path = qio.save_field(fields.analyze(fields.constant_field(grid, 0.0), L=4),
+                          tmp_path / "ball.json", as_values=True)
+    out = tmp_path / "run"
+    assert main(["functionals", str(path), "--resolution", "32", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "resolution 32" in err and "grid of resolution 16" in err
+    assert not out.exists()
+    assert main(["functionals", str(path), "--resolution", "16", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("check, count, minimum", [
     ("axial", 2, 3), ("nuclear", 0, 2), ("stability", 0, 1), ("eigen-interp", 1, 2),
     ("curvature-routes", 0, 1), ("grad-normal", 0, 1), ("freq-split", 0, 1)])

@@ -12,9 +12,10 @@ from scipy.spatial import cKDTree
 
 from quermass import analytic, counterexample as cx, geometry
 from quermass.analytic import GeodesicRadialField
-from quermass.axisym import axial_functionals
+from quermass.axisym import _section_rows, axial_functionals
 from quermass.counterexample import (
     FIB_MIN_DIST,
+    DentedSphere,
     MemoryBudgetError,
     PackedPoints,
     _thinned_fibonacci,
@@ -422,6 +423,23 @@ def test_eps_size_of_dented_sphere():
     K = domain.on_grid(build_grid(3, 192))
     eps, _ = K.eps_size()
     assert eps <= 0.3 * 1.05
+
+
+@pytest.mark.parametrize("kappa", [5.0, 20.0, 80.0])
+def test_dent_eps_size_is_the_kernel_max_on_its_cap(kappa):
+    # geometry.normal_deviation on the cap's section at center 0, and the
+    # closed form |nu - x|^2 = v2/(1+v2) + v2^2/((1+v2)(1+sqrt(1+v2))^2),
+    # v = V'/(1+V), to rounding
+    bump = make_bump(kappa, 0.3)
+    eps = DentedSphere(3, 0.3, kappa, bump, None).eps_size()
+    r = np.linspace(0.0, bump.radius, 8001)
+    y, nu = _section_rows(r, bump.depth(r), bump.slope(r))
+    assert eps == float(np.max(geometry.normal_deviation(y, nu, np.zeros(2))))
+    v2 = (bump.slope(r) / (1.0 + bump.depth(r))) ** 2
+    closed = math.sqrt(np.max(v2 / (1.0 + v2)
+                              + v2**2 / ((1.0 + v2) * (1.0 + np.sqrt(1.0 + v2)) ** 2)))
+    assert abs(eps - closed) <= 1e-15 * closed
+    assert eps <= 0.3
 
 
 def test_overlap_detection():
