@@ -392,6 +392,29 @@ def test_kernel_matches_the_hypot_oracle_on_dents(kappa):
     assert_kernel_matches_the_hypot_oracle(prof, np.linspace(-0.3, 0.3, 13))
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_screen_keeps_every_node_at_the_ball(n, monkeypatch):
+    # every deviation of the ball about its center is rounding noise, so
+    # the crossing search stops after its first pass, which runs the one
+    # kernel on all 4096 angles and returns their max
+    prof, theta = const_profile(n, 0.0), axisym._DEVIATION_THETA
+    y, nu = axisym._section_rows(theta, prof.value(theta), prof.slope(theta))
+    full = geometry.normal_deviation(y, nu, np.zeros(2))
+    assert np.max(full) < 1e-15
+    pass_sizes = []
+    exact = geometry.normal_deviation
+
+    def spy(y, nu, center):
+        out = exact(y, nu, center)
+        pass_sizes.append(out.size)
+        return out
+    monkeypatch.setattr(geometry, "normal_deviation", spy)
+    offset, value, certificate = axisym._crossing_search(y, nu, 0.0)
+    assert (offset, value) == (0.0, float(np.max(full)))
+    assert pass_sizes == [4096]
+    assert certificate.full_passes == 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([3, 4, 6]), radius=st.floats(0.1, 10.0))
 def test_ball_deviations_are_rounding_level_for_both_kinds(n, radius):
