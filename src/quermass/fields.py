@@ -117,8 +117,10 @@ def synthesize(coeffs: np.ndarray, grid: SphericalGrid) -> ScalarField:
         values = harmonics.sh_synthesize(grid, coeffs)
         L = int(round(math.sqrt(coeffs.shape[0]))) - 1
     elif grid.n == 2:
-        values = fourier_synthesize(grid, coeffs)
         L = (coeffs.shape[0] - 1) // 2
+        if L > grid.max_degree:
+            raise ValueError(f"truncation L={L} exceeds grid capability {grid.max_degree}")
+        values = fourier_synthesize(grid, coeffs)
     else:
         raise ValueError("synthesis on the full grid requires n in {2, 3}")
     return ScalarField(grid, values, coeffs=coeffs, truncation=L)

@@ -5,6 +5,11 @@ associated Legendre functions (stable three-term recurrences, no
 Condon-Shortley phase).  General n >= 3 gets the zonal (Gegenbauer)
 basis for fields depending only on the polar angle.  Basis functions
 are unit-normalized against the surface measure.
+
+The n = 3 transforms are separable.  One batched matmul against the
+Legendre tables sums over the degree l for every order m at once; the
+phi stage is one real matmul against a cached cos/sin table at low
+degree, and an FFT above the crossover DENSE_PHI_ROWS.
 """
 
 from __future__ import annotations
@@ -114,12 +119,28 @@ def _order_layout(L: int) -> np.ndarray:
     return np.stack([cos, sin], axis=-1)
 
 
+# The phi stage runs as one real matmul against cached cos/sin tables up
+# to this many table rows, 2(L+1), and as an rfft/irfft above it.  From
+# the timing table in CHANGES.md (whole transforms, 2 cores, BLAS on one
+# thread): a batched chart pass plus a 4-field analysis, the shape of an
+# ascent step, costs the same both ways near L = 34-40 for m_phi from 64
+# to 512, and the FFT wins from L = 48; the rule therefore reads L only.
+# Synthesis alone stays faster dense beyond it, analysis alone turns
+# earlier (L = 20-30) when m_phi >= 128.
+DENSE_PHI_ROWS = 70
+
+
 def sh_tables_for_grid(grid, L: int):
     """Legendre tables and transform constants at the grid, cached on it.
 
     "gather" maps the flat coefficients (plus an appended zero) to the
     (m, l, cos/sin) slots of the batched matmul, "scatter" maps those
-    slots back to the flat order.
+    slots back to the flat order, and "an_weights" scales the per-order
+    analysis sums.  On the dense side of DENSE_PHI_ROWS, "phi" holds the
+    (m, cos/sin) x phi table [s_m cos m phi; s_m sin m phi] (s_0 = 1,
+    s_m = sqrt 2), read by both directions; above it the phi stage is an
+    FFT, there is no table, and "synth_scale" turns the per-order sums
+    into Fourier amplitudes.
     """
     if grid.n != 3:
         raise ValueError("full spherical-harmonic stack is built for n = 3 only")
@@ -136,14 +157,24 @@ def sh_tables_for_grid(grid, L: int):
         scatter[slots[used]] = np.flatnonzero(used)
         m = np.arange(L + 1)
         m_phi = len(grid.angles[1])
-        # synthesis: Fourier amplitude of a unit (cos, sin) pair is sqrt2 m_phi / 2
-        synth_scale = np.where(m == 0, m_phi, _SQRT2 * m_phi / 2.0)
-        # analysis: (cos, sin) coefficient from Re, -Im of the rfft, times the
-        # polar weights
-        an_scale = np.where(m == 0, 2.0 * math.pi, 2.0 * _SQRT2 * math.pi) / m_phi
-        return {"tables": (Q, dQ, d2Q), "gather": slots, "scatter": scatter,
-                "synth_scale": synth_scale, "i_m": 1j * m,
-                "an_weights": an_scale[:, None] * grid.axis_weights[0][None, :]}
+        s = np.where(m == 0, 1.0, _SQRT2)
+        data = {"tables": (Q, dQ, d2Q), "gather": slots, "scatter": scatter,
+                "m": m[:, None, None].astype(float)}
+        if 2 * (L + 1) <= DENSE_PHI_ROWS:
+            # m phi reduced mod 2 pi exactly, as an integer multiple of 2 pi / m_phi
+            angle = 2.0 * math.pi / m_phi * ((m[:, None] * np.arange(m_phi)) % m_phi)
+            data["phi"] = (s[:, None, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+                           ).reshape(2 * (L + 1), m_phi)
+            # analysis: the table's s_m times 2 pi / m_phi, times the polar weights
+            data["an_weights"] = (2.0 * math.pi / m_phi) * grid.axis_weights[0][None, :]
+        else:
+            # synthesis: Fourier amplitude of a unit (cos, sin) pair is sqrt2 m_phi / 2
+            data["synth_scale"] = s * np.where(m == 0, m_phi, m_phi / 2.0)
+            # analysis: (cos, sin) coefficient from Re, -Im of the rfft, times
+            # the polar weights
+            an_scale = np.where(m == 0, 2.0 * math.pi, 2.0 * _SQRT2 * math.pi) / m_phi
+            data["an_weights"] = an_scale[:, None] * grid.axis_weights[0][None, :]
+        return data
 
     return grid.cache(("sh", L), build)
 
@@ -160,33 +191,47 @@ def _coeff_shape(coeffs: np.ndarray) -> tuple:
     return coeffs.shape[:-1], L
 
 
-def _order_sums(data, coeffs: np.ndarray, tables) -> list:
+def _order_sums(data, coeffs: np.ndarray, tables) -> np.ndarray:
     """Per-order Legendre sums, one batched matmul per table.
 
-    coeffs is (B, K); returns, for each table T, the (m, B, theta)
-    complex array of scaled (pc - i ps), with pc, ps the sums over l of
-    the cos and sin coefficients of order m times T[l, m].
+    coeffs is (B, K); returns the (F, m, cos/sin, B, theta) real array
+    whose slots [f, m] hold the sums over l of the cos and sin
+    coefficients of order m times tables[f][l, m], times synth_scale
+    above the crossover (below it the cos/sin table holds the scale).
     """
     B = coeffs.shape[0]
     padded = np.concatenate([coeffs, np.zeros((B, 1))], axis=1)
-    L1 = data["tables"][0].shape[0]
+    L1, _, n_theta = data["tables"][0].shape
     P = padded.T[data["gather"]].reshape(L1, L1, 2 * B)   # (m, l, cos/sin x B)
     P = P.transpose(0, 2, 1)                                # (m, 2B, l)
-    out = []
-    for T in tables:
-        S = np.matmul(P, T.transpose(1, 0, 2))             # (m, 2B, theta)
-        z = S[:, :B] - 1j * S[:, B:]
-        z *= data["synth_scale"][:, None, None]
-        out.append(z)
+    out = np.empty((len(tables), L1, 2, B, n_theta))
+    for T, o in zip(tables, out):
+        np.matmul(P, T.transpose(1, 0, 2), out=o.reshape(L1, 2 * B, n_theta))
+    if "synth_scale" in data:
+        out *= data["synth_scale"][:, None, None, None]
     return out
 
 
-def _to_nodes(grid, spectra) -> np.ndarray:
-    """(F, m, B, theta) order spectra -> (F, B, N) node values, one irfft."""
-    F, L1, B, n_theta = spectra.shape
+def _phi_derivative(m, sums: np.ndarray, out: np.ndarray) -> None:
+    """(pc, ps) of order m -> those of d/dphi: (m ps, -m pc)."""
+    np.multiply(m, sums[:, 1], out=out[:, 0])
+    np.multiply(-m, sums[:, 0], out=out[:, 1])
+
+
+def _to_nodes(grid, data, spectra: np.ndarray) -> np.ndarray:
+    """(F, m, cos/sin, B, theta) order sums -> (F, B, N) node values.
+
+    One matmul against the cached cos/sin table, or one stacked irfft of
+    pc - i ps above the crossover.
+    """
+    F, L1, _, B, n_theta = spectra.shape
+    if "phi" in data:
+        out = np.matmul(spectra.reshape(F, 2 * L1, -1).transpose(0, 2, 1), data["phi"])
+        return out.reshape(F, B, -1)
     m_phi = len(grid.angles[1])
     full = np.zeros((F, B, n_theta, m_phi // 2 + 1), dtype=complex)
-    full[..., :L1] = spectra.transpose(0, 2, 3, 1)
+    full.real[..., :L1] = spectra[:, :, 0].transpose(0, 2, 3, 1)
+    full.imag[..., :L1] = -spectra[:, :, 1].transpose(0, 2, 3, 1)
     return np.fft.irfft(full, n=m_phi, axis=-1).reshape(F, B, -1)
 
 
@@ -199,9 +244,8 @@ def sh_synthesize(grid, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     batch, L = _coeff_shape(coeffs)
     data = sh_tables_for_grid(grid, L)
-    (z,) = _order_sums(data, coeffs.reshape(-1, coeffs.shape[-1]),
-                       [data["tables"][0]])
-    return _to_nodes(grid, z[None])[0].reshape(batch + (-1,))
+    sums = _order_sums(data, coeffs.reshape(-1, coeffs.shape[-1]), data["tables"][:1])
+    return _to_nodes(grid, data, sums)[0].reshape(batch + (-1,))
 
 
 def sh_chart_derivatives(grid, coeffs: np.ndarray, second: bool) -> np.ndarray:
@@ -209,29 +253,33 @@ def sh_chart_derivatives(grid, coeffs: np.ndarray, second: bool) -> np.ndarray:
 
     Returns the stacked (u, u_theta, u_phi) -- plus (u_thetatheta,
     u_thetaphi, u_phiphi) when second -- shaped (3 or 6, ..., N) for
-    coeffs of shape (..., K): one contraction per Legendre table and one
-    stacked irfft.
+    coeffs of shape (..., K): one contraction per Legendre table, the
+    phi derivatives taken on the order sums, and one phi stage for all.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     batch, L = _coeff_shape(coeffs)
     data = sh_tables_for_grid(grid, L)
-    Q, dQ, d2Q = data["tables"]
-    im = data["i_m"][:, None, None]
+    m = data["m"]
     flat = coeffs.reshape(-1, coeffs.shape[-1])
+    sums = _order_sums(data, flat, data["tables"][:3 if second else 2])
+    spectra = np.empty((6 if second else 3,) + sums.shape[1:])
+    spectra[:2] = sums[:2]
+    _phi_derivative(m, sums[0], spectra[2])
     if second:
-        z0, z1, z2 = _order_sums(data, flat, [Q, dQ, d2Q])
-        spectra = np.stack([z0, z1, im * z0, z2, im * z1, (im * im) * z0])
-    else:
-        z0, z1 = _order_sums(data, flat, [Q, dQ])
-        spectra = np.stack([z0, z1, im * z0])
-    out = _to_nodes(grid, spectra)
+        spectra[3] = sums[2]
+        _phi_derivative(m, sums[1], spectra[4])
+        np.multiply(-(m * m)[:, None], sums[0], out=spectra[5])
+    out = _to_nodes(grid, data, spectra)
     return out.reshape((out.shape[0],) + batch + (-1,))
 
 
 def sh_analyze(grid, values: np.ndarray, L: int) -> np.ndarray:
     """Forward transform: flat coefficients from node values.
 
-    values is (N,) or (..., N); returns (K,) or (..., K).
+    values is (N,) or (..., N); returns (K,) or (..., K).  The phi stage
+    (a matmul against the cos/sin table, or an rfft above the crossover)
+    gives the (cos, sin) sums of each order, the weights scale them and
+    one batched matmul against the Legendre table sums over theta.
     """
     data = sh_tables_for_grid(grid, L)
     Q = data["tables"][0]
@@ -239,14 +287,17 @@ def sh_analyze(grid, values: np.ndarray, L: int) -> np.ndarray:
     batch = values.shape[:-1]
     n_theta = len(grid.axis_nodes[0])
     m_phi = len(grid.angles[1])
-    A = np.fft.rfft(values.reshape(-1, n_theta, m_phi), axis=-1)[..., :L + 1]
-    B = A.shape[0]
-    G = np.empty((L + 1, n_theta, 2 * B))                 # (m, theta, cos/sin x B)
-    At = A.transpose(2, 1, 0)
-    w = data["an_weights"][:, :, None]
-    np.multiply(w, At.real, out=G[:, :, :B])
-    np.multiply(w, -At.imag, out=G[:, :, B:])
-    R = np.matmul(Q.transpose(1, 0, 2), G)               # (m, l, 2B)
+    rows = values.reshape(-1, m_phi)
+    B = rows.shape[0] // n_theta
+    if "phi" in data:
+        X = np.matmul(rows, data["phi"].T)
+    else:
+        # Re and -Im of the rfft: the cos and sin sums of each order
+        X = np.conj(np.fft.rfft(rows, axis=-1)[:, :L + 1]).view(float)
+    G = np.empty((L + 1, n_theta, 2, B))                  # (m, theta, cos/sin, B)
+    np.multiply(data["an_weights"][:, :, None, None],
+                X.reshape(B, n_theta, L + 1, 2).transpose(2, 1, 3, 0), out=G)
+    R = np.matmul(Q.transpose(1, 0, 2), G.reshape(L + 1, n_theta, 2 * B))   # (m, l, 2B)
     coeffs = R.reshape(-1, B)[data["scatter"]]           # (K, B)
     return coeffs.T.reshape(batch + (-1,))
 

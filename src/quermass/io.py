@@ -3,7 +3,14 @@
 Field files hold either spectral coefficients
 {"n": ..., "L": ..., "coeffs": [{"l": ..., "m_index": ..., "value": ...}]}
 or plain node values {"n": ..., "grid_resolution": ..., "values": [...]},
-which are read on their own grid only.
+which are read on their own grid only.  A coefficient entry names the
+degree l and the index m_index within it, and only nonzero entries are
+written:
+  n = 3 -- m_index enumerates [m = 0, cos 1, sin 1, ..., cos l, sin l],
+           0..2l, the flat index l^2 + m_index (harmonics.flat_index);
+  n = 2 -- the Fourier basis: m_index 0 for l = 0 (the constant), and 1
+           (cos l phi) or 2 (sin l phi) for l >= 1, the flat indices 0,
+           then 2l - 1 and 2l (fields.fourier_synthesize).
 Domain files add an optional "center".  Field and domain files are read
 for n = 2 and 3, where a field has spectral coefficients; axial
 profiles, the files of n >= 4 domains, hold {"n", "theta_nodes",
@@ -24,16 +31,24 @@ from quermass.grids import build_grid
 from quermass.stardomain import StarDomain
 
 
+def _coefficient_slots(n: int, L: int) -> dict:
+    """{(l, m_index): flat index} of the n = 2 or 3 coefficient layout."""
+    if n == 3:
+        return {(l, m_index): harmonics.flat_index(l, m_index)
+                for l in range(L + 1) for m_index in range(2 * l + 1)}
+    slots = {(0, 0): 0}
+    for l in range(1, L + 1):
+        slots[l, 1], slots[l, 2] = 2 * l - 1, 2 * l
+    return slots
+
+
 def save_field(f: ScalarField, path, as_values: bool = False) -> Path:
     path = Path(path)
     if f.coeffs is not None and not as_values:
         L = f.truncation
-        entries = []
-        for l in range(L + 1):
-            for m_index in range(2 * l + 1):
-                v = float(f.coeffs[harmonics.flat_index(l, m_index)])
-                if v != 0.0:
-                    entries.append({"l": l, "m_index": m_index, "value": v})
+        entries = [{"l": l, "m_index": m_index, "value": float(f.coeffs[k])}
+                   for (l, m_index), k in _coefficient_slots(f.n, L).items()
+                   if f.coeffs[k] != 0.0]
         payload = {"n": f.n, "L": L, "coeffs": entries}
     else:
         payload = {"n": f.n, "grid_resolution": f.grid.resolution,
@@ -55,10 +70,14 @@ def load_field(path, grid=None, resolution: int | None = None) -> ScalarField:
         L = int(payload["L"])
         if grid is None:
             grid = build_grid(n, resolution if resolution else max(32, L + 1))
-        coeffs = np.zeros(harmonics.coeff_count(L))
+        slots = _coefficient_slots(n, L)
+        coeffs = np.zeros(len(slots))
         for entry in payload["coeffs"]:
-            coeffs[harmonics.flat_index(int(entry["l"]), int(entry["m_index"]))] = \
-                float(entry["value"])
+            key = int(entry["l"]), int(entry["m_index"])
+            if key not in slots:
+                raise ValueError(f"{path}: no coefficient (l, m_index) = {key} "
+                                 f"in the n = {n} layout of degree L = {L}")
+            coeffs[slots[key]] = float(entry["value"])
         return fields.synthesize(coeffs, grid)
     res = int(payload["grid_resolution"])
     if resolution is not None and resolution != res:

@@ -172,12 +172,52 @@ def test_tables_are_bit_identical_to_the_loop_oracle(L, seed):
     assert dQ is None and np.array_equal(_bits(Q), _bits(want[0]))
 
 
-def test_tables_are_held_once_per_grid_and_degree():
-    grid = build_grid(3, 16)
-    first = harmonics.sh_tables_for_grid(grid, 10)
-    assert harmonics.sh_tables_for_grid(grid, 10) is first
-    for table in first["tables"]:
-        assert table.shape == (11, 11, 16) and table.flags.c_contiguous
+class _MatmulSpy:
+    """numpy, with every matmul's operands recorded."""
+
+    def __init__(self):
+        self.operands = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.operands.append((a, b))
+        return np.matmul(a, b, **kwargs)
+
+
+# the last degree whose phi stage is a matmul
+_LAST_DENSE = harmonics.DENSE_PHI_ROWS // 2 - 1
+
+
+def test_tables_are_held_once_per_grid_and_degree(monkeypatch):
+    grid = build_grid(3, 64)
+    spy = _MatmulSpy()
+    monkeypatch.setattr(harmonics, "np", spy)
+    for L in [6, 12, _LAST_DENSE, _LAST_DENSE + 1, 63]:
+        first = harmonics.sh_tables_for_grid(grid, L)
+        assert harmonics.sh_tables_for_grid(grid, L) is first
+        for table in first["tables"]:
+            assert table.shape == (L + 1, L + 1, 64) and table.flags.c_contiguous
+        # the cos/sin table exists exactly on the dense side of the rule
+        assert ("phi" in first) == (2 * (L + 1) <= harmonics.DENSE_PHI_ROWS)
+        if "phi" in first:
+            assert first["phi"].shape == (2 * (L + 1), 128)
+        stored = list(first["tables"]) + ([first["phi"]] if "phi" in first else [])
+        # every table a transform reads is a view of the one stored copy:
+        # transposed copies would raise the peak memory of every process
+        spy.operands.clear()
+        C = np.random.default_rng(L).standard_normal((2, harmonics.coeff_count(L)))
+        harmonics.sh_synthesize(grid, C)
+        harmonics.sh_chart_derivatives(grid, C, second=True)
+        harmonics.sh_analyze(grid, np.ones((2, grid.num_nodes)), L)
+        reads = [[any(np.shares_memory(x, T) for T in stored) for x in pair]
+                 for pair in spy.operands]
+        assert reads and all(sorted(r) == [False, True] for r in reads), L
+        legendre = [any(np.shares_memory(x, T) for T in first["tables"] for x in pair)
+                    for pair in spy.operands]
+        assert sum(legendre) == 5                   # Q; Q, dQ, d2Q; Q
+        assert harmonics.sh_tables_for_grid(grid, L) is first
 
 
 # -- transforms -----------------------------------------------------------------
@@ -187,7 +227,8 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
 
 
-transform_cases = st.tuples(st.integers(0, 20), st.integers(1, 3),
+# degrees on both sides of the phi-stage rule
+transform_cases = st.tuples(st.integers(0, _LAST_DENSE + 14), st.integers(1, 3),
                             st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
 
 
@@ -236,6 +277,28 @@ def test_analysis_inverts_synthesis(case):
     C = np.random.default_rng(seed).standard_normal((batch, harmonics.coeff_count(L)))
     back = harmonics.sh_analyze(grid, harmonics.sh_synthesize(grid, C), L)
     assert float(np.max(np.abs(back - C))) <= 1e-12 * max(1.0, float(np.max(np.abs(C))))
+
+
+@pytest.mark.parametrize("L", [_LAST_DENSE, _LAST_DENSE + 1])
+@pytest.mark.parametrize("extra", [0, 5])
+def test_both_phi_stages_match_the_per_order_oracles_at_the_rule(L, extra):
+    # extra = 0 is res = L + 1: L is grid.max_degree, the order next to Nyquist
+    grid = build_grid(3, L + 1 + extra)
+    assert (L == grid.max_degree) == (extra == 0)
+    assert ("phi" in harmonics.sh_tables_for_grid(grid, L)) == (L == _LAST_DENSE)
+    tables = _oracle_tables(L, grid.axis_nodes[0])
+    C = np.random.default_rng(L + extra).standard_normal((2, harmonics.coeff_count(L)))
+    want = [np.array([_oracle_synthesize(grid, tables, c, dtheta, dphi) for c in C])
+            for dtheta, dphi in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]]
+    assert _rel(harmonics.sh_synthesize(grid, C), want[0]) <= 1e-13
+    for second, count in [(False, 3), (True, 6)]:
+        chart = harmonics.sh_chart_derivatives(grid, C, second=second)
+        assert len(chart) == count
+        for got, w in zip(chart, want):
+            assert _rel(got, w) <= 1e-13
+    V = np.random.default_rng(L - extra).standard_normal((2, grid.num_nodes))
+    assert _rel(harmonics.sh_analyze(grid, V, L),
+                np.array([_oracle_analyze(grid, tables[0], v, L) for v in V])) <= 1e-13
 
 
 def test_off_grid_evaluation_matches_synthesis():

@@ -91,3 +91,54 @@ def test_obj_export_counts(grid, tmp_path):
     assert nv == grid.num_nodes + 2
     assert nh == nv
     assert nv - 3 * nf / 2 + nf == 2  # Euler characteristic of the sphere
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), L=st.integers(0, 7))
+def test_circle_field_coeff_roundtrip(tmp_path_factory, seed, L):
+    g = build_grid(2, 8)
+    c = np.random.default_rng(seed).standard_normal(2 * L + 1)
+    f = fields.synthesize(c, g)
+    path = qio.save_field(f, tmp_path_factory.mktemp("io") / "f.json")
+    payload = json.loads(path.read_text())
+    assert payload["L"] == L and len(payload["coeffs"]) == 2 * L + 1
+    assert {(e["l"], e["m_index"]) for e in payload["coeffs"]} == \
+        {(0, 0)} | {(l, k) for l in range(1, L + 1) for k in (1, 2)}
+    back = qio.load_field(path, grid=g)
+    assert back.truncation == L and np.array_equal(back.coeffs, c)
+    assert np.max(np.abs(back.values - f.values)) < 1e-13
+
+
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_circle_field_file_reads_the_fourier_layout(tmp_path, L):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": 2, "L": L, "coeffs": [
+        {"l": 0, "m_index": 0, "value": 0.5},
+        {"l": 1, "m_index": 2, "value": -0.25},
+        {"l": L, "m_index": 1, "value": 1.0}]}))
+    f = qio.load_field(path, grid=build_grid(2, 16))
+    phi = f.grid.angles[0]
+    want = (0.5 / math.sqrt(2.0 * math.pi)
+            + (-0.25 * np.sin(phi) + np.cos(L * phi)) / math.sqrt(math.pi))
+    assert f.truncation == L
+    assert np.max(np.abs(f.values - want)) < 1e-13
+    path.write_text(json.dumps({"n": 2, "L": L, "coeffs": [
+        {"l": L, "m_index": 3, "value": 1.0}]}))
+    with pytest.raises(ValueError, match=r"\(l, m_index\) = \(%d, 3\)" % L):
+        qio.load_field(path, grid=build_grid(2, 16))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coefficients_above_the_grid_degree_are_refused(n, tmp_path):
+    g = build_grid(n, 8)
+    L = g.max_degree + 1
+    c = np.zeros(2 * L + 1 if n == 2 else harmonics.coeff_count(L))
+    c[-1] = 1.0                       # the top sine mode, zero at every node when n = 2
+    message = f"truncation L={L} exceeds grid capability {g.max_degree}"
+    with pytest.raises(ValueError, match=message):
+        fields.synthesize(c, g)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"n": n, "L": L, "coeffs": [
+        {"l": L, "m_index": 2 if n == 2 else 2 * L, "value": 1.0}]}))
+    with pytest.raises(ValueError, match=message):
+        qio.load_field(path, grid=g)
