@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -42,8 +43,15 @@ def deficit_list(text: str) -> list:
     return names
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
 def kappa_list(text: str) -> tuple:
-    return tuple(float(k) for k in text.split(","))
+    return tuple(finite_float(k) for k in text.split(","))
 
 
 def _tolerance(key: str):
@@ -62,7 +70,7 @@ OPTIONS = {
     "--n": {"type": int}, "--resolution": {"type": int}, "--count": {"type": int},
     "--eps": {"type": float}, "--seed": {"type": int}, "--lambda-cut": {"type": float},
     "--degree-cap": {"type": int}, "--restarts": {"type": int},
-    "--kappa": {"type": float}, "--kappa-max": {"type": float},
+    "--kappa": {"type": finite_float}, "--kappa-max": {"type": float},
     "--sweep": {"type": kappa_list, "help": "comma list of kappa values"},
     "--mesh": {"action": "store_true", "help": "also write counterexample.obj (n = 3 only)"},
     "--which": {"type": deficit_list, "help": "all, or a comma list of "

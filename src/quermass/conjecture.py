@@ -320,19 +320,23 @@ def _gradient_check(backend: _Backend, C: np.ndarray, mu: float) -> list:
 
     The reference is the central difference with step _FD_STEP; the
     2K perturbed vectors of every row go through the objective in
-    batched passes of at most _CHECK_CHUNK vectors.
+    batched passes of at most _CHECK_CHUNK vectors, each pass built from
+    the (row, sign, component) of its vectors, so memory is O(R K).
     """
     R, K = C.shape
     h = _FD_STEP
     _, grad = _objective_and_gradient(backend, C, mu)
-    plus = np.repeat(C[:, None, :], K, axis=1)        # (R, b, K): c + h e_b
-    minus = plus.copy()
-    b = np.arange(K)
-    plus[:, b, b] += h
-    minus[:, b, b] -= h
-    vectors = np.concatenate([plus, minus], axis=1).reshape(-1, K)
-    chunks = (vectors[i:i + _CHECK_CHUNK] for i in range(0, len(vectors), _CHECK_CHUNK))
-    values = np.concatenate([_objective(backend, v, mu)[0] for v in chunks])
+    # vector v is row v // 2K with component v % K moved by +h, or by -h
+    # where v // K is odd
+    v = np.arange(2 * R * K)
+    rows, components, steps = v // (2 * K), v % K, np.where((v // K) % 2, -h, h)
+    lanes = np.arange(_CHECK_CHUNK)
+    values = np.empty(len(v))
+    for start in range(0, len(v), _CHECK_CHUNK):
+        part = slice(start, start + _CHECK_CHUNK)
+        vectors = C[rows[part]]
+        vectors[lanes[:len(vectors)], components[part]] += steps[part]
+        values[part] = _objective(backend, vectors, mu)[0]
     fp, fm = values.reshape(R, 2, K).transpose(1, 0, 2)
     return [_relative_error(ga, gf) for ga, gf in zip(grad, (fp - fm) / (2 * h))]
 
@@ -414,11 +418,14 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
     error is meta["gradient_check_max_rel"].  Each end point is rescaled
     onto the constraint set.  Deterministic under the seed.  Returns the
     best feasible candidate and one row per restart.  basis_cap below 1
-    leaves no nonconstant mode and raises ValueError.
+    leaves no nonconstant mode and raises ValueError, as do restarts
+    below 0.
     """
     if basis_cap < 1:
         raise ValueError(f"basis_cap {basis_cap} leaves no nonconstant mode; "
                          "it must be at least 1")
+    if restarts < 0:
+        raise ValueError(f"restarts must be at least 0, got {restarts}")
     backend = make_backend(n, basis_cap)
     seeds = [seed + 7919 * r for r in range(restarts)]
     C = np.array([_start_point(backend, s) for s in seeds])

@@ -8,10 +8,10 @@ least 2/kappa.  Each dent contributes a cubic-order negative amount
 grows like kappa^{n-1}, so the total crosses any negative threshold for
 kappa large.
 
-The dent centers on S^2 are a thinned spherical Fibonacci lattice: for
-the index offset m the height gap and the azimuth step are fixed, so an
-exact certificate over offsets finds every pair closer than 2/kappa in
-O(N log kappa) time, with no KD-tree (Keinert et al., Spherical
+The dent centers on S^2 are a spherical Fibonacci lattice certified by
+its exact minimal distance: for the index offset m the height gap and
+the azimuth step are fixed, so a search over offsets finds that minimum
+in O(N log kappa) time, with no KD-tree (Keinert et al., Spherical
 Fibonacci Mapping, ACM TOG 34(6), 2015).  It streams the lattice in
 index blocks, so the count takes O(block) memory; only the dense-grid
 check and the mesh export read the coordinates.  On S^{n-1}, n >= 4,
@@ -98,8 +98,8 @@ class BumpProfile:
     eps: float
 
     def __post_init__(self):
-        if not self.kappa >= 1.0:
-            raise ValueError("kappa must be >= 1")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and >= 1")
         if not 0.0 <= self.eps < 0.5:
             raise ValueError("eps must lie in [0, 1/2)")
 
@@ -188,11 +188,10 @@ def make_bump(kappa: float, eps: float) -> BumpProfile:
 class PackedPoints:
     """Dent centers on S^{n-1}, pairwise at least 2/kappa apart.
 
-    Three kinds: explicit coordinates; the thinned n = 3 Fibonacci
-    lattice, fibonacci_sphere(lattice) without the rows dropped, whose
-    points are built on first read (MemoryBudgetError when kappa's
-    dense-grid check is over WORK_LIMIT); and a ring count (n >= 4),
-    whose points are None.
+    Three kinds: explicit coordinates; the n = 3 Fibonacci lattice,
+    fibonacci_sphere(lattice), whose points are built on first read
+    (MemoryBudgetError when kappa's dense-grid check is over WORK_LIMIT);
+    and a ring count (n >= 4), whose points are None.
     min_distance is the exact minimum of the lattice; a ring count has
     2/kappa, its proved bound.
     """
@@ -203,12 +202,10 @@ class PackedPoints:
     min_distance: float
     count: int | None = None
     lattice: int = 0
-    dropped: np.ndarray | None = None
 
     def __post_init__(self):
         if self.count is None:
-            count = (len(self.coordinates) if self.lattice == 0
-                     else self.lattice - len(self.dropped))
+            count = len(self.coordinates) if self.lattice == 0 else self.lattice
             object.__setattr__(self, "count", count)
 
     @functools.cached_property
@@ -216,7 +213,7 @@ class PackedPoints:
         if self.lattice == 0:
             return self.coordinates
         check_points(self.kappa)
-        return fibonacci_sphere(self.lattice, self.dropped)
+        return fibonacci_sphere(self.lattice)
 
     @property
     def packing_constant(self) -> float:
@@ -251,43 +248,38 @@ def _fibonacci_block(count: int, start: int, stop: int) -> tuple:
     return z, r * np.cos(phi), r * np.sin(phi)
 
 
-def fibonacci_sphere(count: int, dropped=()) -> np.ndarray:
-    """The count-point spherical Fibonacci lattice as (N, 3) rows (z, x, y),
-    without the rows whose indices are in dropped (sorted).
+def fibonacci_sphere(count: int) -> np.ndarray:
+    """The count-point spherical Fibonacci lattice as (N, 3) rows (z, x, y).
 
     Filled block by block, so the peak is the output plus O(block).
     """
-    dropped = np.asarray(dropped, dtype=np.int64)
-    out = np.empty((count - len(dropped), 3))
-    row = 0
+    out = np.empty((count, 3))
     for start in range(0, count, _LATTICE_BLOCK):
         stop = min(start + _LATTICE_BLOCK, count)
-        gone = dropped[np.searchsorted(dropped, start):np.searchsorted(dropped, stop)]
-        rows = stop - start - len(gone)
         for k, column in enumerate(_fibonacci_block(count, start, stop)):
-            out[row:row + rows, k] = np.delete(column, gone - start)
-        row += rows
+            out[start:stop, k] = column
     return out
 
 
-def _close_pairs(N: int, reach: float):
-    """All pairs i < j of fibonacci_sphere(N) closer than reach.
+def _least_d2(N: int, reach: float) -> float:
+    """The least squared distance between points of fibonacci_sphere(N)
+    closer than reach, or inf when no pair is that close.
 
-    Returns (i, j, d2), d2 being the squared distance summed over the
-    coordinates in order, as a KD-tree sums it.  For j = i + m the
-    height gap is 2m/N and the azimuth step is 2 pi m / GOLDEN whatever
-    i is, so |p_i - p_j|^2 >= (2m/N)^2 + 4 rho^2 sin^2(step/2) with
-    rho = min(r_i, r_j).  Hence only offsets m < reach N / 2 can hold a
-    close pair, and for each only the i with an end in one of the polar
-    caps r < R_m, where R_m follows from the bound: two contiguous index
-    ranges.  Exact distances are evaluated on those ranges: the long
-    ones one offset at a time, the short ones gathered together.  The
-    bound is padded for the rounding of the computed angles and radii,
-    so no pair closer than reach is skipped.
+    Distances are squared sums over the coordinates in order, as a
+    KD-tree sums them.  For j = i + m the height gap is 2m/N and the
+    azimuth step is 2 pi m / GOLDEN whatever i is, so |p_i - p_j|^2 >=
+    (2m/N)^2 + 4 rho^2 sin^2(step/2) with rho = min(r_i, r_j).  Hence
+    only offsets m < reach N / 2 can hold a close pair, and for each only
+    the i with an end in one of the polar caps r < R_m, where R_m follows
+    from the bound: two contiguous index ranges.  Exact distances are
+    evaluated on those ranges: the long ones one offset at a time, the
+    short ones gathered together.  The bound is padded for the rounding
+    of the computed angles and radii, so no pair closer than reach is
+    skipped.
 
     The lattice is streamed: the points of each block of _LATTICE_BLOCK
     indices, and as many more as the largest offset, come from
-    _fibonacci_block, so memory is O(block + pairs) and the pairs do not
+    _fibonacci_block, so memory is O(block) and the result does not
     depend on the block size.
     """
     block = _LATTICE_BLOCK
@@ -311,8 +303,7 @@ def _close_pairs(N: int, reach: float):
     stop = np.concatenate([np.where(whole, last, caps), last])
     off = np.concatenate([m, m])
     overlap = int(m[-1]) if len(m) else 0
-    limit = reach * reach
-    found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    least = math.inf
     for b0 in range(0, N, block):
         b1 = min(b0 + block, N)
         # the ranges within the block, local to it: long ones as slices,
@@ -324,19 +315,17 @@ def _close_pairs(N: int, reach: float):
         zxy = _fibonacci_block(N, b0, min(b1 + overlap, N))
         for k in np.flatnonzero(size >= _SLICED_RANGE).tolist():
             a, b, o = int(lo[k]), int(lo[k] + size[k]), int(off[k])
-            d2 = _squared_distances(zxy, slice(a, b), slice(a + o, b + o))
-            hit = np.flatnonzero(d2 < limit)
-            found.append((hit + (b0 + a), hit + (b0 + a + o), d2[hit]))
+            least = min(least, float(
+                _squared_distances(zxy, slice(a, b), slice(a + o, b + o)).min()))
         short = np.flatnonzero((size > 0) & (size < _SLICED_RANGE))
         total = np.cumsum(size[short])
         cuts = np.searchsorted(total, np.arange(block, total[-1] if len(total) else 0, block))
         for part in np.split(short, cuts):
             i = _ranges(lo[part], size[part])
-            j = i + np.repeat(off[part], size[part])
-            d2 = _squared_distances(zxy, i, j)
-            hit = np.flatnonzero(d2 < limit)
-            found.append((i[hit] + b0, j[hit] + b0, d2[hit]))
-    return tuple(np.concatenate(column) for column in zip(*found))
+            if len(i):
+                j = i + np.repeat(off[part], size[part])
+                least = min(least, float(_squared_distances(zxy, i, j).min()))
+    return least if least < reach * reach else math.inf
 
 
 def _squared_distances(zxy, i, j) -> np.ndarray:
@@ -347,30 +336,6 @@ def _squared_distances(zxy, i, j) -> np.ndarray:
         np.subtract(c[j], c[i], out=t)
         d2 += t * t
     return d2
-
-
-def _thinned_fibonacci(count: int, min_d: float):
-    """The indices fibonacci_sphere(count) drops to keep its points min_d
-    apart (the later point of each closer pair, sorted), and the exact
-    minimal distance of what remains.
-
-    Deleting points creates no new pair, so one pass over the close pairs
-    of the full lattice thins it completely.  The minimal distance comes
-    from the same evaluated pairs; when none of them survives, the reach
-    doubles until it covers all pairs.  Returns None below two points.
-    """
-    cut = min_d * (1.0 - 1e-12)
-    reach = 1.05 * min_d
-    i, j, d2 = _close_pairs(count, reach)
-    dropped = np.unique(j[d2 <= cut * cut])
-    if count - len(dropped) < 2:
-        return None
-    both = ~(np.isin(i, dropped) | np.isin(j, dropped))
-    while not both.any():
-        reach *= 2.0
-        i, j, d2 = _close_pairs(count, reach)
-        both = ~(np.isin(i, dropped) | np.isin(j, dropped))
-    return dropped, float(np.sqrt(d2[both].min()))
 
 
 def _half_gaps(radius: np.ndarray, kappa: float) -> np.ndarray:
@@ -424,11 +389,11 @@ def ring_circles(n: int, kappa: float, coordinates: bool = True):
 def pack_points(n: int, kappa: float) -> PackedPoints:
     """Centers with pairwise Euclidean distance >= 2/kappa.
 
-    n = 3 thins the Fibonacci lattice sized from its measured minimal
-    distance: an exact certificate over index offsets (_close_pairs)
-    finds every pair closer than 2/kappa in O(N log kappa) time and
-    O(block) memory, drops the later point of each, and gives the exact
-    minimal distance of the rest; the points are built only when read.
+    n = 3 takes the Fibonacci lattice sized from its measured minimal
+    distance and certifies it by its exact minimal distance, from a
+    search over index offsets (_least_d2) in O(N log kappa) time and
+    O(block) memory; while that is below 2/kappa, the lattice loses a
+    point and is certified again.  The points are built only when read.
     Other dimensions count the latitude rings (ring_circles) without
     coordinates, in work growing like kappa^{n-2} (n = 4: about
     2.47 kappa^3 points).  Below two points the result is the antipodal
@@ -442,10 +407,12 @@ def pack_points(n: int, kappa: float) -> PackedPoints:
     if n == 3:
         lattice = max(2, int((FIB_MIN_DIST * kappa / 2.0) ** 2 * 0.999))
         _check_work(what, lattice, "lattice points")
-        packed = _thinned_fibonacci(lattice, min_d)
-        if packed is not None:
-            dropped, d_min = packed
-            return PackedPoints(n, kappa, None, d_min, lattice=lattice, dropped=dropped)
+        for lattice in range(lattice, 1, -1):
+            reach, d2 = 1.05 * min_d, math.inf
+            while d2 == math.inf:
+                d2, reach = _least_d2(lattice, reach), 2.0 * reach
+            if math.sqrt(d2) >= min_d:
+                return PackedPoints(n, kappa, None, math.sqrt(d2), lattice=lattice)
     else:
         slices = math.floor(0.5 * math.pi / _half_gaps(np.ones(1), kappa)[0]) + 1
         _check_work(what, slices ** (n - 2), "circles")

@@ -96,8 +96,13 @@ class FieldData:
         return np.einsum("ia,iab,ib->i", self.grad, self.hess, self.grad)
 
     def c1_norm(self):
-        return float(max(np.max(np.abs(self.u)),
-                         np.max(np.sqrt(self.grad2))))
+        return _c1_norm(self.u, self.grad)
+
+
+def _c1_norm(u: np.ndarray, grad: np.ndarray) -> float:
+    """max(|u|, |grad u|) over the nodes, from values and frame gradients."""
+    return float(max(np.max(np.abs(u)),
+                     np.max(np.sqrt(np.einsum("ik,ik->i", grad, grad)))))
 
 
 def _field_data(u, lam: float | None = None) -> FieldData:
@@ -211,11 +216,9 @@ def random_c1_field(n: int, eps_scale: float, seed: int, L: int = 12, grid=None)
         from quermass.grids import build_grid
         from quermass.stardomain import fields_affine
         f = fields.random_band_limited(build_grid(3, 32) if grid is None else grid, L, rng)
-        return fields_affine(f, eps_scale / _field_data(f).c1_norm(), 0.0)
+        return fields_affine(f, eps_scale / _c1_norm(f.values, fields.grad_frame(f)), 0.0)
     from quermass.axisym import AxialProfile
-    c = np.zeros(L + 1)
-    for l in range(1, L + 1):
-        c[l] = rng.standard_normal() * l**-2.0
+    c = fields.random_zonal_coeffs(L, rng)
     prof = AxialProfile.from_zonal_coeffs(n, c, resolution=256)
     return AxialProfile.from_zonal_coeffs(n, c * (eps_scale / prof.c1_norm()),
                                           resolution=prof.resolution)

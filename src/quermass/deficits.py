@@ -211,9 +211,7 @@ def random_domain(n: int, target_eps: float, seed: int, L: int = 8,
             K = StarDomain(f)
         return K
     from quermass.axisym import AxialDomain, AxialProfile
-    c = np.zeros(L + 1)
-    for l in range(1, L + 1):
-        c[l] = rng.standard_normal() * l**-2.0
+    c = fields.random_zonal_coeffs(L, rng)
     step = safe_amp / AxialProfile.from_zonal_coeffs(n, c, resolution=256).c1_norm()
     K, damped, rescales = None, False, 0
     while rescales < 5:

@@ -213,6 +213,14 @@ def laplacian(f: ScalarField) -> ScalarField:
     return synthesize(-degree_eigenvalues(f) * c, f.grid)
 
 
+def random_zonal_coeffs(L: int, rng: np.random.Generator) -> np.ndarray:
+    """Random zonal coefficients of degrees 1..L: c[l] = N(0, 1) l^-2, c[0] = 0."""
+    c = np.zeros(L + 1)
+    for l in range(1, L + 1):
+        c[l] = rng.standard_normal() * l**-2.0
+    return c
+
+
 def random_band_limited(grid: SphericalGrid, L: int, rng: np.random.Generator) -> ScalarField:
     """Random smooth field of degrees 1..L: per-degree coefficient variance l^-4."""
     if grid.n != 3:

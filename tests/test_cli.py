@@ -251,6 +251,14 @@ def test_conjecture_degree_cap_zero_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_conjecture_negative_restarts_exits_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["conjecture", "--n", "4", "--degree-cap", "4", "--restarts", "-1",
+                 "--out", str(out)]) == 2
+    assert "restarts must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_counterexample_over_budget_exits_2(tmp_path, capsys):
     code = main(["counterexample", "--kappa", "1e5", "--eps", "0.3",
                  "--out", str(tmp_path / "x")])
@@ -286,6 +294,25 @@ def test_counterexample_mesh_refuses_before_packing(tmp_path, capsys, monkeypatc
     assert code == 2
     err = capsys.readouterr().err
     assert "pack_points(3, 5120)" in err and "WORK_LIMIT" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kappa", "inf"], ["--sweep", "10,inf"], ["--n", "4", "--kappa", "inf"],
+    ["--kappa=-inf", "--mesh"], ["--kappa", "nan"]])
+def test_counterexample_refuses_a_kappa_that_is_not_finite(argv, tmp_path, capsys,
+                                                           monkeypatch):
+    # refused as the option is read: no lattice is packed, no grid sized
+    # and nothing written, also for the finite kappa of a sweep
+    from quermass import counterexample as cx
+
+    def work(*args, **kwargs):
+        raise AssertionError("worked on a kappa that is not finite")
+    monkeypatch.setattr(cx, "pack_points", work)
+    monkeypatch.setattr(cx, "_grid_resolution", work)
+    out = tmp_path / "x"
+    assert main(["counterexample", *argv, "--out", str(out)]) == 2
+    assert "is not a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -18,7 +18,6 @@ from quermass.counterexample import (
     DentedSphere,
     MemoryBudgetError,
     PackedPoints,
-    _thinned_fibonacci,
     affine_fit,
     build_counterexample,
     fibonacci_sphere,
@@ -36,24 +35,13 @@ from quermass.grids import SphericalGrid, build_grid, panel_rule, sphere_area
 from quermass.stardomain import StarDomain, fields_affine
 
 
-# -- reference packer: the KD-tree thinning that pack_points(3, kappa)
-# must reproduce exactly
+# -- reference minimum: the KD-tree nearest neighbour that the offset
+# search of pack_points(3, kappa) must reproduce exactly
 
 
-def _reference_thinning(count, min_d):
-    pts = fibonacci_sphere(count)
-    for _ in range(8):
-        tree = cKDTree(pts)
-        bad = tree.query_pairs(r=min_d * (1.0 - 1e-12), output_type="ndarray")
-        if len(bad) == 0:
-            break
-        pts = np.delete(pts, np.unique(bad[:, 1]), axis=0)
-    else:
-        raise RuntimeError("could not thin the lattice to the distance bound")
-    if len(pts) < 2:
-        return None
-    d, _ = cKDTree(pts).query(pts, k=2, workers=-1)
-    return pts, float(d[:, 1].min())
+def _kdtree_min_distance(pts):
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return float(d[:, 1].min())
 
 
 def _lattice_count(kappa):
@@ -71,6 +59,12 @@ def test_bump_box_constraints():
     assert checks["ok"]
     assert abs(float(bump.slope(np.array([0.05]))[0]) - 0.1) < 1e-15  # plateau
     assert float(bump.depth(np.array([0.0]))[0]) >= -0.1
+
+
+@pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.5])
+def test_bump_refuses_a_kappa_outside_one_to_infinity(kappa):
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        make_bump(kappa, 0.3)
 
 
 def test_bump_integral_against_adaptive_quadrature():
@@ -99,25 +93,24 @@ def test_pack_points_small_kappa():
 @pytest.mark.parametrize("kappa", [1.0, 10.0, 20.0, 40.0, 80.0])
 def test_lattice_certificate_matches_kdtree(kappa):
     packed = pack_points(3, kappa)
-    ref = _reference_thinning(_lattice_count(kappa), 2.0 / kappa)
-    if ref is None:
+    if kappa == 1.0:
         assert _is_antipodal(packed)
     else:
-        assert np.array_equal(packed.points, ref[0])
-        assert packed.min_distance == ref[1]
+        assert packed.count == _lattice_count(kappa)
+        assert np.array_equal(packed.points, fibonacci_sphere(packed.count))
+        assert packed.min_distance == _kdtree_min_distance(packed.points)
 
 
 @pytest.mark.parametrize("kappa", [3.3, 10.0, 20.0, 40.0, 80.0])
-def test_oversized_lattice_loses_the_same_points(kappa):
-    # 20% more points than the lattice holds at spacing 2/kappa, so the
-    # certificate must find and drop many close pairs
+def test_oversized_lattice_minimum_matches_kdtree(kappa):
+    # 20% more points than the lattice holds at spacing 2/kappa, so its
+    # minimum is well below the distance bound
     count = int(1.2 * _lattice_count(kappa))
-    ref_pts, ref_min = _reference_thinning(count, 2.0 / kappa)
-    dropped, d_min = _thinned_fibonacci(count, 2.0 / kappa)
-    pts = fibonacci_sphere(count, dropped)
-    assert len(pts) < 0.9 * count
-    assert np.array_equal(pts, ref_pts)
-    assert d_min == ref_min
+    reach = 1.05 * 2.0 / kappa
+    least = math.sqrt(cx._least_d2(count, reach))
+    assert least == _kdtree_min_distance(fibonacci_sphere(count))
+    assert least < 0.95 * 2.0 / kappa
+    assert cx._least_d2(count, 0.5 * least) == math.inf
 
 
 def _one_shot_fibonacci(count):
@@ -132,21 +125,6 @@ def test_blockwise_lattice_is_bit_identical_to_the_whole_array():
     count = 3 * cx._LATTICE_BLOCK + 17
     whole = _one_shot_fibonacci(count)
     assert np.array_equal(fibonacci_sphere(count), whole)
-    dropped = np.array([0, 5, cx._LATTICE_BLOCK - 1, cx._LATTICE_BLOCK, count - 1])
-    assert np.array_equal(fibonacci_sphere(count, dropped),
-                          np.delete(whole, dropped, axis=0))
-
-
-def _sorted_pairs(pairs):
-    i, j, d2 = pairs
-    order = np.lexsort((j, i))
-    return i[order], j[order], d2[order]
-
-
-def _streamed(count, min_d, block, monkeypatch):
-    monkeypatch.setattr(cx, "_LATTICE_BLOCK", block)
-    return (_sorted_pairs(cx._close_pairs(count, 1.05 * min_d)),
-            _thinned_fibonacci(count, min_d))
 
 
 @pytest.mark.parametrize("oversize", [1.0, 1.2])
@@ -155,13 +133,12 @@ def test_streamed_certificate_does_not_depend_on_the_block(monkeypatch, kappa, o
     # a prime block cuts the lattice at arbitrary indices, within the
     # reach of the largest offset
     count = int(oversize * _lattice_count(kappa))
-    pairs, (dropped, d_min) = _streamed(count, 2.0 / kappa, 9_973, monkeypatch)
-    one_pairs, (one_dropped, one_min) = _streamed(count, 2.0 / kappa, count, monkeypatch)
-    for got, want in zip(pairs, one_pairs):
-        assert np.array_equal(got, want)
-    assert np.array_equal(dropped, one_dropped)
-    assert d_min == one_min
-    assert (len(dropped) > 0.1 * count) == (oversize > 1.0)
+    reach = 1.05 * 2.0 / kappa
+    monkeypatch.setattr(cx, "_LATTICE_BLOCK", 9_973)
+    least = cx._least_d2(count, reach)
+    monkeypatch.setattr(cx, "_LATTICE_BLOCK", count)
+    assert least == cx._least_d2(count, reach)
+    assert (math.sqrt(least) < 2.0 / kappa) == (oversize > 1.0)
 
 
 def test_lattice_count_reads_no_coordinates():
@@ -182,8 +159,7 @@ def test_lattice_points_peak_is_within_its_estimate(oversize):
     # in 11 blocks; tracemalloc gives 24 B per output point and at most
     # 65 B per point of one block (kappa 10-2560), 72 B with a 10% margin
     count = int(oversize * _lattice_count(543.0))
-    dropped, d_min = _thinned_fibonacci(count, 2.0 / 543.0)
-    packed = PackedPoints(3, 543.0, None, d_min, lattice=count, dropped=dropped)
+    packed = PackedPoints(3, 543.0, None, 2.0 / 543.0, lattice=count)
     tracemalloc.start()
     try:
         points = packed.points
@@ -209,6 +185,36 @@ def test_certified_minimum_is_the_brute_force_minimum(kappa):
     packed = pack_points(3, kappa)
     assert packed.min_distance >= 2.0 / kappa
     assert packed.min_distance == _brute_force_min_distance(packed.points)
+
+
+def test_shrunk_lattice_is_the_largest_certified_one(monkeypatch):
+    # a lattice sized 12% too large must shrink, point by point, to the
+    # largest lattice whose minimum is at least 2/kappa
+    kappa = 20.0
+    monkeypatch.setattr(cx, "FIB_MIN_DIST", 1.06 * FIB_MIN_DIST)
+    packed = pack_points(3, kappa)
+    assert packed.count < int((cx.FIB_MIN_DIST * kappa / 2.0) ** 2 * 0.999)
+    assert packed.min_distance == _brute_force_min_distance(packed.points)
+    assert packed.min_distance >= 2.0 / kappa
+    assert math.sqrt(cx._least_d2(packed.count + 1, 2.1 / kappa)) < 2.0 / kappa
+
+
+@pytest.mark.parametrize("kappa, thinned, count", [
+    (1.30, 2, 3), (2.51, 13, 14), (3.3, 24, 25), (5.53, 71, 72)])
+def test_small_kappa_lattice_keeps_no_fewer_points(kappa, thinned, count):
+    # where the lattice sized from FIB_MIN_DIST is too dense, the largest
+    # certified lattice holds one point more than thinning it left
+    packed = pack_points(3, kappa)
+    assert packed.count == count >= thinned
+    assert _brute_force_min_distance(packed.points) >= 2.0 / kappa
+
+
+def test_two_point_lattice_before_the_antipodal_pair():
+    # at kappa = 1.13 the three-point lattice is too dense, the two-point
+    # one is 1.899 apart, above 2/kappa = 1.770
+    packed = pack_points(3, 1.13)
+    assert packed.count == 2 and packed.lattice == 2
+    assert packed.min_distance == _brute_force_min_distance(packed.points) >= 2.0 / 1.13
 
 
 def _ring_points(n, kappa):
@@ -325,11 +331,10 @@ def test_grid_check_follows_the_work_limit(monkeypatch, memory):
     # machine's memory, also by total_mean_curvature before it packs;
     # the lattices are given, not packed
     def dented(kappa):
-        lattice = PackedPoints(3, kappa, None, 2.0 / kappa, lattice=2,
-                               dropped=np.zeros(0, dtype=np.int64))
+        lattice = PackedPoints(3, kappa, None, 2.0 / kappa, lattice=2)
         return build_counterexample(3, 0.3, kappa, centers=lattice)
     monkeypatch.setattr(cx, "build_grid", _raise_past_budget)
-    monkeypatch.setattr(cx, "_close_pairs", _raise_past_budget)
+    monkeypatch.setattr(cx, "_least_d2", _raise_past_budget)
     _report_memory(monkeypatch, memory)
     with pytest.raises(_PastBudget):
         total_mean_curvature_grid(dented(543.0))
@@ -346,7 +351,7 @@ def test_lattice_count_follows_the_work_limit(monkeypatch, memory):
     # the kappa = 5120 lattice (62.6M points) is let through to the count,
     # which is stubbed out, and kappa = 10240 (250M points) is refused
     # fast, whatever the machine's memory
-    monkeypatch.setattr(cx, "_close_pairs", _raise_past_budget)
+    monkeypatch.setattr(cx, "_least_d2", _raise_past_budget)
     _report_memory(monkeypatch, memory)
     with pytest.raises(_PastBudget):
         pack_points(3, 5120.0)

@@ -49,6 +49,17 @@ def test_integration_by_parts_zonal():
         assert abs(integration_by_parts_residual(prof)) < 1e-8
 
 
+@pytest.mark.parametrize("seed", [0, 7, 41])
+def test_random_field_is_scaled_by_the_c1_norm_of_its_field_data(grid, seed):
+    # the scale reads only values and gradient, but gives the bits of the
+    # C^1 norm of the full field data (values, gradient and Hessian)
+    u = random_c1_field(3, 0.1, seed=seed, grid=grid)
+    f = fields.random_band_limited(grid, 12, np.random.default_rng(seed))
+    want = fields_affine(f, 0.1 / cubic._field_data(f).c1_norm(), 0.0)
+    assert np.array_equal(u.values, want.values)
+    assert np.array_equal(u.coeffs, want.coeffs)
+
+
 def test_zonal_eigenvalues_match_1d_formula(grid):
     rng = np.random.default_rng(7)
     c = np.zeros(11)
