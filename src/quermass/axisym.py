@@ -390,10 +390,6 @@ def lift_to_sphere(profile: AxialProfile, grid):
     return synthesize(full, grid)
 
 
-_CROSSING_STEPS = 64    # Newton or bisection steps per crossing of two nodes
-_CROSSING_TOL = 1e-15   # relative to 1 + |offset|: the last Newton step
-
-
 def _section_rows(theta: np.ndarray, V: np.ndarray, Vd: np.ndarray) -> tuple:
     """(y, nu) as (2, M) rows of the meridian section along theta.
 
@@ -413,59 +409,27 @@ def _section_rows(theta: np.ndarray, V: np.ndarray, Vd: np.ndarray) -> tuple:
             np.array([(cos + v * sin) / s, (sin - v * cos) / s]))
 
 
-def _deviation_slope(nu1, nu2, a1, p2, offset):
-    """(d, d') of one node at the offset: the normal_deviation form, and
-    d' = g'/(2d) with g = d^2 (0 at d = 0)."""
-    p1 = a1 - offset
-    rho = math.sqrt(p1 * p1 + p2 * p2)
-    d = math.sqrt((nu1 * rho - p1) ** 2 + (nu2 * rho - p2) ** 2) / rho
-    return d, (p2 * (nu1 * p2 - nu2 * p1) / (rho**3 * d) if d > 0.0 else 0.0)
-
-
-def _crossing(y, nu, r: int, f: int, x: float, lo: float, hi: float) -> float:
+def _crossing(y, nu, r: int, f: int, lo: float, hi: float) -> float:
     """The offset in [lo, hi] where the rising node r and the falling node f deviate alike.
 
-    On the stretch where r rises and f falls, h = d_r - d_f increases
-    through its one root; left of the stretch the root lies to the right,
-    and right of it to the left.  lo or hi is returned when the root lies
-    beyond it; otherwise Newton's method on h runs from x (lo or hi) until
-    its step is within _CROSSING_TOL, and a step that leaves the bracket of
-    the signs seen bisects it instead.
+    Read as complex numbers, a node deviates by 2|sin(t/2)|, t the angle
+    from its normal nu to p = y - x, and t grows with the offset x.  So
+    d_r = d_f where t_r + t_f = 0: where Pi(x) = p_r conj(nu_r) p_f conj(nu_f)
+    is real and positive.  Im Pi = 0 is a quadratic in x (linear when its
+    x^2 coefficient vanishes), solved in the stable form; its other root
+    has t_r + t_f = +-pi and Re Pi < 0.  The root is clipped to the bracket.
     """
-    rise, fall = ((float(nu[0, i]), float(nu[1, i]), float(y[0, i]), float(y[1, i]))
-                  for i in (r, f))
-
-    def h(y):
-        """(sign-carrying h, Newton step) at y."""
-        d_r, s_r = _deviation_slope(*rise, y)
-        d_f, s_f = _deviation_slope(*fall, y)
-        if s_r <= 0.0:
-            return -1.0, math.nan
-        if s_f >= 0.0:
-            return 1.0, math.nan
-        return d_r - d_f, (d_r - d_f) / (s_r - s_f)
-
-    if h(lo)[0] >= 0.0:
-        return lo
-    if h(hi)[0] <= 0.0:
-        return hi
-    for _ in range(_CROSSING_STEPS):
-        g, step = h(x)
-        if g == 0.0:
-            return x
-        if g < 0.0:
-            lo = x
-        else:
-            hi = x
-        nxt = x - step
-        if lo <= nxt <= hi and abs(step) <= _CROSSING_TOL * (1.0 + abs(x)):
-            return nxt
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if nxt in (lo, hi):
-                return nxt
-        x = nxt
-    return x
+    y_r, y_f = complex(y[0, r], y[1, r]), complex(y[0, f], y[1, f])
+    A = complex(nu[0, r], -nu[1, r]) * complex(nu[0, f], -nu[1, f])
+    # Im Pi(x) = a x^2 + b x + c for Pi(x) = A (y_r - x)(y_f - x)
+    a, b, c = A.imag, -(A * (y_r + y_f)).imag, (A * y_r * y_f).imag
+    if a == 0.0:
+        roots = (-c / b,)
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(max(b * b - 4.0 * a * c, 0.0)), b))
+        roots = (q / a, c / q)
+    x = max(roots, key=lambda x: (A * (y_r - x) * (y_f - x)).real)
+    return min(max(x, lo), hi)
 
 
 def _tops(dev: np.ndarray, rising: np.ndarray) -> tuple:
@@ -491,12 +455,12 @@ def _crossing_search(y, nu, seed: float) -> tuple:
     A full pass at x (geometry.normal_deviation on every node) finds the
     top rising node r and falling node f and moves the end of the bracket,
     first the seed +- _CENTER_BOX, on the side of the larger to x.  The
-    next x is the crossing of d_r and d_f in the bracket (_crossing), or
-    the bracket's midpoint where that offset has had its pass.  The search
-    stops when a pass returns the pair whose crossing it ran at, after
-    _MAX_PASSES, or at once when the seed's deviation is at most
-    _FLAT_DEVIATION.  The value at every x is the max of its pass; the
-    seed is kept whenever it is no worse.
+    next x is the exact crossing of d_r and d_f, a quadratic's root,
+    clipped to the bracket (_crossing), or the bracket's midpoint where
+    that offset has had its pass.  The search stops when a pass returns
+    the pair whose crossing it ran at, after _MAX_PASSES, or at once when
+    the seed's deviation is at most _FLAT_DEVIATION.  The value at every
+    x is the max of its pass; the seed is kept whenever it is no worse.
     """
     lo, hi = seed - _CENTER_BOX, seed + _CENTER_BOX
     # a node's squared deviation g rises with the offset where its slope
@@ -525,7 +489,7 @@ def _crossing_search(y, nu, seed: float) -> tuple:
         elif f is None:
             nxt = lo
         else:
-            nxt = _crossing(y, nu, r, f, x, lo, hi)
+            nxt = _crossing(y, nu, r, f, lo, hi)
         aimed = r, f
         if nxt in seen:
             nxt, aimed = 0.5 * (lo + hi), None

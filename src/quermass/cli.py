@@ -28,6 +28,9 @@ from quermass.config import DENT_CROSS_CHECK_REL
 from quermass.reporting import (DEFICIT_COLUMNS, echo_config, write_csv,
                                 write_json)
 
+# the grid of counterexample --mesh when --resolution is omitted
+_MESH_RESOLUTION = 128
+
 # deficits --which: name -> function in quermass.deficits
 _DEFICITS = {"minkowski": "minkowski_deficit",
              "volumetric": "volumetric_minkowski_deficit",
@@ -47,6 +50,14 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
+
+
+def float_or_inf(text: str) -> float:
+    """A number, inf included (kappa_max's "no cap"); nan is refused."""
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a number")
     return value
 
 
@@ -70,7 +81,7 @@ OPTIONS = {
     "--n": {"type": int}, "--resolution": {"type": int}, "--count": {"type": int},
     "--eps": {"type": float}, "--seed": {"type": int}, "--lambda-cut": {"type": float},
     "--degree-cap": {"type": int}, "--restarts": {"type": int},
-    "--kappa": {"type": finite_float}, "--kappa-max": {"type": float},
+    "--kappa": {"type": finite_float}, "--kappa-max": {"type": float_or_inf},
     "--sweep": {"type": kappa_list, "help": "comma list of kappa values"},
     "--mesh": {"action": "store_true", "help": "also write counterexample.obj (n = 3 only)"},
     "--which": {"type": deficit_list, "help": "all, or a comma list of "
@@ -134,7 +145,7 @@ COMMANDS = {
          # read by nothing: the benchmark passes --seed to every command
          "--seed": "seed"},
         {"--n": 3, "--eps": 0.3, "--kappa": None, "--sweep": None, "--kappa-max": 1e5,
-         "--mesh": False, "--resolution": 128, "--seed": None,
+         "--mesh": False, "--resolution": None, "--seed": None,
          "--tolerance dent_cross_check_rel": DENT_CROSS_CHECK_REL},
         one_of=("--kappa", "--sweep")),
     "conjecture": Command("search for extremals of the gradient-energy ratio",
@@ -223,10 +234,14 @@ def cmd_verify(args) -> int:
 def cmd_counterexample(args) -> int:
     if args.mesh and args.n != 3:
         raise ValueError(f"--mesh exports the dented sphere of n = 3 only, got --n {args.n}")
+    if args.resolution is not None and not args.mesh:
+        raise ValueError("--resolution sets the grid of --mesh; it is read only with --mesh")
     from quermass import counterexample as cx
     if args.mesh:       # built first, so that a kappa or resolution it refuses writes nothing
         from quermass.grids import build_grid
         kappa = args.kappa or 20.0
+        if args.resolution is None:
+            args.resolution = _MESH_RESOLUTION
         cx.check_points(kappa)      # before the packing, which can take seconds
         mesh = cx.build_counterexample(args.n, args.eps, kappa).on_grid(
             build_grid(3, args.resolution))

@@ -96,11 +96,12 @@ def _float_if_scalar(total):
 class FullSphereBackend(_Backend):
     """n = 3 full harmonic basis on a Gauss x equiangular grid.
 
-    The transforms multiply all fields of a call in one matmul as wide
-    as their batch, and BLAS may sum a wider product in another order,
-    so a batch runs one transform per row.  That costs time: at L = 12
-    and 8 rows one batched chart pass takes about 22 us per row against
-    47 us for the row loop (2 cores, BLAS on one thread).
+    ascent_fields synthesizes the whole stack of pairs in one
+    sh_chart_derivatives call, each row bit for bit as a call on it
+    alone with OpenBLAS 0.3.31 (Haswell kernels), which a test pins on
+    both sides of harmonics.DENSE_PHI_ROWS.  project keeps one analysis
+    per row: there a batched call rounds the rows of a three-field
+    stack otherwise than per-row calls do.
     """
 
     name = "full"
@@ -121,12 +122,7 @@ class FullSphereBackend(_Backend):
         self.num_coeffs = harmonics.coeff_count(L)
 
     def ascent_fields(self, c):
-        pair = self.pair(c)
-        rows = pair.reshape(-1, 2, pair.shape[-1])
-        d = np.empty((3, len(rows), 2, self.grid.num_nodes))
-        for r, row in enumerate(rows):
-            d[:, r] = harmonics.sh_chart_derivatives(self.grid, row, second=False)
-        u, u_t, u_p = d.reshape((3,) + pair.shape[:-1] + (-1,))
+        u, u_t, u_p = harmonics.sh_chart_derivatives(self.grid, self.pair(c), second=False)
         g_p = u_p / self.sin_theta
         t0, t1, p0, p1 = u_t[..., 0, :], u_t[..., 1, :], g_p[..., 0, :], g_p[..., 1, :]
         return u[..., 1, :], t0 * t0 + p0 * p0, t0 * t1 + p0 * p1

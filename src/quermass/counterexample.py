@@ -565,6 +565,8 @@ def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = Non
 def _grid_resolution(kappa: float, resolution: int | None = None) -> int:
     """The resolution of the dense-grid check, by default about 13 polar
     nodes per dent radius; MemoryBudgetError above WORK_LIMIT nodes."""
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     if resolution is None:
         # even multiples of kappa can beat against the dent lattice and
         # inflate the quadrature error
@@ -627,6 +629,8 @@ def find_negative_mean_curvature(n: int, eps: float, threshold: float = -1.0,
     reason when kappa_max is passed or the next packing would exceed
     WORK_LIMIT (the history then ends at the last kappa within it).
     """
+    if math.isnan(kappa_max):
+        raise ValueError("kappa_max is nan; pass inf for no cap")
     history = []
     kappa = float(kappa_start)
     reason = f"kappa exceeds kappa_max = {kappa_max:g}"

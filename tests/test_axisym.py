@@ -415,6 +415,110 @@ def test_screen_keeps_every_node_at_the_ball(n, monkeypatch):
     assert certificate.full_passes == 1
 
 
+def _pair_gap(y, nu, r, f, x):
+    """d_r - d_f at the offset x, or -1 left of the stretch where r rises
+    and f falls and +1 right of it: the side the crossing lies on."""
+    cols = [r, f]
+    p1, p2 = y[0, cols] - x, y[1, cols]
+    slopes = p2 * (nu[0, cols] * p2 - nu[1, cols] * p1)
+    if slopes[0] <= 0.0:
+        return -1.0
+    if slopes[1] >= 0.0:
+        return 1.0
+    d_r, d_f = geometry.normal_deviation(y[:, cols], nu[:, cols], np.array([x, 0.0]))
+    return float(d_r - d_f)
+
+
+def _bisected_crossing(y, nu, r, f, lo, hi):
+    """The crossing by bisection on _pair_gap: lo or hi when it lies beyond
+    that end, else the end of the last bracket with the smaller |gap|."""
+    if _pair_gap(y, nu, r, f, lo) >= 0.0:
+        return lo
+    if _pair_gap(y, nu, r, f, hi) <= 0.0:
+        return hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _pair_gap(y, nu, r, f, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda x: abs(_pair_gap(y, nu, r, f, x)))
+
+
+def assert_crossing_matches_bisection(y, nu, r, f, lo, hi):
+    x = axisym._crossing(y, nu, r, f, lo, hi)
+    oracle = _bisected_crossing(y, nu, r, f, lo, hi)
+    if oracle in (lo, hi):
+        assert x == oracle
+    else:
+        assert lo <= x <= hi
+        # d_r - d_f carries up to four ulps of 1 at each of the two offsets
+        gap = abs(_pair_gap(y, nu, r, f, x))
+        assert gap <= abs(_pair_gap(y, nu, r, f, oracle)) + 2.0 * FOUR_ULPS
+    return x
+
+
+def _crossing_pair(x0, t, phi_r, phi_f, rho_r, rho_f, tilt=None):
+    """Section rows (y, nu) of two nodes that cross at the offset x0: seen
+    from (x0, 0) they lie at angles phi_r and phi_f, and their normals are
+    turned from there by -t and +t.  A tilt instead takes nu_f as the
+    mirror image -conj(nu_r) of nu_r turned by tilt (and places y_f to
+    match): the x^2 coefficient of the crossing is 0 at tilt 0, and
+    about tilt when it is small."""
+    nu_r = np.exp(1j * (phi_r - t))
+    if tilt is None:
+        nu_f = np.exp(1j * (phi_f + t))
+    else:
+        nu_f = -np.conj(nu_r) * np.exp(1j * tilt)
+        phi_f = np.angle(nu_f) - t
+    y = x0 + np.array([rho_r * np.exp(1j * phi_r), rho_f * np.exp(1j * phi_f)])
+    return (np.array([y.real, y.imag]), np.array([[nu_r.real, nu_f.real],
+                                                    [nu_r.imag, nu_f.imag]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x0=st.floats(-0.5, 0.5), t=st.floats(1e-6, 1.0),
+       phi_r=st.floats(0.05, math.pi - 0.05), phi_f=st.floats(0.05, math.pi - 0.05),
+       rho_r=st.floats(0.5, 1.5), rho_f=st.floats(0.5, 1.5),
+       left=st.floats(1e-3, 0.3), right=st.floats(1e-3, 0.3),
+       tilt=st.sampled_from([None, 0.0, 1e-10, -1e-8]))
+def test_crossing_matches_bisection_on_random_pairs(x0, t, phi_r, phi_f, rho_r, rho_f,
+                                                   left, right, tilt):
+    y, nu = _crossing_pair(x0, t, phi_r, phi_f, rho_r, rho_f, tilt)
+    assume(np.all(y[1] > 0.0))
+    if tilt == 0.0:
+        # the x^2 coefficient Im(conj(nu_r) conj(nu_f)) is exactly 0
+        assert nu[0, 0] * nu[1, 1] + nu[1, 0] * nu[0, 1] == 0.0
+    x = assert_crossing_matches_bisection(y, nu, 0, 1, x0 - left, x0 + right)
+    assert abs(x - x0) <= 1e-12
+    # brackets wholly right and left of the crossing: the end nearer to it
+    for lo, hi, end in ((x0 + left, x0 + left + right, x0 + left),
+                        (x0 - left - right, x0 - left, x0 - left)):
+        assert axisym._crossing(y, nu, 0, 1, lo, hi) == end
+        assert _bisected_crossing(y, nu, 0, 1, lo, hi) == end
+
+
+@pytest.mark.parametrize("kappa", [5.0, 20.0, 80.0, 320.0])
+@pytest.mark.parametrize("n", [3, 5])
+def test_crossing_matches_bisection_on_dent_sections(n, kappa, monkeypatch):
+    # every crossing the search of a dent's eps_size asks for, at the pairs
+    # and brackets of its passes
+    calls = []
+    exact = axisym._crossing
+
+    def spy(*args):
+        calls.append(args)
+        return exact(*args)
+    monkeypatch.setattr(axisym, "_crossing", spy)
+    K = AxialDomain(make_bump(kappa, 0.3).axial_profile(n))
+    for D in (K, K.scaled(1.1), K.scaled(0.7)):
+        D.eps_size()
+    monkeypatch.undo()
+    assert len(calls) >= 3
+    for args in calls:
+        assert_crossing_matches_bisection(*args)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([3, 4, 6]), radius=st.floats(0.1, 10.0))
 def test_ball_deviations_are_rounding_level_for_both_kinds(n, radius):

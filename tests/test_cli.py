@@ -316,6 +316,20 @@ def test_counterexample_refuses_a_kappa_that_is_not_finite(argv, tmp_path, capsy
     assert not out.exists()
 
 
+def test_counterexample_resolution_is_the_mesh_grid_128_by_default(tmp_path):
+    # unread without --mesh, so echoed as null; a mesh that omits it is
+    # built at 128; --kappa-max inf is "no cap"
+    out = tmp_path / "zonal"
+    assert main(["counterexample", "--n", "4", "--kappa", "4", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["resolution"] is None
+    out = tmp_path / "mesh"
+    assert main(["counterexample", "--kappa", "4", "--mesh", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["resolution"] == 128
+    assert (out / "counterexample.obj").read_text().count("\nv ") >= 128 * 256
+    args = build_parser().parse_args(["counterexample", "--sweep", "4", "--kappa-max", "inf"])
+    assert args.kappa_max == math.inf
+
+
 @pytest.mark.parametrize("as_values", [False, True], ids=["zonal_coeffs", "theta_nodes"])
 def test_functionals_reads_an_axial_profile_at_the_given_resolution(as_values, tmp_path):
     from quermass.axisym import AxialDomain, AxialProfile
@@ -607,6 +621,10 @@ def test_options_once_dropped_exit_2(command, option, ball_file, tmp_path, capsy
     (["conjecture", "--amplitude-cap", "1"], "conjecture does not read --amplitude-cap;"),
     (["functionals", "BALL", "--format", "json"], "functionals does not read --format;"),
     (["functionals", "BALL", "extra.json"], "functionals does not read extra.json;"),
+    (["counterexample", "--sweep", "4,8", "--kappa-max", "nan"],
+     "argument --kappa-max: nan is not a number"),
+    (["counterexample", "--n", "4", "--kappa", "4", "--resolution", "7"],
+     "--resolution sets the grid of --mesh; it is read only with --mesh"),
 ])
 def test_refusals_exit_2_before_writing(argv, says, ball_file, tmp_path, capsys):
     argv = [str(ball_file) if a == "BALL" else a for a in argv]

@@ -221,6 +221,22 @@ def test_lockstep_search_is_byte_identical_to_the_serial_loop(n, cap, restarts, 
     assert out["best"].meta["gradient_check_max_rel"] == max(checks)
 
 
+@pytest.mark.parametrize("L", [harmonics.DENSE_PHI_ROWS // 2 - 1, harmonics.DENSE_PHI_ROWS // 2])
+@pytest.mark.parametrize("rows", [2, 3, 8, 20])
+def test_full_sphere_ascent_batch_is_bit_for_bit_the_row_calls(L, rows):
+    # one chart pass for the whole stack of pairs, on both sides of the
+    # dense/FFT crossover of the phi stage, gives every row as a call on
+    # it alone
+    backend = make_backend(3, L)
+    dense = "phi" in harmonics.sh_tables_for_grid(backend.grid, L)
+    assert dense == (2 * (L + 1) <= harmonics.DENSE_PHI_ROWS)
+    C = np.random.default_rng(L + rows).standard_normal((rows, backend.num_coeffs))
+    batched = backend.ascent_fields(C)
+    for r in range(rows):
+        for field, alone in zip(batched, backend.ascent_fields(C[r])):
+            assert field[r].tobytes() == alone.tobytes()
+
+
 def test_lockstep_cases_include_restarts_that_stop_apart():
     """The serial loop stops these restarts at different steps and weights."""
     taken = [_serial_search(*case)[2] for case in LOCKSTEP_CASES[-2:]]

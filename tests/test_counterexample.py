@@ -403,6 +403,24 @@ def test_degenerate_profile_is_ball():
     assert out["int_H"] > 0
 
 
+@pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+def test_a_kappa_that_is_not_finite_is_refused_by_name(kappa):
+    # a ValueError that names kappa, before the grid check's resolution
+    # is rounded up (math.ceil of inf overflowed)
+    for call in (lambda: cx.check_points(kappa),
+                 lambda: cx.total_mean_curvature(3, 0.3, kappa, method="both"),
+                 lambda: cx.total_mean_curvature(3, 0.3, kappa)):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            call()
+
+
+def test_kappa_max_nan_is_refused_and_inf_is_no_cap():
+    with pytest.raises(ValueError, match="kappa_max is nan"):
+        find_negative_mean_curvature(3, 0.3, kappa_max=math.nan)
+    out = find_negative_mean_curvature(4, 0.3, kappa_start=640.0, kappa_max=math.inf)
+    assert out["found"] and out["kappa_star"] == 2560.0
+
+
 def test_single_dent_matches_axial_lift():
     kappa, eps, n = 20.0, 0.3, 3
     bump = make_bump(kappa, eps)
