@@ -308,8 +308,9 @@ def axial_functionals(profile: AxialProfile) -> Functionals:
     n = profile.n
     theta, w = profile.quadrature_rule()
     V, grad2, H, S = _shape(profile, theta)
+    # S is diagonal in the zonal frame: its sorted diagonal is its spectrum
     out = radial_functionals(n, float(np.sum(w * (1.0 + V) ** n / n)), w, V,
-                             grad2, H, np.linalg.eigvalsh(S))
+                             grad2, H, np.sort(np.diagonal(S, axis1=1, axis2=2), axis=1))
     if out.min_principal_curvature >= 0.0:
         return out          # no field is negative at a node
     G = _kinked(H, S)
@@ -457,10 +458,13 @@ def _crossing_search(y, nu, seed: float) -> tuple:
     first the seed +- _CENTER_BOX, on the side of the larger to x.  The
     next x is the exact crossing of d_r and d_f, a quadratic's root,
     clipped to the bracket (_crossing), or the bracket's midpoint where
-    that offset has had its pass.  The search stops when a pass returns
-    the pair whose crossing it ran at, after _MAX_PASSES, or at once when
-    the seed's deviation is at most _FLAT_DEVIATION.  The value at every
-    x is the max of its pass; the seed is kept whenever it is no worse.
+    that offset has had its pass.  With no rising node the next x is the
+    upper end; with no falling node, or an on-axis f (y2 = 0, its
+    deviation the same at every offset), the lower end.  The search
+    stops when a pass returns the pair whose crossing it ran at, after
+    _MAX_PASSES, or at once when the seed's deviation is at most
+    _FLAT_DEVIATION.  The value at every x is the max of its pass; the
+    seed is kept whenever it is no worse.
     """
     lo, hi = seed - _CENTER_BOX, seed + _CENTER_BOX
     # a node's squared deviation g rises with the offset where its slope
@@ -486,7 +490,7 @@ def _crossing_search(y, nu, seed: float) -> tuple:
             lo = x
         if r is None:
             nxt = hi
-        elif f is None:
+        elif f is None or not off_axis[f]:
             nxt = lo
         else:
             nxt = _crossing(y, nu, r, f, lo, hi)

@@ -46,8 +46,11 @@ class _Backend:
     ascent step from a single pass over the stacked pair [c, -lam c];
     the single-field accessors read from it.  The node-data methods
     take a leading batch axis, (R, K) coefficients -> (R, N) values and
-    (R, N) values -> (R, K) or (R,), and give every row bit for bit as a
-    call on that row alone; the sup norms take one vector.
+    (..., N) values -> (..., K) or (...,); the sup norms take one vector.
+    ascent_fields gives every row bit for bit as a call on that row
+    alone, and so does project on an (R, F, N) stack of F fields per
+    row (FullSphereBackend through a per-row loop); one (F, N) stack
+    projected at once may round its fields otherwise than F calls.
     resolution is the grid resolution the backend was built at, its
     default resolved.
     """
@@ -100,7 +103,7 @@ class FullSphereBackend(_Backend):
     sh_chart_derivatives call, each row bit for bit as a call on it
     alone with OpenBLAS 0.3.31 (Haswell kernels), which a test pins on
     both sides of harmonics.DENSE_PHI_ROWS.  project keeps one analysis
-    per row: there a batched call rounds the rows of a three-field
+    per row: there a batched call rounds the rows of a multi-field
     stack otherwise than per-row calls do.
     """
 
@@ -289,13 +292,12 @@ def _objective(backend: _Backend, C: np.ndarray, mu: float):
     return num / den - mu * pen, (lap, g2, gdg, hinge, den, num)
 
 
-def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
-    """The objective and its coefficient gradient.
-
-    c is one vector (K,) -> (float, (K,)) or a batch (R, K) -> ((R,), (R, K)),
-    every row as it would come alone.
-    """
-    value, (lap, g2, gdg, hinge, den, num) = _objective(backend, np.atleast_2d(c), mu)
+def _gradient(backend: _Backend, parts: tuple, mu: float) -> np.ndarray:
+    """(R, K) coefficient gradients of the objective from the (R, ...) node
+    fields and integrals that _objective returned for those rows, each row
+    as it would come alone: one projection of the rows' (R, 4, N) stack,
+    which every backend's project keeps row by row."""
+    lap, g2, gdg, hinge, den, num = parts
     lam = backend.eigenvalues
     # dN/dc_b = -lam_b <Y_b, |grad u|^2> - 2 <Y_b, grad(lap u).grad u + lap(u)^2>
     p_g2, p_mixed, p_lap, p_hinge = backend.project(
@@ -305,7 +307,17 @@ def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
     gP = -2.0 * lam * p_hinge
     # Python's float power: it rounds den**2 otherwise than den * den does
     den2 = np.array([d ** 2 for d in den.tolist()])[:, None]
-    grad = (gN * den[:, None] - num[:, None] * gD) / den2 - mu * gP
+    return (gN * den[:, None] - num[:, None] * gD) / den2 - mu * gP
+
+
+def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
+    """The objective and its coefficient gradient.
+
+    c is one vector (K,) -> (float, (K,)) or a batch (R, K) -> ((R,), (R, K)),
+    every row as it would come alone.
+    """
+    value, parts = _objective(backend, np.atleast_2d(c), mu)
+    grad = _gradient(backend, parts, mu)
     if np.ndim(c) == 1:
         return float(value[0]), grad[0]
     return value, grad
@@ -356,9 +368,14 @@ def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None
     All rows step in lockstep, one batched objective call per step for
     the rows still climbing.  A row's step grows by 1.25 on an accepted
     trial and halves on a rejected one; the row stops when its gradient
-    norm or its step falls below 1e-12.
+    norm or its step falls below 1e-12.  Gradients are taken only where
+    they are used: once for every row at the start, then after each
+    step for the rows that accepted their trial, from the node fields
+    of its objective call (one projection when some row accepts, none
+    when all reject).
     """
-    val, grad = _objective_and_gradient(backend, C, mu)
+    val, parts = _objective(backend, C, mu)
+    grad = _gradient(backend, parts, mu)
     step = np.full(len(C), 0.05)
     rows, c = np.arange(len(C)), C.copy()     # the climbing rows and their state
     for _ in range(iterations):
@@ -372,12 +389,11 @@ def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None
             if rows.size == 0:
                 return
         trial = c + step[:, None] * grad / gnorm[:, None]
-        tval, tgrad = _objective_and_gradient(backend, trial, mu)
+        tval, tparts = _objective(backend, trial, mu)
         up = tval > val
-        if up.all():
-            c, val, grad = trial, tval, tgrad
-        elif up.any():
-            c[up], val[up], grad[up] = trial[up], tval[up], tgrad[up]
+        if up.any():
+            c[up], val[up] = trial[up], tval[up]
+            grad[up] = _gradient(backend, tuple(p[up] for p in tparts), mu)
         step *= np.where(up, 1.25, 0.5)
     C[rows] = c
 
@@ -408,14 +424,16 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
     (restarts, K) block on the backend's default grid, at the penalty
     weights 1e2, 1e4 and 1e6 in turn, at most `iterations` steps each;
     a restart leaves a weight when its gradient or its step vanishes,
-    and ends bit for bit where it would end climbing alone.  Before the
-    climb, each restart's analytic gradient is checked against central
-    differences with step 1e-7 at its start point; the largest relative
-    error is meta["gradient_check_max_rel"].  Each end point is rescaled
-    onto the constraint set.  Deterministic under the seed.  Returns the
-    best feasible candidate and one row per restart.  basis_cap below 1
-    leaves no nonconstant mode and raises ValueError, as do restarts
-    below 0.
+    and ends bit for bit where it would end climbing alone.  A step
+    takes the gradient only of the restarts that accepted their trial
+    (_climb), so a rejected trial costs one objective pass and no
+    projection.  Before the climb, each restart's analytic gradient is
+    checked against central differences with step 1e-7 at its start
+    point; the largest relative error is meta["gradient_check_max_rel"].
+    Each end point is rescaled onto the constraint set.  Deterministic
+    under the seed.  Returns the best feasible candidate and one row per
+    restart.  basis_cap below 1 leaves no nonconstant mode and raises
+    ValueError, as do restarts below 0.
     """
     if basis_cap < 1:
         raise ValueError(f"basis_cap {basis_cap} leaves no nonconstant mode; "

@@ -13,10 +13,11 @@ AxialProfile (any n >= 3).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from quermass import fields
+from quermass import fields, geometry
 from quermass.config import CUBIC_SLACK, default_frequency_cutoff
 from quermass.fields import ScalarField
 
@@ -76,6 +77,13 @@ def volumetric_pair(n: int) -> NonlinearityPair:
 
 @dataclasses.dataclass
 class FieldData:
+    """Per-node derivative data of a field in orthonormal frames.
+
+    grad2 and lap are formed on each read; cubic_form, the Hessian form
+    hess[grad, grad], is formed once per instance as two two-operand
+    contractions, hess.grad and then its dot with grad.
+    """
+
     n: int
     u: np.ndarray
     grad: np.ndarray      # (N, n-1) frame components
@@ -91,9 +99,10 @@ class FieldData:
     def lap(self):
         return np.trace(self.hess, axis1=1, axis2=2)
 
-    @property
+    @functools.cached_property
     def cubic_form(self):
-        return np.einsum("ia,iab,ib->i", self.grad, self.hess, self.grad)
+        return np.einsum("ia,ia->i", self.grad,
+                         np.einsum("iab,ib->ia", self.hess, self.grad))
 
     def c1_norm(self):
         return _c1_norm(self.u, self.grad)
@@ -191,7 +200,7 @@ def eigenvalue_interpolation_check(u) -> dict:
     n-2 Hessian eigenvalues) |grad u|^2; no smallness slack enters."""
     d = _field_data(u)
     lhs = float(np.sum(d.weights * d.cubic_form))
-    eigs = np.linalg.eigvalsh(d.hess)
+    eigs = geometry.symmetric_eigenvalues(d.hess)
     upper_sum = eigs[:, 1:].sum(axis=1)
     rhs = -(1.0 / 3.0) * float(np.sum(d.weights * upper_sum * d.grad2))
     scale = float(np.sum(d.weights * d.grad2)) * max(1.0, float(np.max(np.abs(eigs))))

@@ -56,26 +56,48 @@ def shape_operator_frame(u: np.ndarray, grad_fr: np.ndarray,
                          hess_fr: np.ndarray) -> np.ndarray:
     """Symmetric matrix of the shape operator in an orthonormal frame.
 
-    Built from the first fundamental form g = (1+u)^2 (I + v v^T) and the
-    second fundamental form (1+u)/s (I - W + 2 v v^T) of the radial
-    graph, as S_sym = g^{-1/2} II g^{-1/2}; its eigenvalues are the
-    principal curvatures and its trace is the mean curvature.
+    Built from the first fundamental form g = (1+u)^2 B, B = I + v v^T,
+    and the second fundamental form (1+u)/s (I - W + 2 v v^T) of the
+    radial graph, v = grad u/(1+u), W = hess u/(1+u), s = sqrt(1+|v|^2),
+    as S_sym = g^{-1/2} II g^{-1/2}; its eigenvalues are the principal
+    curvatures and its trace is the mean curvature.  B^{-1/2} is the
+    rank-one update I - gamma v v^T, gamma = 1/(s(1+s)), so with w = W v
+        B^{-1/2} (I + 2 v v^T) B^{-1/2} = I + v v^T/s^2,
+        B^{-1/2} W B^{-1/2} = W - gamma (v w^T + w v^T) + gamma^2 (v.w) v v^T,
+    and S_sym = (I - W + v z^T + z v^T)/((1+u) s) with
+    z = gamma w + (1/s^2 - gamma^2 v.w) v/2.  Nothing divides by |v|,
+    and as gamma |v|^2 < 1 no term grows with |v| only to cancel.
     """
-    N, d = grad_fr.shape
-    opu = (1.0 + u)[:, None]
-    v = grad_fr / opu
+    opu = 1.0 + u
+    v = grad_fr / opu[:, None]
     v2 = np.einsum("ik,ik->i", v, v)
     s = np.sqrt(1.0 + v2)
-    W = hess_fr / opu[:, :, None]
-    eye = np.eye(d)[None, :, :]
-    vvT = v[:, :, None] * v[:, None, :]
-    A = eye - W + 2.0 * vvT
-    # B^{-1/2} for B = I + v v^T: I + (1/s - 1) vhat vhat^T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        hat = np.where(v2[:, None, None] > 1e-300, vvT / v2[:, None, None], 0.0)
-    Bih = eye + (1.0 / s - 1.0)[:, None, None] * hat
-    S = np.einsum("iab,ibc,icd->iad", Bih, A, Bih)
-    return S / ((1.0 + u) * s)[:, None, None]
+    gamma = 1.0 / (s * (1.0 + s))
+    w = np.einsum("iab,ib->ia", hess_fr, v) / opu[:, None]
+    vw = np.einsum("ik,ik->i", v, w)
+    k = 1.0 / (opu * s)
+    # z and the Hessian's term carry the factor k = 1/((1+u) s) already
+    z = (k * gamma)[:, None] * w + (0.5 * k * (1.0 / (1.0 + v2) - gamma * gamma * vw))[:, None] * v
+    M = np.einsum("ia,ib->iab", v, z)
+    S = M + M.transpose(0, 2, 1) - (k / opu)[:, None, None] * hess_fr
+    np.einsum("iaa->ia", S)[...] += k[:, None]      # the diagonal, as a view
+    return S
+
+
+def symmetric_eigenvalues(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack (N, d, d) of symmetric matrices.
+
+    For d = 2 the closed form m -+ hypot((a - c)/2, b) with m = (a + c)/2
+    for [[a, b], [b, c]], b read from the lower triangle as eigvalsh
+    does; hypot scales, so entries near 1e+-150 neither overflow nor
+    underflow.  Other d go to np.linalg.eigvalsh.
+    """
+    if S.shape[-1] != 2:
+        return np.linalg.eigvalsh(S)
+    a, b, c = S[:, 0, 0], S[:, 1, 0], S[:, 1, 1]
+    m = 0.5 * a + 0.5 * c
+    r = np.hypot(0.5 * a - 0.5 * c, b)
+    return np.stack([m - r, m + r], axis=1)
 
 
 def normal_deviation(y: np.ndarray, nu: np.ndarray, center: np.ndarray) -> np.ndarray:

@@ -259,7 +259,7 @@ class StarDomain(RadialGraph):
         hess_fr = fields.hessian_frame(self.profile)
 
         S = geometry.shape_operator_frame(u, grad_fr, hess_fr)
-        eigs = np.linalg.eigvalsh(S)
+        eigs = geometry.symmetric_eigenvalues(S)
         H = np.trace(S, axis1=1, axis2=2)
 
         if check_routes:

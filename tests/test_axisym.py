@@ -519,6 +519,37 @@ def test_crossing_matches_bisection_on_dent_sections(n, kappa, monkeypatch):
         assert_crossing_matches_bisection(*args)
 
 
+def test_crossing_search_steps_past_an_on_axis_falling_node(monkeypatch):
+    # seen from offsets 0.05-0.15, every off-axis node of the n = 3,
+    # kappa = 20, eps = 0.3 dent section rises and the top falling node is
+    # the on-axis node 0, whose deviation does not change with the offset;
+    # the search then steps to the bracket's lower end, as for an empty
+    # falling side, and asks _crossing for no pair with an on-axis node.
+    # Clipping that pair's crossing to the upper end, the visited seed,
+    # and falling back to the midpoint took 4 passes from 0.05-0.09 and 5
+    # from 0.10-0.15
+    prof, theta = make_bump(20.0, 0.3).axial_profile(3), axisym._DEVIATION_THETA
+    y, nu = axisym._section_rows(theta, prof.value(theta), prof.slope(theta))
+    scan = min(float(np.max(geometry.normal_deviation(y, nu, np.array([x, 0.0]))))
+               for x in np.linspace(-0.25, 0.45, 701))
+    pairs = []
+    exact = axisym._crossing
+
+    def spy(y, nu, r, f, lo, hi):
+        pairs.append((r, f))
+        return exact(y, nu, r, f, lo, hi)
+    monkeypatch.setattr(axisym, "_crossing", spy)
+    passes = []
+    for seed in np.linspace(0.05, 0.15, 11):
+        pairs.clear()
+        offset, value, certificate = axisym._crossing_search(y, nu, float(seed))
+        assert pairs and all(y[1, r] > 0.0 and y[1, f] > 0.0 for r, f in pairs)
+        assert value <= scan
+        passes.append(certificate.full_passes)
+    assert sum(passes) < 5 * 4 + 6 * 5
+    assert max(passes) <= 5
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.sampled_from([3, 4, 6]), radius=st.floats(0.1, 10.0))
 def test_ball_deviations_are_rounding_level_for_both_kinds(n, radius):

@@ -237,6 +237,63 @@ def test_full_sphere_ascent_batch_is_bit_for_bit_the_row_calls(L, rows):
             assert field[r].tobytes() == alone.tobytes()
 
 
+def _accepting_steps(backend, c, mu, iterations):
+    """The per-restart climb of one row at one weight, in place: the steps
+    at which it accepted its trial."""
+    val, grad = conjecture._objective_and_gradient(backend, c, mu)
+    step, accepted = 0.05, []
+    for k in range(iterations):
+        gnorm = np.linalg.norm(grad)
+        if min(gnorm, step) < 1e-12:
+            break
+        trial = c + step * grad / gnorm
+        tval, tgrad = conjecture._objective_and_gradient(backend, trial, mu)
+        up = tval > val
+        if up:
+            c[:], val, grad = trial, tval, tgrad
+            accepted.append(k)
+        step *= 1.25 if up else 0.5
+    return accepted
+
+
+@pytest.mark.parametrize("n, cap, restarts, seed, iterations",
+                         [LOCKSTEP_CASES[2], LOCKSTEP_CASES[-2]])
+def test_climb_projects_once_per_weight_and_per_step_some_row_accepts(
+        n, cap, restarts, seed, iterations, monkeypatch):
+    # each weight projects every row's node fields at its start, then after
+    # each step only the rows that accepted their trial, and nothing after
+    # a step that every row rejected
+    backend = make_backend(n, cap)
+    C = np.array([conjecture._start_point(backend, seed + 7919 * r)
+                  for r in range(restarts)])
+    serial = C.copy()
+    projected, passes = [], []
+    exact_project, exact_fields = backend.project, backend.ascent_fields
+
+    def project(values):
+        if np.ndim(values) == 3:    # not FullSphereBackend's calls per row
+            projected.append(len(values))
+        return exact_project(values)
+
+    def ascent_fields(c):
+        passes.append(len(c))
+        return exact_fields(c)
+    rejected_by_all = 0
+    for mu in conjecture._PENALTIES:
+        projected.clear()
+        passes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(backend, "project", project)
+            m.setattr(backend, "ascent_fields", ascent_fields)
+            conjecture._climb(backend, C, mu, iterations)
+        accepted = [_accepting_steps(backend, row, mu, iterations) for row in serial]
+        per_step = [sum(k in a for a in accepted) for k in range(iterations)]
+        assert projected == [restarts] + [count for count in per_step if count]
+        rejected_by_all += len(passes) - len(projected)
+    assert C.tobytes() == serial.tobytes()
+    assert rejected_by_all > 0
+
+
 def test_lockstep_cases_include_restarts_that_stop_apart():
     """The serial loop stops these restarts at different steps and weights."""
     taken = [_serial_search(*case)[2] for case in LOCKSTEP_CASES[-2:]]
