@@ -16,7 +16,10 @@ off its latitude bands, with no search; other grids and arbitrary
 points take the center of largest dot product, in blocks of at most
 _DOT_BLOCK products.  No point inside a support has two equally near
 centers, so the members and their distances do not depend on how the
-nearest center is found.
+nearest center is found.  Every per-grid method fills its members one
+block of _GRID_BLOCK nodes at a time; integrated_mean_curvature sums
+its terms over the members only, in node order within each block, and
+adds the round sphere's value times the weight of the nodes outside.
 
 Overlap is refused on every use, from a proven lower bound on the
 centers' separation where the caller has one (the dented sphere passes
@@ -33,11 +36,9 @@ from quermass.geometry import (POLE_SIN, area_jacobian, mean_curvature_from_scal
                                zonal_laplacian)
 from quermass.grids import SphericalGrid, tangent_frames
 
-# nodes per block when a per-grid method walks the whole grid
-_GRID_BLOCK = 200_000
-# nodes per member block of integrated_mean_curvature: with one chunk of
-# its terms, its working set, which does not grow with the grid
-_MEMBER_BLOCK = 1 << 16
+# nodes per block of a pass over a grid's members: with its terms, the
+# working set of such a pass, which does not grow with the grid
+_GRID_BLOCK = 1 << 16
 # point-center dot products per block of a nearest-center query
 _DOT_BLOCK = 1 << 20
 # below this sin(theta_i) sin(theta_c) the phi-window of row i about a
@@ -126,7 +127,9 @@ class GeodesicRadialField:
 
     def geodesic_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance to the nearest center."""
-        return self._nearest(np.asarray(points, dtype=float))[2]
+        points = np.asarray(points, dtype=float)
+        dots = np.einsum("ij,ij->i", points, self.centers[self._nearest_index(points)])
+        return np.arccos(np.clip(dots, -1.0, 1.0))
 
     def _nearest_index(self, points) -> np.ndarray:
         """Row of the nearest center per unit point: the largest dot product."""
@@ -138,60 +141,39 @@ class GeodesicRadialField:
                                                     axis=1)
         return idx
 
-    def _nearest(self, points):
-        if self._single:
-            centers = np.broadcast_to(self.centers[0], points.shape)
-        else:
-            centers = self.centers[self._nearest_index(points)]
-        dots = np.einsum("ij,ij->i", points, centers)
+    def _members(self, node, points, center=None):
+        """(node, center, dots, d) of the candidate nodes, at points, whose
+        center (a row of self.centers, by default the nearest) is within
+        the support: their dot product dots and geodesic distance d."""
+        if center is None:
+            center = self._nearest_index(points)
+        dots = np.einsum("ij,ij->i", points, self.centers[center])
         d = np.arccos(np.clip(dots, -1.0, 1.0))
-        return centers, dots, d
+        inside = np.flatnonzero(d < self.support)
+        return node[inside], center[inside], dots[inside], d[inside]
 
-    def _point_members(self, points):
-        """(index, centers, dots, d) of the points inside a support."""
-        self._require_disjoint()
-        centers, dots, d = self._nearest(points)
-        idx = np.flatnonzero(d < self.support)
-        return idx, centers[idx], dots[idx], d[idx]
-
-    def grid_members(self, grid: SphericalGrid, block: int, chunk: int | None = None):
+    def grid_members(self, grid: SphericalGrid, block: int = _GRID_BLOCK):
         """Members of the supports among the grid nodes, block by block.
 
         Yields (start, stop, index, center, dots, d) for the node blocks
-        [start, stop) of at most block nodes, in order, none of which
-        straddles a multiple of chunk (when given): index holds the global
-        indices of the block's nodes at geodesic distance d < support
-        from a center, center the row of that center in self.centers and
-        dots its dot product with the node.  The distances are those of
-        the points API (_nearest), bit for bit.  On the n = 3 tensor grid
-        the candidates come from latitude bands (_band_candidates), in
-        O(members) work; other grids take each node's nearest center.
+        [start, stop) of at most block nodes, in order, as _members gives
+        them for the block's nodes within the support of a center: the
+        distances of the points API, bit for bit.  On the n = 3 tensor
+        grid the candidates come from latitude bands (_band_candidates),
+        in O(members) work; other grids take each node's nearest center.
         The coordinates come from grid.points, so the pass builds no node
         array.
         """
         self._require_disjoint()
         N = grid.num_nodes
-        chunk = chunk or N
         bands = self._latitude_bands(grid) if grid.n == 3 else None
-        for first in range(0, N, chunk):
-            last = min(first + chunk, N)
-            for start in range(first, last, block):
-                stop = min(start + block, last)
-                yield (start, stop) + self._block_members(grid, bands, start, stop)
-
-    def _block_members(self, grid, bands, start, stop):
-        """(index, center, dots, d) of grid_members for the nodes [start, stop)."""
-        if bands is None:
-            node = np.arange(start, stop)
-            points = grid.points(node)
-            center = self._nearest_index(points)
-        else:
-            node, center = self._band_candidates(grid, bands, start, stop)
-            points = grid.points(node)
-        dots = np.einsum("ij,ij->i", points, self.centers[center])
-        d = np.arccos(np.clip(dots, -1.0, 1.0))
-        inside = np.flatnonzero(d < self.support)
-        return node[inside], center[inside], dots[inside], d[inside]
+        for start in range(0, N, block):
+            stop = min(start + block, N)
+            if bands is None:
+                node, center = np.arange(start, stop), None
+            else:
+                node, center = self._band_candidates(grid, bands, start, stop)
+            yield (start, stop) + self._members(node, grid.points(node), center)
 
     def _latitude_bands(self, grid: SphericalGrid):
         """Centers in row order, with the rows [first, last) each may reach.
@@ -275,8 +257,7 @@ class GeodesicRadialField:
         return tau
 
     def _gradient(self, points, centers, dots, d):
-        tau = self._tangent_direction(points, centers, dots, d)
-        return self.fd(d)[:, None] * tau
+        return self.fd(d)[:, None] * self._tangent_direction(points, centers, dots, d)
 
     def _hessian(self, points, centers, dots, d):
         """fdd tau tau^T + fd cot(d) (P - tau tau^T) at members."""
@@ -298,92 +279,85 @@ class GeodesicRadialField:
 
     # -- arbitrary points (nearest-center membership) ---------------------------
 
+    def _fill_points(self, points, shape, fill, evaluate):
+        """fill at each unit point, and evaluate(x, center, dots, d) at the
+        points x inside a support, center the coordinates of their centers:
+        one membership query."""
+        points = np.asarray(points, dtype=float)
+        self._require_disjoint()
+        idx, center, dots, d = self._members(np.arange(len(points)), points)
+        out = np.full((len(points),) + shape, fill)
+        out[idx] = evaluate(points[idx], self.centers[center], dots, d)
+        return out
+
     def scalar_invariants(self, points: np.ndarray, n: int):
         """(u, |grad u|^2, lap u, grad^2 u[grad u, grad u]) at points."""
-        points = np.asarray(points, dtype=float)
-        idx, _, _, d = self._point_members(points)
-        out = [np.full(len(points), v) for v in self.outside_invariants()]
-        for arr, val in zip(out, self._invariants(d, n)):
-            arr[idx] = val
-        return tuple(out)
+        out = self._fill_points(points, (4,), self.outside_invariants(),
+                                lambda x, c, dots, d: np.stack(self._invariants(d, n), axis=1))
+        return tuple(out.T)
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        idx, _, _, d = self._point_members(points)
-        out = np.full(len(points), self.offset + 0.0)
-        out[idx] = self.offset + self.f(d)
-        return out
+        return self._fill_points(points, (), self.offset + 0.0,
+                                 lambda x, c, dots, d: self.offset + self.f(d))
 
     def gradient_at(self, points: np.ndarray) -> np.ndarray:
         """Ambient tangential gradient at arbitrary unit vectors."""
-        points = np.asarray(points, dtype=float)
-        idx, centers, dots, d = self._point_members(points)
-        out = np.zeros(points.shape)
-        out[idx] = self._gradient(points[idx], centers, dots, d)
-        return out
+        return self._fill_points(points, np.shape(points)[1:], 0.0, self._gradient)
 
     def hessian_ambient(self, points: np.ndarray) -> np.ndarray:
         """Tangential ambient Hessian: fdd tau tau^T + fd cot(d) (P - tau tau^T)."""
-        points = np.asarray(points, dtype=float)
-        idx, centers, dots, d = self._point_members(points)
-        n = points.shape[1]
-        out = np.zeros((len(points), n, n))
-        out[idx] = self._hessian(points[idx], centers, dots, d)
-        return out
+        n = np.shape(points)[1]
+        return self._fill_points(points, (n, n), 0.0, self._hessian)
 
     # -- ScalarField provider protocol (per-grid, grid_members membership) ------
 
-    def values(self, grid: SphericalGrid) -> np.ndarray:
-        out = np.full(grid.num_nodes, self.offset + 0.0)
-        for _, _, idx, _, _, d in self.grid_members(grid, _GRID_BLOCK):
-            out[idx] = self.offset + self.f(d)
+    def _fill_grid(self, grid, shape, fill, evaluate):
+        """fill at each node of grid, and evaluate(index, center, dots, d) at
+        the members of each grid_members block."""
+        out = np.full((grid.num_nodes,) + shape, fill)
+        for _, _, idx, center, dots, d in self.grid_members(grid):
+            out[idx] = evaluate(idx, center, dots, d)
         return out
+
+    def values(self, grid: SphericalGrid) -> np.ndarray:
+        return self._fill_grid(grid, (), self.offset + 0.0,
+                               lambda idx, c, dots, d: self.offset + self.f(d))
 
     def grad_frame(self, grid: SphericalGrid) -> np.ndarray:
         frames = tangent_frames(grid)
-        out = np.zeros((grid.num_nodes, grid.n - 1))
-        for _, _, idx, center, dots, d in self.grid_members(grid, _GRID_BLOCK):
-            g = self._gradient(grid.nodes[idx], self.centers[center], dots, d)
-            out[idx] = np.einsum("ikj,ij->ik", frames[idx], g)
-        return out
+        return self._fill_grid(grid, (grid.n - 1,), 0.0, lambda idx, c, dots, d: np.einsum(
+            "ikj,ij->ik", frames[idx], self._gradient(grid.nodes[idx], self.centers[c], dots, d)))
 
     def hessian_frame(self, grid: SphericalGrid) -> np.ndarray:
         frames = tangent_frames(grid)
-        out = np.zeros((grid.num_nodes, grid.n - 1, grid.n - 1))
-        for _, _, idx, center, dots, d in self.grid_members(grid, _GRID_BLOCK):
-            F = frames[idx]
-            H = self._hessian(grid.nodes[idx], self.centers[center], dots, d)
-            out[idx] = np.einsum("iaj,ijk,ibk->iab", F, H, F)
-        return out
+
+        def in_frame(idx, c, dots, d):
+            H = self._hessian(grid.nodes[idx], self.centers[c], dots, d)
+            return np.einsum("iaj,ijk,ibk->iab", frames[idx], H, frames[idx])
+        return self._fill_grid(grid, (grid.n - 1, grid.n - 1), 0.0, in_frame)
 
     def laplacian(self, grid: SphericalGrid) -> np.ndarray:
-        out = np.zeros(grid.num_nodes)
-        for _, _, idx, _, _, d in self.grid_members(grid, _GRID_BLOCK):
-            out[idx] = self._invariants(d, grid.n)[2]
-        return out
+        return self._fill_grid(grid, (), 0.0,
+                               lambda idx, c, dots, d: self._invariants(d, grid.n)[2])
 
     def phi_gradient_dot_grad(self, grid: SphericalGrid) -> np.ndarray:
         """grad(phi) . grad(u) for phi = (1+|v|^2)^{-1/2}, analytically."""
-        out = np.zeros(grid.num_nodes)
-        for _, _, idx, _, _, d in self.grid_members(grid, _GRID_BLOCK):
-            out[idx] = self._phi_dot(d)
-        return out
+        return self._fill_grid(grid, (), 0.0, lambda idx, c, dots, d: self._phi_dot(d))
 
-    def integrated_mean_curvature(self, grid: SphericalGrid, chunk: int) -> float:
+    def integrated_mean_curvature(self, grid: SphericalGrid) -> float:
         """Integral of H over the radial graph of the field, in one member pass.
 
-        The terms weight * H * J are summed chunk by chunk, each chunk of
-        chunk nodes in node order, so the result does not depend on how
-        the members were found.  They are filled from member blocks of
-        at most _MEMBER_BLOCK nodes (grid_members): the curvature is
-        evaluated at the members of the supports only, and every other
-        node gets that of the round sphere u = offset.  The weights come
-        from grid.node_weights, so the pass builds neither node array and
-        takes O(chunk + _MEMBER_BLOCK) memory whatever the grid.  Raises
-        ValueError where 1 + u <= 0 at a node (the graph is not
-        star-shaped), from the same values the pass integrates.
+        The terms weight * H * J of the members of the supports are summed
+        one grid_members block at a time, in node order within the block,
+        so the result does not depend on how the members were found.  The
+        other nodes lie on the round sphere u = offset: its H * J is added
+        once, times the grid's total weight (from its per-axis weights)
+        less the members' weight, and evaluated, and refused, only when
+        some node is outside.  The pass builds neither node array, so it
+        takes O(_GRID_BLOCK) memory whatever the grid.  Raises ValueError
+        where 1 + u <= 0 at a node (the graph is not star-shaped).
         """
-        n, N = grid.n, grid.num_nodes
+        n = grid.n
 
         def integrand(u, grad2, lap, cubic):
             if u.size and np.min(1.0 + u) <= 0.0:
@@ -391,22 +365,19 @@ class GeodesicRadialField:
             H = mean_curvature_from_scalars(u, grad2, lap, cubic, n)
             return H, area_jacobian(u, grad2, n)
 
-        outside = None      # (H, J) off the supports, once a node needs it
-        total = 0.0
-        for start, stop, idx, _, _, d in self.grid_members(grid, _MEMBER_BLOCK, chunk):
-            first = start - start % chunk
-            if start == first:
-                terms = np.empty(min(chunk, N - first))
-            H, J = np.empty(stop - start), np.empty(stop - start)
-            if len(idx) < stop - start:
-                if outside is None:
-                    outside = integrand(*(np.array([v]) for v in self.outside_invariants()))
-                H.fill(outside[0][0])
-                J.fill(outside[1][0])
-            H[idx - start], J[idx - start] = integrand(*self._invariants(d, n))
-            terms[start - first:stop - first] = grid.node_weights(slice(start, stop)) * H * J
-            if stop - first == len(terms):
-                total += float(np.sum(terms))
+        total, inside, members = 0.0, 0.0, 0
+        for start, stop, idx, _, _, d in self.grid_members(grid):
+            w = grid.node_weights(idx)
+            H, J = integrand(*self._invariants(d, n))
+            # summed in node order: one bin per node of the block
+            total += float(np.bincount(idx - start, w * H * J, stop - start).sum())
+            inside += float(np.bincount(idx - start, w, stop - start).sum())
+            members += len(idx)
+        if members < grid.num_nodes:
+            H, J = integrand(*(np.array([v]) for v in self.outside_invariants()))
+            # a weight is its per-axis weights' product times 2 pi / (phi count)
+            weight = 2.0 * np.pi * float(np.prod([np.sum(w) for w in grid.axis_weights]))
+            total += float(H[0] * J[0]) * (weight - inside)
         return total
 
 

@@ -282,7 +282,8 @@ def cmd_conjecture(args) -> int:
                                   r["constraint_margin"], r["grad_inf"])
             for r in out["rows"]]
     check = best.meta["gradient_check_max_rel"]
-    passed = (check or 0) <= 1e-5 and all(r["best_ratio"] <= 1 + 1e-8 for r in rows)
+    passed = (check is not None and check <= 1e-5
+              and all(r["best_ratio"] <= 1 + 1e-8 for r in rows))
     result = {"rows": rows, "columns": suites.CONJ_COLUMNS, "passed": passed,
               "summary": {"best_ratio": best.ratio,
                           "constraint_margin": best.constraint_margin,
@@ -305,7 +306,8 @@ def cmd_conjecture(args) -> int:
           f"{conjecture.conjectured_bound(args.n):.6f}"
           + (" (recheck attached)" if "high_resolution_recheck" in out else ""))
     if not passed:
-        print(f"FAIL gradient check {check} (bound 1e-5), "
+        print("FAIL no restart ran, so nothing was searched" if check is None else
+              f"FAIL gradient check {check} (bound 1e-5), "
               f"largest ratio {max(r['best_ratio'] for r in rows)} (bound 1)")
     return 0 if passed else 3
 

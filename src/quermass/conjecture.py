@@ -227,6 +227,8 @@ class ZonalBackend(_Backend):
 
 
 def make_backend(n: int, L: int, resolution: int | None = None) -> _Backend:
+    if n < 2:
+        raise ValueError(f"the gradient-energy ratio is defined for n >= 2, got n = {n}")
     if n == 2:
         return CircleBackend(L, resolution)
     if n == 3:
@@ -310,19 +312,6 @@ def _gradient(backend: _Backend, parts: tuple, mu: float) -> np.ndarray:
     return (gN * den[:, None] - num[:, None] * gD) / den2 - mu * gP
 
 
-def _objective_and_gradient(backend: _Backend, c: np.ndarray, mu: float):
-    """The objective and its coefficient gradient.
-
-    c is one vector (K,) -> (float, (K,)) or a batch (R, K) -> ((R,), (R, K)),
-    every row as it would come alone.
-    """
-    value, parts = _objective(backend, np.atleast_2d(c), mu)
-    grad = _gradient(backend, parts, mu)
-    if np.ndim(c) == 1:
-        return float(value[0]), grad[0]
-    return value, grad
-
-
 def _gradient_check(backend: _Backend, C: np.ndarray, mu: float) -> list:
     """Per row of C, the relative error of the analytic gradient.
 
@@ -333,7 +322,7 @@ def _gradient_check(backend: _Backend, C: np.ndarray, mu: float) -> list:
     """
     R, K = C.shape
     h = _FD_STEP
-    _, grad = _objective_and_gradient(backend, C, mu)
+    grad = _gradient(backend, _objective(backend, C, mu)[1], mu)
     # vector v is row v // 2K with component v % K moved by +h, or by -h
     # where v // K is odd
     v = np.arange(2 * R * K)

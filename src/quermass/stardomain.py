@@ -18,7 +18,6 @@ import warnings
 import numpy as np
 
 from quermass import fields, geometry
-from quermass.analytic import _GRID_BLOCK
 from quermass.config import DEVIATION_RATIO_BOUND, MEAN_CURVATURE_AGREE
 from quermass.fields import ScalarField
 from quermass.grids import quadrature, sphere_area, tangent_frames
@@ -260,7 +259,7 @@ class StarDomain(RadialGraph):
 
         S = geometry.shape_operator_frame(u, grad_fr, hess_fr)
         eigs = geometry.symmetric_eigenvalues(S)
-        H = np.trace(S, axis1=1, axis2=2)
+        H = geometry.trace(S)
 
         if check_routes:
             H_div = self._divergence_route(u, grad_fr, grad2)
@@ -301,14 +300,14 @@ class StarDomain(RadialGraph):
     def integrated_mean_curvature(self) -> float:
         """Integral of H over the boundary using the scalar fast path.
 
-        Analytic profiles are streamed over chunks of _GRID_BLOCK nodes by
-        the provider (GeodesicRadialField.integrated_mean_curvature), which
-        keeps memory flat on very fine diagnostic grids.
+        Analytic profiles are integrated over the members of their supports
+        by the provider (GeodesicRadialField.integrated_mean_curvature),
+        which keeps memory flat on very fine diagnostic grids.
         """
         prof = self.profile
         if prof.analytic is None:
             return self.curvature_integrals().int_H
-        return prof.analytic.integrated_mean_curvature(self.grid, _GRID_BLOCK)
+        return prof.analytic.integrated_mean_curvature(self.grid)
 
     # -- normal-deviation size ----------------------------------------------------
 

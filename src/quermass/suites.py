@@ -251,6 +251,8 @@ def frequency_split_suite(count: int = 300, eps_levels=(0.04, 0.02, 0.01),
                           seed: int = 5001, n: int = 3, lam: float | None = None,
                           resolution: int = 32, L: int = 12) -> dict:
     _require_count(count)
+    if n < 3:
+        raise ValueError(f"the frequency split is checked for n >= 3, got n = {n}")
     rows, summaries = [], {}
     passed = True
     for name, pair in (("unit_g", cubic.mean_curvature_pair(n)),
@@ -302,6 +304,8 @@ def radial_identity_suite(ns=(3, 4, 5), kappas=(10.0, 40.0),
 def pole_bound_suite(n: int = 3, seed: int = 6001, count: int = 20,
                      eps: float = 0.05) -> dict:
     from quermass.axisym import AxialProfile, pole_gradient_bound
+    if n < 3:
+        raise ValueError(f"the pole bound is checked for n >= 3, got n = {n}")
     rows = []
     passed = True
 
@@ -379,6 +383,8 @@ def axial_deficit_suite(count: int = 200, eps: float = 0.05, seed: int = 7501,
 def stability_suite(count: int = 200, eps: float = 0.05, seed: int = 8001,
                     n: int = 4) -> dict:
     _require_count(count)
+    if n < 3:
+        raise ValueError(f"the stability ratio is checked for n >= 3, got n = {n}")
 
     def one(i):
         K = deficits.random_domain(n, eps, seed=seed + i)

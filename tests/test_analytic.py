@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from quermass import analytic
+from quermass import analytic, geometry
 from quermass.analytic import GeodesicRadialField, zonal_field
 from quermass.counterexample import make_bump, pack_points
 from quermass.grids import build_grid, tangent_frames
@@ -265,3 +265,9 @@ def test_per_grid_methods_equal_the_points_api(n):
     inside = field.geodesic_distance(nodes) < field.support
     assert 0 < inside.sum() < grid.num_nodes
     assert np.all(field.phi_gradient_dot_grad(grid)[~inside] == 0.0)
+    # the member pass adds the round sphere's H J times the outside weight,
+    # the total from the per-axis weights less the members': the all-node sum
+    HJ = (geometry.mean_curvature_from_scalars(u, grad2, lap, cubic, n)
+          * geometry.area_jacobian(u, grad2, n))
+    assert math.isclose(field.integrated_mean_curvature(grid), float(np.sum(grid.weights * HJ)),
+                        rel_tol=1e-13)

@@ -389,6 +389,35 @@ def test_verify_freq_split_on_the_circle_exits_2(tmp_path, capsys):
     assert "n >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["counterexample", "--n", "2", "--kappa", "4"],
+     "the dented sphere is built for n >= 3, got n = 2"),
+    (["verify", "pole", "--n", "2", "--count", "1"],
+     "the pole bound is checked for n >= 3, got n = 2"),
+    (["verify", "freq-split", "--n", "2", "--count", "1"],
+     "the frequency split is checked for n >= 3, got n = 2"),
+    (["verify", "stability", "--n", "2", "--count", "1"],
+     "the stability ratio is checked for n >= 3, got n = 2"),
+    (["conjecture", "--n", "1", "--restarts", "1"],
+     "the gradient-energy ratio is defined for n >= 2, got n = 1"),
+])
+def test_a_dimension_below_the_command_bound_exits_2(argv, says, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert says in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_conjecture_without_restarts_fails_its_verdict(tmp_path, capsys):
+    # nothing was searched and no gradient was checked
+    out = tmp_path / "run"
+    assert main(["conjecture", "--n", "4", "--restarts", "0", "--out", str(out)]) == 3
+    summary = json.loads((out / "conjecture_summary.json").read_text())
+    assert summary["passed"] is False
+    assert summary["summary"]["gradient_check_max_rel"] is None
+    assert "FAIL no restart ran, so nothing was searched" in capsys.readouterr().out
+
+
 def test_single_kappa_dent_gap_gates_the_verdict(tmp_path, capsys):
     # the kappa = 10, eps = 0.45 grid check is 6.6e-3 from the zonal total
     argv = ["counterexample", "--n", "3", "--kappa", "10", "--eps", "0.45"]

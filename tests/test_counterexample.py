@@ -561,8 +561,8 @@ def test_per_dent_additivity_on_grid():
 
 
 def _kdtree_profile(domain, nodes):
-    """(u, |grad u|^2, lap u, cubic) with every node's nearest center found
-    by a KD-tree query and the profile evaluated at every node."""
+    """(u, |grad u|^2, lap u, cubic, inside) with every node's nearest center
+    found by a KD-tree query and the profile evaluated at every node."""
     bump = domain.bump
     centers = domain.centers.points
     _, idx = cKDTree(centers).query(nodes, k=1)
@@ -574,32 +574,47 @@ def _kdtree_profile(domain, nodes):
     fdv = np.where(inside, bump.slope(dd), 0.0)
     fddv = np.where(inside, bump.slope_derivative(dd), 0.0)
     _, lap = geometry.zonal_laplacian(fdv, fddv, dd, 3)
-    return 0.0 + fv, fdv**2, lap, fddv * fdv**2
+    return 0.0 + fv, fdv**2, lap, fddv * fdv**2, inside
 
 
-def _kdtree_grid_total(domain, resolution=None, chunk=400_000):
+def _kdtree_grid_total(domain, resolution=None, block=analytic._GRID_BLOCK):
+    """The dense check's sum, every node evaluated: per block of nodes the
+    terms w H J of the nodes inside a dent, in node order, then H J of the
+    round sphere times the total weight less that of the nodes inside."""
     if resolution is None:
         resolution = max(256, int(math.ceil(13 * domain.kappa)))
     grid = build_grid(3, resolution)
-    total = 0.0
-    for i0 in range(0, grid.num_nodes, chunk):
-        sl = slice(i0, i0 + chunk)
-        u, grad2, lap, cubic = _kdtree_profile(domain, grid.nodes[sl])
+    total = inside_weight = 0.0
+    round_sphere = None
+    for i0 in range(0, grid.num_nodes, block):
+        sl = slice(i0, i0 + block)
+        u, grad2, lap, cubic, inside = _kdtree_profile(domain, grid.nodes[sl])
         H = geometry.mean_curvature_from_scalars(u, grad2, lap, cubic, 3)
         J = geometry.area_jacobian(u, grad2, 3)
-        total += float(np.sum(grid.weights[sl] * H * J))
+        w = grid.weights[sl]
+        total += float(np.sum(np.where(inside, w * H * J, 0.0)))
+        inside_weight += float(np.sum(np.where(inside, w, 0.0)))
+        if not inside.all():
+            round_sphere = float(H[~inside][0] * J[~inside][0])
+    if round_sphere is not None:
+        total_weight = 2.0 * math.pi * float(np.sum(grid.axis_weights[0]))
+        total += round_sphere * (total_weight - inside_weight)
     return total
 
 
 @pytest.mark.parametrize("kappa", [1.0, 10.0, 20.0])
 @pytest.mark.parametrize("eps", [0.1, 0.45])
 @pytest.mark.parametrize("split", [0, 1])
-def test_grid_check_is_bit_identical_to_the_kdtree_route(kappa, eps, split):
-    # split = 1: chunks of a prime node count, whose edges cut through dents
-    chunk = 9_973 if split else 400_000
+def test_grid_check_is_bit_identical_to_the_kdtree_route(kappa, eps, split, monkeypatch):
+    # split = 1: member blocks of a prime node count, whose edges cut
+    # through dents
+    block = 9_973 if split else analytic._GRID_BLOCK
+    members = GeodesicRadialField.grid_members
+    monkeypatch.setattr(GeodesicRadialField, "grid_members",
+                        lambda self, grid: members(self, grid, block))
     domain = build_counterexample(3, eps, kappa)
-    assert (total_mean_curvature_grid(domain, chunk=chunk)
-            == _kdtree_grid_total(domain, chunk=chunk))
+    total = total_mean_curvature_grid(domain)
+    assert type(total) is float and total == _kdtree_grid_total(domain, block=block)
 
 
 @pytest.mark.parametrize("resolution", [100, 257])
@@ -635,8 +650,8 @@ def test_dent_grid_check_takes_the_lattice_proof(monkeypatch):
     prov = domain.provider()
     assert prov.separation == domain.centers.min_distance
     checked = GeodesicRadialField(prov.centers, prov.f, prov.fd, prov.fdd, prov.support)
-    total = prov.integrated_mean_curvature(grid, 400_000)
-    assert total == checked.integrated_mean_curvature(grid, 400_000)
+    total = prov.integrated_mean_curvature(grid)
+    assert total == checked.integrated_mean_curvature(grid)
     assert total == total_mean_curvature_grid(domain, resolution=260)
     assert searched == [len(prov.centers)]
     assert prov._closest is None and checked._closest is not None
@@ -662,7 +677,7 @@ def test_grid_check_refuses_a_profile_that_is_not_star_shaped(monkeypatch, heigh
     with pytest.raises(ValueError, match=r"1 \+ u > 0"):
         StarDomain(ScalarField(grid, prov.values(grid), analytic=prov))
     with pytest.raises(ValueError, match=r"1 \+ u > 0"):
-        prov.integrated_mean_curvature(grid, 9_973)
+        prov.integrated_mean_curvature(grid)
     monkeypatch.setattr(cx.DentedSphere, "provider", lambda self: prov)
     with pytest.raises(ValueError, match=r"1 \+ u > 0"):
         total_mean_curvature_grid(build_counterexample(3, 0.3, 10.0), resolution=64)
@@ -673,7 +688,7 @@ def test_grid_check_ignores_an_outside_value_no_node_takes():
     # radius 1.5, int H = 2/1.5 * 4 pi 1.5^2
     grid = build_grid(3, 64)
     prov = _flat_cap(2.5, -2.0, np.pi + 1.0)
-    assert_allclose(prov.integrated_mean_curvature(grid, 9_973), 12.0 * math.pi,
+    assert_allclose(prov.integrated_mean_curvature(grid), 12.0 * math.pi,
                     rtol=1e-13)
     assert StarDomain(ScalarField(grid, prov.values(grid), analytic=prov))
 
@@ -690,8 +705,8 @@ def test_translated_refuses_an_analytic_profile():
 def test_grid_check_peak_does_not_grow_with_the_grid(resolution):
     # kappa = 40 at its default resolution 520 (540,800 nodes) and at 1040
     # (2.16M nodes): the pass builds no node array, so its traced peak is
-    # the 400,000-node chunk of terms and one member block, about 10 MB
-    # at both, where building the grid took 51 and 111 MB
+    # one member block and its terms, about 7 MB at both, where building
+    # the grid took 51 and 111 MB
     domain = build_counterexample(3, 0.3, 40.0)
     domain.centers.points
     tracemalloc.start()
@@ -706,10 +721,10 @@ def test_grid_check_peak_does_not_grow_with_the_grid(resolution):
 
 def test_grid_check_builds_no_node_array(monkeypatch):
     domain = build_counterexample(3, 0.3, 20.0)
-    expected = _kdtree_grid_total(domain, chunk=9_973)
+    expected = _kdtree_grid_total(domain)
 
     def refuse(self):
         raise AssertionError("the grid check read a whole node array")
     monkeypatch.setattr(SphericalGrid, "nodes", property(refuse))
     monkeypatch.setattr(SphericalGrid, "weights", property(refuse))
-    assert total_mean_curvature_grid(domain, chunk=9_973) == expected
+    assert total_mean_curvature_grid(domain) == expected

@@ -94,3 +94,17 @@ def test_eigenvalues_fall_back_to_eigvalsh_off_two_by_two():
         S = rng.standard_normal((20, d, d))
         S = S + S.transpose(0, 2, 1)
         assert np.array_equal(geometry.symmetric_eigenvalues(S), np.linalg.eigvalsh(S))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_trace_is_the_bits_of_np_trace(d):
+    # entries over 16 decades; rows 0-2 with a diagonal of signed zeros
+    # only, rows 3-6 with some
+    rng = np.random.default_rng(d)
+    M = rng.standard_normal((5000, d, d)) * 10.0 ** rng.integers(-8, 8, (5000, d, d))
+    M[:7, 0, 0] = -0.0
+    M[:3, 1:, 1:] = -0.0
+    M[1, -1, -1] = 0.0
+    M[3:5, -1, -1] = -0.0
+    want = np.trace(M, axis1=1, axis2=2)
+    assert geometry.trace(M).tobytes() == want.tobytes()

@@ -150,16 +150,14 @@ def _grid_and_index(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_grid_and_index(), st.integers(0, 10**6), st.integers(0, 10**6))
-def test_index_lookups_are_bit_identical_to_the_node_arrays(case, a, b):
+@given(_grid_and_index())
+def test_index_lookups_are_bit_identical_to_the_node_arrays(case):
     # points and node_weights rebuild rows of nodes and weights from the
     # per-axis factors, for any index set (unsorted, repeated or empty)
     n, res, index = case
     g = build_grid(n, res)
     assert g.points(index).tobytes() == g.nodes[index].tobytes()
     assert g.node_weights(index).tobytes() == g.weights[index].tobytes()
-    lo, hi = sorted((a % (g.num_nodes + 1), b % (g.num_nodes + 1)))
-    assert g.node_weights(slice(lo, hi)).tobytes() == g.weights[lo:hi].tobytes()
 
 
 def test_grid_builds_its_node_arrays_on_first_read():
