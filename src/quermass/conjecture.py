@@ -78,7 +78,7 @@ class _Backend:
 
     def integrate(self, values):
         """Quadrature of (..., N) node values: a float for one field."""
-        return _float_if_scalar(np.sum(self.weights * values, axis=-1))
+        return _float_if_scalar(np.add.reduce(self.weights * values, axis=-1))
 
     def grad_inf(self, c):
         raise NotImplementedError
@@ -90,6 +90,13 @@ class _Backend:
     @functools.cached_property
     def _pair_scale(self):
         return np.stack([np.ones_like(self.eigenvalues), -self.eigenvalues])
+
+    @functools.cached_property
+    def _gradient_factors(self):
+        """[-lam, 2, -2, -2 lam]: the factors of the four projections in
+        the ascent gradient (_gradient)."""
+        lam = self.eigenvalues
+        return np.stack([-lam, np.full_like(lam, 2.0), np.full_like(lam, -2.0), -2.0 * lam])
 
 
 def _float_if_scalar(total):
@@ -133,7 +140,7 @@ class FullSphereBackend(_Backend):
     def project(self, values):
         """values (N,) or (F, N) -> one analysis; (R, F, N) -> one per row."""
         if np.ndim(values) > 2:
-            return np.stack([self.project(v) for v in values])
+            return np.array([self.project(v) for v in values])
         return harmonics.sh_analyze(self.grid, values, self.L)
 
     def grad_inf(self, c):
@@ -217,7 +224,7 @@ class ZonalBackend(_Backend):
         return self.area_factor * ((self.w * values) @ self.Z.T)
 
     def integrate(self, values):
-        return _float_if_scalar(self.area_factor * np.sum(self.w * values, axis=-1))
+        return _float_if_scalar(self.area_factor * np.add.reduce(self.w * values, axis=-1))
 
     def grad_inf(self, c):
         return float(np.max(np.abs(c @ self.Z_theta_dense)))
@@ -278,38 +285,66 @@ _FD_STEP = 1e-7
 # is 3e-10 to 1.2e-9 (caps 6-24) and the analytic one about 1e-14; the
 # n >= 3 gradients have norms of 5 and more at the start points
 _ROUNDING_NORM = 1e-8
-# perturbed vectors per batched pass of the check: at n = 3 a wider pass
-# leaves the caches (2 cores, BLAS on one thread: about 95 us per vector
-# at 8, 190-210 us at 32), and zonal passes gain little beyond 8
+# perturbed vectors per batched pass of the check: at n = 3, cap 12 a
+# wider pass costs more per vector (2 cores, BLAS on one thread: about
+# 175 us at 8, 190 at 16, 220 at 32), and zonal passes gain little
+# beyond 8.  Most of those 175 us are the pass's fresh pages: glibc
+# hands its arrays back to the system after each pass, about 500 minor
+# faults a pass; with the memory kept (raised mmap and trim
+# thresholds) the same passes take 65, 74 and 83 us per vector
 _CHECK_CHUNK = 8
 
 
 def _objective(backend: _Backend, C: np.ndarray, mu: float):
     """Per row of C, R(u) - mu int max(lap u - 1, 0)^2, and the node
-    fields and integrals its gradient reads."""
+    fields and integrals its gradient reads.
+
+    The parts are the (6, R, N) stack [hinge^2, |grad u|^2,
+    lap(u) |grad u|^2, lap u, hinge, grad(lap u).grad u], with hinge =
+    max(lap u - 1, 0), and the (3, R) integrals of its first three
+    fields; _gradient reuses the third field's slot.
+    """
     lap, g2, gdg = backend.ascent_fields(C)
-    hinge = np.maximum(lap - 1.0, 0.0)
-    den, num, pen = backend.integrate(
-        np.stack([g2, lap * g2, hinge * hinge], axis=1)).T
-    return num / den - mu * pen, (lap, g2, gdg, hinge, den, num)
+    stack = np.empty((6,) + lap.shape)
+    stack[1], stack[3], stack[5] = g2, lap, gdg
+    hinge = stack[4]
+    np.multiply(lap, g2, out=stack[2])
+    np.subtract(lap, 1.0, out=hinge)
+    np.maximum(hinge, 0.0, out=hinge)
+    np.multiply(hinge, hinge, out=stack[0])
+    totals = backend.integrate(stack[:3])
+    pen, den, num = totals
+    value = num / den
+    value -= mu * pen
+    return value, (stack, totals)
 
 
 def _gradient(backend: _Backend, parts: tuple, mu: float) -> np.ndarray:
-    """(R, K) coefficient gradients of the objective from the (R, ...) node
-    fields and integrals that _objective returned for those rows, each row
-    as it would come alone: one projection of the rows' (R, 4, N) stack,
-    which every backend's project keeps row by row."""
-    lap, g2, gdg, hinge, den, num = parts
-    lam = backend.eigenvalues
-    # dN/dc_b = -lam_b <Y_b, |grad u|^2> - 2 <Y_b, grad(lap u).grad u + lap(u)^2>
-    p_g2, p_mixed, p_lap, p_hinge = backend.project(
-        np.stack([g2, gdg + lap * lap, lap, hinge], axis=1)).transpose(1, 0, 2)
-    gN = -lam * p_g2 - 2.0 * p_mixed
-    gD = -2.0 * p_lap
-    gP = -2.0 * lam * p_hinge
+    """(R, K) coefficient gradients of the objective from the parts that
+    _objective returned for those rows, each row as it would come alone:
+    one projection of the rows' four fields, which every backend's
+    project keeps row by row."""
+    stack, (_, den, num) = parts
+    # dN/dc_b = -lam_b <Y_b, |grad u|^2> - 2 <Y_b, grad(lap u).grad u + lap(u)^2>;
+    # the integrated lap(u) |grad u|^2 slot takes the mixed field
+    mixed, lap = stack[2], stack[3]
+    np.multiply(lap, lap, out=mixed)
+    mixed += stack[5]
+    # the projections of [|grad u|^2, mixed, lap u, hinge] times [-lam, 2,
+    # -2, -2 lam] give gN = -lam p_g2 - 2 p_mixed, gD = -2 p_lap and
+    # gP = -2 lam p_hinge; then (gN den - num gD) / den^2 - mu gP, each
+    # product rounded as written
+    P = backend.project(stack[1:5].transpose(1, 0, 2))
+    P *= backend._gradient_factors
+    gN, p_mixed, gD, gP = P.transpose(1, 0, 2)
+    gN -= p_mixed
+    gN *= den[:, None]
+    gD *= num[:, None]
+    gN -= gD
     # Python's float power: it rounds den**2 otherwise than den * den does
-    den2 = np.array([d ** 2 for d in den.tolist()])[:, None]
-    return (gN * den[:, None] - num[:, None] * gD) / den2 - mu * gP
+    gN /= np.array([d ** 2 for d in den.tolist()])[:, None]
+    gP *= mu
+    return gN - gP
 
 
 def _gradient_check(backend: _Backend, C: np.ndarray, mu: float) -> list:
@@ -351,6 +386,14 @@ def _relative_error(analytic: np.ndarray, differenced: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - differenced)) / max(fd, _ROUNDING_NORM)
 
 
+def _row_norms(G: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of the (R, K) array G, bit for bit
+    as np.linalg.norm of the row alone: both take the BLAS dot of a
+    unit-stride row (over strided rows np.vecdot sums in another order)."""
+    G = np.ascontiguousarray(G)
+    return np.sqrt(np.vecdot(G, G))
+
+
 def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None:
     """Normalized-gradient ascent of every row of C at one penalty weight, in place.
 
@@ -368,8 +411,7 @@ def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None
     step = np.full(len(C), 0.05)
     rows, c = np.arange(len(C)), C.copy()     # the climbing rows and their state
     for _ in range(iterations):
-        # the 1-D norm per row: norm(axis=1) sums in another order
-        gnorm = np.array([np.linalg.norm(g) for g in grad])
+        gnorm = _row_norms(grad)
         climbing = np.minimum(gnorm, step) >= 1e-12
         if not climbing.all():
             C[rows] = c
@@ -377,12 +419,22 @@ def _climb(backend: _Backend, C: np.ndarray, mu: float, iterations: int) -> None
                 a[climbing] for a in (rows, c, val, grad, step, gnorm))
             if rows.size == 0:
                 return
-        trial = c + step[:, None] * grad / gnorm[:, None]
+        # c + step grad / gnorm, in that order
+        trial = np.multiply(step[:, None], grad)
+        trial /= gnorm[:, None]
+        trial += c
         tval, tparts = _objective(backend, trial, mu)
         up = tval > val
-        if up.any():
-            c[up], val[up] = trial[up], tval[up]
-            grad[up] = _gradient(backend, tuple(p[up] for p in tparts), mu)
+        if up.all():
+            c, val = trial, tval
+            grad = _gradient(backend, tparts, mu)
+        elif up.any():
+            np.copyto(c, trial, where=up[:, None])
+            np.copyto(val, tval, where=up)
+            accepted = up.nonzero()[0]
+            # the parts hold the rows on their second axis
+            grad[accepted] = _gradient(
+                backend, tuple(p.take(accepted, axis=1) for p in tparts), mu)
         step *= np.where(up, 1.25, 0.5)
     C[rows] = c
 
@@ -422,13 +474,15 @@ def maximize_ratio(n: int, basis_cap: int = 12, restarts: int = 20,
     Each end point is rescaled onto the constraint set.  Deterministic
     under the seed.  Returns the best feasible candidate and one row per
     restart.  basis_cap below 1 leaves no nonconstant mode and raises
-    ValueError, as do restarts below 0.
+    ValueError, as do restarts or iterations below 0.
     """
     if basis_cap < 1:
         raise ValueError(f"basis_cap {basis_cap} leaves no nonconstant mode; "
                          "it must be at least 1")
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be at least 0, got {iterations}")
     backend = make_backend(n, basis_cap)
     seeds = [seed + 7919 * r for r in range(restarts)]
     C = np.array([_start_point(backend, s) for s in seeds])

@@ -146,6 +146,12 @@ def _field_data(u, lam: float | None = None) -> FieldData:
     raise TypeError(f"unsupported field type {type(u)}")
 
 
+def split_field_data(u, lam: float | None = None) -> FieldData:
+    """FieldData of u with |grad u_2|^2 of its modes at eigenvalue >= lam
+    (default_frequency_cutoff(n) when None)."""
+    return _field_data(u, lam=default_frequency_cutoff(u.n) if lam is None else lam)
+
+
 # -- operations -------------------------------------------------------------------
 
 
@@ -168,9 +174,13 @@ def high_frequency_bound_check(u, pair: NonlinearityPair,
     rhs_main = -1/2 int div(g grad u) |grad u_2|^2 and
     slack_scale = int ([div(g grad u)]^+ + 1) |grad u|^2.
     Reports the empirical slack ratio (lhs - rhs_main)/slack_scale.
+    u is a field split at lam (default_frequency_cutoff(n) when None),
+    or the FieldData of split_field_data, which is read as it is (lam
+    unused), so several pairs can share one split.
     """
-    n = u.n
-    d = _field_data(u, lam=lam if lam is not None else default_frequency_cutoff(n))
+    d = u if isinstance(u, FieldData) else split_field_data(u, lam)
+    if d.high_grad2 is None:
+        raise ValueError("the FieldData carries no frequency split")
     eps = d.c1_norm()
     if eps > eps_cap:
         raise ValueError(f"C1 size {eps:.3f} exceeds the cap {eps_cap}")
@@ -233,19 +243,26 @@ def random_c1_field(n: int, eps_scale: float, seed: int, L: int = 12, grid=None)
                                           resolution=prof.resolution)
 
 
-def slack_ratio_ladder(n: int, pair: NonlinearityPair,
-                       eps_levels=(0.04, 0.02, 0.01), count: int = 300,
-                       seed: int = 0, lam: float | None = None,
-                       L: int = 12, resolution: int = 32) -> dict:
-    """Mean |slack ratio| per C1 level, same field shapes rescaled.
+def slack_ratio_ladder(n: int, pair: NonlinearityPair, **options) -> dict:
+    """slack_ratio_ladders for the one pair."""
+    return slack_ratio_ladders(n, (pair,), **options)[0]
+
+
+def slack_ratio_ladders(n: int, pairs, eps_levels=(0.04, 0.02, 0.01),
+                        count: int = 300, seed: int = 0, lam: float | None = None,
+                        L: int = 12, resolution: int = 32) -> list:
+    """Per pair, the mean |slack ratio| per C1 level, same field shapes rescaled.
 
     The estimate's unquantified small factor should shrink with the C1
     size; rescaling the same draws isolates exactly that dependence.
+    Each draw is split once per level and checked against every pair.
+    Returns one dict per pair, in order: mean_abs_ratio per level,
+    monotone, and the rows (draw by draw, level by level).
     """
     from quermass.grids import build_grid
     grid = build_grid(n, resolution) if n == 3 else None
-    ratios = {lev: [] for lev in eps_levels}
-    rows = []
+    ratios = [{lev: [] for lev in eps_levels} for _ in pairs]
+    rows = [[] for _ in pairs]
     for i in range(count):
         base = random_c1_field(n, 1.0, seed=seed + i, L=L, grid=grid)
         for lev in eps_levels:
@@ -256,13 +273,19 @@ def slack_ratio_ladder(n: int, pair: NonlinearityPair,
                 from quermass.axisym import AxialProfile
                 u = AxialProfile.from_zonal_coeffs(n, base.coeffs * lev,
                                                    resolution=base.resolution)
-            rep = high_frequency_bound_check(u, pair, lam=lam)
-            ratios[lev].append(abs(rep["ratio"]))
-            rows.append({"lemma": "freq_split", "n": n, "seed": seed + i,
-                         "eps_scale": lev, "lhs": rep["lhs"],
-                         "rhs": rep["rhs_main"], "slack_scale": rep["slack_scale"],
-                         "margin": rep["margin"], "ratio": rep["ratio"]})
-    means = {lev: float(np.mean(ratios[lev])) for lev in eps_levels}
-    ordered = [means[lev] for lev in sorted(eps_levels, reverse=True)]
-    return {"mean_abs_ratio": means, "monotone": all(
-        a > b for a, b in zip(ordered[:-1], ordered[1:])), "rows": rows}
+            d = split_field_data(u, lam)
+            for pair, pair_ratios, pair_rows in zip(pairs, ratios, rows):
+                rep = high_frequency_bound_check(d, pair)
+                pair_ratios[lev].append(abs(rep["ratio"]))
+                pair_rows.append({"lemma": "freq_split", "n": n, "seed": seed + i,
+                                  "eps_scale": lev, "lhs": rep["lhs"],
+                                  "rhs": rep["rhs_main"],
+                                  "slack_scale": rep["slack_scale"],
+                                  "margin": rep["margin"], "ratio": rep["ratio"]})
+    ladders = []
+    for pair_ratios, pair_rows in zip(ratios, rows):
+        means = {lev: float(np.mean(pair_ratios[lev])) for lev in eps_levels}
+        ordered = [means[lev] for lev in sorted(eps_levels, reverse=True)]
+        ladders.append({"mean_abs_ratio": means, "monotone": all(
+            a > b for a, b in zip(ordered[:-1], ordered[1:])), "rows": pair_rows})
+    return ladders

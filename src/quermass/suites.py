@@ -253,17 +253,16 @@ def frequency_split_suite(count: int = 300, eps_levels=(0.04, 0.02, 0.01),
     _require_count(count)
     if n < 3:
         raise ValueError(f"the frequency split is checked for n >= 3, got n = {n}")
+    pairs = (cubic.mean_curvature_pair(n), cubic.volumetric_pair(n))
+    ladders = cubic.slack_ratio_ladders(n, pairs, eps_levels=eps_levels, count=count,
+                                        seed=seed, lam=lam, L=L, resolution=resolution)
     rows, summaries = [], {}
     passed = True
-    for name, pair in (("unit_g", cubic.mean_curvature_pair(n)),
-                       ("slope_g", cubic.volumetric_pair(n))):
-        out = cubic.slack_ratio_ladder(n, pair, eps_levels=eps_levels,
-                                       count=count, seed=seed, lam=lam,
-                                       L=L, resolution=resolution)
+    for pair, out in zip(pairs, ladders):
         for r in out["rows"]:
-            r["lemma"] = f"freq_split_{name}"
+            r["lemma"] = f"freq_split_{pair.name}"
             rows.append(r)
-        summaries[name] = out["mean_abs_ratio"]
+        summaries[pair.name] = out["mean_abs_ratio"]
         passed = passed and out["monotone"] and all(
             r["margin"] >= -1e-12 * max(1.0, abs(r["lhs"])) for r in out["rows"])
     return {"rows": rows, "columns": CUBIC_COLUMNS, "passed": passed,

@@ -205,6 +205,8 @@ LOCKSTEP_CASES = [
     (4, 12, 5, 41, 40),
     (5, 12, 4, 315, 50),
     (5, 10, 2, 8, 250),
+    # the spectral benchmark's search: K = 169 rows for the batched row norms
+    (3, 12, 1, 901, 30),
     # restarts that leave a weight at different steps, some in the first
     (4, 2, 3, 0, 250),
     (5, 2, 3, 2, 250),
@@ -359,6 +361,31 @@ def test_gradient_check_memory_does_not_grow_like_rows_times_k_squared():
 def test_negative_restarts_are_refused():
     with pytest.raises(ValueError, match="restarts must be at least 0"):
         maximize_ratio(4, basis_cap=4, restarts=-1)
+
+
+@pytest.mark.parametrize("iterations", [-1, -5])
+def test_negative_iterations_are_refused(iterations):
+    with pytest.raises(ValueError, match="iterations must be at least 0"):
+        maximize_ratio(4, basis_cap=4, restarts=2, iterations=iterations)
+
+
+def test_zero_iterations_leave_the_start_points():
+    out = maximize_ratio(4, basis_cap=4, restarts=2, seed=3, iterations=0)
+    backend = out["backend"]
+    for row, s in zip(out["rows"], (3, 3 + 7919)):
+        assert row["ratio"] == ratio(backend, conjecture._start_point(backend, s))
+
+
+@pytest.mark.parametrize("K", [7, 13, 169])
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+def test_row_norms_are_bit_for_bit_the_norms_of_the_rows(K, scale):
+    G = np.random.default_rng(K).standard_normal((6, K)) * scale
+    expected = np.array([np.linalg.norm(g) for g in G])
+    assert conjecture._row_norms(G).tobytes() == expected.tobytes()
+    # rows of a wider block (the projections' layout) are taken as copied out
+    block = np.random.default_rng(K + 1).standard_normal((6, K, 4)) * scale
+    expected = np.array([np.linalg.norm(g) for g in block[..., 1]])
+    assert conjecture._row_norms(block[..., 1]).tobytes() == expected.tobytes()
 
 
 def test_gradient_check_catches_one_component_off_by_1e_4(monkeypatch):

@@ -133,3 +133,32 @@ def test_slack_ratio_ladder_small(grid):
     m = out["mean_abs_ratio"]
     # the slack is roughly linear in the C1 size
     assert m[0.04] > 1.5 * m[0.02] > 2.0 * m[0.01]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_one_split_per_draw_gives_each_pair_its_own_ladder(n):
+    # both pairs checked on one split per (draw, level) give the rows and
+    # means of a ladder per pair, bit for bit
+    pairs = (mean_curvature_pair(n), volumetric_pair(n))
+    shared = cubic.slack_ratio_ladders(n, pairs, count=4, seed=31)
+    for pair, out in zip(pairs, shared):
+        alone = slack_ratio_ladder(n, pair, count=4, seed=31)
+        assert out["rows"] == alone["rows"]
+        assert out["mean_abs_ratio"] == alone["mean_abs_ratio"]
+        assert out["monotone"] == alone["monotone"]
+        for row in out["rows"]:
+            u = random_c1_field(n, 1.0, seed=row["seed"],
+                                grid=build_grid(3, 32) if n == 3 else None)
+            u = (fields_affine(u, row["eps_scale"], 0.0) if n == 3 else
+                 AxialProfile.from_zonal_coeffs(n, u.coeffs * row["eps_scale"],
+                                                resolution=u.resolution))
+            assert high_frequency_bound_check(u, pair)["lhs"] == row["lhs"]
+
+
+def test_bound_check_refuses_field_data_without_a_split(grid):
+    u = random_c1_field(3, 0.03, seed=5, grid=grid)
+    with pytest.raises(ValueError, match="no frequency split"):
+        high_frequency_bound_check(cubic._field_data(u), mean_curvature_pair(3))
+    split = cubic.split_field_data(u)
+    assert (high_frequency_bound_check(split, mean_curvature_pair(3))
+            == high_frequency_bound_check(u, mean_curvature_pair(3)))
