@@ -378,8 +378,8 @@ def lift_to_sphere(profile: AxialProfile, grid):
     from quermass.fields import ScalarField, synthesize
     if profile.callables is not None:
         from quermass.analytic import zonal_field
-        prov = zonal_field(profile.value, profile.slope, profile.curvature_slope,
-                           n=grid.n)
+        prov = zonal_field(lambda theta: (profile.value(theta), profile.slope(theta),
+                                          profile.curvature_slope(theta)), n=grid.n)
         return ScalarField(grid, prov.values(grid), analytic=prov)
     if grid.n != 3 or profile.n != 3:
         raise ValueError("coefficient lifting is exact for n = 3 only")

@@ -16,6 +16,7 @@ suite holds, 3 when one fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -357,9 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args, unread = build_parser().parse_known_args(argv)
+        args, unread = _parser().parse_known_args(argv)
     except SystemExit as exc:       # argparse's refusals (2), and --help (0)
         return exc.code
     try:

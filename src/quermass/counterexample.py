@@ -120,6 +120,49 @@ class BumpProfile:
             n, self.depth, self.slope, self.slope_derivative,
             support=self.radius, breakpoints=self.breakpoints)
 
+    def jet(self, r) -> tuple:
+        """(depth, slope, slope_derivative) at the radii r, bit for bit,
+        from one classification of the radii.
+
+        The plateau's formulas are evaluated at every radius; then the two
+        ramps, below R/8 and above 7R/8 for the dent radius R, are
+        overwritten with theirs, each from one gather of its radii, and
+        the flat parts beyond them (below 0 or nan, and from R on) with
+        their constants.
+        """
+        r = np.asarray(r, dtype=float)
+        shape, r = r.shape, r.ravel()
+        a, R = self.radius / 8.0, self.radius
+        h = 0.5 * self.eps
+        mass = h * (7.0 * R / 8.0)
+        with np.errstate(invalid="ignore"):     # 0 * inf at eps = 0: a ramp's radius
+            f = h * (0.5 * a + (r - a)) - mass
+        fd = np.full_like(r, h)
+        fdd = np.zeros_like(r)
+        up = np.flatnonzero(~(r >= a))
+        if up.size:
+            x = r[up]
+            flat = ~(x >= 0)                # below 0 or nan: depth -mass, no slope
+            if flat.any():
+                f[up[flat]], fd[up[flat]] = 0.0 - mass, 0.0
+                up, x = up[~flat], x[~flat]
+            x = x / a
+            f[up] = h * a * _smoothstep_antideriv(x) - mass
+            fd[up] = h * _smoothstep(x)
+            fdd[up] = h * _smoothstep_prime(x) / a
+        down = np.flatnonzero(r > 7 * a)
+        if down.size:
+            x = (R - r[down]) / a
+            w = np.clip(x, 0.0, 1.0)
+            f[down] = h * (6.5 * a + a * (0.5 - _smoothstep_antideriv(w))) - mass
+            flat = ~(x > 0.0)               # at or past the radius: no slope
+            if flat.any():
+                fd[down[flat]] = 0.0
+                down, x = down[~flat], x[~flat]
+            fd[down] = h * _smoothstep(x)
+            fdd[down] = -0.5 * self.eps * _smoothstep_prime(x) / a
+        return f.reshape(shape), fd.reshape(shape), fdd.reshape(shape)
+
     def slope(self, r):
         r = np.asarray(r, dtype=float)
         a, R = self.radius / 8.0, self.radius
@@ -478,8 +521,7 @@ class DentedSphere:
         if self.centers.points is None:
             raise ValueError(f"the n = {self.n} ring packing is a count without "
                              "coordinates; only the zonal total runs on it")
-        return GeodesicRadialField(self.centers.points, self.bump.depth,
-                                   self.bump.slope, self.bump.slope_derivative,
+        return GeodesicRadialField(self.centers.points, self.bump.jet,
                                    support=self.bump.radius,
                                    separation=self.centers.min_distance)
 

@@ -125,6 +125,16 @@ def _jacobi_start_angles(N: int, a: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(order: int) -> tuple:
+    """numpy's Gauss-Legendre nodes and weights on [-1, 1], built once per
+    order and shared, so both arrays are read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def panel_rule(edges, order: int, subdivisions: int) -> tuple:
     """Composite Gauss-Legendre rule on the panels between edges.
 
@@ -132,7 +142,7 @@ def panel_rule(edges, order: int, subdivisions: int) -> tuple:
     panels carrying order Gauss-Legendre points each; returns the nodes
     and weights in increasing order.
     """
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = _gauss_legendre(order)
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         cuts = np.linspace(a, b, subdivisions + 1)
@@ -171,8 +181,9 @@ class SphericalGrid:
     axis_nodes / axis_weights -- Gauss nodes t_k = cos(theta_k) and weights
 
     points(index) and node_weights(index) give the rows of nodes and
-    weights at flat node indices, bit for bit, from the per-axis factors,
-    so a pass over the grid in blocks never builds the whole arrays.
+    weights at flat node indices, bit for bit, from the per-axis factors
+    (factors, axis_weights and phi_weight), so a pass over the grid in
+    blocks never builds the whole arrays.
     """
 
     n: int
@@ -188,7 +199,7 @@ class SphericalGrid:
     @functools.cached_property
     def nodes(self) -> np.ndarray:
         d = self.n - 1
-        cos, sin = self._factors
+        cos, sin = self.factors
         x = _embed([_along(c, k, d) for k, c in enumerate(cos)],
                    [_along(s, k, d) for k, s in enumerate(sin)], self.shape)
         x = x.reshape(-1, self.n)
@@ -199,13 +210,13 @@ class SphericalGrid:
     def weights(self) -> np.ndarray:
         d = self.n - 1
         w = _weight_product([_along(a, k, d) for k, a in enumerate(self.axis_weights)],
-                            self._phi_weight, self.shape).ravel()
+                            self.phi_weight, self.shape).ravel()
         w.flags.writeable = False
         return w
 
     def points(self, index) -> np.ndarray:
         """Rows index of nodes, (len(index), n), without building nodes."""
-        cos, sin = self._factors
+        cos, sin = self.factors
         axes = self._axis_indices(index)
         return _embed([c[i] for c, i in zip(cos, axes)],
                       [s[i] for s, i in zip(sin, axes)], np.shape(index))
@@ -214,7 +225,7 @@ class SphericalGrid:
         """Entries index (flat indices) of weights, without building weights."""
         axes = self._axis_indices(index)
         return _weight_product([w[i] for w, i in zip(self.axis_weights, axes)],
-                               self._phi_weight, np.shape(index))
+                               self.phi_weight, np.shape(index))
 
     def _axis_indices(self, index) -> list:
         """Per-axis indices of flat node indices in [0, num_nodes), those of
@@ -231,13 +242,17 @@ class SphericalGrid:
         return axes[::-1]
 
     @functools.cached_property
-    def _factors(self) -> tuple:
-        """(cos, sin) of every angle axis: the 1-D factors of the coordinates."""
+    def factors(self) -> tuple:
+        """(cos, sin) of every angle axis: the 1-D factors of the coordinates.
+
+        Built once per grid and shared; a node's coordinates are the
+        products _embed takes of the factors at its axis indices."""
         return (tuple(np.cos(a) for a in self.angles),
                 tuple(np.sin(a) for a in self.angles))
 
     @property
-    def _phi_weight(self) -> float:
+    def phi_weight(self) -> float:
+        """The weight factor 2 pi / (phi count) of every node."""
         return 2.0 * math.pi / len(self.angles[-1])
 
     @property

@@ -1,6 +1,7 @@
 """Grid membership of GeodesicRadialField against a KD-tree oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def _oracle_members(field, grid):
         _, center = cKDTree(field.centers).query(nodes, k=1)
     else:
         center = np.zeros(len(nodes), dtype=np.int64)
-    dots = np.einsum("ij,ij->i", nodes, field.centers[center])
+    dots = analytic._row_dots(nodes, field.centers[center])
     d = np.arccos(np.clip(dots, -1.0, 1.0))
     node = np.flatnonzero(d < field.support)
     return node, center[node], d[node]
@@ -64,12 +65,12 @@ def test_band_membership_matches_kdtree(kappa, seed, resolution, block_fraction,
     if on_boundary:
         # put one node exactly on the boundary: the support is the next
         # float above its distance, so it is a member by the last bit
-        field = GeodesicRadialField(centers, None, None, None, np.pi)
+        field = GeodesicRadialField(centers, None, np.pi)
         d = field.geodesic_distance(grid.nodes)
         near = np.flatnonzero((d > 0.5 * support) & (d < support))
         if near.size:
             support = float(np.nextafter(d[near[seed % near.size]], np.inf))
-    field = GeodesicRadialField(centers, None, None, None, support)
+    field = GeodesicRadialField(centers, None, support)
     block = max(1, int(block_fraction * grid.num_nodes))
     _assert_same_members(field, grid, block)
 
@@ -86,7 +87,7 @@ def test_band_membership_at_the_poles_and_the_seams():
     for resolution in (8, 9, 64, 101, 300):
         grid = build_grid(3, resolution)
         for support in (0.05, 0.3):
-            field = GeodesicRadialField(centers, None, None, None, support)
+            field = GeodesicRadialField(centers, None, support)
             node = _assert_same_members(field, grid, 1000)
             # caps 0.6 or more apart; the polar ones hold whole rows of nodes
             assert np.all(np.isin(np.flatnonzero(grid.nodes[:, 0] > math.cos(support)),
@@ -102,7 +103,7 @@ def test_band_membership_on_the_support_boundary():
     generic = np.array([0.3, 0.6, -0.2]) / np.linalg.norm([0.3, 0.6, -0.2])
     meridian = np.array([math.cos(1.0), math.sin(1.0), 0.0])   # on phi = 0
     for center in (generic, meridian):
-        field = GeodesicRadialField(center[None], None, None, None, np.pi)
+        field = GeodesicRadialField(center[None], None, np.pi)
         d = field.geodesic_distance(grid.nodes)
         near = np.argsort(np.abs(d - 0.25))[:40]
         if center is meridian:
@@ -116,9 +117,14 @@ def test_band_membership_on_the_support_boundary():
 
 def test_global_zonal_field_covers_every_node():
     grid = build_grid(3, 17)
-    field = zonal_field(np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))
+    field = zonal_field(lambda t: (np.cos(t), -np.sin(t), -np.cos(t)))
     node = _assert_same_members(field, grid, 100)
     assert np.array_equal(node, np.arange(grid.num_nodes))
+
+
+def _trig(r):
+    """A jet with no meaning, for the tests of membership and overlap."""
+    return np.cos(r), np.sin(r), np.cos(r)
 
 
 def test_overlapping_supports_are_refused():
@@ -126,13 +132,13 @@ def test_overlapping_supports_are_refused():
     centers = np.array([[1.0, 0.0, 0.0],
                         [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]])
     grid = build_grid(3, 64)
-    field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.3)
+    field = GeodesicRadialField(centers, _trig, support=0.3)
     assert np.allclose(field.geodesic_distance(centers), 0.0)   # distances only
     with pytest.raises(ValueError, match="centers 0 and 1 are 0.523599 apart"):
         field.values(grid)
     with pytest.raises(ValueError, match="supports overlap"):
         field.values_at(grid.nodes)
-    field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.26)
+    field = GeodesicRadialField(centers, _trig, support=0.26)
     assert np.array_equal(field.values(grid), field.values_at(grid.nodes))
 
 
@@ -155,7 +161,7 @@ def pair_searches(monkeypatch):
 
 def test_closest_pair_is_searched_once_on_first_use(pair_searches):
     grid = build_grid(3, 32)
-    field = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3)
+    field = GeodesicRadialField(_far_pair(), _trig, support=0.3)
     field.geodesic_distance(_far_pair())
     assert pair_searches == [] and field._closest is None
     field.values(grid)
@@ -170,9 +176,9 @@ def test_proven_separation_replaces_the_pair_search(pair_searches):
     # disjoint, so neither the n = 3 band route nor an arbitrary point's
     # nearest center needs the closest-pair search
     grid = build_grid(3, 64)
-    proven = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3,
+    proven = GeodesicRadialField(_far_pair(), _trig, support=0.3,
                                  separation=math.sqrt(2.0))
-    checked = GeodesicRadialField(_far_pair(), np.cos, np.sin, np.cos, support=0.3)
+    checked = GeodesicRadialField(_far_pair(), _trig, support=0.3)
     assert np.array_equal(proven.values(grid), checked.values(grid))
     assert np.array_equal(proven.values_at(grid.nodes), proven.values(grid))
     assert proven._closest is None and checked._closest is not None
@@ -197,7 +203,7 @@ def test_a_separation_that_proves_nothing_leaves_the_tree_check(separation):
     # of 0.3 disjoint, and the closest-pair search finds the overlap
     centers = np.array([[1.0, 0.0, 0.0],
                         [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]])
-    field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.3,
+    field = GeodesicRadialField(centers, _trig, support=0.3,
                                 separation=separation)
     with pytest.raises(ValueError, match="centers 0 and 1 are 0.523599 apart"):
         field.values(build_grid(3, 32))
@@ -211,7 +217,7 @@ def test_a_support_enlarged_after_use_is_checked_again(separation):
     centers = np.array([[1.0, 0.0, 0.0],
                         [math.cos(math.pi / 6), math.sin(math.pi / 6), 0.0]])
     grid = build_grid(3, 64)
-    field = GeodesicRadialField(centers, np.cos, np.sin, np.cos, support=0.2,
+    field = GeodesicRadialField(centers, _trig, support=0.2,
                                 separation=separation)
     assert np.array_equal(field.values(grid), field.values_at(grid.nodes))
     field.support = 0.3
@@ -223,8 +229,8 @@ def test_a_support_enlarged_after_use_is_checked_again(separation):
 
 def test_affine_rescales_the_field_and_keeps_the_separation_proof(pair_searches):
     grid = build_grid(3, 32)
-    field = GeodesicRadialField(_far_pair(), np.cos, lambda r: -np.sin(r),
-                                lambda r: -np.cos(r), support=0.3, offset=0.1,
+    field = GeodesicRadialField(_far_pair(), lambda r: (np.cos(r), -np.sin(r), -np.cos(r)),
+                                support=0.3, offset=0.1,
                                 separation=math.sqrt(2.0))
     moved = field.affine(0.5, -0.2)
     assert (moved.support, moved.separation) == (field.support, field.separation)
@@ -248,8 +254,7 @@ def test_per_grid_methods_equal_the_points_api(n):
         centers = rng.standard_normal((3, n))
         centers /= np.linalg.norm(centers, axis=1)[:, None]
     bump = make_bump(2.5, 0.3)
-    field = GeodesicRadialField(centers, bump.depth, bump.slope,
-                                bump.slope_derivative, support=bump.radius,
+    field = GeodesicRadialField(centers, bump.jet, support=bump.radius,
                                 offset=0.01)
     nodes = grid.nodes
     u, grad2, lap, cubic = field.scalar_invariants(nodes, n)
@@ -271,3 +276,52 @@ def test_per_grid_methods_equal_the_points_api(n):
           * geometry.area_jacobian(u, grad2, n))
     assert math.isclose(field.integrated_mean_curvature(grid), float(np.sum(grid.weights * HJ)),
                         rel_tol=1e-13)
+
+
+
+def _slow_total(field, bump, grid, block):
+    """integrated_mean_curvature the slow way: the profile's three callables
+    at every node's distance to its KD-tree nearest center, the terms w H J
+    of the nodes inside a dent summed per block of nodes in node order, then
+    the round sphere's H J times the weight outside the dents."""
+    node, _, d = _oracle_members(field, grid)
+    inside = np.zeros(grid.num_nodes, dtype=bool)
+    inside[node] = True
+    dist = np.zeros(grid.num_nodes)
+    dist[node] = d
+    fd, fdd = bump.slope(dist), bump.slope_derivative(dist)
+    _, lap = geometry.zonal_laplacian(fd, fdd, dist, 3)
+    u, grad2, cubic = 0.0 + bump.depth(dist), fd**2, fdd * fd**2
+    H = geometry.mean_curvature_from_scalars(u, grad2, lap, cubic, 3)
+    J = geometry.area_jacobian(u, grad2, 3)
+    terms = grid.weights * H * J
+    total = inside_weight = 0.0
+    for start in range(0, grid.num_nodes, block):
+        sl = slice(start, start + block)
+        total += float(np.sum(np.where(inside[sl], terms[sl], 0.0)))
+        inside_weight += float(np.sum(np.where(inside[sl], grid.weights[sl], 0.0)))
+    if not inside.all():
+        zero = np.zeros(1)
+        HJ = (geometry.mean_curvature_from_scalars(zero, zero, zero, zero, 3)
+              * geometry.area_jacobian(zero, zero, 3))
+        total += float(HJ[0]) * (2.0 * math.pi * float(np.sum(grid.axis_weights[0]))
+                                 - inside_weight)
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(kappa=st.floats(2.0, 60.0), eps=st.floats(0.0, 0.49, exclude_max=True),
+       seed=st.integers(0, 5), resolution=st.integers(8, 300),
+       block_fraction=st.floats(0.05, 1.0))
+def test_member_pass_is_the_slow_all_node_sum(kappa, eps, seed, resolution, block_fraction):
+    # the fused member pass (factor distances, one jet, row weights) gives
+    # the slow reference's total bit for bit, at any block size
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    centers = pack_points(3, kappa).points @ (q * np.sign(np.diag(r)))
+    bump = make_bump(kappa, eps)
+    field = GeodesicRadialField(centers, bump.jet, bump.radius)
+    grid = build_grid(3, resolution)
+    block = max(1, int(block_fraction * grid.num_nodes))
+    with mock.patch.object(analytic, "_GRID_BLOCK", block):
+        total = field.integrated_mean_curvature(grid)
+    assert total == _slow_total(field, bump, grid, block)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 from scipy.special import roots_jacobi
@@ -143,7 +143,8 @@ def test_zonal_laplacian_at_and_near_the_poles(n, raw):
     ends = [0, 3, 5]
     points = np.zeros((3, n))
     points[:, 0], points[:, 1] = np.cos(theta[ends]), np.sin(theta[ends])
-    field = zonal_field(prof.value, prof.slope, prof.curvature_slope, n=n)
+    field = zonal_field(lambda t: (prof.value(t), prof.slope(t), prof.curvature_slope(t)),
+                        n=n)
     lap = field.scalar_invariants(points, n)[2]
     assert np.max(np.abs(lap - oracle[ends])) <= tol
 
@@ -429,20 +430,55 @@ def _pair_gap(y, nu, r, f, x):
     return float(d_r - d_f)
 
 
+def _positive_part(c, b):
+    """The open interval of offsets x where c + b x > 0."""
+    if b > 0.0:
+        return -c / b, math.inf
+    if b < 0.0:
+        return -math.inf, -c / b
+    return (-math.inf, math.inf) if c > 0.0 else (math.inf, -math.inf)
+
+
+def _stretch(y, nu, r, f):
+    """The offsets (a, b) where r rises and f falls, _crossing's precondition.
+
+    With y2 > 0 a node's deviation slope has the sign of
+    nu1 y2 - nu2 y1 + nu2 x: it turns where the node's normal line meets
+    the axis, and falls on the side of it where the normal points at the
+    axis point, rising on the other (the node moves from one side of its
+    normal to the other).  An inward normal, nu2 < 0, falls to the right.
+    """
+    c = nu[0] * y[1] - nu[1] * y[0]
+    rise = _positive_part(c[r], nu[1, r])
+    fall = _positive_part(-c[f], -nu[1, f])
+    return max(rise[0], fall[0]), min(rise[1], fall[1])
+
+
 def _bisected_crossing(y, nu, r, f, lo, hi):
-    """The crossing by bisection on _pair_gap: lo or hi when it lies beyond
-    that end, else the end of the last bracket with the smaller |gap|."""
-    if _pair_gap(y, nu, r, f, lo) >= 0.0:
+    """The crossing by bisection on d_r - d_f over the part of [lo, hi]
+    where r rises and f falls (_stretch), where the difference increases:
+    lo or hi when the crossing lies beyond that end, else the end of the
+    last bracket with the smaller |gap|."""
+    a, b = _stretch(y, nu, r, f)
+    inner_lo, inner_hi = max(lo, a), min(hi, b)
+    if not inner_lo < inner_hi:
+        return lo if b <= lo else hi
+
+    def gap(x):
+        d_r, d_f = geometry.normal_deviation(y[:, [r, f]], nu[:, [r, f]], np.array([x, 0.0]))
+        return float(d_r - d_f)
+    if gap(inner_lo) >= 0.0:
         return lo
-    if _pair_gap(y, nu, r, f, hi) <= 0.0:
+    if gap(inner_hi) <= 0.0:
         return hi
+    lo, hi = inner_lo, inner_hi
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if _pair_gap(y, nu, r, f, mid) < 0.0:
+        if gap(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return min((lo, hi), key=lambda x: abs(_pair_gap(y, nu, r, f, x)))
+    return min((lo, hi), key=lambda x: abs(gap(x)))
 
 
 def assert_crossing_matches_bisection(y, nu, r, f, lo, hi):
@@ -477,6 +513,10 @@ def _crossing_pair(x0, t, phi_r, phi_f, rho_r, rho_f, tilt=None):
 
 
 @settings(max_examples=200, deadline=None)
+# the falling node's normal line meets the axis inside the left bracket,
+# -0.53125 to -0.25: past it, to the left, the node rises
+@example(x0=0.0, t=1.0, phi_r=1.0, phi_f=3.0625, rho_r=1.0, rho_f=0.5,
+         left=0.25, right=0.28125, tilt=None)
 @given(x0=st.floats(-0.5, 0.5), t=st.floats(1e-6, 1.0),
        phi_r=st.floats(0.05, math.pi - 0.05), phi_f=st.floats(0.05, math.pi - 0.05),
        rho_r=st.floats(0.5, 1.5), rho_f=st.floats(0.5, 1.5),

@@ -691,3 +691,39 @@ def test_config_lists_the_options_the_command_reads(monkeypatch, tmp_path):
     assert json.loads((out / "config.json").read_text()) == {
         "command": "conjecture", "n": 4, "basis_cap": 4, "restarts": 1, "seed": None,
         "out": str(out)}
+
+
+def test_the_parser_is_built_once_and_parses_as_a_fresh_one(monkeypatch, tmp_path):
+    # main keeps one parser per process: runs in a row, refused ones among
+    # them, give the exit codes, suite keywords and files of fresh parsers,
+    # and an option given once is not remembered by the next run
+    seen = []
+    monkeypatch.setattr(suites, "gradient_normal_suite", _fake_suite(seen))
+    runs = [["verify", "grad-normal", "--eps", "0.5", "--count", "3"],
+            ["verify", "grad-normal", "--kappa", "2"],              # not read: 2
+            ["counterexample", "--kappa", "4", "--sweep", "4,8"],   # argparse refuses: 2
+            ["verify", "grad-normal"],
+            ["counterexample", "--n", "4", "--kappa", "4", "--resolution", "64"],  # 2
+            ["counterexample", "--n", "4", "--kappa", "4"]]
+
+    def run_all(tag):
+        results = []
+        for i, argv in enumerate(runs):
+            out = tmp_path / tag / str(i)
+            code = main(argv + ["--out", str(out)])
+            files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))
+                     if p.name != "config.json"}
+            config = (json.loads((out / "config.json").read_text())
+                      if (out / "config.json").exists() else None)
+            if config is not None:
+                config.pop("out")
+            results.append((code, files, config))
+        return results
+
+    assert cli._parser() is cli._parser()
+    shared = run_all("shared")
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0, 2, 0]
+    assert seen == [{"seed": 0, "eps": 0.5, "count": 3}, {"seed": 0}]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert run_all("fresh") == shared
+    assert seen[2:] == seen[:2]

@@ -67,6 +67,35 @@ def test_bump_refuses_a_kappa_outside_one_to_infinity(kappa):
         make_bump(kappa, 0.3)
 
 
+def _assert_jet_is_the_three_profiles(bump, r):
+    # bit for bit, signed zeros included
+    want = (bump.depth(r), bump.slope(r), bump.slope_derivative(r))
+    for got, expected in zip(bump.jet(r), want):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kappa, eps", [(1.0, 0.3), (10.0, 0.45), (37.0, 0.0), (640.0, 0.2)])
+def test_bump_jet_is_depth_slope_and_slope_derivative(kappa, eps):
+    bump = make_bump(kappa, eps)
+    R = bump.radius
+    edges = [0.0, R / 8.0, 7.0 * R / 8.0, R]
+    near = [x for e in edges for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    past = [1.5 * R, 2.0 * R, math.pi, np.inf]
+    below = [-0.0, -R, -np.inf, np.nan]
+    r = np.array(near + past + below + list(np.linspace(0.0, R, 257)))
+    _assert_jet_is_the_three_profiles(bump, r)
+    _assert_jet_is_the_three_profiles(bump, r[:20].reshape(4, 5))
+    _assert_jet_is_the_three_profiles(bump, r[:0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.floats(1.0, 1e4), eps=st.floats(0.0, 0.49),
+       fractions=st.lists(st.floats(-0.25, 1.5), min_size=1, max_size=40))
+def test_bump_jet_matches_the_profiles_on_drawn_radii(kappa, eps, fractions):
+    bump = make_bump(kappa, eps)
+    _assert_jet_is_the_three_profiles(bump, np.array(fractions) * bump.radius)
+
+
 def test_bump_integral_against_adaptive_quadrature():
     bump = make_bump(10.0, 0.2)
     n = 3
@@ -566,7 +595,7 @@ def _kdtree_profile(domain, nodes):
     bump = domain.bump
     centers = domain.centers.points
     _, idx = cKDTree(centers).query(nodes, k=1)
-    dots = np.einsum("ij,ij->i", nodes, centers[idx])
+    dots = analytic._row_dots(nodes, centers[idx])
     d = np.arccos(np.clip(dots, -1.0, 1.0))
     inside = d < bump.radius
     dd = np.where(inside, d, 0.0)
@@ -609,9 +638,7 @@ def test_grid_check_is_bit_identical_to_the_kdtree_route(kappa, eps, split, monk
     # split = 1: member blocks of a prime node count, whose edges cut
     # through dents
     block = 9_973 if split else analytic._GRID_BLOCK
-    members = GeodesicRadialField.grid_members
-    monkeypatch.setattr(GeodesicRadialField, "grid_members",
-                        lambda self, grid: members(self, grid, block))
+    monkeypatch.setattr(analytic, "_GRID_BLOCK", block)
     domain = build_counterexample(3, eps, kappa)
     total = total_mean_curvature_grid(domain)
     assert type(total) is float and total == _kdtree_grid_total(domain, block=block)
@@ -649,7 +676,7 @@ def test_dent_grid_check_takes_the_lattice_proof(monkeypatch):
     grid = build_grid(3, 260)
     prov = domain.provider()
     assert prov.separation == domain.centers.min_distance
-    checked = GeodesicRadialField(prov.centers, prov.f, prov.fd, prov.fdd, prov.support)
+    checked = GeodesicRadialField(prov.centers, prov.jet, prov.support)
     total = prov.integrated_mean_curvature(grid)
     assert total == checked.integrated_mean_curvature(grid)
     assert total == total_mean_curvature_grid(domain, resolution=260)
@@ -663,9 +690,10 @@ def test_dent_grid_check_takes_the_lattice_proof(monkeypatch):
 
 def _flat_cap(height, offset, support):
     """u = offset + height on the cap of this radius about e_1, offset elsewhere."""
-    zero = lambda r: 0.0 * r
-    return GeodesicRadialField(np.array([[1.0, 0.0, 0.0]]), lambda r: height + zero(r),
-                               zero, zero, support, offset=offset)
+    def jet(r):
+        zero = 0.0 * r
+        return height + zero, zero, zero
+    return GeodesicRadialField(np.array([[1.0, 0.0, 0.0]]), jet, support, offset=offset)
 
 
 @pytest.mark.parametrize("height, offset", [(-1.5, 0.0), (1.5, -1.0)])

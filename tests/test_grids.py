@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from quermass import grids
 from quermass.grids import (
     build_grid,
     monomial_sphere_integral,
@@ -166,3 +167,24 @@ def test_grid_builds_its_node_arrays_on_first_read():
     assert "nodes" not in vars(g) and "weights" not in vars(g)
     assert g.nodes is g.nodes and not g.nodes.flags.writeable
     assert not g.weights.flags.writeable
+
+
+@pytest.mark.parametrize("order", [1, 24, 48])
+def test_panel_rule_reads_one_cached_gauss_legendre_rule(order):
+    # the base rule is built once per order and shared read-only; the
+    # composite rule keeps the bits of one built from a fresh leggauss
+    x, w = grids._gauss_legendre(order)
+    assert grids._gauss_legendre(order)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    assert x.tobytes() == gx.tobytes() and w.tobytes() == gw.tobytes()
+    edges = (0.0, 0.125, 0.875, 1.0)
+    nodes, weights = grids.panel_rule(edges, order, 3)
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(a, b, 4)
+        for aa, bb in zip(cuts[:-1], cuts[1:]):
+            xs.append(0.5 * (aa + bb) + 0.5 * (bb - aa) * gx)
+            ws.append(0.5 * (bb - aa) * gw)
+    assert nodes.tobytes() == np.concatenate(xs).tobytes()
+    assert weights.tobytes() == np.concatenate(ws).tobytes()
