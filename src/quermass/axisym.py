@@ -6,7 +6,8 @@ sin(theta)^{n-2} (coarea reduction), which Gauss-Jacobi rules in
 t = cos(theta) integrate exactly for polynomial data.  Smooth zonal
 fields are smooth functions of t, so profiles are represented in the
 orthonormal zonal (Gegenbauer) basis and differentiated exactly;
-profiles with analytic derivative callables bypass the basis entirely.
+analytic profiles, given as one jet theta -> (V, V', V''), bypass the
+basis entirely.
 """
 
 from __future__ import annotations
@@ -75,9 +76,11 @@ def coarea_integral(f, n: int) -> float:
 
 
 class AxialProfile:
-    """Zonal profile V on [0, pi] with exact first and second derivatives."""
+    """Zonal profile V on [0, pi] with exact first and second derivatives:
+    zonal coefficients, or one analytic jet theta -> (V, V', V'') read
+    below support (the profile is 0 from support on)."""
 
-    def __init__(self, n: int, coeffs=None, callables=None, support=math.pi,
+    def __init__(self, n: int, coeffs=None, jet=None, support=math.pi,
                  resolution: int = 512, breakpoints=()):
         if n < 3:
             raise ValueError("axial machinery requires n >= 3")
@@ -88,24 +91,19 @@ class AxialProfile:
         t, w = jacobi_rule(resolution, (n - 3) / 2.0)
         self.t, self.w = t, w
         self.theta = _read_only(np.arccos(t))
-        self._basis = None
-        if (coeffs is None) == (callables is None):
-            raise ValueError("provide exactly one of coeffs or callables")
-        if coeffs is not None:
-            self.coeffs = np.asarray(coeffs, dtype=float)
-            self._basis = ZonalBasis(n, len(self.coeffs) - 1)
-            self.callables = None
-        else:
-            self.coeffs = None
-            self.callables = callables
-            fd = callables[1]
-            v0 = float(np.atleast_1d(fd(np.array([0.0])))[0])
-            vpi = (0.0 if self.support < math.pi
-                   else float(np.atleast_1d(fd(np.array([math.pi])))[0]))
-            for val, label in ((v0, "0"), (vpi, "pi")):
-                if abs(val) > 1e-8:
-                    raise ValueError(f"profile slope at theta={label} is {val}; "
-                                     "a smooth boundary needs zero polar slope")
+        if (coeffs is None) == (jet is None):
+            raise ValueError("provide exactly one of coeffs or jet")
+        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=float)
+        self._basis = None if coeffs is None else ZonalBasis(n, len(self.coeffs) - 1)
+        self._jet = jet
+        if jet is None:
+            return
+        # the slope at pi is read only where the profile reaches it
+        for end, label in ((0.0, "0"), (math.pi, "pi"))[:2 if self.support >= math.pi else 1]:
+            val = float(np.atleast_1d(jet(np.array([end]))[1])[0])
+            if abs(val) > 1e-8:
+                raise ValueError(f"profile slope at theta={label} is {val}; "
+                                 "a smooth boundary needs zero polar slope")
 
     # -- constructors -----------------------------------------------------------
 
@@ -119,6 +117,8 @@ class AxialProfile:
         """Fit a zonal expansion to sampled values (least squares)."""
         theta_nodes = np.asarray(theta_nodes, dtype=float)
         values = np.asarray(values, dtype=float)
+        if theta_nodes.shape != values.shape:
+            raise ValueError(f"{theta_nodes.size} theta nodes but {values.size} values")
         if degree is None:
             degree = min(len(theta_nodes) - 1, 256)
         basis = ZonalBasis(n, degree)
@@ -127,22 +127,13 @@ class AxialProfile:
         return cls(n, coeffs=coeffs, resolution=resolution)
 
     @classmethod
-    def from_callables(cls, n: int, f, fd, fdd, support=math.pi,
-                       breakpoints=(), resolution: int = 512) -> "AxialProfile":
-        """Analytic profile; f, fd, fdd act on arrays of theta in [0, support]."""
-        return cls(n, callables=(f, fd, fdd), support=support,
-                   breakpoints=breakpoints, resolution=resolution)
+    def from_jet(cls, n: int, jet, support=math.pi, breakpoints=(),
+                 resolution: int = 512) -> "AxialProfile":
+        """Analytic profile; jet(theta) -> (V, V', V'') on arrays of theta in [0, support)."""
+        return cls(n, jet=jet, support=support, breakpoints=breakpoints,
+                   resolution=resolution)
 
     # -- evaluation --------------------------------------------------------------
-
-    def _eval_callable(self, which: int, theta: np.ndarray) -> np.ndarray:
-        fn = self.callables[which]
-        theta = np.asarray(theta, dtype=float)
-        inside = theta < self.support
-        out = np.zeros_like(theta)
-        if inside.any():
-            out[inside] = fn(theta[inside])
-        return out
 
     def _table(self, theta: np.ndarray, derivative: int) -> np.ndarray:
         """Zonal table on theta: cached on the fixed node sets, else built afresh."""
@@ -158,24 +149,40 @@ class AxialProfile:
             return self._basis.values(np.cos(theta), derivative=derivative)
         return _zonal_table(self.n, self._basis.L, derivative, nodes)
 
+    def jet(self, theta) -> tuple:
+        """(V, V', V'') at theta, each bit for bit as value, slope and
+        curvature_slope; a coefficient profile builds each table once."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if self.coeffs is None:
+            inside = theta < self.support
+            out = tuple(np.zeros_like(theta) for _ in range(3))
+            if inside.any():
+                for o, part in zip(out, self._jet(theta[inside])):
+                    o[inside] = part
+            return out
+        t = np.cos(theta)
+        Zp = self.coeffs @ self._table(theta, 1)
+        return (self.coeffs @ self._table(theta, 0), -np.sin(theta) * Zp,
+                (1 - t * t) * (self.coeffs @ self._table(theta, 2)) - t * Zp)
+
     def value(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.callables is not None:
-            return self._eval_callable(0, theta)
+        if self.coeffs is None:
+            return self.jet(theta)[0]
         return self.coeffs @ self._table(theta, 0)
 
     def slope(self, theta) -> np.ndarray:
         """dV/d(theta)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.callables is not None:
-            return self._eval_callable(1, theta)
+        if self.coeffs is None:
+            return self.jet(theta)[1]
         return -np.sin(theta) * (self.coeffs @ self._table(theta, 1))
 
     def curvature_slope(self, theta) -> np.ndarray:
         """d^2 V/d(theta)^2."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.callables is not None:
-            return self._eval_callable(2, theta)
+        if self.coeffs is None:
+            return self.jet(theta)[2]
         t = np.cos(theta)
         Zp = self._table(theta, 1)
         Zpp = self._table(theta, 2)
@@ -197,7 +204,7 @@ class AxialProfile:
         area = sphere_area(self.n - 1)
         feature_edges = sorted(b for b in {self.support, *self.breakpoints}
                                if b < math.pi - 1e-12)
-        if self.callables is None or not feature_edges:
+        if self.coeffs is not None or not feature_edges:
             return self.theta, area * self.w
         tail0 = feature_edges[-1]
         mid = min(2 * tail0, math.pi)
@@ -211,9 +218,7 @@ class AxialProfile:
 
 def _pointwise_curvature(profile: AxialProfile, theta: np.ndarray):
     n = profile.n
-    V = profile.value(theta)
-    Vd = profile.slope(theta)
-    Vdd = profile.curvature_slope(theta)
+    V, Vd, Vdd = profile.jet(theta)
     cot_term, lap = geometry.zonal_laplacian(Vd, Vdd, theta, n)
     grad2 = Vd * Vd
     cubic = Vdd * grad2
@@ -376,10 +381,9 @@ def lift_to_sphere(profile: AxialProfile, grid):
     domain.  Analytic profiles are lifted through the radial provider.
     """
     from quermass.fields import ScalarField, synthesize
-    if profile.callables is not None:
+    if profile.coeffs is None:
         from quermass.analytic import zonal_field
-        prov = zonal_field(lambda theta: (profile.value(theta), profile.slope(theta),
-                                          profile.curvature_slope(theta)), n=grid.n)
+        prov = zonal_field(profile.jet, n=grid.n)
         return ScalarField(grid, prov.values(grid), analytic=prov)
     if grid.n != 3 or profile.n != 3:
         raise ValueError("coefficient lifting is exact for n = 3 only")
@@ -593,21 +597,22 @@ class AxialDomain(RadialGraph):
             coeffs[0] += (s - 1.0) * math.sqrt(sphere_area(self.n))
             newp = AxialProfile(self.n, coeffs=coeffs, resolution=prof.resolution)
         else:
-            newp = AxialProfile.from_callables(
-                self.n, lambda x: s * prof.value(x) + (s - 1.0),
-                lambda x: s * prof.slope(x), lambda x: s * prof.curvature_slope(x),
-                support=math.pi, breakpoints=prof.breakpoints + (prof.support,),
+            def jet(x):
+                V, Vd, Vdd = prof.jet(x)
+                return s * V + (s - 1.0), s * Vd, s * Vdd
+            newp = AxialProfile.from_jet(
+                self.n, jet, support=math.pi, breakpoints=prof.breakpoints + (prof.support,),
                 resolution=prof.resolution)
         return AxialDomain(newp)
 
     def _chart(self, shift) -> tuple:
         """The section's directions (cos, sin) at the Gauss-Jacobi nodes; the
-        zonal refit would smooth a callable (compactly supported) profile, and
+        zonal refit would smooth a jet (compactly supported) profile, and
         a shift off the axis would leave the axisymmetric class."""
         prof = self.profile
-        if prof.callables is not None:
+        if prof.coeffs is None:
             raise ValueError("translated refits the profile in the zonal basis, which "
-                             "smooths a compactly supported (callable) profile")
+                             "smooths a compactly supported (jet) profile")
         shift = shift.ravel()
         if np.any(shift[1:] != 0.0):
             raise ValueError(f"an axisymmetric domain moves along its axis only; "

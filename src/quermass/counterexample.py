@@ -116,16 +116,17 @@ class BumpProfile:
 
     def axial_profile(self, n: int) -> AxialProfile:
         """One dent as a zonal profile about the pole of S^{n-1}."""
-        return AxialProfile.from_callables(
-            n, self.depth, self.slope, self.slope_derivative,
-            support=self.radius, breakpoints=self.breakpoints)
+        return AxialProfile.from_jet(n, self.jet, support=self.radius,
+                                     breakpoints=self.breakpoints)
 
     def jet(self, r) -> tuple:
-        """(depth, slope, slope_derivative) at the radii r, bit for bit,
-        from one classification of the radii.
+        """(f, f', f'') at the radii r, from one classification of the radii.
 
-        The plateau's formulas are evaluated at every radius; then the two
-        ramps, below R/8 and above 7R/8 for the dent radius R, are
+        With a = R/8 for the dent radius R and h = eps/2: the slope f' is
+        h times the smoothstep ramp up on [0, a), h on the plateau
+        [a, 7a], h times the ramp down on (7a, R) and 0 from R on, and
+        f(r) = -int_r^R f', so f(0) = -(7/16) eps / kappa.  The plateau's
+        formulas are evaluated at every radius; then the two ramps are
         overwritten with theirs, each from one gather of its radii, and
         the flat parts beyond them (below 0 or nan, and from R on) with
         their constants.
@@ -163,55 +164,18 @@ class BumpProfile:
             fdd[down] = -0.5 * self.eps * _smoothstep_prime(x) / a
         return f.reshape(shape), fd.reshape(shape), fdd.reshape(shape)
 
-    def slope(self, r):
-        r = np.asarray(r, dtype=float)
-        a, R = self.radius / 8.0, self.radius
-        out = np.zeros_like(r)
-        m1 = (r >= 0) & (r < a)
-        m2 = (r >= a) & (r <= 7 * a)
-        m3 = (r > 7 * a) & (r < R)
-        out[m1] = 0.5 * self.eps * _smoothstep(r[m1] / a)
-        out[m2] = 0.5 * self.eps
-        out[m3] = 0.5 * self.eps * _smoothstep((R - r[m3]) / a)
-        return out
-
-    def slope_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        a, R = self.radius / 8.0, self.radius
-        out = np.zeros_like(r)
-        m1 = (r >= 0) & (r < a)
-        m3 = (r > 7 * a) & (r < R)
-        out[m1] = 0.5 * self.eps * _smoothstep_prime(r[m1] / a) / a
-        out[m3] = -0.5 * self.eps * _smoothstep_prime((R - r[m3]) / a) / a
-        return out
-
-    def depth(self, r):
-        """f(r) = -int_r^R slope; f(0) = -(7/16) eps / kappa."""
-        r = np.asarray(r, dtype=float)
-        a, R = self.radius / 8.0, self.radius
-        mass = 0.5 * self.eps * (7.0 * R / 8.0)
-        cum = np.zeros_like(r)
-        m1 = (r >= 0) & (r < a)
-        m2 = (r >= a) & (r <= 7 * a)
-        m3 = r > 7 * a
-        cum[m1] = 0.5 * self.eps * a * _smoothstep_antideriv(r[m1] / a)
-        cum[m2] = 0.5 * self.eps * (0.5 * a + (r[m2] - a))
-        w = np.clip((R - r[m3]) / a, 0.0, 1.0)
-        cum[m3] = 0.5 * self.eps * (6.5 * a + a * (0.5 - _smoothstep_antideriv(w)))
-        return cum - mass
-
     def validate(self) -> dict:
         """The box constraints of the dent, checked on 4001 radii."""
         r = np.linspace(0.0, self.radius, 4001)
-        f, fd = self.depth(r), self.slope(r)
+        f, fd, _ = self.jet(r)
         checks = {
             "depth_range": bool(np.all((-0.5 * self.eps - 1e-15 <= f) & (f <= 1e-15))),
             "slope_range": bool(np.all((-1e-15 <= fd) & (fd <= 0.5 * self.eps + 1e-15))),
             "plateau": bool(np.all(np.abs(
-                self.slope(np.linspace(*self.breakpoints[:2], 101)) - 0.5 * self.eps
+                self.jet(np.linspace(*self.breakpoints[:2], 101))[1] - 0.5 * self.eps
             ) < 1e-15)),
-            "flat_start": abs(float(self.slope(np.array([0.0]))[0])) < 1e-15,
-            "closes": abs(float(self.depth(np.array([self.radius]))[0])) < 1e-15,
+            "flat_start": abs(float(fd[0])) < 1e-15,
+            "closes": abs(float(f[-1])) < 1e-15,
         }
         checks["ok"] = all(checks.values())
         return checks
@@ -488,7 +452,7 @@ def radial_cubic_identity_check(bump: BumpProfile, n: int, a_fn=None) -> dict:
     """
     area = sphere_area(n - 1)
     r, w = _dent_rule(bump)
-    f, fd, fdd = bump.depth(r), bump.slope(r), bump.slope_derivative(r)
+    f, fd, fdd = bump.jet(r)
     av = np.ones_like(r) if a_fn is None else a_fn(f, fd**2)
     lhs = area * float(np.sum(w * av * fdd * fd**2 * r ** (n - 2)))
     leading = -(n - 2) * area / 3.0 * float(np.sum(w * fd**3 * r ** (n - 3)))
@@ -531,9 +495,8 @@ class DentedSphere:
         return StarDomain(ScalarField(grid, prov.values(grid), analytic=prov))
 
     def c1_norm(self) -> float:
-        r = np.linspace(0.0, self.bump.radius, 4001)
-        return float(max(np.max(np.abs(self.bump.depth(r))),
-                         np.max(np.abs(self.bump.slope(r)))))
+        f, fd, _ = self.bump.jet(np.linspace(0.0, self.bump.radius, 4001))
+        return float(max(np.max(np.abs(f)), np.max(np.abs(fd))))
 
     def eps_size(self) -> float:
         """Sup-norm deviation of the normal from radial (center at origin).
@@ -544,7 +507,7 @@ class DentedSphere:
         meridian section on 8001 geodesic radii, at center 0.
         """
         r = np.linspace(0.0, self.bump.radius, 8001)
-        y, nu = _section_rows(r, self.bump.depth(r), self.bump.slope(r))
+        y, nu = _section_rows(r, *self.bump.jet(r)[:2])
         return float(np.max(geometry.normal_deviation(y, nu, np.zeros(2))))
 
 

@@ -14,7 +14,9 @@ written:
 Domain files add an optional "center".  Field and domain files are read
 for n = 2 and 3, where a field has spectral coefficients; axial
 profiles, the files of n >= 4 domains, hold {"n", "theta_nodes",
-"values"} or {"n", "zonal_coeffs"}.
+"values"} or {"n", "zonal_coeffs"}.  A file with a nan or an infinite
+number, an empty zonal profile, or lists of mismatched lengths is
+refused with a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,19 @@ def _coefficient_slots(n: int, L: int) -> dict:
     for l in range(1, L + 1):
         slots[l, 1], slots[l, 2] = 2 * l - 1, 2 * l
     return slots
+
+
+def _finite(path, key: str, numbers, empty: bool = False) -> np.ndarray:
+    """The file's numbers under key as floats; ValueError naming the file
+    when one is nan or infinite, or when there are none and empty is False."""
+    a = np.asarray(numbers, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"{path}: {key} entry {bad[0]} is {a.flat[bad[0]]}, "
+                         "not a finite number")
+    if not (a.size or empty):
+        raise ValueError(f"{path}: {key} is empty")
+    return a
 
 
 def save_field(f: ScalarField, path, as_values: bool = False) -> Path:
@@ -72,12 +87,14 @@ def load_field(path, grid=None, resolution: int | None = None) -> ScalarField:
             grid = build_grid(n, resolution if resolution else max(32, L + 1))
         slots = _coefficient_slots(n, L)
         coeffs = np.zeros(len(slots))
-        for entry in payload["coeffs"]:
+        values = _finite(path, "coeffs value", [e["value"] for e in payload["coeffs"]],
+                         empty=True)
+        for entry, value in zip(payload["coeffs"], values):
             key = int(entry["l"]), int(entry["m_index"])
             if key not in slots:
                 raise ValueError(f"{path}: no coefficient (l, m_index) = {key} "
                                  f"in the n = {n} layout of degree L = {L}")
-            coeffs[slots[key]] = float(entry["value"])
+            coeffs[slots[key]] = value
         return fields.synthesize(coeffs, grid)
     res = int(payload["grid_resolution"])
     if resolution is not None and resolution != res:
@@ -85,7 +102,10 @@ def load_field(path, grid=None, resolution: int | None = None) -> ScalarField:
                          f"they cannot be read at resolution {resolution}")
     if grid is None:
         grid = build_grid(n, res)
-    values = np.asarray(payload["values"], dtype=float)
+    values = _finite(path, "values", payload["values"])
+    if len(values) != grid.num_nodes:
+        raise ValueError(f"{path} holds {len(values)} node values; the grid of "
+                         f"resolution {grid.resolution} has {grid.num_nodes} nodes")
     return fields.analyze(ScalarField(grid, values))
 
 
@@ -101,7 +121,7 @@ def load_domain(path, grid=None, resolution: int | None = None) -> StarDomain:
     payload = json.loads(Path(path).read_text())
     f = load_field(path, grid=grid, resolution=resolution)
     center = payload.get("center")
-    return StarDomain(f, center=None if center is None else np.asarray(center))
+    return StarDomain(f, center=None if center is None else _finite(path, "center", center))
 
 
 def save_axial_profile(prof: AxialProfile, path, as_values: bool = False) -> Path:
@@ -125,10 +145,12 @@ def load_axial_profile(path, resolution: int | None = None) -> AxialProfile:
     rule = {} if resolution is None else {"resolution": resolution}
     if "zonal_coeffs" in payload:
         return AxialProfile.from_zonal_coeffs(
-            n, np.asarray(payload["zonal_coeffs"], dtype=float), **rule)
-    return AxialProfile.from_values(
-        n, np.asarray(payload["theta_nodes"], dtype=float),
-        np.asarray(payload["values"], dtype=float), **rule)
+            n, _finite(path, "zonal_coeffs", payload["zonal_coeffs"]), **rule)
+    theta, values = (_finite(path, key, payload[key]) for key in ("theta_nodes", "values"))
+    try:
+        return AxialProfile.from_values(n, theta, values, **rule)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def export_obj(K: StarDomain, path) -> Path:

@@ -171,7 +171,7 @@ class RadialGraph:
         The kind's _refit fits the moved profile in its smooth basis (spherical
         harmonics of the same truncation, or zonal harmonics), which would
         smooth a compactly supported dent; so a StarDomain refuses an
-        analytic profile and an AxialDomain a callable one, and an AxialDomain
+        analytic profile and an AxialDomain a jet one, and an AxialDomain
         also refuses a shift off its axis, with a ValueError.
         """
         shift = np.asarray(shift, dtype=float)

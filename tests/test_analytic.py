@@ -13,6 +13,8 @@ from quermass.analytic import GeodesicRadialField, zonal_field
 from quermass.counterexample import make_bump, pack_points
 from quermass.grids import build_grid, tangent_frames
 
+from test_counterexample import _reference_jet
+
 
 def _oracle_members(field, grid):
     """(node, center, d) of the nodes within the support of their nearest
@@ -280,7 +282,7 @@ def test_per_grid_methods_equal_the_points_api(n):
 
 
 def _slow_total(field, bump, grid, block):
-    """integrated_mean_curvature the slow way: the profile's three callables
+    """integrated_mean_curvature the slow way: the dent's reference formulas
     at every node's distance to its KD-tree nearest center, the terms w H J
     of the nodes inside a dent summed per block of nodes in node order, then
     the round sphere's H J times the weight outside the dents."""
@@ -289,9 +291,9 @@ def _slow_total(field, bump, grid, block):
     inside[node] = True
     dist = np.zeros(grid.num_nodes)
     dist[node] = d
-    fd, fdd = bump.slope(dist), bump.slope_derivative(dist)
+    f, fd, fdd = _reference_jet(bump, dist)
     _, lap = geometry.zonal_laplacian(fd, fdd, dist, 3)
-    u, grad2, cubic = 0.0 + bump.depth(dist), fd**2, fdd * fd**2
+    u, grad2, cubic = 0.0 + f, fd**2, fdd * fd**2
     H = geometry.mean_curvature_from_scalars(u, grad2, lap, cubic, 3)
     J = geometry.area_jacobian(u, grad2, 3)
     terms = grid.weights * H * J

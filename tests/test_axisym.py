@@ -17,6 +17,8 @@ from quermass.grids import build_grid, jacobi_rule, panel_rule, sphere_area
 from quermass.harmonics import ZonalBasis
 from quermass.stardomain import StarDomain
 
+from test_counterexample import _assert_same_bits
+
 
 def const_profile(n, c, resolution=256):
     coeffs = np.array([c * math.sqrt(sphere_area(n))])
@@ -143,8 +145,7 @@ def test_zonal_laplacian_at_and_near_the_poles(n, raw):
     ends = [0, 3, 5]
     points = np.zeros((3, n))
     points[:, 0], points[:, 1] = np.cos(theta[ends]), np.sin(theta[ends])
-    field = zonal_field(lambda t: (prof.value(t), prof.slope(t), prof.curvature_slope(t)),
-                        n=n)
+    field = zonal_field(prof.jet, n=n)
     lap = field.scalar_invariants(points, n)[2]
     assert np.max(np.abs(lap - oracle[ends])) <= tol
 
@@ -218,7 +219,7 @@ def test_axial_eps_size_of_offset_ball():
         th = np.asarray(th)
         return (fd(th + h) - fd(th - h)) / (2 * h)
 
-    prof = AxialProfile.from_callables(3, f, fd, fdd)
+    prof = AxialProfile.from_jet(3, lambda th: (f(th), fd(th), fdd(th)))
     K = AxialDomain(prof)
     eps, center = K.eps_size()
     assert eps < 1e-6
@@ -709,6 +710,39 @@ def test_tables_over_the_size_limit_are_built_afresh(cold_tables):
     assert cold_tables.cache_info().currsize == entries
     prof.value(prof.theta)
     assert cold_tables.cache_info().currsize == entries + 1
+
+
+@pytest.mark.parametrize("n, L", [(3, 9), (4, 8), (5, 12), (4, 40)])
+def test_coefficient_jet_is_value_slope_and_curvature_slope(n, L):
+    # L = 40 takes the tables of the deviation angles afresh, the others
+    # from the cache
+    prof = random_zonal(n, 17, amp=0.1, L=L)
+    fresh = np.random.default_rng(4).uniform(0.0, math.pi, 300)
+    for theta in (prof.theta, axisym._DEVIATION_THETA, axisym._C1_THETA, fresh,
+                  np.array([0.0, math.pi]), 1.25):
+        _assert_same_bits(prof.jet(theta), (prof.value(theta), prof.slope(theta),
+                                            prof.curvature_slope(theta)))
+
+
+def test_profile_refuses_both_kinds_neither_and_a_polar_slope():
+    def flat(t):
+        return 0.0 * t, 0.0 * t, 0.0 * t
+    with pytest.raises(ValueError, match="exactly one of coeffs or jet"):
+        AxialProfile(3, coeffs=[0.0], jet=flat)
+    with pytest.raises(ValueError, match="exactly one of coeffs or jet"):
+        AxialProfile(4)
+    with pytest.raises(ValueError, match="slope at theta=0 is 0.01"):
+        AxialProfile.from_jet(3, lambda t: (0.01 * np.sin(t), 0.01 * np.cos(t),
+                                            -0.01 * np.sin(t)))
+
+    def quadratic(t):                   # V = t^2 / 100: flat at 0, not at pi
+        return 0.01 * t * t, 0.02 * t, 0.02 + 0.0 * t
+    with pytest.raises(ValueError, match="slope at theta=pi is 0.0628"):
+        AxialProfile.from_jet(4, quadratic)
+    # a profile that stops short of pi is not read there
+    prof = AxialProfile.from_jet(4, quadratic, support=1.0)
+    _assert_same_bits(prof.jet(np.array([0.5, 1.0, math.pi])),
+                      [np.append(part, [0.0, 0.0]) for part in quadratic(np.array([0.5]))])
 
 
 def _beta_moments(resolution, alpha):

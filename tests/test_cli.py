@@ -727,3 +727,13 @@ def test_the_parser_is_built_once_and_parses_as_a_fresh_one(monkeypatch, tmp_pat
     monkeypatch.setattr(cli, "_parser", build_parser)
     assert run_all("fresh") == shared
     assert seen[2:] == seen[:2]
+
+
+def test_functionals_refuses_a_domain_file_with_a_nan(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 4, "zonal_coeffs": [0.0, NaN, 0.01]}')
+    out = tmp_path / "run"
+    assert main(["functionals", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: zonal_coeffs entry 1 is nan, not a finite number" in err
+    assert not out.exists()

@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from quermass import analytic, counterexample as cx, geometry
-from quermass.analytic import GeodesicRadialField
-from quermass.axisym import _section_rows, axial_functionals
+from quermass.analytic import GeodesicRadialField, zonal_field
+from quermass.axisym import AxialDomain, _section_rows, axial_functionals, lift_to_sphere
 from quermass.counterexample import (
     FIB_MIN_DIST,
     DentedSphere,
@@ -53,12 +53,36 @@ def _is_antipodal(packed):
             and packed.points[0, 0] == 1.0 and packed.points[1, 0] == -1.0)
 
 
+def _reference_jet(bump, r):
+    """(f, f', f'') of the dent, each from its own three piecewise masks:
+    the independent definition that BumpProfile.jet reproduces bit for bit."""
+    r = np.asarray(r, dtype=float)
+    a, R = bump.radius / 8.0, bump.radius
+    m1 = (r >= 0) & (r < a)
+    m2 = (r >= a) & (r <= 7 * a)
+    m3 = (r > 7 * a) & (r < R)
+    slope, slope_derivative, cum = np.zeros_like(r), np.zeros_like(r), np.zeros_like(r)
+    slope[m1] = 0.5 * bump.eps * cx._smoothstep(r[m1] / a)
+    slope[m2] = 0.5 * bump.eps
+    slope[m3] = 0.5 * bump.eps * cx._smoothstep((R - r[m3]) / a)
+    slope_derivative[m1] = 0.5 * bump.eps * cx._smoothstep_prime(r[m1] / a) / a
+    slope_derivative[m3] = -0.5 * bump.eps * cx._smoothstep_prime((R - r[m3]) / a) / a
+    # the depth f(r) = -int_r^R slope; its last piece runs on past R
+    mass = 0.5 * bump.eps * (7.0 * R / 8.0)
+    m3 = r > 7 * a
+    cum[m1] = 0.5 * bump.eps * a * cx._smoothstep_antideriv(r[m1] / a)
+    cum[m2] = 0.5 * bump.eps * (0.5 * a + (r[m2] - a))
+    w = np.clip((R - r[m3]) / a, 0.0, 1.0)
+    cum[m3] = 0.5 * bump.eps * (6.5 * a + a * (0.5 - cx._smoothstep_antideriv(w)))
+    return cum - mass, slope, slope_derivative
+
+
 def test_bump_box_constraints():
     bump = make_bump(10.0, 0.2)
     checks = bump.validate()
     assert checks["ok"]
-    assert abs(float(bump.slope(np.array([0.05]))[0]) - 0.1) < 1e-15  # plateau
-    assert float(bump.depth(np.array([0.0]))[0]) >= -0.1
+    assert abs(float(bump.jet(np.array([0.05]))[1][0]) - 0.1) < 1e-15  # plateau
+    assert float(bump.jet(np.array([0.0]))[0][0]) >= -0.1
 
 
 @pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.5])
@@ -67,11 +91,14 @@ def test_bump_refuses_a_kappa_outside_one_to_infinity(kappa):
         make_bump(kappa, 0.3)
 
 
+def _assert_same_bits(got, want):
+    # signed zeros included
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def _assert_jet_is_the_three_profiles(bump, r):
-    # bit for bit, signed zeros included
-    want = (bump.depth(r), bump.slope(r), bump.slope_derivative(r))
-    for got, expected in zip(bump.jet(r), want):
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    _assert_same_bits(bump.jet(r), _reference_jet(bump, r))
 
 
 @pytest.mark.parametrize("kappa, eps", [(1.0, 0.3), (10.0, 0.45), (37.0, 0.0), (640.0, 0.2)])
@@ -96,13 +123,57 @@ def test_bump_jet_matches_the_profiles_on_drawn_radii(kappa, eps, fractions):
     _assert_jet_is_the_three_profiles(bump, np.array(fractions) * bump.radius)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_dent_profile_is_the_jet_inside_its_radius_and_zero_from_it_on(n):
+    bump = make_bump(10.0, 0.3)
+    prof = bump.axial_profile(n)
+    R = bump.radius
+    theta = np.array([0.0, 0.5 * R, np.nextafter(R, 0.0), R, np.nextafter(R, np.inf),
+                      2.0 * R, math.pi])
+    inside = theta < R
+    want = [np.where(inside, part, 0.0) for part in bump.jet(theta)]
+    got = prof.jet(theta)
+    _assert_same_bits(got, want)
+    _assert_same_bits(got, (prof.value(theta), prof.slope(theta), prof.curvature_slope(theta)))
+    assert got[1][2] > 0.0 and not np.signbit(np.concatenate(got)[~np.tile(inside, 3)]).any()
+
+
+@pytest.mark.parametrize("s", [0.8, 1.3])
+def test_scaled_dent_domain_is_the_three_callable_profile(s):
+    # the scaled profile as it was once built, one callable per derivative,
+    # each evaluated on the nodes below its support of pi and 0 at pi
+    prof = make_bump(10.0, 0.3).axial_profile(4)
+    three = (lambda x: s * prof.value(x) + (s - 1.0), lambda x: s * prof.slope(x),
+             lambda x: s * prof.curvature_slope(x))
+    scaled = AxialDomain(prof).scaled(s).profile
+    assert scaled.support == math.pi
+    assert scaled.breakpoints == prof.breakpoints + (prof.support,)
+    theta, _ = scaled.quadrature_rule()
+    want = []
+    for fn in three:
+        out = np.zeros_like(theta)
+        out[theta < math.pi] = fn(theta[theta < math.pi])
+        want.append(out)
+    _assert_same_bits(scaled.jet(theta), want)
+
+
+def test_lifted_dent_profile_is_the_reference_dent():
+    bump = make_bump(10.0, 0.3)
+    grid = build_grid(3, 64)
+    lifted = lift_to_sphere(bump.axial_profile(3), grid).values
+    reference = zonal_field(lambda th: tuple(np.where(th < bump.radius, part, 0.0)
+                                             for part in _reference_jet(bump, th)))
+    assert np.any(lifted < 0.0)
+    assert lifted.tobytes() == reference.values(grid).tobytes()
+
+
 def test_bump_integral_against_adaptive_quadrature():
     bump = make_bump(10.0, 0.2)
     n = 3
-    val, err = quad(lambda r: bump.slope(np.array([r]))[0] ** 2 * r ** (n - 3),
+    val, err = quad(lambda r: bump.jet(np.array([r]))[1][0] ** 2 * r ** (n - 3),
                     0.0, bump.radius, limit=200)
     r, w = panel_rule((0.0, *bump.breakpoints), 24, 8)
-    mine = float(np.sum(w * bump.slope(r) ** 2 * r ** (n - 3)))
+    mine = float(np.sum(w * bump.jet(r)[1] ** 2 * r ** (n - 3)))
     assert abs(mine - val) < 1e-10
 
 
@@ -485,9 +556,10 @@ def test_dent_eps_size_is_the_kernel_max_on_its_cap(kappa):
     bump = make_bump(kappa, 0.3)
     eps = DentedSphere(3, 0.3, kappa, bump, None).eps_size()
     r = np.linspace(0.0, bump.radius, 8001)
-    y, nu = _section_rows(r, bump.depth(r), bump.slope(r))
+    f, fd, _ = bump.jet(r)
+    y, nu = _section_rows(r, f, fd)
     assert eps == float(np.max(geometry.normal_deviation(y, nu, np.zeros(2))))
-    v2 = (bump.slope(r) / (1.0 + bump.depth(r))) ** 2
+    v2 = (fd / (1.0 + f)) ** 2
     closed = math.sqrt(np.max(v2 / (1.0 + v2)
                               + v2**2 / ((1.0 + v2) * (1.0 + np.sqrt(1.0 + v2)) ** 2)))
     assert abs(eps - closed) <= 1e-15 * closed
@@ -547,7 +619,7 @@ def test_cap_excess_against_adaptive_quadrature(n, kappa, eps):
 
     def excess(th):
         th = np.array([th])
-        f, fd, fdd = bump.depth(th), bump.slope(th), bump.slope_derivative(th)
+        f, fd, fdd = _reference_jet(bump, th)
         lap = fdd + (n - 2) * fd * np.cos(th) / np.sin(th)
         H = geometry.mean_curvature_from_scalars(f, fd * fd, lap, fdd * fd * fd, n)
         J = geometry.area_jacobian(f, fd * fd, n)
@@ -599,9 +671,7 @@ def _kdtree_profile(domain, nodes):
     d = np.arccos(np.clip(dots, -1.0, 1.0))
     inside = d < bump.radius
     dd = np.where(inside, d, 0.0)
-    fv = np.where(inside, bump.depth(dd), 0.0)
-    fdv = np.where(inside, bump.slope(dd), 0.0)
-    fddv = np.where(inside, bump.slope_derivative(dd), 0.0)
+    fv, fdv, fddv = (np.where(inside, part, 0.0) for part in _reference_jet(bump, dd))
     _, lap = geometry.zonal_laplacian(fdv, fddv, dd, 3)
     return 0.0 + fv, fdv**2, lap, fddv * fdv**2, inside
 

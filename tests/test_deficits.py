@@ -341,11 +341,11 @@ def _one_domain_of_both_kinds(n):
         prof = AxialProfile.from_zonal_coeffs(3, c)
     else:
         a = 0.04
-        prof = AxialProfile.from_callables(
-            4, lambda t: a * np.cos(t) ** 2 + 0.5 * a * np.cos(t) ** 3,
-            lambda t: -a * np.sin(t) * (2.0 * np.cos(t) + 1.5 * np.cos(t) ** 2),
-            lambda t: (-2.0 * a * np.cos(2.0 * t)
-                       + 1.5 * a * np.cos(t) * (2.0 * np.sin(t) ** 2 - np.cos(t) ** 2)))
+        prof = AxialProfile.from_jet(4, lambda t: (
+            a * np.cos(t) ** 2 + 0.5 * a * np.cos(t) ** 3,
+            -a * np.sin(t) * (2.0 * np.cos(t) + 1.5 * np.cos(t) ** 2),
+            -2.0 * a * np.cos(2.0 * t)
+            + 1.5 * a * np.cos(t) * (2.0 * np.sin(t) ** 2 - np.cos(t) ** 2)))
     return StarDomain(lift_to_sphere(prof, build_grid(n, 32 if n == 3 else 24))), AxialDomain(prof)
 
 

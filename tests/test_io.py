@@ -142,3 +142,45 @@ def test_coefficients_above_the_grid_degree_are_refused(n, tmp_path):
         {"l": L, "m_index": 2 if n == 2 else 2 * L, "value": 1.0}]}))
     with pytest.raises(ValueError, match=message):
         qio.load_field(path, grid=g)
+
+
+# malformed domain files, each with the part of the message that names the fault
+_MALFORMED = {
+    "nan zonal coefficient": ('{"n": 4, "zonal_coeffs": [0.0, NaN, 0.01]}',
+                              "zonal_coeffs entry 1 is nan"),
+    "infinite zonal coefficient": ('{"n": 3, "zonal_coeffs": [0.0, Infinity]}',
+                                   "zonal_coeffs entry 1 is inf"),
+    "no zonal coefficient": ('{"n": 4, "zonal_coeffs": []}', "zonal_coeffs is empty"),
+    "nan profile value": ('{"n": 4, "theta_nodes": [0.5, 1.5, 2.5], "values": [0, NaN, 0]}',
+                          "values entry 1 is nan"),
+    "mismatched profile lists": ('{"n": 4, "theta_nodes": [0.5, 1.5, 2.5], "values": [0, 0]}',
+                                 "3 theta nodes but 2 values"),
+    "no profile node": ('{"n": 4, "theta_nodes": [], "values": []}', "theta_nodes is empty"),
+    "nan n = 3 coefficient": ('{"n": 3, "L": 2, "coeffs": [{"l": 2, "m_index": 0, '
+                              '"value": NaN}]}', "coeffs value entry 0 is nan"),
+    "infinite n = 3 coefficient": ('{"n": 3, "L": 1, "coeffs": [{"l": 0, "m_index": 0, '
+                                   '"value": 1.0}, {"l": 1, "m_index": 1, '
+                                   '"value": -Infinity}]}', "coeffs value entry 1 is -inf"),
+    "nan node value": ('{"n": 3, "grid_resolution": 4, "values": [%s]}'
+                       % ", ".join(["0.0"] * 31 + ["NaN"]), "values entry 31 is nan"),
+    "too few node values": ('{"n": 3, "grid_resolution": 4, "values": [0.0, 0.0]}',
+                            "holds 2 node values; the grid of resolution 4 has 32 nodes"),
+    "nan center": ('{"n": 3, "L": 0, "coeffs": [], "center": [0.0, NaN, 0.0]}',
+                   "center entry 1 is nan"),
+}
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_domain_files_are_refused_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    load = (qio.load_axial_profile if "zonal_coeffs" in text or "theta_nodes" in text
+            else qio.load_domain)
+    with pytest.raises(ValueError) as info:
+        load(path)
+    assert str(path) in str(info.value) and message in str(info.value)
+
+
+def test_from_values_refuses_mismatched_lengths():
+    with pytest.raises(ValueError, match="3 theta nodes but 2 values"):
+        AxialProfile.from_values(4, [0.5, 1.5, 2.5], [0.0, 0.0])
